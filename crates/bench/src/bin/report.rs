@@ -19,7 +19,7 @@ use std::time::{Duration, Instant};
 use itd_bench::{fit_loglog, fit_semilog, fmt_duration, time_median, time_once};
 use itd_core::GenRelation;
 use itd_workload::{
-    brute_force_sat, random_3cnf, random_relation, solve_via_complement, RelationSpec,
+    brute_force_sat, oracle, random_3cnf, random_relation, solve_via_complement, RelationSpec,
 };
 
 const REPS: usize = 5;
@@ -687,29 +687,67 @@ fn figures() {
 
 fn ablations() {
     println!("\n## Ablations (design choices from DESIGN.md)\n");
-    // Residue bucketing (Appendix A.3): naive vs bucketed intersection.
-    println!("### Intersection: naive pairwise vs residue-bucketed (N = 128, m = 2)\n");
-    println!("| k | naive | bucketed | speedup |");
-    println!("|---|---|---|---|");
+    // Residue bucketing (Appendix A.3): the naive all-pairs oracle vs the
+    // indexed kernel, whose probes are exactly the same-offset pairs.
+    jsonout::begin_section("ablation_bucketing");
+    println!("### Intersection: naive oracle vs residue-indexed kernel (N = 128, m = 2)\n");
+    println!("| k | oracle | kernel | speedup | index probes | equal-offset pairs | N²/k^m |");
+    println!("|---|---|---|---|---|---|---|");
     for k in take(&[2i64, 4, 8, 16]) {
-        let a = random_relation(&spec(128, 2, k), 1);
-        let b = random_relation(&spec(128, 2, k), 2);
-        let (naive, r1) = time_median(REPS, || a.intersect(&b).expect("intersect"));
-        let (bucketed, r2) = time_median(REPS, || a.intersect_bucketed(&b).expect("intersect"));
-        // Same semantics (the point of an ablation is a fair comparison).
+        let (n, m) = (128usize, 2usize);
+        let a = random_relation(&spec(n, m, k), 1);
+        let b = random_relation(&spec(n, m, k), 2);
+        let (naive, r1) = time_median(REPS, || oracle::intersect(&a, &b).expect("intersect"));
+        let (kernel, r2) = time_median(REPS, || a.intersect(&b).expect("intersect"));
+        assert_eq!(r1, r2, "the kernel must be bit-identical to the oracle");
+        // At one common period k every offset is canonical in [0, k), so
+        // two tuples can meet only if their offset vectors are equal: the
+        // index must probe exactly those pairs (Appendix A.3).
+        let offsets = |r: &GenRelation| -> Vec<Vec<i64>> {
+            (0..n)
+                .map(|i| {
+                    (0..m)
+                        .map(|c| r.columns().temporal(c).offsets()[i])
+                        .collect()
+                })
+                .collect()
+        };
+        let (oa, ob) = (offsets(&a), offsets(&b));
+        let mut exact = 0u64;
+        for x in &oa {
+            for y in &ob {
+                exact += u64::from(x == y);
+            }
+        }
+        let ctx = itd_core::ExecContext::serial();
+        a.intersect_in(&b, &ctx).expect("intersect");
+        let probes = ctx.stats().op(itd_core::OpKind::Intersect).index_probes;
         assert_eq!(
-            r1.materialize(-10, 10),
-            r2.materialize(-10, 10),
-            "bucketing must not change semantics"
+            probes, exact,
+            "k = {k}: the index must probe exactly the equal-offset pairs"
         );
+        let expected = (n * n) as f64 / (k as f64).powi(m as i32);
         println!(
-            "| {k} | {} | {} | ×{:.1} |",
+            "| {k} | {} | {} | ×{:.1} | {probes} | {exact} | {expected:.0} |",
             fmt_duration(naive),
-            fmt_duration(bucketed),
-            naive.as_secs_f64() / bucketed.as_secs_f64().max(1e-9),
+            fmt_duration(kernel),
+            naive.as_secs_f64() / kernel.as_secs_f64().max(1e-9),
+        );
+        jsonout::counters(
+            &format!("k_{k}"),
+            &[
+                ("oracle_nanos", naive.as_nanos() as u64),
+                ("kernel_nanos", kernel.as_nanos() as u64),
+                ("index_probes", probes),
+                ("equal_offset_pairs", exact),
+                ("n2_over_km", expected.round() as u64),
+            ],
         );
     }
-    println!("\nThe win grows with k, matching Appendix A.3's N²/k^m collision analysis.");
+    println!(
+        "\nIndex probes equal the exact equal-offset pair count, which tracks \
+         Appendix A.3's N²/k^m collision estimate."
+    );
 
     // Partial vs full normalization in projection (§3.4 remark).
     println!("\n### Projection: partial vs full normalization (§3.4 remark)\n");
@@ -792,7 +830,7 @@ fn ablations() {
 /// The acceptance gate for the residue index: on the Table 2 workloads
 /// (m = 2, k = 6 random relations), the indexed intersection and join
 /// must prune at least half of the N₁·N₂ candidate pairs *and* remain
-/// bit-identical to the naive pairwise order at 1, 2, and 8 threads.
+/// bit-identical to the naive all-pairs oracle at 1, 2, and 8 threads.
 /// Every claim is asserted, not just printed.
 fn index_effectiveness() {
     println!("\n## Residue index effectiveness (Table 2 workloads)\n");
@@ -858,43 +896,15 @@ fn index_effectiveness() {
         );
     };
 
-    let naive = a
-        .intersect_unindexed_in(&b, &ExecContext::serial())
-        .expect("intersect");
+    let naive = oracle::intersect(&a, &b).expect("intersect");
     check("intersection", OpKind::Intersect, naive, &|ctx| {
         a.intersect_in(&b, ctx).expect("intersect")
     });
 
-    let naive = a
-        .join_on_unindexed_in(&b, &[(0, 0)], &[], &ExecContext::serial())
-        .expect("join");
+    let naive = oracle::join_on(&a, &b, &[(0, 0)], &[]).expect("join");
     check("join", OpKind::Join, naive, &|ctx| {
         a.join_on_in(&b, &[(0, 0)], &[], ctx).expect("join")
     });
-
-    // The CRT memo behind Lrp::intersect, warmed by everything above.
-    // Measured over the row path: the default kernel would answer this
-    // pair from the global outcome cache (the runs above populated it)
-    // without ever reaching `Lrp::intersect`.
-    itd_lrp::crt_cache_reset();
-    let _ = a
-        .intersect_rowpath_in(&b, &ExecContext::serial())
-        .expect("intersect");
-    let cache = itd_lrp::crt_cache_stats();
-    println!(
-        "\nCRT cache over one indexed intersection: {} hits, {} misses (capacity {}).",
-        cache.hits,
-        cache.misses,
-        itd_lrp::CRT_CACHE_CAP
-    );
-    assert!(
-        cache.hits > cache.misses,
-        "the uniform-period workload must hit the CRT cache more than it misses"
-    );
-    jsonout::counters(
-        "crt_cache",
-        &[("hits", cache.hits), ("misses", cache.misses)],
-    );
 }
 
 /// The acceptance gate for the columnar interned store. Two claims are
@@ -1023,11 +1033,11 @@ fn columnar_storage() {
 /// 1. Bit-identity — on the Table 2 workloads (m = 2, k = 6 random
 ///    relations), the batch kernels behind `intersect_in` /
 ///    `difference_in` / `join_on_in` produce the same relation as the
-///    retained row-at-a-time twins at 1, 2, and 8 threads.
+///    naive all-pairs oracle (`itd_workload::oracle`) at 1, 2, and 8
+///    threads.
 /// 2. Speedup — with the global pairwise-outcome cache warm, the median
-///    kernel timing must beat the row path by ≥ 1.5× on at least one of
-///    the three operations (in practice the warm intersection, which
-///    skips every surviving conjoin).
+///    kernel timing must beat the oracle by ≥ 1.5× on at least one of
+///    the three operations.
 /// 3. Plan cache — a repeated `run()` of the same source text must be
 ///    served from the prepared-plan cache (`plan_cached`, hit counters)
 ///    and never change the answer.
@@ -1040,45 +1050,44 @@ fn batch_kernels() {
     let a = random_relation(&spec(n, 2, 6), 42);
     let b = random_relation(&spec(n, 2, 6), 4242);
 
-    println!("| operation | row path | batch kernel (warm cache) | speedup | outcome-cache hits/rep | identical at 1/2/8 threads |");
+    println!("| operation | oracle | batch kernel (warm cache) | speedup | outcome-cache hits/rep | identical at 1/2/8 threads |");
     println!("|---|---|---|---|---|---|");
 
-    type Runner<'x> = Box<dyn Fn(&ExecContext) -> GenRelation + 'x>;
-    let ops: Vec<(&'static str, bool, Runner<'_>, Runner<'_>)> = vec![
+    type Kernel<'x> = Box<dyn Fn(&ExecContext) -> GenRelation + 'x>;
+    type Oracle<'x> = Box<dyn Fn() -> GenRelation + 'x>;
+    let ops: Vec<(&'static str, bool, Kernel<'_>, Oracle<'_>)> = vec![
         (
             "intersection",
             true,
             Box::new(|ctx: &ExecContext| a.intersect_in(&b, ctx).expect("intersect")),
-            Box::new(|ctx: &ExecContext| a.intersect_rowpath_in(&b, ctx).expect("intersect")),
+            Box::new(|| oracle::intersect(&a, &b).expect("intersect")),
         ),
         (
             "join",
             true,
             Box::new(|ctx| a.join_on_in(&b, &[(0, 0)], &[], ctx).expect("join")),
-            Box::new(|ctx| a.join_on_rowpath_in(&b, &[(0, 0)], &[], ctx).expect("join")),
+            Box::new(|| oracle::join_on(&a, &b, &[(0, 0)], &[]).expect("join")),
         ),
         (
             "difference",
             false, // pair outcomes are not cacheable; the kernel's win is the batch filter
             Box::new(|ctx| a.difference_in(&b, ctx).expect("difference")),
-            Box::new(|ctx| a.difference_rowpath_in(&b, ctx).expect("difference")),
+            Box::new(|| oracle::difference(&a, &b).expect("difference")),
         ),
     ];
 
     let mut best: (&str, f64) = ("", 0.0);
-    for (name, cached, kernel, rowpath) in &ops {
-        // Bit-identity first; these runs double as cache warmup (row
-        // cache for the row path, outcome cache for the kernel).
-        let reference = rowpath(&ExecContext::serial());
+    for (name, cached, kernel, reference) in &ops {
+        // Bit-identity first; these runs double as outcome-cache warmup.
+        let (naive, expected) = time_median(REPS, reference);
         for threads in [1usize, 2, 8] {
             assert_eq!(
                 kernel(&ExecContext::with_threads(threads)),
-                reference,
-                "{name} kernel must be bit-identical to the row path at {threads} threads"
+                expected,
+                "{name} kernel must be bit-identical to the oracle at {threads} threads"
             );
         }
         let ctx = ExecContext::serial();
-        let (row, _) = time_median(REPS, || rowpath(&ctx));
         let before = storage_stats();
         let (krn, _) = time_median(REPS, || kernel(&ctx));
         let hits = storage_stats().delta_since(&before).outcome_hits;
@@ -1088,20 +1097,20 @@ fn batch_kernels() {
                 "{name}: the warm kernel must be served by the outcome cache"
             );
         }
-        let speedup = row.as_secs_f64() / krn.as_secs_f64().max(1e-9);
+        let speedup = naive.as_secs_f64() / krn.as_secs_f64().max(1e-9);
         if speedup > best.1 {
             best = (name, speedup);
         }
         println!(
             "| {name} | {} | {} | ×{speedup:.1} | {} | true |",
-            fmt_duration(row),
+            fmt_duration(naive),
             fmt_duration(krn),
             hits / REPS as u64,
         );
         jsonout::counters(
             name,
             &[
-                ("rowpath_nanos", row.as_nanos() as u64),
+                ("oracle_nanos", naive.as_nanos() as u64),
                 ("kernel_nanos", krn.as_nanos() as u64),
                 ("speedup_x1000", (speedup * 1000.0) as u64),
                 ("outcome_hits", hits),
@@ -1110,7 +1119,7 @@ fn batch_kernels() {
     }
     assert!(
         best.1 >= 1.5,
-        "the batch kernels must beat the row path by ≥ 1.5× on at least \
+        "the batch kernels must beat the oracle by ≥ 1.5× on at least \
          one Table 2 operation (best: {} at ×{:.2})",
         best.0,
         best.1

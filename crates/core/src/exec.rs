@@ -129,7 +129,6 @@ pub struct OpCounters {
     atoms_simplified: AtomicU64,
     tuples_subsumed: AtomicU64,
     coalesce_merges: AtomicU64,
-    intern_hits: AtomicU64,
     max_period: AtomicU64,
     nanos: AtomicU64,
 }
@@ -171,10 +170,6 @@ impl OpCounters {
         self.coalesce_merges.fetch_add(n, Relaxed);
     }
 
-    pub(crate) fn add_intern_hits(&self, n: u64) {
-        self.intern_hits.fetch_add(n, Relaxed);
-    }
-
     pub(crate) fn record_period(&self, k: i64) {
         self.max_period.fetch_max(k.max(0) as u64, Relaxed);
     }
@@ -191,7 +186,6 @@ impl OpCounters {
             atoms_simplified: self.atoms_simplified.load(Relaxed),
             tuples_subsumed: self.tuples_subsumed.load(Relaxed),
             coalesce_merges: self.coalesce_merges.load(Relaxed),
-            intern_hits: self.intern_hits.load(Relaxed),
             max_period: self.max_period.load(Relaxed),
             nanos: self.nanos.load(Relaxed),
         }
@@ -208,7 +202,6 @@ impl OpCounters {
         self.atoms_simplified.store(0, Relaxed);
         self.tuples_subsumed.store(0, Relaxed);
         self.coalesce_merges.store(0, Relaxed);
-        self.intern_hits.store(0, Relaxed);
         self.max_period.store(0, Relaxed);
         self.nanos.store(0, Relaxed);
     }
@@ -270,9 +263,6 @@ pub struct OpSnapshot {
     /// Tuples eliminated by coalescing complete residue-class groups into
     /// one coarser tuple (a group of `s` tuples contributes `s − 1`).
     pub coalesce_merges: u64,
-    /// Duplicate temporal parts absorbed by hash-consing (repeated
-    /// `(lrps, constraints)` pairs plus memoized pairwise outcomes).
-    pub intern_hits: u64,
     /// Largest common period `k` encountered.
     pub max_period: u64,
     /// Accumulated wall time, in nanoseconds.
@@ -344,7 +334,6 @@ impl StatsSnapshot {
             mine.atoms_simplified += theirs.atoms_simplified;
             mine.tuples_subsumed += theirs.tuples_subsumed;
             mine.coalesce_merges += theirs.coalesce_merges;
-            mine.intern_hits += theirs.intern_hits;
             mine.max_period = mine.max_period.max(theirs.max_period);
             mine.nanos += theirs.nanos;
         }
@@ -367,7 +356,6 @@ impl StatsSnapshot {
             mine.atoms_simplified = mine.atoms_simplified.saturating_sub(prior.atoms_simplified);
             mine.tuples_subsumed = mine.tuples_subsumed.saturating_sub(prior.tuples_subsumed);
             mine.coalesce_merges = mine.coalesce_merges.saturating_sub(prior.coalesce_merges);
-            mine.intern_hits = mine.intern_hits.saturating_sub(prior.intern_hits);
             mine.nanos = mine.nanos.saturating_sub(prior.nanos);
         }
         out
@@ -391,7 +379,7 @@ impl fmt::Display for StatsSnapshot {
         }
         writeln!(
             f,
-            "{:<12} {:>6} {:>9} {:>9} {:>9} {:>8} {:>9} {:>9} {:>7} {:>9} {:>7} {:>9} {:>7} {:>12}",
+            "{:<12} {:>6} {:>9} {:>9} {:>9} {:>8} {:>9} {:>9} {:>7} {:>9} {:>7} {:>7} {:>12}",
             "op",
             "calls",
             "in",
@@ -403,7 +391,6 @@ impl fmt::Display for StatsSnapshot {
             "atoms",
             "subsumed",
             "merged",
-            "interned",
             "max_k",
             "time"
         )?;
@@ -413,7 +400,7 @@ impl fmt::Display for StatsSnapshot {
             }
             writeln!(
                 f,
-                "{:<12} {:>6} {:>9} {:>9} {:>9} {:>8} {:>9} {:>9} {:>7} {:>9} {:>7} {:>9} {:>7} {:>12}",
+                "{:<12} {:>6} {:>9} {:>9} {:>9} {:>8} {:>9} {:>9} {:>7} {:>9} {:>7} {:>7} {:>12}",
                 kind.name(),
                 op.calls,
                 op.tuples_in,
@@ -425,14 +412,13 @@ impl fmt::Display for StatsSnapshot {
                 op.atoms_simplified,
                 op.tuples_subsumed,
                 op.coalesce_merges,
-                op.intern_hits,
                 op.max_period,
                 format!("{:.1?}", op.wall_time()),
             )?;
         }
         write!(
             f,
-            "{:<12} {:>6} {:>106} {:>12}",
+            "{:<12} {:>6} {:>96} {:>12}",
             "total",
             self.total_calls(),
             "",
@@ -498,7 +484,6 @@ impl Drop for OpTimer<'_> {
                     .saturating_sub(before.atoms_simplified);
                 span.tuples_subsumed = after.tuples_subsumed.saturating_sub(before.tuples_subsumed);
                 span.coalesce_merges = after.coalesce_merges.saturating_sub(before.coalesce_merges);
-                span.intern_hits = after.intern_hits.saturating_sub(before.intern_hits);
                 span.nanos = nanos;
             });
         }
@@ -979,7 +964,6 @@ mod tests {
             t.add_out(2);
             t.add_pairs(4);
             t.add_pruned(2);
-            t.add_intern_hits(3);
             t.record_period(6);
         }
         {
@@ -993,7 +977,6 @@ mod tests {
         assert_eq!(snap.op(OpKind::Intersect).calls, 1);
         assert_eq!(snap.op(OpKind::Intersect).tuples_in, 4);
         assert_eq!(snap.op(OpKind::Intersect).max_period, 6);
-        assert_eq!(snap.op(OpKind::Intersect).intern_hits, 3);
         assert_eq!(snap.op(OpKind::Compact).tuples_subsumed, 2);
         assert_eq!(snap.op(OpKind::Compact).coalesce_merges, 1);
         assert!(!snap.is_zero());
@@ -1001,7 +984,6 @@ mod tests {
         assert_eq!(snap.op(OpKind::Intersect).calls, 2);
         assert_eq!(snap.op(OpKind::Intersect).max_period, 6);
         assert_eq!(snap.op(OpKind::Compact).tuples_subsumed, 4);
-        assert_eq!(snap.op(OpKind::Compact).intern_hits, 0);
         let text = snap.to_string();
         assert!(text.contains("intersect"), "{text}");
         assert!(text.contains("total"), "{text}");

@@ -51,8 +51,9 @@ use crate::tuple::GenTuple;
 /// single column).
 pub const MAX_MODULUS: i64 = 64;
 
-/// Binary operators consult the index only when the naive pair count
-/// reaches this threshold; below it the build cost outweighs the pruning.
+/// Binary operators consult the index — and the pairwise-outcome cache —
+/// only when the pair count `|left| · |right|` reaches this threshold;
+/// below it the build and bookkeeping cost outweighs the pruning.
 pub const INDEX_MIN_PAIRS: usize = 32;
 
 /// The largest divisor of `g` of the form `2^a·3^b·5^c·7^d·11^e·13^f` that
@@ -91,8 +92,8 @@ fn lookup_data_key<'a>(values: impl Iterator<Item = &'a crate::Value>) -> Option
 /// built at most once, reused by every operator call over the same
 /// operand, and maintained incrementally on append via
 /// `RelationIndex::try_insert`. [`INDEX_MIN_PAIRS`] still gates *use*,
-/// so small inputs keep the naive path and the counters stay identical to
-/// the per-call-build era.
+/// so small inputs skip the index and the counters stay identical to the
+/// per-call-build era.
 #[derive(Debug, Clone)]
 pub struct RelationIndex {
     /// Temporal columns of the indexed side participating in the key.

@@ -1,14 +1,11 @@
-//! Columnar batch kernels for the pairwise algebra hot paths.
+//! Columnar batch kernels: the one production path of the pairwise
+//! algebra (intersection §3.2, difference §3.3, join §3.7).
 //!
-//! The row-at-a-time operator loops (`relation.rs`) materialize both
-//! operands as `GenTuple` slices and run the full per-pair derivation —
-//! or a per-invocation memo — on every candidate pair. The kernels here
-//! instead work straight off the store's flat columns:
+//! The kernels work straight off the store's flat columns:
 //!
-//! 1. **Probe** candidates through the persistent residue index exactly
-//!    like the row path (same gates, same `index_probes`/`index_pruned`
-//!    counters), feeding the index the probe row's `(offset, period)`
-//!    pairs and interned [`ValueId`]s — no row materialization.
+//! 1. **Probe** candidates through the persistent residue index, feeding
+//!    it the probe row's `(offset, period)` pairs and interned
+//!    [`ValueId`]s — no row materialization.
 //! 2. **Batch pre-filter** every candidate pair over the contiguous
 //!    `t_offsets`/`t_periods` arrays and `ValueId` columns: a pair dies
 //!    when some relevant data column's ids differ (ids are canonical, so
@@ -16,36 +13,47 @@
 //!    fails the gcd-congruence solvability test
 //!    `o₁ ≡ o₂ (mod gcd(k₁, k₂))` (§3.2.1) — **exactly** the condition
 //!    under which [`Lrp::intersect`](itd_lrp::Lrp::intersect) is empty,
-//!    so a rejected pair is precisely a pair the row path would have
-//!    derived to nothing. The rejection is pure integer arithmetic over
-//!    slices: no locks, no allocation, no `GenTuple`/`RowRef`.
+//!    so a rejected pair is precisely a pair whose derivation would be
+//!    empty. The rejection is pure integer arithmetic over slices: no
+//!    locks, no allocation, no `GenTuple`/`RowRef`.
 //! 3. **Derive survivors** through the process-wide pairwise outcome
 //!    cache (`crate::store`): the two temporal parts are globally
 //!    hash-consed, so `(part, part, op)` outcomes survive across
-//!    operator calls *and* queries. Misses fall into the existing
-//!    per-pair derivation (`crate::ops`).
+//!    operator calls *and* queries. Misses fall into the per-pair
+//!    derivation (`crate::ops`).
 //!
-//! # Counter parity and determinism
+//! Both the residue index and the outcome cache engage only once
+//! `|left| · |right|` reaches [`INDEX_MIN_PAIRS`].
 //!
-//! Each kernel reproduces its row path's counter flow bit for bit:
-//! `pairs`, `empties_pruned`, `index_probes` and `index_pruned` are
-//! incremented at the same program points with the same values, so the
-//! invariants (`probes + index_pruned == pairs` per indexed outer row,
-//! prune budgets) are preserved, and chunked execution over row indices
-//! splits exactly like chunking the row slice
-//! ([`run_chunked_range`](crate::exec)) — results and counters are
-//! identical at any thread count. The single deliberate exception is
-//! `intern_hits`: the kernels replace the per-invocation memo with the
-//! global outcome cache, whose hit totals are process-history dependent,
-//! so they are reported through [`storage_stats`](crate::store) (and the
-//! Prometheus gauges) instead of the per-op counters, and the kernels
-//! leave `intern_hits` at zero.
+//! # Counter contract
+//!
+//! The counters are exact functions of the inputs, independent of the
+//! outcome-cache state and of the thread count; the pre-filter and the
+//! cache never show in them:
+//!
+//! - `tuples_in` is `|left| + |right|`.
+//! - For intersect and join, `pairs` is `|left| · |right|`, and
+//!   `tuples_out + empties_pruned == pairs`: every pair either yields a
+//!   tuple or counts as pruned, whether it was skipped by the index,
+//!   rejected by the pre-filter, or derived to nothing.
+//! - For difference, `pairs` counts one per fold member per subtrahend
+//!   step of §3.3's `(t1 − t21) − … − t2m`, and `empties_pruned` counts
+//!   the grid-empty or duplicate members dropped after each step. With
+//!   the index consulted, only the probed subtrahends are steps (the
+//!   others are disjoint from `t1`), and a grid-empty `t1` counts as one
+//!   pruned member before any step.
+//! - When the index is consulted, `index_probes + index_pruned` is
+//!   `|right|` per outer row; both stay 0 otherwise.
+//!
+//! Chunked execution over row indices ([`run_chunked_range`](crate::exec))
+//! splits exactly like chunking the row slice, so results and counters
+//! are identical at any thread count.
 //!
 //! For the difference fold, a batch-rejected subtrahend `t2` is
 //! columnwise disjoint from `t1` (or differs in data); every fold member
 //! is a columnwise subset of `t1` carrying `t1`'s data, so the entire
-//! step is a no-op: the row path would add `acc.len()` pairs, pass every
-//! member through unchanged, and prune nothing. The kernel adds the same
+//! step is a no-op: it would add `acc.len()` pairs, pass every member
+//! through unchanged, and prune nothing. The kernel adds the same
 //! `acc.len()` pairs and skips the derivation. The fold-initial member
 //! `t1` itself is the one member that might be grid-empty (a no-op step
 //! still prunes it); both arms handle it explicitly below.
@@ -56,7 +64,6 @@ use itd_numth::gcd;
 
 use crate::exec::{self, ExecContext, OpTimer};
 use crate::index::{RelationIndex, INDEX_MIN_PAIRS};
-use crate::intern::{Interner, INTERN_MIN_PAIRS};
 use crate::ops;
 use crate::store::{
     outcome_cache_empty, outcome_cache_pair, outcome_cached_empty, outcome_cached_pair, PairOpKey,
@@ -149,22 +156,21 @@ fn part_is_empty(id: TemporalPartId, t: &GenTuple) -> Result<bool> {
     Ok(empty)
 }
 
-/// The persistent index over `right`, under the row path's exact gates:
-/// pair count at [`INDEX_MIN_PAIRS`] and a discriminating key.
+/// The persistent index over `right`, gated on the pair count reaching
+/// [`INDEX_MIN_PAIRS`] and on a discriminating key.
 fn gated_index(
     right: &RelStore,
     pairs: usize,
-    allow: bool,
     tcols: &[usize],
     dcols: &[usize],
 ) -> Option<Arc<RelationIndex>> {
-    (allow && pairs >= INDEX_MIN_PAIRS)
+    (pairs >= INDEX_MIN_PAIRS)
         .then(|| right.index_for(tcols, dcols))
         .filter(|idx| idx.is_discriminating())
 }
 
-/// Batched intersection: returns the output tuples of
-/// `left ∩ right` with the row path's exact counter flow.
+/// Batched intersection: returns the output tuples of `left ∩ right`
+/// under the counter contract of the module docs.
 pub(crate) fn intersect(
     left: &RelStore,
     right: &RelStore,
@@ -179,8 +185,8 @@ pub(crate) fn intersect(
     let dcols: Vec<usize> = (0..schema.data()).collect();
     let tpairs: Vec<(usize, usize)> = tcols.iter().map(|&c| (c, c)).collect();
     let dpairs: Vec<(usize, usize)> = dcols.iter().map(|&c| (c, c)).collect();
-    let index = gated_index(right, n * m, true, &tcols, &dcols);
-    let use_cache = n * m >= INTERN_MIN_PAIRS;
+    let index = gated_index(right, n * m, &tcols, &dcols);
+    let use_cache = n * m >= INDEX_MIN_PAIRS;
     exec::run_chunked_range(ctx, n, |i| {
         let mut out = Vec::new();
         // The left row is rebuilt at most once per outer row, and only
@@ -188,7 +194,7 @@ pub(crate) fn intersect(
         let mut t1: Option<GenTuple> = None;
         let mut visit = |j: usize, out: &mut Vec<GenTuple>| -> Result<()> {
             if pair_rejected(left, right, i, j, &tpairs, &dpairs) {
-                // Exactly the pairs the row path derives to `None`.
+                // Exactly the pairs whose derivation would be `None`.
                 timer.add_pruned(1);
                 return Ok(());
             }
@@ -244,8 +250,8 @@ pub(crate) fn intersect(
 }
 
 /// Batched equi-join on the given column pairs: returns the output
-/// tuples with the row path's exact counter flow. Pair validation is the
-/// caller's job (`relation.rs` checks before dispatching).
+/// tuples under the counter contract of the module docs. Pair validation
+/// is the caller's job (`relation.rs` checks before dispatching).
 pub(crate) fn join_on(
     left: &RelStore,
     right: &RelStore,
@@ -261,8 +267,8 @@ pub(crate) fn join_on(
     let right_t: Vec<usize> = temporal_pairs.iter().map(|&(_, j)| j).collect();
     let left_d: Vec<usize> = data_pairs.iter().map(|&(i, _)| i).collect();
     let right_d: Vec<usize> = data_pairs.iter().map(|&(_, j)| j).collect();
-    let index = gated_index(right, n * m, true, &right_t, &right_d);
-    let use_cache = n * m >= INTERN_MIN_PAIRS;
+    let index = gated_index(right, n * m, &right_t, &right_d);
+    let use_cache = n * m >= INDEX_MIN_PAIRS;
     // With the join columns fixed for the whole invocation, the temporal
     // outcome of a pair depends only on the two parts and the temporal
     // pairing; the output data is always the concatenation.
@@ -331,8 +337,8 @@ pub(crate) fn join_on(
     })
 }
 
-/// Batched difference fold: returns the output tuples with the row
-/// path's exact counter flow (see the module docs for why skipping a
+/// Batched difference fold: returns the output tuples under the counter
+/// contract of the module docs (which also explains why skipping a
 /// batch-rejected subtrahend is counter-neutral).
 pub(crate) fn difference(
     left: &RelStore,
@@ -347,29 +353,14 @@ pub(crate) fn difference(
     let dcols: Vec<usize> = (0..schema.data()).collect();
     let tpairs: Vec<(usize, usize)> = tcols.iter().map(|&c| (c, c)).collect();
     let dpairs: Vec<(usize, usize)> = dcols.iter().map(|&c| (c, c)).collect();
-    let index = gated_index(right, n * m, true, &tcols, &dcols);
+    let index = gated_index(right, n * m, &tcols, &dcols);
     // Fold intermediates are ephemeral (never interned globally), so
-    // their emptiness verdicts go through a per-invocation memo, exactly
-    // like the row path — but without feeding `intern_hits`. The
-    // fold-initial parts are interned, so those verdicts use the global
-    // cache (`part_is_empty`).
-    let interner = (n * m >= INTERN_MIN_PAIRS).then(Interner::new);
-    let member_is_empty = |t: &GenTuple| -> Result<bool> {
-        let Some(int) = &interner else {
-            return t.is_empty();
-        };
-        let id = int.intern(t.lrps(), t.constraints());
-        if let Some(empty) = int.cached_empty(id) {
-            return Ok(empty);
-        }
-        let empty = t.is_empty()?;
-        int.cache_empty(id, empty);
-        Ok(empty)
-    };
+    // their emptiness is decided directly; the fold-initial parts are
+    // interned, so those verdicts use the global cache (`part_is_empty`).
     exec::run_chunked_range(ctx, n, |i| {
         let t1 = row_tuple(left, i);
-        // One fold step, identical to the row path: subtract `t2` from
-        // every member, prune grid-empty results, deduplicate.
+        // One fold step: subtract `t2` from every member, prune
+        // grid-empty results, deduplicate.
         let step = |acc: Vec<GenTuple>, t2: &GenTuple| -> Result<Vec<GenTuple>> {
             let mut next = Vec::new();
             for t in &acc {
@@ -379,7 +370,7 @@ pub(crate) fn difference(
             let candidates = next.len();
             let mut pruned: Vec<GenTuple> = Vec::with_capacity(next.len());
             for t in next {
-                if !member_is_empty(&t)? && !pruned.contains(&t) {
+                if !t.is_empty()? && !pruned.contains(&t) {
                     pruned.push(t);
                 }
             }
@@ -396,9 +387,9 @@ pub(crate) fn difference(
                 let cands = idx.probe_cols(&ids, &lrps);
                 timer.add_probes(cands.len() as u64);
                 timer.add_index_pruned((m - cands.len()) as u64);
-                // Replicates the row path's indexed arm: a grid-empty
-                // `t1` is dropped upfront (`right` is nonempty whenever
-                // the index gate passed).
+                // A grid-empty `t1` is dropped upfront, as the first
+                // all-pairs step would (`right` is nonempty whenever the
+                // index gate passed).
                 if part_is_empty(left.part_ids()[i], &t1)? {
                     timer.add_pruned(1);
                     return Ok(vec![]);
@@ -424,7 +415,7 @@ pub(crate) fn difference(
                 // whose members are known non-grid-empty. That holds
                 // after any executed step (members are prune-survivors)
                 // — and from the start iff `t1` itself is non-empty.
-                // For a grid-empty `t1` the row path's first step prunes
+                // For a grid-empty `t1` the all-pairs first step prunes
                 // it no matter what `t2` is; run that first step
                 // literally to reproduce its exact pair/prune counts.
                 let mut literal_first = m > 0 && part_is_empty(left.part_ids()[i], &t1)?;

@@ -57,7 +57,6 @@
 mod compact;
 mod enumerate;
 mod error;
-mod intern;
 mod kernel;
 mod minimize;
 mod normalize;
@@ -83,9 +82,6 @@ pub use metrics::{
     RegistrySnapshot, ResourceCollector, SlowQueryEntry,
 };
 pub use normalize::grid_view;
-#[cfg(feature = "legacy-api")]
-#[allow(deprecated)]
-pub use relation::GenRelationBuilder;
 pub use relation::{GenRelation, RelationBuilder};
 pub use schema::Schema;
 pub use store::{

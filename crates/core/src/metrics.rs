@@ -13,8 +13,8 @@
 //!   construction, the exact sum of every observed query's per-op
 //!   counters (asserted in the integration tests).
 //! * **Resource gauges** — tuples allocated, process-wide peak live rows,
-//!   and (at snapshot time) the interner/arena and CRT-cache gauges from
-//!   [`storage_stats`] and [`itd_lrp::crt_cache_stats`].
+//!   and (at snapshot time) the interner/arena gauges from
+//!   [`storage_stats`].
 //! * **A bounded slow-query log** — the [`SLOW_LOG_CAP`] worst queries by
 //!   wall time *and* by candidate pairs, each entry carrying the rendered
 //!   plan, the per-op counters, and the query's [`QueryResourceReport`];
@@ -35,8 +35,6 @@ use std::fmt::Write as _;
 use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
 use std::sync::Mutex;
 use std::time::Duration;
-
-use itd_lrp::CrtCacheStats;
 
 use crate::exec::{OpKind, StatsSnapshot};
 use crate::store::{storage_stats, StorageStats};
@@ -159,9 +157,7 @@ impl HistogramSnapshot {
 /// The storage/cache fields are *deltas* over the query's execution window
 /// against the process-global counters, captured by a
 /// [`ResourceCollector`]. They are exact when one query runs at a time;
-/// under concurrency they attribute whatever the window saw. The CRT
-/// fields see only the driver thread's thread-local cache (worker-thread
-/// hits stay on their threads).
+/// under concurrency they attribute whatever the window saw.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct QueryResourceReport {
     /// Largest sum of live intermediate result rows at any point of the
@@ -169,8 +165,6 @@ pub struct QueryResourceReport {
     pub peak_live_rows: u64,
     /// Generalized tuples produced across all operators (`Σ tuples_out`).
     pub tuples_allocated: u64,
-    /// Duplicate temporal parts absorbed by the operator-level interner.
-    pub intern_hits: u64,
     /// Value-arena interning attempts during the query.
     pub value_lookups: u64,
     /// Value-arena attempts answered by an existing entry.
@@ -185,10 +179,6 @@ pub struct QueryResourceReport {
     pub index_builds: u64,
     /// Operator calls served by an already-built persistent index.
     pub index_reuses: u64,
-    /// CRT-cache hits on the driver thread.
-    pub crt_hits: u64,
-    /// CRT-cache misses on the driver thread.
-    pub crt_misses: u64,
 }
 
 fn rate(hits: u64, total: u64) -> f64 {
@@ -210,26 +200,19 @@ impl QueryResourceReport {
         rate(self.part_hits, self.part_lookups)
     }
 
-    /// CRT-cache hit rate in `[0, 1]` (driver thread only).
-    pub fn crt_hit_rate(&self) -> f64 {
-        rate(self.crt_hits, self.crt_hits + self.crt_misses)
-    }
-
     /// Fraction of index demands served by a persistent index.
     pub fn index_reuse_rate(&self) -> f64 {
         rate(self.index_reuses, self.index_builds + self.index_reuses)
     }
 
     /// Scrubs every field that depends on process history or shared
-    /// caches (arena/index/CRT deltas), keeping only the replay-
-    /// deterministic core: `peak_live_rows`, `tuples_allocated`, and
-    /// `intern_hits`. The slow-log determinism tests compare scrubbed
-    /// reports.
+    /// caches (arena/index deltas), keeping only the replay-deterministic
+    /// core: `peak_live_rows` and `tuples_allocated`. The slow-log
+    /// determinism tests compare scrubbed reports.
     pub fn without_timing(&self) -> QueryResourceReport {
         QueryResourceReport {
             peak_live_rows: self.peak_live_rows,
             tuples_allocated: self.tuples_allocated,
-            intern_hits: self.intern_hits,
             ..QueryResourceReport::default()
         }
     }
@@ -237,13 +220,11 @@ impl QueryResourceReport {
     fn json_fields(&self, out: &mut String) {
         let _ = write!(
             out,
-            "\"peak_live_rows\":{},\"tuples_allocated\":{},\"intern_hits\":{},\
+            "\"peak_live_rows\":{},\"tuples_allocated\":{},\
              \"value_lookups\":{},\"value_hits\":{},\"part_lookups\":{},\"part_hits\":{},\
-             \"arena_bytes\":{},\"index_builds\":{},\"index_reuses\":{},\
-             \"crt_hits\":{},\"crt_misses\":{}",
+             \"arena_bytes\":{},\"index_builds\":{},\"index_reuses\":{}",
             self.peak_live_rows,
             self.tuples_allocated,
-            self.intern_hits,
             self.value_lookups,
             self.value_hits,
             self.part_lookups,
@@ -251,18 +232,15 @@ impl QueryResourceReport {
             self.arena_bytes,
             self.index_builds,
             self.index_reuses,
-            self.crt_hits,
-            self.crt_misses,
         );
     }
 }
 
-/// Captures the global storage and CRT-cache counters at query start so
+/// Captures the global storage counters at query start so
 /// [`ResourceCollector::finish`] can report the query's *deltas*.
 #[derive(Debug, Clone, Copy)]
 pub struct ResourceCollector {
     storage: StorageStats,
-    crt: CrtCacheStats,
 }
 
 impl ResourceCollector {
@@ -270,22 +248,19 @@ impl ResourceCollector {
     pub fn start() -> ResourceCollector {
         ResourceCollector {
             storage: storage_stats(),
-            crt: itd_lrp::crt_cache_stats(),
         }
     }
 
-    /// Builds the report from the post-execution counters: storage and
-    /// CRT fields are deltas against [`ResourceCollector::start`];
-    /// `tuples_allocated` and `intern_hits` come out of the query's own
-    /// per-op counter delta `stats`.
+    /// Builds the report from the post-execution counters: storage fields
+    /// are deltas against [`ResourceCollector::start`];
+    /// `tuples_allocated` comes out of the query's own per-op counter
+    /// delta `stats`.
     pub fn finish(self, peak_live_rows: u64, stats: &StatsSnapshot) -> QueryResourceReport {
         let s = storage_stats();
-        let c = itd_lrp::crt_cache_stats();
         let before_bytes = self.storage.value_bytes + self.storage.part_bytes;
         QueryResourceReport {
             peak_live_rows,
             tuples_allocated: stats.iter().map(|(_, o)| o.tuples_out).sum(),
-            intern_hits: stats.iter().map(|(_, o)| o.intern_hits).sum(),
             value_lookups: s.value_lookups.saturating_sub(self.storage.value_lookups),
             value_hits: s.value_hits.saturating_sub(self.storage.value_hits),
             part_lookups: s.part_lookups.saturating_sub(self.storage.part_lookups),
@@ -293,8 +268,6 @@ impl ResourceCollector {
             arena_bytes: (s.value_bytes + s.part_bytes).saturating_sub(before_bytes),
             index_builds: s.index_builds.saturating_sub(self.storage.index_builds),
             index_reuses: s.index_reuses.saturating_sub(self.storage.index_reuses),
-            crt_hits: c.hits.saturating_sub(self.crt.hits),
-            crt_misses: c.misses.saturating_sub(self.crt.misses),
         }
     }
 }
@@ -577,8 +550,8 @@ impl MetricsRegistry {
         }
     }
 
-    /// Freezes the registry (plus the current global storage and CRT
-    /// gauges) into a plain-data snapshot.
+    /// Freezes the registry (plus the current global storage gauges) into
+    /// a plain-data snapshot.
     pub fn snapshot(&self) -> RegistrySnapshot {
         let slow = self.slow.lock().expect("slow log poisoned");
         RegistrySnapshot {
@@ -596,7 +569,6 @@ impl MetricsRegistry {
             slow_by_time: slow.by_time.clone(),
             slow_by_pairs: slow.by_pairs.clone(),
             storage: storage_stats(),
-            crt: itd_lrp::crt_cache_stats(),
             view_refreshes: self.view_refreshes.load(Relaxed),
             view_full_refreshes: self.view_full_refreshes.load(Relaxed),
             view_delta_rows: self.view_delta_rows.load(Relaxed),
@@ -615,8 +587,8 @@ impl MetricsRegistry {
     }
 }
 
-/// Plain-data freeze of a [`MetricsRegistry`], plus the storage and CRT
-/// gauges read at snapshot time.
+/// Plain-data freeze of a [`MetricsRegistry`], plus the storage gauges
+/// read at snapshot time.
 #[derive(Debug, Clone)]
 pub struct RegistrySnapshot {
     /// Queries observed.
@@ -642,8 +614,6 @@ pub struct RegistrySnapshot {
     pub slow_by_pairs: Vec<SlowQueryEntry>,
     /// Global storage gauges at snapshot time.
     pub storage: StorageStats,
-    /// Driver-thread CRT-cache gauges at snapshot time.
-    pub crt: CrtCacheStats,
     /// Registered-view refreshes observed (incremental and full).
     pub view_refreshes: u64,
     /// Refreshes that fell back to full recomputation.
@@ -720,7 +690,7 @@ impl RegistrySnapshot {
     /// format: the per-op counter families of
     /// [`StatsSnapshot::to_prometheus`] (now fed by cross-query totals),
     /// the query-level histograms, per-op latency percentile gauges, and
-    /// the storage/CRT gauges.
+    /// the storage gauges.
     pub fn to_prometheus(&self) -> String {
         let mut out = self.totals.to_prometheus();
         prom_scalar(
@@ -844,16 +814,6 @@ impl RegistrySnapshot {
                 "itd_outcome_cache_evictions_total",
                 "Pairwise-outcome cache entries dropped by the capacity bound.",
                 self.storage.outcome_evictions,
-            ),
-            (
-                "itd_crt_cache_hits_total",
-                "CRT-cache hits on the snapshotting thread.",
-                self.crt.hits,
-            ),
-            (
-                "itd_crt_cache_misses_total",
-                "CRT-cache misses on the snapshotting thread.",
-                self.crt.misses,
             ),
             (
                 "itd_view_refreshes_total",
@@ -1236,18 +1196,16 @@ mod tests {
         let r = QueryResourceReport {
             peak_live_rows: 5,
             tuples_allocated: 6,
-            intern_hits: 7,
             value_lookups: 100,
-            crt_hits: 3,
+            index_builds: 3,
             arena_bytes: 4096,
             ..QueryResourceReport::default()
         };
         let scrubbed = r.without_timing();
         assert_eq!(scrubbed.peak_live_rows, 5);
         assert_eq!(scrubbed.tuples_allocated, 6);
-        assert_eq!(scrubbed.intern_hits, 7);
         assert_eq!(scrubbed.value_lookups, 0);
-        assert_eq!(scrubbed.crt_hits, 0);
+        assert_eq!(scrubbed.index_builds, 0);
         assert_eq!(scrubbed.arena_bytes, 0);
     }
 

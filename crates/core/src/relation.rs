@@ -10,7 +10,6 @@ use crate::enumerate::{materialize_tuples, ConcreteTuple};
 use crate::error::CoreError;
 use crate::exec::{self, ExecContext, OpKind};
 use crate::index::RelationIndex;
-use crate::intern::{Interner, TemporalId, INTERN_MIN_PAIRS};
 use crate::ops;
 use crate::schema::Schema;
 use crate::store::{Columns, RelStore, RowRef, Rows};
@@ -138,23 +137,8 @@ impl GenRelation {
         self.schema
     }
 
-    /// The generalized tuples as a materialized row slice.
-    ///
-    /// Deprecated: rows are materialized (once per store) to satisfy this
-    /// borrow. Iterate [`GenRelation::rows`] or read
-    /// [`GenRelation::columns`] instead.
-    #[cfg(feature = "legacy-api")]
-    #[deprecated(
-        since = "0.6.0",
-        note = "use the `rows()` cursor / `row(i)` views or the typed `columns()` accessors"
-    )]
-    #[must_use]
-    pub fn tuples(&self) -> &[GenTuple] {
-        self.rows_slice()
-    }
-
-    /// The materialized row view — internal equivalent of the deprecated
-    /// `tuples()`, shared by the row-oriented operator loops.
+    /// The materialized row view, shared by the row-oriented operator
+    /// loops.
     pub(crate) fn rows_slice(&self) -> &[GenTuple] {
         self.store.rows_vec()
     }
@@ -197,14 +181,6 @@ impl GenRelation {
     #[must_use]
     pub fn tuple_count(&self) -> usize {
         self.store.len()
-    }
-
-    /// Deprecated name of [`GenRelation::tuple_count`].
-    #[cfg(feature = "legacy-api")]
-    #[deprecated(since = "0.2.0", note = "renamed to `tuple_count`")]
-    #[allow(clippy::len_without_is_empty)] // emptiness is semantic (Thm 3.5), see has_no_tuples
-    pub fn len(&self) -> usize {
-        self.tuple_count()
     }
 
     /// Is the representation empty (no tuples at all)?
@@ -295,16 +271,6 @@ impl GenRelation {
         Ok(true)
     }
 
-    /// Deprecated name of [`GenRelation::denotes_empty`].
-    ///
-    /// # Errors
-    /// See [`GenRelation::denotes_empty`].
-    #[cfg(feature = "legacy-api")]
-    #[deprecated(since = "0.2.0", note = "renamed to `denotes_empty`")]
-    pub fn is_empty(&self) -> Result<bool> {
-        self.denotes_empty()
-    }
-
     /// Union (§3.1): merge the tuple sets.
     ///
     /// # Errors
@@ -341,15 +307,11 @@ impl GenRelation {
 
     /// [`GenRelation::intersect`] under an execution context, served by
     /// the columnar batch kernel (`crate::kernel`): candidate pairs are
-    /// probed through the persistent residue index exactly like the row
-    /// path, then batch-filtered by gcd-congruence and data-id equality
-    /// straight off the flat columns — only survivors materialize rows
-    /// and derive, through the process-wide pairwise outcome cache. The
-    /// result, and every [`OpKind::Intersect`] counter except
-    /// `intern_hits` (reported via [`storage_stats`](crate::storage_stats)
-    /// instead), is bit-identical to
-    /// [`GenRelation::intersect_rowpath_in`] and
-    /// [`GenRelation::intersect_unindexed_in`] at any thread count.
+    /// probed through the persistent residue index, then batch-filtered
+    /// by gcd-congruence and data-id equality straight off the flat
+    /// columns — only survivors materialize rows and derive, through the
+    /// process-wide pairwise outcome cache. The result and every
+    /// [`OpKind::Intersect`] counter are identical at any thread count.
     ///
     /// # Errors
     /// [`CoreError::SchemaMismatch`]; arithmetic failures.
@@ -359,220 +321,6 @@ impl GenRelation {
         let tuples = crate::kernel::intersect(&self.store, &other.store, ctx, &timer)?;
         timer.add_out(tuples.len());
         Ok(GenRelation::from_vec(self.schema, tuples))
-    }
-
-    /// [`GenRelation::intersect_in`] on the retained row-at-a-time
-    /// indexed path (materialized `GenTuple` loops with the
-    /// per-invocation memo) — kept as the kernel's comparison twin for
-    /// tests and the bench report's kernel-vs-row-path section.
-    ///
-    /// # Errors
-    /// [`CoreError::SchemaMismatch`]; arithmetic failures.
-    pub fn intersect_rowpath_in(
-        &self,
-        other: &GenRelation,
-        ctx: &ExecContext,
-    ) -> Result<GenRelation> {
-        self.intersect_impl(other, ctx, true)
-    }
-
-    /// [`GenRelation::intersect_in`] forced down the naive all-pairs path:
-    /// the reference implementation the indexed paths must match bit for
-    /// bit (used by tests and the bench report's ablations).
-    ///
-    /// # Errors
-    /// [`CoreError::SchemaMismatch`]; arithmetic failures.
-    pub fn intersect_unindexed_in(
-        &self,
-        other: &GenRelation,
-        ctx: &ExecContext,
-    ) -> Result<GenRelation> {
-        self.intersect_impl(other, ctx, false)
-    }
-
-    fn intersect_impl(
-        &self,
-        other: &GenRelation,
-        ctx: &ExecContext,
-        allow_index: bool,
-    ) -> Result<GenRelation> {
-        self.check_schema(other)?;
-        let timer = ctx.timed(OpKind::Intersect);
-        let lt = self.rows_slice();
-        let rt = other.rows_slice();
-        timer.add_in(lt.len() + rt.len());
-        timer.add_pairs(lt.len() as u64 * rt.len() as u64);
-        let tcols: Vec<usize> = (0..self.schema.temporal()).collect();
-        let dcols: Vec<usize> = (0..self.schema.data()).collect();
-        // The pair-count gate and the discrimination check are unchanged;
-        // only the build is served from `other`'s persistent index cache.
-        let index = (allow_index && lt.len() * rt.len() >= crate::index::INDEX_MIN_PAIRS)
-            .then(|| other.residue_index(&tcols, &dcols))
-            .filter(|idx| idx.is_discriminating());
-        // Hash-cons temporal parts so each distinct combination is derived
-        // once; outcomes are shared allocations, and the caller-recorded
-        // counters (pairs / pruned / probes) are untouched — see
-        // [`crate::intern`] for the determinism argument.
-        let interner = (lt.len() * rt.len() >= INTERN_MIN_PAIRS).then(Interner::new);
-        let other_ids: Vec<TemporalId> = match &interner {
-            Some(int) => rt
-                .iter()
-                .map(|t| int.intern(t.lrps(), t.constraints()))
-                .collect(),
-            None => Vec::new(),
-        };
-        let tuples = exec::run_chunked(ctx, lt, |t1| {
-            let mut out = Vec::new();
-            let id1 = interner
-                .as_ref()
-                .map(|int| int.intern(t1.lrps(), t1.constraints()));
-            let visit = |j: usize, out: &mut Vec<GenTuple>| -> Result<()> {
-                let t2 = &rt[j];
-                let res = match (&interner, id1) {
-                    (Some(int), Some(id1)) => {
-                        intersect_tuples_interned(t1, t2, int, id1, other_ids[j])?
-                    }
-                    _ => ops::intersect_tuples(t1, t2)?,
-                };
-                match res {
-                    Some(t) => out.push(t),
-                    None => timer.add_pruned(1),
-                }
-                Ok(())
-            };
-            match &index {
-                Some(idx) => {
-                    let cands = idx.probe(t1, &tcols, &dcols);
-                    let skipped = (rt.len() - cands.len()) as u64;
-                    timer.add_probes(cands.len() as u64);
-                    timer.add_index_pruned(skipped);
-                    // Index-skipped pairs are provably empty intersections.
-                    timer.add_pruned(skipped);
-                    for &j in &cands {
-                        visit(j, &mut out)?;
-                    }
-                }
-                None => {
-                    for j in 0..rt.len() {
-                        visit(j, &mut out)?;
-                    }
-                }
-            }
-            Ok(out)
-        })?;
-        if let Some(int) = &interner {
-            timer.add_intern_hits(int.hits());
-        }
-        timer.add_out(tuples.len());
-        Ok(GenRelation::from_vec(self.schema, tuples))
-    }
-
-    /// Intersection with residue bucketing — the Appendix A.3 observation
-    /// made operational.
-    ///
-    /// When both relations are normalized at one common period `k`, two
-    /// tuples can only intersect if they have the **same free extension**
-    /// (offset vector) and equal data; grouping `self`'s tuples by that key
-    /// reduces the candidate pairs from `N²` to `N²/k^m` for
-    /// well-distributed data. Falls back to the naive pairwise
-    /// [`GenRelation::intersect`] when the periods are not uniform.
-    ///
-    /// # Errors
-    /// Same as [`GenRelation::intersect`].
-    pub fn intersect_bucketed(&self, other: &GenRelation) -> Result<GenRelation> {
-        self.intersect_bucketed_in(other, &ExecContext::serial())
-    }
-
-    /// [`GenRelation::intersect_bucketed`] under an execution context
-    /// (instrumented as [`OpKind::Intersect`]; the bucketed candidate scan
-    /// itself stays serial — it is already subquadratic).
-    ///
-    /// The group-by key is read straight off the columnar storage — flat
-    /// offset slices and interned data ids (canonical: equal ids ⟺ equal
-    /// values) — so neither side materializes its row cache.
-    ///
-    /// # Errors
-    /// Same as [`GenRelation::intersect`].
-    pub fn intersect_bucketed_in(
-        &self,
-        other: &GenRelation,
-        ctx: &ExecContext,
-    ) -> Result<GenRelation> {
-        self.check_schema(other)?;
-        let Some(k) = self
-            .uniform_period()
-            .filter(|k| other.uniform_period() == Some(*k))
-        else {
-            return self.intersect_in(other, ctx);
-        };
-        debug_assert!(k > 0);
-        let timer = ctx.timed(OpKind::Intersect);
-        let (n, m) = (self.store.len(), other.store.len());
-        timer.add_in(n + m);
-        timer.record_period(k);
-        let tcols = self.schema.temporal();
-        let row_key = |store: &RelStore, i: usize| -> (Vec<i64>, Vec<crate::store::ValueId>) {
-            (
-                (0..tcols).map(|c| store.t_offsets(c)[i]).collect(),
-                store.data_columns().iter().map(|col| col[i]).collect(),
-            )
-        };
-        let mut buckets: std::collections::HashMap<_, Vec<usize>> =
-            std::collections::HashMap::new();
-        for i in 0..n {
-            buckets.entry(row_key(&self.store, i)).or_default().push(i);
-        }
-        let mut tuples = Vec::new();
-        for j in 0..m {
-            let Some(candidates) = buckets.get(&row_key(&other.store, j)) else {
-                continue;
-            };
-            let rpart = other.store.part(j);
-            let rdata = other.store.resolve_row_data(j);
-            for &i in candidates {
-                // Same period and offsets: the lrps coincide, so only the
-                // constraints need conjoining.
-                timer.add_pairs(1);
-                let cons = self.store.part(i).cons.conjoin(&rpart.cons)?;
-                if cons.is_satisfiable() {
-                    tuples.push(GenTuple::from_parts(
-                        rpart.lrps.clone(),
-                        cons,
-                        rdata.clone(),
-                    )?);
-                } else {
-                    timer.add_pruned(1);
-                }
-            }
-        }
-        timer.add_out(tuples.len());
-        Ok(GenRelation::from_vec(self.schema, tuples))
-    }
-
-    /// The single period shared by every lrp of every tuple, if any
-    /// (`None` when mixed, when some attribute is a point, or when the
-    /// relation has no temporal attributes to key on).
-    ///
-    /// Reads the flat period columns directly — no row materialization.
-    pub fn uniform_period(&self) -> Option<i64> {
-        if self.schema.temporal() == 0 {
-            return None;
-        }
-        let cols = self.columns();
-        let mut period = None;
-        for c in 0..self.schema.temporal() {
-            for &p in cols.temporal(c).periods() {
-                if p == 0 {
-                    return None; // a point disqualifies
-                }
-                match period {
-                    None => period = Some(p),
-                    Some(q) if q == p => {}
-                    Some(_) => return None,
-                }
-            }
-        }
-        period
     }
 
     /// Difference (§3.3): fold of tuple differences,
@@ -594,10 +342,8 @@ impl GenRelation {
     /// batch-filtered over the flat columns (a rejected `t2` is columnwise
     /// disjoint from `t1` or differs in data, so its step is a provable
     /// no-op), with rows materialized only when a step actually runs. The
-    /// result, and every [`OpKind::Difference`] counter except
-    /// `intern_hits`, is bit-identical to
-    /// [`GenRelation::difference_rowpath_in`] and
-    /// [`GenRelation::difference_unindexed_in`] at any thread count.
+    /// result and every [`OpKind::Difference`] counter are identical at
+    /// any thread count.
     ///
     /// # Errors
     /// [`CoreError::SchemaMismatch`]; arithmetic failures.
@@ -605,117 +351,6 @@ impl GenRelation {
         self.check_schema(other)?;
         let timer = ctx.timed(OpKind::Difference);
         let tuples = crate::kernel::difference(&self.store, &other.store, ctx, &timer)?;
-        timer.add_out(tuples.len());
-        Ok(GenRelation::from_vec(self.schema, tuples))
-    }
-
-    /// [`GenRelation::difference_in`] on the retained row-at-a-time
-    /// indexed path — the kernel's comparison twin for tests and the
-    /// bench report.
-    ///
-    /// # Errors
-    /// [`CoreError::SchemaMismatch`]; arithmetic failures.
-    pub fn difference_rowpath_in(
-        &self,
-        other: &GenRelation,
-        ctx: &ExecContext,
-    ) -> Result<GenRelation> {
-        self.difference_impl(other, ctx, true)
-    }
-
-    /// [`GenRelation::difference_in`] forced down the naive
-    /// all-subtrahends path — the reference the indexed paths must match
-    /// bit for bit.
-    ///
-    /// # Errors
-    /// [`CoreError::SchemaMismatch`]; arithmetic failures.
-    pub fn difference_unindexed_in(
-        &self,
-        other: &GenRelation,
-        ctx: &ExecContext,
-    ) -> Result<GenRelation> {
-        self.difference_impl(other, ctx, false)
-    }
-
-    fn difference_impl(
-        &self,
-        other: &GenRelation,
-        ctx: &ExecContext,
-        allow_index: bool,
-    ) -> Result<GenRelation> {
-        self.check_schema(other)?;
-        let timer = ctx.timed(OpKind::Difference);
-        let lt = self.rows_slice();
-        let rt = other.rows_slice();
-        timer.add_in(lt.len() + rt.len());
-        let tcols: Vec<usize> = (0..self.schema.temporal()).collect();
-        let dcols: Vec<usize> = (0..self.schema.data()).collect();
-        let index = (allow_index && lt.len() * rt.len() >= crate::index::INDEX_MIN_PAIRS)
-            .then(|| other.residue_index(&tcols, &dcols))
-            .filter(|idx| idx.is_discriminating());
-        // The fold re-derives emptiness (a normalization) for the many
-        // intermediate tuples that share one temporal part; memoize the
-        // verdict per hash-consed part. Purely a cache: the pairs/pruned
-        // counters and the pruning flow are untouched.
-        let interner = (lt.len() * rt.len() >= INTERN_MIN_PAIRS).then(Interner::new);
-        let tuples = exec::run_chunked(ctx, lt, |t1| {
-            // One fold step: subtract `t2` from every member, then prune
-            // grid-empty results and deduplicate to bound the blow-up.
-            let step = |acc: Vec<GenTuple>, t2: &GenTuple| -> Result<Vec<GenTuple>> {
-                let mut next = Vec::new();
-                for t in &acc {
-                    timer.add_pairs(1);
-                    next.extend(ops::difference_tuples(t, t2)?);
-                }
-                let candidates = next.len();
-                let mut pruned: Vec<GenTuple> = Vec::with_capacity(next.len());
-                for t in next {
-                    if !tuple_is_empty_interned(&t, interner.as_ref())? && !pruned.contains(&t) {
-                        pruned.push(t);
-                    }
-                }
-                timer.add_pruned((candidates - pruned.len()) as u64);
-                Ok(pruned)
-            };
-            match &index {
-                Some(idx) => {
-                    let cands = idx.probe(t1, &tcols, &dcols);
-                    timer.add_probes(cands.len() as u64);
-                    timer.add_index_pruned((rt.len() - cands.len()) as u64);
-                    // Every fold member keeps `t1`'s data and columnwise
-                    // subsets of `t1`'s lrps, so an index-skipped `t2`
-                    // (disjoint from `t1`) leaves the whole fold unchanged
-                    // — except that the naive path's first prune step also
-                    // drops a grid-empty `t1`. Replicate that upfront
-                    // (`other` is nonempty whenever the index is built).
-                    if tuple_is_empty_interned(t1, interner.as_ref())? {
-                        timer.add_pruned(1);
-                        return Ok(vec![]);
-                    }
-                    let mut acc = vec![t1.clone()];
-                    for &j in &cands {
-                        acc = step(acc, &rt[j])?;
-                        if acc.is_empty() {
-                            break;
-                        }
-                    }
-                    Ok(acc)
-                }
-                None => {
-                    let mut acc = vec![t1.clone()];
-                    for t2 in rt {
-                        acc = step(acc, t2)?;
-                        if acc.is_empty() {
-                            break;
-                        }
-                    }
-                    Ok(acc)
-                }
-            }
-        })?;
-        if let Some(int) = &interner {
-            timer.add_intern_hits(int.hits());
-        }
         timer.add_out(tuples.len());
         Ok(GenRelation::from_vec(self.schema, tuples))
     }
@@ -898,10 +533,8 @@ impl GenRelation {
     /// residue-indexed on the *right* columns of the join pairs, each
     /// left row probes with its *left* columns, and candidates are
     /// batch-filtered by gcd-congruence / data-id equality on exactly the
-    /// paired columns before any row materializes. The result, and every
-    /// [`OpKind::Join`] counter except `intern_hits`, is bit-identical to
-    /// [`GenRelation::join_on_rowpath_in`] and
-    /// [`GenRelation::join_on_unindexed_in`] at any thread count.
+    /// paired columns before any row materializes. The result and every
+    /// [`OpKind::Join`] counter are identical at any thread count.
     ///
     /// # Errors
     /// [`CoreError::AttributeOutOfRange`]; arithmetic failures.
@@ -929,39 +562,7 @@ impl GenRelation {
         ))
     }
 
-    /// [`GenRelation::join_on_in`] on the retained row-at-a-time indexed
-    /// path — the kernel's comparison twin for tests and the bench
-    /// report.
-    ///
-    /// # Errors
-    /// [`CoreError::AttributeOutOfRange`]; arithmetic failures.
-    pub fn join_on_rowpath_in(
-        &self,
-        other: &GenRelation,
-        temporal_pairs: &[(usize, usize)],
-        data_pairs: &[(usize, usize)],
-        ctx: &ExecContext,
-    ) -> Result<GenRelation> {
-        self.join_on_impl(other, temporal_pairs, data_pairs, ctx, true)
-    }
-
-    /// [`GenRelation::join_on_in`] forced down the naive all-pairs path —
-    /// the reference the indexed paths must match bit for bit.
-    ///
-    /// # Errors
-    /// [`CoreError::AttributeOutOfRange`]; arithmetic failures.
-    pub fn join_on_unindexed_in(
-        &self,
-        other: &GenRelation,
-        temporal_pairs: &[(usize, usize)],
-        data_pairs: &[(usize, usize)],
-        ctx: &ExecContext,
-    ) -> Result<GenRelation> {
-        self.join_on_impl(other, temporal_pairs, data_pairs, ctx, false)
-    }
-
-    /// Validates join pair indices against both schemas — shared by the
-    /// kernel and row-path entry points.
+    /// Validates join pair indices against both schemas.
     fn check_join_pairs(
         &self,
         other: &GenRelation,
@@ -985,95 +586,6 @@ impl GenRelation {
             }
         }
         Ok(())
-    }
-
-    fn join_on_impl(
-        &self,
-        other: &GenRelation,
-        temporal_pairs: &[(usize, usize)],
-        data_pairs: &[(usize, usize)],
-        ctx: &ExecContext,
-        allow_index: bool,
-    ) -> Result<GenRelation> {
-        self.check_join_pairs(other, temporal_pairs, data_pairs)?;
-        let timer = ctx.timed(OpKind::Join);
-        let lt = self.rows_slice();
-        let rt = other.rows_slice();
-        timer.add_in(lt.len() + rt.len());
-        timer.add_pairs(lt.len() as u64 * rt.len() as u64);
-        // Index `other` on the right columns of each join pair; probe with
-        // the matching left columns of `t1`.
-        let left_t: Vec<usize> = temporal_pairs.iter().map(|&(i, _)| i).collect();
-        let right_t: Vec<usize> = temporal_pairs.iter().map(|&(_, j)| j).collect();
-        let left_d: Vec<usize> = data_pairs.iter().map(|&(i, _)| i).collect();
-        let right_d: Vec<usize> = data_pairs.iter().map(|&(_, j)| j).collect();
-        let index = (allow_index && lt.len() * rt.len() >= crate::index::INDEX_MIN_PAIRS)
-            .then(|| other.residue_index(&right_t, &right_d))
-            .filter(|idx| idx.is_discriminating());
-        // Hash-cons temporal parts: with the join columns fixed, the
-        // temporal outcome of a pair depends only on the two temporal
-        // parts, and the output data is always the concatenation.
-        let interner = (lt.len() * rt.len() >= INTERN_MIN_PAIRS).then(Interner::new);
-        let other_ids: Vec<TemporalId> = match &interner {
-            Some(int) => rt
-                .iter()
-                .map(|t| int.intern(t.lrps(), t.constraints()))
-                .collect(),
-            None => Vec::new(),
-        };
-        let tuples = exec::run_chunked(ctx, lt, |t1| {
-            let mut out = Vec::new();
-            let id1 = interner
-                .as_ref()
-                .map(|int| int.intern(t1.lrps(), t1.constraints()));
-            let visit = |j: usize, out: &mut Vec<GenTuple>| -> Result<()> {
-                let t2 = &rt[j];
-                let res = match (&interner, id1) {
-                    (Some(int), Some(id1)) => join_tuples_interned(
-                        t1,
-                        t2,
-                        temporal_pairs,
-                        data_pairs,
-                        int,
-                        id1,
-                        other_ids[j],
-                    )?,
-                    _ => ops::join_tuples(t1, t2, temporal_pairs, data_pairs)?,
-                };
-                match res {
-                    Some(t) => out.push(t),
-                    None => timer.add_pruned(1),
-                }
-                Ok(())
-            };
-            match &index {
-                Some(idx) => {
-                    let cands = idx.probe(t1, &left_t, &left_d);
-                    let skipped = (rt.len() - cands.len()) as u64;
-                    timer.add_probes(cands.len() as u64);
-                    timer.add_index_pruned(skipped);
-                    // Skipped pairs fail a joined-column meet: empty joins.
-                    timer.add_pruned(skipped);
-                    for &j in &cands {
-                        visit(j, &mut out)?;
-                    }
-                }
-                None => {
-                    for j in 0..rt.len() {
-                        visit(j, &mut out)?;
-                    }
-                }
-            }
-            Ok(out)
-        })?;
-        if let Some(int) = &interner {
-            timer.add_intern_hits(int.hits());
-        }
-        timer.add_out(tuples.len());
-        Ok(GenRelation::from_vec(
-            self.schema.concat(&other.schema),
-            tuples,
-        ))
     }
 
     /// Complement within `Z^temporal` (Appendix A.6), purely temporal
@@ -1206,24 +718,6 @@ impl GenRelation {
         })?;
         timer.add_out(tuples.len());
         Ok(GenRelation::from_vec(self.schema, tuples))
-    }
-
-    /// Coalesces complete groups of residue classes into coarser tuples
-    /// (the inverse of Lemma 3.1's refinement), across all columns, to a
-    /// fixpoint. The result denotes the same set with at most as many
-    /// tuples; normalization and complement outputs typically shrink by
-    /// their full refinement factor.
-    ///
-    /// # Errors
-    /// Arithmetic failures while rebuilding lrps.
-    #[cfg(feature = "legacy-api")]
-    #[deprecated(
-        since = "0.2.0",
-        note = "use `compact` / `compact_in`, the counted compaction entry \
-                point (subsumption pruning plus coalescing)"
-    )]
-    pub fn coalesce(&self) -> Result<GenRelation> {
-        crate::minimize::coalesce(self)
     }
 
     /// Adaptive compaction: drops unsatisfiable and subsumed tuples, then
@@ -1398,100 +892,6 @@ pub(crate) fn tuple_subsumes(big: &GenTuple, small: &GenTuple) -> bool {
         && small.constraints().entails(big.constraints())
 }
 
-/// [`ops::intersect_tuples`] through the pair memo. The data-mismatch case
-/// is settled before consulting the memo, so the memoized outcome is a
-/// pure function of the two temporal parts; on a hit the shared parts are
-/// recombined with `t1`'s data (equal to `t2`'s here).
-fn intersect_tuples_interned(
-    t1: &GenTuple,
-    t2: &GenTuple,
-    int: &Interner,
-    id1: TemporalId,
-    id2: TemporalId,
-) -> Result<Option<GenTuple>> {
-    if t1.data() != t2.data() {
-        return Ok(None);
-    }
-    if let Some(cached) = int.cached_pair(id1, id2) {
-        return match cached {
-            Some(parts) => Ok(Some(GenTuple::from_parts(
-                parts.0.clone(),
-                parts.1.clone(),
-                t1.data().to_vec(),
-            )?)),
-            None => Ok(None),
-        };
-    }
-    let result = ops::intersect_tuples(t1, t2)?;
-    int.cache_pair(
-        id1,
-        id2,
-        result
-            .as_ref()
-            .map(|t| (t.lrps().to_vec(), t.constraints().clone())),
-    );
-    Ok(result)
-}
-
-/// [`ops::join_tuples`] through the pair memo. With the join columns fixed
-/// for the whole invocation, the temporal outcome depends only on the two
-/// temporal parts (the data-pair mismatch case is settled first, exactly
-/// as [`ops::join_tuples`] does), and the output data is always the
-/// concatenation of the inputs'.
-fn join_tuples_interned(
-    t1: &GenTuple,
-    t2: &GenTuple,
-    temporal_pairs: &[(usize, usize)],
-    data_pairs: &[(usize, usize)],
-    int: &Interner,
-    id1: TemporalId,
-    id2: TemporalId,
-) -> Result<Option<GenTuple>> {
-    for &(i, j) in data_pairs {
-        if t1.data()[i] != t2.data()[j] {
-            return Ok(None);
-        }
-    }
-    if let Some(cached) = int.cached_pair(id1, id2) {
-        return match cached {
-            Some(parts) => {
-                let mut data = t1.data().to_vec();
-                data.extend_from_slice(t2.data());
-                Ok(Some(GenTuple::from_parts(
-                    parts.0.clone(),
-                    parts.1.clone(),
-                    data,
-                )?))
-            }
-            None => Ok(None),
-        };
-    }
-    let result = ops::join_tuples(t1, t2, temporal_pairs, data_pairs)?;
-    int.cache_pair(
-        id1,
-        id2,
-        result
-            .as_ref()
-            .map(|t| (t.lrps().to_vec(), t.constraints().clone())),
-    );
-    Ok(result)
-}
-
-/// [`GenTuple::is_empty`] through the per-part emptiness memo (emptiness
-/// depends only on the temporal part; data columns are irrelevant).
-fn tuple_is_empty_interned(t: &GenTuple, int: Option<&Interner>) -> Result<bool> {
-    let Some(int) = int else {
-        return t.is_empty();
-    };
-    let id = int.intern(t.lrps(), t.constraints());
-    if let Some(empty) = int.cached_empty(id) {
-        return Ok(empty);
-    }
-    let empty = t.is_empty()?;
-    int.cache_empty(id, empty);
-    Ok(empty)
-}
-
 /// Incremental constructor for [`GenRelation`], obtained from
 /// [`GenRelation::builder`] — the unified append path of the columnar
 /// storage API.
@@ -1537,22 +937,6 @@ impl RelationBuilder {
         self
     }
 
-    /// Appends one tuple.
-    #[cfg(feature = "legacy-api")]
-    #[deprecated(since = "0.6.0", note = "use `push_row`")]
-    #[must_use]
-    pub fn tuple(self, t: GenTuple) -> Self {
-        self.push_row(t)
-    }
-
-    /// Appends every tuple from an iterator.
-    #[cfg(feature = "legacy-api")]
-    #[deprecated(since = "0.6.0", note = "use `push_rows`")]
-    #[must_use]
-    pub fn tuples(self, ts: impl IntoIterator<Item = GenTuple>) -> Self {
-        self.push_rows(ts)
-    }
-
     /// Finishes the relation, verifying that every row matches the schema.
     ///
     /// # Errors
@@ -1561,11 +945,6 @@ impl RelationBuilder {
         GenRelation::new(self.schema, self.rows)
     }
 }
-
-/// Former name of [`RelationBuilder`].
-#[cfg(feature = "legacy-api")]
-#[deprecated(since = "0.6.0", note = "renamed to `RelationBuilder`")]
-pub type GenRelationBuilder = RelationBuilder;
 
 /// Columnar serde for [`GenRelation`]: the distinct temporal parts and
 /// data values are written once as local id tables, rows as id arrays —
@@ -1774,61 +1153,6 @@ mod tests {
         assert!(i.contains(&[30], &[]));
         assert!(!i.contains(&[5], &[]));
         assert!(!i.contains(&[6], &[]));
-    }
-
-    #[test]
-    fn bucketed_intersection_agrees_with_naive() {
-        // Uniform-period relations: the bucketed path is taken.
-        let mk = |offsets: &[(i64, i64)], lo: i64| {
-            let tuples = offsets
-                .iter()
-                .map(|&(o1, o2)| {
-                    GenTuple::builder()
-                        .lrps(vec![lrp(o1, 4), lrp(o2, 4)])
-                        .atoms([Atom::ge(0, lo)])
-                        .build()
-                        .unwrap()
-                })
-                .collect();
-            GenRelation::new(Schema::new(2, 0), tuples).unwrap()
-        };
-        let a = mk(&[(0, 1), (2, 3), (1, 1)], -5);
-        let b = mk(&[(0, 1), (1, 1), (3, 2)], 0);
-        assert_eq!(a.uniform_period(), Some(4));
-        let naive = a.intersect(&b).unwrap();
-        let bucketed = a.intersect_bucketed(&b).unwrap();
-        assert_eq!(naive.materialize(-20, 20), bucketed.materialize(-20, 20));
-        // Mixed periods: silently falls back.
-        let mixed = GenRelation::new(
-            Schema::new(2, 0),
-            vec![GenTuple::unconstrained(vec![lrp(0, 2), lrp(0, 6)], vec![])],
-        )
-        .unwrap();
-        assert_eq!(mixed.uniform_period(), None);
-        let via_fallback = mixed.intersect_bucketed(&a).unwrap();
-        let naive = mixed.intersect(&a).unwrap();
-        assert_eq!(
-            via_fallback.materialize(-20, 20),
-            naive.materialize(-20, 20)
-        );
-    }
-
-    #[test]
-    fn uniform_period_edge_cases() {
-        // Points disqualify.
-        let r = GenRelation::new(
-            Schema::new(1, 0),
-            vec![GenTuple::unconstrained(vec![Lrp::point(3)], vec![])],
-        )
-        .unwrap();
-        assert_eq!(r.uniform_period(), None);
-        // 0 temporal attributes: nothing to key on.
-        let r = GenRelation::empty(Schema::new(0, 1));
-        assert_eq!(r.uniform_period(), None);
-        // Empty relation with temporal attributes: vacuously uniform but
-        // unknown period.
-        let r = GenRelation::empty(Schema::new(1, 0));
-        assert_eq!(r.uniform_period(), None);
     }
 
     #[test]

@@ -21,12 +21,10 @@
 //! Plus enumeration utilities ([`Lrp::iter_from`], [`Lrp::in_window`], …)
 //! used by the finite-window semantics oracle in tests and examples.
 
-mod cache;
 mod diff;
 mod iter;
 mod point;
 
-pub use cache::{crt_cache_reset, crt_cache_stats, CrtCacheStats, CRT_CACHE_CAP};
 pub use diff::LrpDiff;
 pub use iter::{LrpAscending, LrpDescending};
 pub use point::Lrp;

@@ -2,7 +2,7 @@
 
 use std::fmt;
 
-use itd_numth::{checked_abs, lcm, mod_euclid, Congruence, NumthError, Result};
+use itd_numth::{checked_abs, crt_pair, lcm, mod_euclid, Congruence, NumthError, Result};
 
 use crate::diff::LrpDiff;
 use crate::iter::{LrpAscending, LrpDescending};
@@ -134,17 +134,11 @@ impl Lrp {
             (0, _) => Ok(other.contains(self.offset).then_some(*self)),
             (_, 0) => Ok(self.contains(other.offset).then_some(*other)),
             _ => {
-                // Chinese remaindering through the per-thread period-pair
-                // memo cache (see [`crate::cache`]); bit-identical to
-                // `crt_pair` on the two congruence views.
-                match crate::cache::crt_cached(
-                    self.offset,
-                    self.period,
-                    other.offset,
-                    other.period,
-                )? {
+                let c1 = self.as_congruence().expect("infinite");
+                let c2 = other.as_congruence().expect("infinite");
+                match crt_pair(c1, c2)? {
                     None => Ok(None),
-                    Some((offset, period)) => Ok(Some(Lrp::new(offset, period)?)),
+                    Some(c) => Ok(Some(Lrp::new(c.residue(), c.modulus())?)),
                 }
             }
         }
@@ -402,6 +396,24 @@ mod tests {
             Some(Lrp::point(5))
         );
         assert_eq!(Lrp::point(5).intersect(&Lrp::point(6)).unwrap(), None);
+    }
+
+    #[test]
+    fn overflow_propagates_like_crt_pair() {
+        let big = i64::MAX / 2;
+        // Compatible residues but lcm overflows → same error as crt_pair.
+        let err = lrp(0, big).intersect(&lrp(0, big - 1)).unwrap_err();
+        assert_eq!(err, NumthError::Overflow);
+        // Disjoint residues short-circuit before the lcm, like crt_pair:
+        // gcd(m1, m2) = 2 separates 0 from 1 although lcm(m1, m2) overflows.
+        let (m1, m2) = ((1i64 << 41) + 2, (1i64 << 41) + 6);
+        let (c1, c2) = (
+            Congruence::new(0, m1).unwrap(),
+            Congruence::new(1, m2).unwrap(),
+        );
+        assert_eq!(crt_pair(c1, c2).unwrap(), None);
+        assert_eq!(lrp(0, m1).intersect(&lrp(1, m2)).unwrap(), None);
+        assert_eq!(lrp(0, 2).intersect(&lrp(1, 4)).unwrap(), None);
     }
 
     #[test]

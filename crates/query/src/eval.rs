@@ -51,7 +51,7 @@ impl QueryResult {
     /// `(probed, skipped)` candidate pairs summed across all operators.
     /// `skipped / (probed + skipped)` is the fraction of pairwise work the
     /// index eliminated; both are 0 when no operator consulted an index
-    /// (small inputs stay on the naive path).
+    /// (small inputs skip the index).
     pub fn index_effectiveness(&self) -> (u64, u64) {
         self.stats
             .iter()
@@ -449,162 +449,6 @@ fn exec_plan(
         stats: ctx.stats(),
     };
     Ok((result, env.peak_rows.get()))
-}
-
-/// Evaluates a formula over a catalog, returning the answer relation with
-/// one column per free variable.
-///
-/// # Errors
-/// Sort/arity errors and algebra failures; see [`QueryError`].
-#[cfg(feature = "legacy-api")]
-#[deprecated(since = "0.2.0", note = "use `run` with `QueryOpts` instead")]
-pub fn evaluate(catalog: &impl Catalog, formula: &Formula) -> Result<QueryResult> {
-    run(
-        catalog,
-        formula,
-        QueryOpts::new().optimize(false).compact(false),
-    )
-    .map(|o| o.result)
-}
-
-/// Evaluates a formula under an explicit execution context.
-///
-/// # Errors
-/// Sort/arity errors and algebra failures; see [`QueryError`].
-#[cfg(feature = "legacy-api")]
-#[deprecated(
-    since = "0.2.0",
-    note = "use `run` with `QueryOpts::new().ctx(ctx)` instead"
-)]
-pub fn evaluate_with(
-    catalog: &impl Catalog,
-    formula: &Formula,
-    ctx: &ExecContext,
-) -> Result<QueryResult> {
-    run(
-        catalog,
-        formula,
-        QueryOpts::new().ctx(ctx).optimize(false).compact(false),
-    )
-    .map(|o| o.result)
-}
-
-/// A query evaluated with tracing on: the answer, the compiled plan, and
-/// the recorded span tree (EXPLAIN ANALYZE).
-///
-/// Plan nodes and the trace's *node* spans share stable node ids
-/// ([`PlanNode::id`](crate::PlanNode) /
-/// [`Span::plan_node`](itd_core::Span)), so the two join exactly;
-/// each node span's children include the operator spans that node issued.
-#[cfg(feature = "legacy-api")]
-#[derive(Debug, Clone)]
-pub struct Traced {
-    /// The answer relation plus aggregate statistics.
-    pub result: QueryResult,
-    /// The algebra plan the formula compiled to (what
-    /// [`explain`](crate::explain) would print).
-    pub plan: Plan,
-    /// The recorded span tree; deterministic across thread budgets up to
-    /// timing (see [`Trace::without_timing`]).
-    pub trace: Trace,
-}
-
-/// Evaluates a formula with tracing: EXPLAIN ANALYZE in one call, on a
-/// fresh machine-sized [`ExecContext`].
-///
-/// # Errors
-/// See [`run`].
-#[cfg(feature = "legacy-api")]
-#[deprecated(
-    since = "0.2.0",
-    note = "use `run` with `QueryOpts::new().trace(true)` instead"
-)]
-pub fn evaluate_traced(catalog: &impl Catalog, formula: &Formula) -> Result<Traced> {
-    let out = run(
-        catalog,
-        formula,
-        QueryOpts::new().trace(true).optimize(false).compact(false),
-    )?;
-    Ok(Traced {
-        result: out.result,
-        plan: out.plan,
-        trace: out.trace.unwrap_or_default(),
-    })
-}
-
-/// [`evaluate_traced`] under an explicit execution context. The context
-/// should be traced ([`ExecContext::traced`]); if it is not, the returned
-/// [`Traced::trace`] is empty. Any spans already buffered in the context
-/// are drained into (and only into) this query's trace.
-///
-/// # Errors
-/// See [`run`].
-#[cfg(feature = "legacy-api")]
-#[deprecated(
-    since = "0.2.0",
-    note = "use `run` with `QueryOpts::new().ctx(ctx).trace(true)` instead"
-)]
-pub fn evaluate_traced_with(
-    catalog: &impl Catalog,
-    formula: &Formula,
-    ctx: &ExecContext,
-) -> Result<Traced> {
-    let out = run(
-        catalog,
-        formula,
-        QueryOpts::new()
-            .ctx(ctx)
-            .trace(true)
-            .optimize(false)
-            .compact(false),
-    )?;
-    Ok(Traced {
-        result: out.result,
-        plan: out.plan,
-        trace: out.trace.unwrap_or_default(),
-    })
-}
-
-/// Evaluates a yes/no query (Theorem 4.1). Free variables, if any, are
-/// closed existentially.
-///
-/// # Errors
-/// See [`run`].
-#[cfg(feature = "legacy-api")]
-#[deprecated(
-    since = "0.2.0",
-    note = "use `run` with `QueryOpts`, then `QueryOutput::truth`, instead"
-)]
-pub fn evaluate_bool(catalog: &impl Catalog, formula: &Formula) -> Result<bool> {
-    let ctx = ExecContext::new();
-    let out = run(
-        catalog,
-        formula,
-        QueryOpts::new().ctx(&ctx).optimize(false).compact(false),
-    )?;
-    out.truth_in(&ctx)
-}
-
-/// [`evaluate_bool`] under an explicit execution context.
-///
-/// # Errors
-/// See [`run`].
-#[cfg(feature = "legacy-api")]
-#[deprecated(
-    since = "0.2.0",
-    note = "use `run` with `QueryOpts::new().ctx(ctx)`, then `QueryOutput::truth_in`, instead"
-)]
-pub fn evaluate_bool_with(
-    catalog: &impl Catalog,
-    formula: &Formula,
-    ctx: &ExecContext,
-) -> Result<bool> {
-    let out = run(
-        catalog,
-        formula,
-        QueryOpts::new().ctx(ctx).optimize(false).compact(false),
-    )?;
-    out.truth_in(ctx)
 }
 
 /// The active domain a formula evaluates under: every data value in the
@@ -1521,30 +1365,5 @@ mod tests {
         // domain (Z) is never empty.
         let f = parse("exists x. x = x").unwrap();
         assert!(run(&cat, &f, QueryOpts::new()).unwrap().truth().unwrap());
-    }
-
-    /// The deprecated entry points still work and match `run` with the
-    /// optimizer off.
-    #[test]
-    #[cfg(feature = "legacy-api")]
-    #[allow(deprecated)]
-    fn deprecated_shims_delegate() {
-        let cat = catalog();
-        let f = parse("exists t2. Blink(t1, t2; x)").unwrap();
-        let legacy = evaluate(&cat, &f).unwrap();
-        let new = run(&cat, &f, QueryOpts::new().optimize(false))
-            .unwrap()
-            .result;
-        assert_eq!(legacy.temporal_vars, new.temporal_vars);
-        assert_eq!(legacy.data_vars, new.data_vars);
-        assert_eq!(
-            legacy.relation.materialize(-40, 40),
-            new.relation.materialize(-40, 40)
-        );
-        assert!(evaluate_bool(&cat, &parse("Even(0)").unwrap()).unwrap());
-        let ctx = ExecContext::serial().traced();
-        let traced = evaluate_traced_with(&cat, &parse("Even(0)").unwrap(), &ctx).unwrap();
-        assert!(!traced.trace.is_empty());
-        assert_eq!(traced.plan.root().label, "Even(0)");
     }
 }

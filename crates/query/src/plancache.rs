@@ -98,6 +98,59 @@ pub fn next_plan_token() -> u64 {
     NEXT.fetch_add(1, Ordering::Relaxed)
 }
 
+impl Key {
+    fn new(token: u64, text: String, optimize: bool, compact: bool, trace: bool) -> Key {
+        Key {
+            token,
+            text,
+            optimize,
+            compact,
+            trace,
+        }
+    }
+}
+
+impl Inner {
+    fn lookup(&mut self, key: &Key) -> Option<Arc<PreparedPlan>> {
+        self.stats.lookups += 1;
+        let found = self.map.get(key).cloned();
+        match found {
+            Some(_) => self.stats.hits += 1,
+            None => self.stats.misses += 1,
+        }
+        found
+    }
+
+    fn insert(&mut self, key: Key, entry: Arc<PreparedPlan>) {
+        if self.map.contains_key(&key) {
+            // A racing preparation of the same query got here first; keep
+            // it (both are equivalent) so `order` holds each key at most
+            // once.
+            return;
+        }
+        while self.map.len() >= PLAN_CACHE_CAP {
+            let Some(oldest) = self.order.pop_front() else {
+                break;
+            };
+            if self.map.remove(&oldest).is_some() {
+                self.stats.evictions += 1;
+            }
+        }
+        self.map.insert(key.clone(), entry);
+        self.order.push_back(key);
+        self.stats.insertions += 1;
+    }
+
+    fn invalidate(&mut self, token: u64) -> usize {
+        let before = self.map.len();
+        self.map.retain(|k, _| k.token != token);
+        self.order.retain(|k| k.token != token);
+        let removed = before - self.map.len();
+        self.stats.invalidations += removed as u64;
+        removed
+    }
+}
+
 pub(crate) fn lookup(
     token: u64,
     text: &str,
@@ -105,21 +158,8 @@ pub(crate) fn lookup(
     compact: bool,
     trace: bool,
 ) -> Option<Arc<PreparedPlan>> {
-    let key = Key {
-        token,
-        text: text.to_owned(),
-        optimize,
-        compact,
-        trace,
-    };
-    let mut inner = cache().lock().expect("plan cache poisoned");
-    inner.stats.lookups += 1;
-    let found = inner.map.get(&key).cloned();
-    match found {
-        Some(_) => inner.stats.hits += 1,
-        None => inner.stats.misses += 1,
-    }
-    found
+    let key = Key::new(token, text.to_owned(), optimize, compact, trace);
+    cache().lock().expect("plan cache poisoned").lookup(&key)
 }
 
 pub(crate) fn insert(
@@ -130,30 +170,11 @@ pub(crate) fn insert(
     trace: bool,
     entry: Arc<PreparedPlan>,
 ) {
-    let key = Key {
-        token,
-        text,
-        optimize,
-        compact,
-        trace,
-    };
-    let mut inner = cache().lock().expect("plan cache poisoned");
-    if inner.map.contains_key(&key) {
-        // A racing preparation of the same query got here first; keep it
-        // (both are equivalent) so `order` holds each key at most once.
-        return;
-    }
-    while inner.map.len() >= PLAN_CACHE_CAP {
-        let Some(oldest) = inner.order.pop_front() else {
-            break;
-        };
-        if inner.map.remove(&oldest).is_some() {
-            inner.stats.evictions += 1;
-        }
-    }
-    inner.map.insert(key.clone(), entry);
-    inner.order.push_back(key);
-    inner.stats.insertions += 1;
+    let key = Key::new(token, text, optimize, compact, trace);
+    cache()
+        .lock()
+        .expect("plan cache poisoned")
+        .insert(key, entry);
 }
 
 /// Counts one run that could not consult the cache because the catalog
@@ -165,13 +186,10 @@ pub(crate) fn count_bypass() {
 /// Drops every entry prepared under `token`, returning how many were
 /// removed. Catalogs call this with their outgoing token when they mutate.
 pub fn plan_cache_invalidate(token: u64) -> usize {
-    let mut inner = cache().lock().expect("plan cache poisoned");
-    let before = inner.map.len();
-    inner.map.retain(|k, _| k.token != token);
-    inner.order.retain(|k| k.token != token);
-    let removed = before - inner.map.len();
-    inner.stats.invalidations += removed as u64;
-    removed
+    cache()
+        .lock()
+        .expect("plan cache poisoned")
+        .invalidate(token)
 }
 
 /// A snapshot of the cumulative cache counters.
@@ -223,21 +241,25 @@ mod tests {
         assert!(lookup(token, "p(t)", true, true, false).is_none());
     }
 
+    /// Runs on a private cache, so concurrent tests using the global one
+    /// cannot perturb the exact counts.
     #[test]
     fn fifo_eviction_is_bounded_and_counted() {
-        let token = next_plan_token();
-        let before = plan_cache_stats();
+        let mut inner = Inner::default();
         for i in 0..PLAN_CACHE_CAP + 8 {
-            let text = format!("p(t + {i})");
-            insert(token, text, true, true, false, entry("p(t)"));
+            let key = Key::new(1, format!("p(t + {i})"), true, true, false);
+            inner.insert(key, entry("p(t)"));
         }
-        let after = plan_cache_stats();
-        assert!(plan_cache_len() <= PLAN_CACHE_CAP);
-        assert!(after.evictions >= before.evictions + 8);
-        assert_eq!(
-            after.insertions - before.insertions,
-            (PLAN_CACHE_CAP + 8) as u64
-        );
-        plan_cache_invalidate(token);
+        assert_eq!(inner.stats.insertions, (PLAN_CACHE_CAP + 8) as u64);
+        assert_eq!(inner.stats.evictions, 8);
+        assert_eq!(inner.map.len(), PLAN_CACHE_CAP);
+        assert_eq!(inner.order.len(), PLAN_CACHE_CAP);
+        // The eight oldest entries went first.
+        let oldest = Key::new(1, "p(t + 7)".into(), true, true, false);
+        let kept = Key::new(1, "p(t + 8)".into(), true, true, false);
+        assert!(inner.lookup(&oldest).is_none());
+        assert!(inner.lookup(&kept).is_some());
+        assert_eq!(inner.invalidate(1), PLAN_CACHE_CAP);
+        assert_eq!(inner.stats.invalidations, PLAN_CACHE_CAP as u64);
     }
 }

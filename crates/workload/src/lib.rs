@@ -1,6 +1,6 @@
 //! Workload generation for the benchmark harness and the stress tests.
 //!
-//! Two halves:
+//! Three parts:
 //!
 //! * [`gen`] — deterministic, seeded generators of normalized generalized
 //!   relations with controlled parameters (`N` tuples, `m` temporal
@@ -15,8 +15,12 @@
 //!   satisfiable**, and a solver that runs the reduction through the actual
 //!   complement machinery (Appendix A.6) and extracts a satisfying
 //!   assignment from a witness tuple.
+//! * [`oracle`] — naive all-pairs reference implementations of
+//!   intersection, difference and join, against which the production
+//!   kernels of `itd-core` are tested and benchmarked.
 
 pub mod gen;
+pub mod oracle;
 pub mod satred;
 
 pub use gen::{random_relation, RelationSpec};

@@ -1,11 +1,12 @@
 //! The columnar batch kernels behind `intersect_in` / `difference_in` /
-//! `join_on_in`: bit-identity (results *and* counters) against the
-//! retained row-at-a-time twins at 1/2/8 threads, agreement with the
-//! naive unindexed references, and the global pairwise-outcome cache's
-//! warm-run transparency.
+//! `join_on_in`: results identical to the naive all-pairs oracle
+//! (`itd_workload::oracle`) at 1/2/8 threads, every counter pinned to the
+//! values the former row-at-a-time implementation recorded on a fixed
+//! grid of inputs, and the global pairwise-outcome cache's warm-run
+//! transparency.
 
-use itd_core::{storage_stats, ExecContext, GenRelation};
-use itd_workload::{random_relation, RelationSpec};
+use itd_core::{storage_stats, ExecContext, GenRelation, OpKind};
+use itd_workload::{oracle, random_relation, RelationSpec};
 use proptest::prelude::*;
 
 fn spec(tuples: usize, period: i64, data_arity: usize) -> RelationSpec {
@@ -19,10 +20,7 @@ fn spec(tuples: usize, period: i64, data_arity: usize) -> RelationSpec {
     }
 }
 
-/// Every counter of every op except wall time (never deterministic) and
-/// `intern_hits`: the kernels replace the per-invocation memo with the
-/// process-wide outcome cache, whose hit totals are history-dependent
-/// and surface through `storage_stats()` instead.
+/// Every counter of every op except wall time (never deterministic).
 type Counters = Vec<[u64; 11]>;
 
 fn run_counted<F>(threads: usize, op: F) -> (GenRelation, Counters)
@@ -53,60 +51,110 @@ where
     (out, counters)
 }
 
-type Op = fn(&GenRelation, &GenRelation, &ExecContext) -> GenRelation;
+type Kernel = fn(&GenRelation, &GenRelation, &ExecContext) -> GenRelation;
+type Oracle = fn(&GenRelation, &GenRelation) -> GenRelation;
 
-/// The three hot paths, each as (kernel, row path, unindexed reference).
-fn op_triples() -> Vec<(&'static str, Op, Op, Op)> {
-    vec![
+/// The three hot paths, each as (name, op kind, kernel, oracle).
+fn ops() -> [(&'static str, OpKind, Kernel, Oracle); 3] {
+    [
         (
             "intersect",
+            OpKind::Intersect,
             |x, y, ctx| x.intersect_in(y, ctx).unwrap(),
-            |x, y, ctx| x.intersect_rowpath_in(y, ctx).unwrap(),
-            |x, y, ctx| x.intersect_unindexed_in(y, ctx).unwrap(),
+            |x, y| oracle::intersect(x, y).unwrap(),
         ),
         (
             "difference",
+            OpKind::Difference,
             |x, y, ctx| x.difference_in(y, ctx).unwrap(),
-            |x, y, ctx| x.difference_rowpath_in(y, ctx).unwrap(),
-            |x, y, ctx| x.difference_unindexed_in(y, ctx).unwrap(),
+            |x, y| oracle::difference(x, y).unwrap(),
         ),
         (
             "join",
+            OpKind::Join,
             |x, y, ctx| x.join_on_in(y, &[(0, 0)], &[], ctx).unwrap(),
-            |x, y, ctx| x.join_on_rowpath_in(y, &[(0, 0)], &[], ctx).unwrap(),
-            |x, y, ctx| x.join_on_unindexed_in(y, &[(0, 0)], &[], ctx).unwrap(),
+            |x, y| oracle::join_on(x, y, &[(0, 0)], &[]).unwrap(),
         ),
     ]
+}
+
+/// The operand pair of one case: `n` tuples each, periods 6 and 4.
+fn operands(seed: u64, n: usize, data_arity: usize) -> (GenRelation, GenRelation) {
+    (
+        random_relation(&spec(n, 6, data_arity), seed),
+        random_relation(&spec(n, 4, data_arity), seed.wrapping_add(1)),
+    )
+}
+
+/// One pinned input: `(seed, n, data_arity)`.
+type Case = (u64, usize, usize);
+
+/// `(seed, n, data_arity)` and the intersect / difference / join counter
+/// vectors recorded from the former row-at-a-time implementation, in
+/// `Counters` order. `n·n` runs from 4 to 81, so the grid spans the
+/// `INDEX_MIN_PAIRS = 32` gate (index and outcome cache off below 6).
+#[rustfmt::skip]
+const PINNED: [(Case, [[u64; 11]; 3]); 12] = [
+    ((1, 2, 0), [[1, 4, 1, 4, 3, 0, 0, 0, 0, 0, 0], [1, 4, 4, 4, 0, 0, 0, 0, 0, 0, 0], [1, 4, 2, 4, 2, 0, 0, 0, 0, 0, 0]]),
+    ((17, 3, 1), [[1, 6, 0, 9, 9, 0, 0, 0, 0, 0, 0], [1, 6, 3, 9, 0, 0, 0, 0, 0, 0, 0], [1, 6, 0, 9, 9, 0, 0, 0, 0, 0, 0]]),
+    ((42, 4, 2), [[1, 8, 0, 16, 16, 0, 0, 0, 0, 0, 0], [1, 8, 4, 16, 0, 0, 0, 0, 0, 0, 0], [1, 8, 8, 16, 8, 0, 0, 0, 0, 0, 0]]),
+    ((99, 5, 0), [[1, 10, 6, 25, 19, 0, 0, 0, 0, 0, 0], [1, 10, 21, 61, 5, 0, 0, 0, 0, 0, 0], [1, 10, 17, 25, 8, 0, 0, 0, 0, 0, 0]]),
+    ((7, 5, 1), [[1, 10, 0, 25, 25, 0, 0, 0, 0, 0, 0], [1, 10, 5, 25, 0, 0, 0, 0, 0, 0, 0], [1, 10, 14, 25, 11, 0, 0, 0, 0, 0, 0]]),
+    ((123, 6, 0), [[1, 12, 9, 36, 27, 9, 27, 0, 0, 0, 0], [1, 12, 32, 18, 11, 9, 27, 0, 0, 0, 0], [1, 12, 18, 36, 18, 18, 18, 0, 0, 0, 0]]),
+    ((256, 6, 2), [[1, 12, 1, 36, 35, 1, 35, 0, 0, 0, 0], [1, 12, 10, 1, 0, 1, 35, 0, 0, 0, 0], [1, 12, 20, 36, 16, 20, 16, 0, 0, 0, 0]]),
+    ((5, 7, 1), [[1, 14, 1, 49, 48, 1, 48, 0, 0, 0, 0], [1, 14, 10, 1, 0, 1, 48, 0, 0, 0, 0], [1, 14, 26, 49, 23, 26, 23, 0, 0, 0, 0]]),
+    ((77, 8, 0), [[1, 16, 14, 64, 50, 14, 50, 0, 0, 0, 0], [1, 16, 36, 48, 18, 14, 50, 0, 0, 0, 0], [1, 16, 34, 64, 30, 34, 30, 0, 0, 0, 0]]),
+    ((200, 8, 2), [[1, 16, 0, 64, 64, 0, 64, 0, 0, 0, 0], [1, 16, 8, 0, 0, 0, 64, 0, 0, 0, 0], [1, 16, 30, 64, 34, 30, 34, 0, 0, 0, 0]]),
+    ((31, 9, 1), [[1, 18, 7, 81, 74, 7, 74, 0, 0, 0, 0], [1, 18, 34, 12, 3, 7, 74, 0, 0, 0, 0], [1, 18, 41, 81, 40, 41, 40, 0, 0, 0, 0]]),
+    ((299, 9, 0), [[1, 18, 23, 81, 58, 24, 57, 0, 0, 0, 0], [1, 18, 50, 128, 12, 24, 57, 0, 0, 0, 0], [1, 18, 42, 81, 39, 43, 38, 0, 0, 0, 0]]),
+];
+
+/// On the pinned grid, at 1/2/8 threads: the kernel's result equals the
+/// oracle's, its own op's counters equal the recorded row-path vector,
+/// and no other op records anything.
+#[test]
+fn kernel_matches_rowpath_bit_for_bit() {
+    for ((seed, n, data_arity), vectors) in PINNED {
+        let (a, b) = operands(seed, n, data_arity);
+        for ((name, kind, kernel, reference), pinned) in ops().into_iter().zip(vectors) {
+            let expected_out = reference(&a, &b);
+            let expected: Counters = OpKind::ALL
+                .iter()
+                .map(|k| if *k == kind { pinned } else { [0; 11] })
+                .collect();
+            for threads in [1usize, 2, 8] {
+                let (out, stats) = run_counted(threads, |ctx| kernel(&a, &b, ctx));
+                let case = format!("{name} on {:?} at {threads} threads", (seed, n, data_arity));
+                assert_eq!(out, expected_out, "{case}: result differs from the oracle");
+                assert_eq!(
+                    stats, expected,
+                    "{case}: counters differ from the pinned vector"
+                );
+            }
+        }
+    }
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
-    /// Kernel ≡ row path, results and every counter (`intern_hits`
-    /// excluded by construction of the snapshot), for all three ops at
-    /// 1/2/8 threads — across the index gate (`n*m` from 4 to 81 spans
-    /// `INDEX_MIN_PAIRS = 32`) and with data columns engaged.
+    /// Kernel ≡ oracle on results, tuple for tuple and in order, for all
+    /// three ops at 1/2/8 threads — across the index gate (`n*m` from 4
+    /// to 81 spans `INDEX_MIN_PAIRS = 32`) and with data columns engaged.
     #[test]
-    fn kernel_matches_rowpath_bit_for_bit(
+    fn kernel_matches_oracle(
         seed in 0u64..300,
         n in 2usize..10,
         data_arity in 0usize..3,
     ) {
-        let a = random_relation(&spec(n, 6, data_arity), seed);
-        let b = random_relation(&spec(n, 4, data_arity), seed.wrapping_add(1));
-        for (name, kernel, rowpath, unindexed) in op_triples() {
-            let (row_out, row_stats) = run_counted(1, |ctx| rowpath(&a, &b, ctx));
-            let (naive_out, _) = run_counted(1, |ctx| unindexed(&a, &b, ctx));
-            prop_assert_eq!(&naive_out, &row_out, "{} rowpath vs unindexed", name);
+        let (a, b) = operands(seed, n, data_arity);
+        for (name, _, kernel, reference) in ops() {
+            let expected = reference(&a, &b);
             for threads in [1usize, 2, 8] {
-                let (out, stats) = run_counted(threads, |ctx| kernel(&a, &b, ctx));
+                let (out, _) = run_counted(threads, |ctx| kernel(&a, &b, ctx));
                 prop_assert_eq!(
-                    &out, &row_out,
-                    "{} kernel result diverged at {} threads", name, threads
-                );
-                prop_assert_eq!(
-                    &stats, &row_stats,
-                    "{} kernel counters diverged at {} threads", name, threads
+                    &out, &expected,
+                    "{} kernel result diverged from the oracle at {} threads", name, threads
                 );
             }
         }

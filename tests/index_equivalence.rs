@@ -1,10 +1,11 @@
 //! The residue-class index is a pure accelerator: every indexed operator
-//! must produce *bit-identical* output (same tuples, same order) to its
-//! naive all-pairs counterpart, at every thread count, and its probe
-//! counters must partition the candidate-pair space exactly.
+//! must produce *bit-identical* output (same tuples, same order) to the
+//! naive all-pairs oracle (`itd_workload::oracle`), at every thread
+//! count, and its probe counters must partition the candidate-pair space
+//! exactly.
 
 use itd_core::{ExecContext, GenRelation, GenTuple, Lrp, OpKind, Schema};
-use itd_workload::{random_relation, RelationSpec};
+use itd_workload::{oracle, random_relation, RelationSpec};
 use proptest::prelude::*;
 
 fn lrp(c: i64, k: i64) -> Lrp {
@@ -24,7 +25,7 @@ fn spec(tuples: usize, temporal_arity: usize, period: i64, data_arity: usize) ->
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
-    /// Indexed intersection == naive intersection, tuple for tuple, at
+    /// Indexed intersection == oracle intersection, tuple for tuple, at
     /// 1, 2, and 8 threads. Periods vary per relation so the residue
     /// moduli exercise gcd refinement, and sizes straddle the
     /// `INDEX_MIN_PAIRS` threshold.
@@ -37,7 +38,7 @@ proptest! {
     ) {
         let r1 = random_relation(&spec(n1, 2, k1, data), seed1);
         let r2 = random_relation(&spec(n2, 2, k2, data), seed2);
-        let naive = r1.intersect_unindexed_in(&r2, &ExecContext::serial()).unwrap();
+        let naive = oracle::intersect(&r1, &r2).unwrap();
         for threads in [1usize, 2, 8] {
             let ctx = ExecContext::with_threads(threads);
             let got = r1.intersect_in(&r2, &ctx).unwrap();
@@ -52,7 +53,7 @@ proptest! {
         }
     }
 
-    /// Indexed difference == naive difference. The index only skips
+    /// Indexed difference == oracle difference. The index only skips
     /// subtrahend tuples that are disjoint from the minuend tuple, which
     /// leaves the incremental fold untouched.
     #[test]
@@ -63,7 +64,7 @@ proptest! {
     ) {
         let r1 = random_relation(&spec(n1, 2, k1, 0), seed1);
         let r2 = random_relation(&spec(n2, 2, k2, 0), seed2);
-        let naive = r1.difference_unindexed_in(&r2, &ExecContext::serial()).unwrap();
+        let naive = oracle::difference(&r1, &r2).unwrap();
         for threads in [1usize, 2, 8] {
             let ctx = ExecContext::with_threads(threads);
             let got = r1.difference_in(&r2, &ctx).unwrap();
@@ -71,7 +72,7 @@ proptest! {
         }
     }
 
-    /// Indexed join == naive join on a shared temporal column (and the
+    /// Indexed join == oracle join on a shared temporal column (and the
     /// data column when present).
     #[test]
     fn join_indexed_matches_naive(
@@ -84,9 +85,7 @@ proptest! {
         let r2 = random_relation(&spec(n2, 2, k2, data), seed2);
         let tpairs = [(0usize, 1usize)];
         let dpairs: Vec<(usize, usize)> = if data > 0 { vec![(0, 0)] } else { vec![] };
-        let naive = r1
-            .join_on_unindexed_in(&r2, &tpairs, &dpairs, &ExecContext::serial())
-            .unwrap();
+        let naive = oracle::join_on(&r1, &r2, &tpairs, &dpairs).unwrap();
         for threads in [1usize, 2, 8] {
             let ctx = ExecContext::with_threads(threads);
             let got = r1.join_on_in(&r2, &tpairs, &dpairs, &ctx).unwrap();
@@ -161,18 +160,13 @@ fn intersect_counters_partition_pairs_exactly() {
         "skipped pairs still count as pruned empties"
     );
 
-    // The naive path agrees bit for bit and reports no index activity.
-    let nctx = ExecContext::serial();
-    let naive = r1.intersect_unindexed_in(&r2, &nctx).unwrap();
+    // The all-pairs oracle agrees bit for bit.
+    let naive = oracle::intersect(&r1, &r2).unwrap();
     assert_eq!(naive, out);
-    let nop = *nctx.stats().op(OpKind::Intersect);
-    assert_eq!(nop.index_probes, 0);
-    assert_eq!(nop.index_pruned, 0);
-    assert_eq!(nop.tuples_out, op.tuples_out);
 }
 
-/// Below `INDEX_MIN_PAIRS` the indexed entry points stay on the naive
-/// path: no probe counters move.
+/// Below `INDEX_MIN_PAIRS` the kernels skip the index: no probe counters
+/// move.
 #[test]
 fn small_inputs_skip_the_index() {
     let r1 = GenRelation::builder(Schema::new(1, 0))

@@ -175,7 +175,6 @@ fn registry_counters_are_thread_count_invariant() {
 fn slow_query_log_is_deterministic_under_replay() {
     let _g = LOCK.lock().unwrap();
     let replay = || {
-        itd_lrp::crt_cache_reset();
         let reg = MetricsRegistry::new();
         run_workload(2, &reg);
         reg.snapshot()
