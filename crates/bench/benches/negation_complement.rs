@@ -3,6 +3,7 @@
 //! complexity; nonemptiness-of-complement tracks the same costs.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
+use itd_core::ExecContext;
 use itd_workload::{random_relation, RelationSpec};
 
 fn spec(n: usize, m: usize, k: i64) -> RelationSpec {
@@ -18,14 +19,20 @@ fn spec(n: usize, m: usize, k: i64) -> RelationSpec {
 
 /// Fixed schema (m = 1, k = 4): negation cost versus N — polynomial.
 fn bench_fixed_schema_negation(c: &mut Criterion) {
+    let serial = ExecContext::serial();
     let mut group = c.benchmark_group("negation_fixed_schema");
     for &n in &[2usize, 4, 8, 16, 32] {
         let a = random_relation(&spec(n, 1, 4), 3);
         group.bench_with_input(BenchmarkId::new("complement", n), &n, |bch, _| {
-            bch.iter(|| a.complement_temporal().unwrap())
+            bch.iter(|| a.complement_temporal_in(&serial).unwrap())
         });
         group.bench_with_input(BenchmarkId::new("complement_nonempty", n), &n, |bch, _| {
-            bch.iter(|| a.complement_temporal().unwrap().denotes_empty().unwrap())
+            bch.iter(|| {
+                a.complement_temporal_in(&serial)
+                    .unwrap()
+                    .denotes_empty()
+                    .unwrap()
+            })
         });
     }
     group.finish();
@@ -34,12 +41,13 @@ fn bench_fixed_schema_negation(c: &mut Criterion) {
 /// General complexity (N = 4 fixed, k = 3): negation cost versus m —
 /// exponential in m through the k^m extension enumeration.
 fn bench_general_negation(c: &mut Criterion) {
+    let serial = ExecContext::serial();
     let mut group = c.benchmark_group("negation_general");
     group.sample_size(10);
     for &m in &[1usize, 2, 3, 4] {
         let a = random_relation(&spec(4, m, 3), 5);
         group.bench_with_input(BenchmarkId::new("complement", m), &m, |bch, _| {
-            bch.iter(|| a.complement_temporal().unwrap())
+            bch.iter(|| a.complement_temporal_in(&serial).unwrap())
         });
     }
     group.finish();

@@ -2,6 +2,7 @@
 //! Figure 2 exact projection, and the Figure 1 difference decomposition.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
+use itd_core::ExecContext;
 use itd_core::{Atom, GenRelation, GenTuple, Lrp, Schema};
 
 fn lrp(c: i64, k: i64) -> Lrp {
@@ -29,6 +30,7 @@ fn bench_normalization_blowup(c: &mut Criterion) {
 
 /// Figure 2 / Theorem 3.1: the exact (normalize-then-eliminate) projection.
 fn bench_projection_figure2(c: &mut Criterion) {
+    let serial = ExecContext::serial();
     let mut group = c.benchmark_group("figure2_projection");
     for &scale in &[1i64, 2, 4, 8] {
         // Scale the paper's tuple: periods 4·s and 8·s.
@@ -46,7 +48,7 @@ fn bench_projection_figure2(c: &mut Criterion) {
         )
         .unwrap();
         group.bench_with_input(BenchmarkId::new("project_x1", scale), &rel, |bch, rel| {
-            bch.iter(|| rel.project(&[0], &[]).unwrap())
+            bch.iter(|| rel.project_in(&[0], &[], &serial).unwrap())
         });
     }
     group.finish();
@@ -54,6 +56,7 @@ fn bench_projection_figure2(c: &mut Criterion) {
 
 /// Figure 1: tuple difference through the two-part decomposition.
 fn bench_difference_figure1(c: &mut Criterion) {
+    let serial = ExecContext::serial();
     let mut group = c.benchmark_group("figure1_difference");
     for &k in &[4i64, 8, 16, 32] {
         let a = GenRelation::new(
@@ -75,7 +78,7 @@ fn bench_difference_figure1(c: &mut Criterion) {
         )
         .unwrap();
         group.bench_with_input(BenchmarkId::new("difference", k), &k, |bch, _| {
-            bch.iter(|| a.difference(&b).unwrap())
+            bch.iter(|| a.difference_in(&b, &serial).unwrap())
         });
     }
     group.finish();

@@ -3,10 +3,14 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use itd_core::{Atom, GenRelation, GenTuple, Lrp, Schema, Value};
-use itd_query::{parse, run, Formula, MemoryCatalog, QueryOpts};
+use itd_query::{parse, run, ExecContext, Formula, MemoryCatalog, QueryOpts};
 
 fn truth(cat: &MemoryCatalog, f: &Formula) -> bool {
-    run(cat, f, QueryOpts::new()).unwrap().truth().unwrap()
+    let ctx = ExecContext::new();
+    run(cat, f, QueryOpts::new().ctx(&ctx))
+        .unwrap()
+        .truth_in(&ctx)
+        .unwrap()
 }
 
 /// Builds a `perform`-style catalog with `n` periodic interval tuples.

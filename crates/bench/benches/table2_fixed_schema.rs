@@ -6,6 +6,7 @@
 //! cross-product, intersection, join O(N²).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
+use itd_core::ExecContext;
 use itd_workload::{random_relation, RelationSpec};
 
 fn spec(n: usize) -> RelationSpec {
@@ -20,6 +21,7 @@ fn spec(n: usize) -> RelationSpec {
 }
 
 fn bench_ops(c: &mut Criterion) {
+    let serial = ExecContext::serial();
     let sizes = [8usize, 16, 32, 64, 128];
     let mut group = c.benchmark_group("table2_fixed_schema");
     for &n in &sizes {
@@ -28,25 +30,28 @@ fn bench_ops(c: &mut Criterion) {
         group.throughput(Throughput::Elements(n as u64));
 
         group.bench_with_input(BenchmarkId::new("union", n), &n, |bch, _| {
-            bch.iter(|| a.union(&b).unwrap())
+            bch.iter(|| a.union_in(&b, &serial).unwrap())
         });
         group.bench_with_input(BenchmarkId::new("intersection", n), &n, |bch, _| {
-            bch.iter(|| a.intersect(&b).unwrap())
+            bch.iter(|| a.intersect_in(&b, &serial).unwrap())
         });
         group.bench_with_input(BenchmarkId::new("cross_product", n), &n, |bch, _| {
-            bch.iter(|| a.cross_product(&b).unwrap())
+            bch.iter(|| a.cross_product_in(&b, &serial).unwrap())
         });
         group.bench_with_input(BenchmarkId::new("join", n), &n, |bch, _| {
-            bch.iter(|| a.join_on(&b, &[(0, 0)], &[]).unwrap())
+            bch.iter(|| a.join_on_in(&b, &[(0, 0)], &[], &serial).unwrap())
         });
         group.bench_with_input(BenchmarkId::new("projection", n), &n, |bch, _| {
-            bch.iter(|| a.project(&[0], &[]).unwrap())
+            bch.iter(|| a.project_in(&[0], &[], &serial).unwrap())
         });
         group.bench_with_input(BenchmarkId::new("emptiness", n), &n, |bch, _| {
             bch.iter(|| a.denotes_empty().unwrap())
         });
         group.bench_with_input(BenchmarkId::new("selection", n), &n, |bch, _| {
-            bch.iter(|| a.select_temporal(itd_core::Atom::ge(0, 0)).unwrap())
+            bch.iter(|| {
+                a.select_temporal_in(itd_core::Atom::ge(0, 0), &serial)
+                    .unwrap()
+            })
         });
     }
     group.finish();

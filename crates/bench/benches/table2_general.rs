@@ -6,6 +6,7 @@
 //! (Negation's k^m exponential lives in the `negation_complement` bench.)
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
+use itd_core::ExecContext;
 use itd_workload::{random_relation, RelationSpec};
 
 fn spec(m: usize) -> RelationSpec {
@@ -20,25 +21,26 @@ fn spec(m: usize) -> RelationSpec {
 }
 
 fn bench_ops(c: &mut Criterion) {
+    let serial = ExecContext::serial();
     let arities = [1usize, 2, 3, 4, 5, 6];
     let mut group = c.benchmark_group("table2_general");
     for &m in &arities {
         let a = random_relation(&spec(m), 7);
         let b = random_relation(&spec(m), 77);
         group.bench_with_input(BenchmarkId::new("union", m), &m, |bch, _| {
-            bch.iter(|| a.union(&b).unwrap())
+            bch.iter(|| a.union_in(&b, &serial).unwrap())
         });
         group.bench_with_input(BenchmarkId::new("intersection", m), &m, |bch, _| {
-            bch.iter(|| a.intersect(&b).unwrap())
+            bch.iter(|| a.intersect_in(&b, &serial).unwrap())
         });
         group.bench_with_input(BenchmarkId::new("cross_product", m), &m, |bch, _| {
-            bch.iter(|| a.cross_product(&b).unwrap())
+            bch.iter(|| a.cross_product_in(&b, &serial).unwrap())
         });
         group.bench_with_input(BenchmarkId::new("join", m), &m, |bch, _| {
-            bch.iter(|| a.join_on(&b, &[(0, 0)], &[]).unwrap())
+            bch.iter(|| a.join_on_in(&b, &[(0, 0)], &[], &serial).unwrap())
         });
         group.bench_with_input(BenchmarkId::new("projection", m), &m, |bch, _| {
-            bch.iter(|| a.project(&[0], &[]).unwrap())
+            bch.iter(|| a.project_in(&[0], &[], &serial).unwrap())
         });
         group.bench_with_input(BenchmarkId::new("emptiness", m), &m, |bch, _| {
             bch.iter(|| a.denotes_empty().unwrap())

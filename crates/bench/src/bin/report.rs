@@ -17,7 +17,7 @@ use std::sync::OnceLock;
 use std::time::{Duration, Instant};
 
 use itd_bench::{fit_loglog, fit_semilog, fmt_duration, time_median, time_once};
-use itd_core::GenRelation;
+use itd_core::{ExecContext, GenRelation};
 use itd_workload::{
     brute_force_sat, oracle, random_3cnf, random_relation, solve_via_complement, RelationSpec,
 };
@@ -274,6 +274,7 @@ fn snap_counters(name: &str, kind: itd_core::OpKind, ctx: &itd_core::ExecContext
 }
 
 fn table2_fixed_schema() {
+    let serial = ExecContext::serial();
     println!("\n## Table 2 — fixed-schema complexity (m = 2, k = 6, sweep N)\n");
     jsonout::begin_section("table2_fixed_schema");
     use itd_core::{ExecContext, OpKind};
@@ -301,7 +302,7 @@ fn table2_fixed_schema() {
 
     let pts = sweep(&ns, |n| {
         let (a, b) = rel(n);
-        time_median(REPS, || a.union(b).unwrap()).0
+        time_median(REPS, || a.union_in(b, &serial).unwrap()).0
     });
     print_row_fit("union", "O(N)", &pts, fit_loglog(&pts), Some((0.2, 1.7)));
     snap("union", OpKind::Union, &|ctx| {
@@ -311,7 +312,7 @@ fn table2_fixed_schema() {
 
     let pts = sweep(&ns, |n| {
         let (a, b) = rel(n);
-        time_median(REPS, || a.cross_product(b).unwrap()).0
+        time_median(REPS, || a.cross_product_in(b, &serial).unwrap()).0
     });
     print_row_fit(
         "cross-product",
@@ -327,7 +328,7 @@ fn table2_fixed_schema() {
 
     let pts = sweep(&ns, |n| {
         let (a, b) = rel(n);
-        time_median(REPS, || a.intersect(b).unwrap()).0
+        time_median(REPS, || a.intersect_in(b, &serial).unwrap()).0
     });
     print_row_fit(
         "intersection",
@@ -343,7 +344,7 @@ fn table2_fixed_schema() {
 
     let pts = sweep(&ns, |n| {
         let (a, b) = rel(n);
-        time_median(REPS, || a.join_on(b, &[(0, 0)], &[]).unwrap()).0
+        time_median(REPS, || a.join_on_in(b, &[(0, 0)], &[], &serial).unwrap()).0
     });
     print_row_fit("join", "O(N²)", &pts, fit_loglog(&pts), Some((1.0, 2.8)));
     snap("join", OpKind::Join, &|ctx| {
@@ -353,7 +354,7 @@ fn table2_fixed_schema() {
 
     let pts = sweep(&ns, |n| {
         let (a, _) = rel(n);
-        time_median(REPS, || a.project(&[0], &[]).unwrap()).0
+        time_median(REPS, || a.project_in(&[0], &[], &serial).unwrap()).0
     });
     print_row_fit(
         "projection",
@@ -401,7 +402,7 @@ fn table2_fixed_schema() {
         .collect();
     let pts = sweep(&ns_neg, |n| {
         let a = &negs[ns_neg.iter().position(|&x| x == n).expect("in sweep")];
-        time_median(3, || a.complement_temporal().unwrap()).0
+        time_median(3, || a.complement_temporal_in(&serial).unwrap()).0
     });
     print_row("negation (m=1)", "O(N^c)", &pts, fit_loglog(&pts));
     snap("negation (m=1)", OpKind::Complement, &|ctx| {
@@ -412,7 +413,10 @@ fn table2_fixed_schema() {
     let pts = sweep(&ns_neg, |n| {
         let a = &negs[ns_neg.iter().position(|&x| x == n).expect("in sweep")];
         time_median(3, || {
-            a.complement_temporal().unwrap().denotes_empty().unwrap()
+            a.complement_temporal_in(&serial)
+                .unwrap()
+                .denotes_empty()
+                .unwrap()
         })
         .0
     });
@@ -425,6 +429,7 @@ fn table2_fixed_schema() {
 }
 
 fn table2_general() {
+    let serial = ExecContext::serial();
     println!("\n## Table 2 — general complexity (N = 12, k = 4, sweep m)\n");
     jsonout::begin_section("table2_general");
     use itd_core::{ExecContext, OpKind};
@@ -514,7 +519,7 @@ fn table2_general() {
     let ms_neg = take(&[1usize, 2, 3, 4]);
     let pts = sweep(&ms_neg, |m| {
         let a = random_relation(&spec(4, m, 3), 5);
-        time_median(3, || a.complement_temporal().unwrap()).0
+        time_median(3, || a.complement_temporal_in(&serial).unwrap()).0
     });
     let rate = fit_semilog(&pts);
     let last = pts.last().expect("nonempty");
@@ -577,7 +582,10 @@ fn theorem_4_1() {
     use itd_core::{Atom, GenTuple, Lrp, Schema, Value};
     use itd_query::{parse, run, MemoryCatalog, QueryOpts};
     let truth = |cat: &MemoryCatalog, f: &itd_query::Formula| {
-        run(cat, f, QueryOpts::new()).unwrap().truth().unwrap()
+        run(cat, f, QueryOpts::new())
+            .unwrap()
+            .truth_in(&ExecContext::new())
+            .unwrap()
     };
     let build = |n: usize| {
         let mut rel = GenRelation::empty(Schema::new(2, 1));
@@ -621,6 +629,7 @@ fn theorem_4_1() {
 }
 
 fn figures() {
+    let serial = ExecContext::serial();
     println!("\n## Figures 1–3 and Appendix A.1 — structural checks\n");
     use itd_core::{Atom, GenTuple, Lrp, Schema};
     let lrp = |c, k| Lrp::new(c, k).expect("valid");
@@ -639,7 +648,7 @@ fn figures() {
             .expect("valid")],
     )
     .expect("schema");
-    let p = fig2.project(&[0], &[]).expect("projection");
+    let p = fig2.project_in(&[0], &[], &serial).expect("projection");
     let got: Vec<i64> = (0..40).filter(|&x| p.contains(&[x], &[])).collect();
     println!("- Figure 2 exact projection on X1: {got:?} (paper: 8n+3 with X1 ≥ 11) ✓");
     assert_eq!(got, vec![11, 19, 27, 35]);
@@ -677,7 +686,7 @@ fn figures() {
             .expect("valid")],
     )
     .expect("schema");
-    let (d, diff) = time_median(3, || a.difference(&b).expect("difference"));
+    let (d, diff) = time_median(3, || a.difference_in(&b, &serial).expect("difference"));
     println!(
         "- Figure 1 difference (t₁ − t₂ = (t₁ − t₂*) ∪ (t̄₂ ∩ t₁)): {} tuples in {}",
         diff.tuple_count(),
@@ -686,6 +695,7 @@ fn figures() {
 }
 
 fn ablations() {
+    let serial = ExecContext::serial();
     println!("\n## Ablations (design choices from DESIGN.md)\n");
     // Residue bucketing (Appendix A.3): the naive all-pairs oracle vs the
     // indexed kernel, whose probes are exactly the same-offset pairs.
@@ -698,7 +708,7 @@ fn ablations() {
         let a = random_relation(&spec(n, m, k), 1);
         let b = random_relation(&spec(n, m, k), 2);
         let (naive, r1) = time_median(REPS, || oracle::intersect(&a, &b).expect("intersect"));
-        let (kernel, r2) = time_median(REPS, || a.intersect(&b).expect("intersect"));
+        let (kernel, r2) = time_median(REPS, || a.intersect_in(&b, &serial).expect("intersect"));
         assert_eq!(r1, r2, "the kernel must be bit-identical to the oracle");
         // At one common period k every offset is canonical in [0, k), so
         // two tuples can meet only if their offset vectors are equal: the
@@ -811,8 +821,8 @@ fn ablations() {
                 .expect("valid")],
         )
         .expect("schema");
-        let comp = r.complement_temporal().expect("complement");
-        let (d, small) = time_median(REPS, || comp.compact().expect("compact"));
+        let comp = r.complement_temporal_in(&serial).expect("complement");
+        let (d, small) = time_median(REPS, || comp.compact_in(&serial).expect("compact"));
         assert_eq!(
             comp.materialize(-60, 60),
             small.materialize(-60, 60),
@@ -1140,8 +1150,8 @@ fn batch_kernels() {
         "p",
         random_relation(&spec(if smoke() { 32 } else { 64 }, 2, 6), 7),
     );
+    // A fresh catalog carries a fresh plan token: the first run is cold.
     let src = "exists x. exists y. p(x, y) and x <= y + 4";
-    itd_query::plan_cache_clear();
     let before = itd_query::plan_cache_stats();
     let (cold_d, cold) = time_once(|| run_src(&cat, src, QueryOpts::new()).expect("query"));
     let (warm_d, warm) = time_median(REPS, || {
@@ -1752,6 +1762,7 @@ fn metrics_registry() {
 }
 
 fn incremental_maintenance() {
+    let serial = ExecContext::serial();
     println!("\n## Incremental maintenance (registered views)\n");
     jsonout::begin_section("incremental_maintenance");
     use itd_core::ExecContext;
@@ -1828,12 +1839,12 @@ fn incremental_maintenance() {
     let view = db.view(id).expect("registered");
     let diff_a = view
         .relation
-        .difference(&rerun.result.relation)
+        .difference_in(&rerun.result.relation, &serial)
         .expect("schema");
     let diff_b = rerun
         .result
         .relation
-        .difference(&view.relation)
+        .difference_in(&view.relation, &serial)
         .expect("schema");
     assert!(
         diff_a.denotes_empty().expect("decides") && diff_b.denotes_empty().expect("decides"),

@@ -14,8 +14,7 @@
 //! 1. tuples with an unsatisfiable constraint system are dropped;
 //! 2. **subsumption pruning**: a tuple whose denotation is certainly
 //!    contained in another's (same data, columnwise lrp inclusion,
-//!    constraint entailment — the sound check of
-//!    [`GenRelation::simplify`](crate::GenRelation::simplify)) is
+//!    constraint entailment — a sound, incomplete check) is
 //!    dropped. Candidates are pre-filtered by data columns and by a
 //!    per-column residue signature `offset mod m` (with `m` the capped
 //!    smooth divisor of the column's period gcd, exactly as in
@@ -130,7 +129,7 @@ fn subsume(tuples: &[GenTuple], removed: &mut u64) -> Vec<GenTuple> {
                 }
                 let other = &tuples[j];
                 // Break ties so mutually-subsuming duplicates keep one
-                // copy (same tie-break as `GenRelation::simplify`).
+                // copy: the later index falls to the earlier one.
                 let tie_break = j < i;
                 (tie_break || !tuple_subsumes(t, other)) && tuple_subsumes(other, t)
             });
@@ -271,7 +270,9 @@ mod tests {
             .atoms([Atom::ge(0, 0)])
             .build()
             .unwrap()]);
-        let comp = r.complement_temporal().unwrap();
+        let comp = r
+            .complement_temporal_in(&crate::ExecContext::serial())
+            .unwrap();
         let (c, rep) = compact_relation(&comp).unwrap();
         assert!(
             c.tuple_count() < comp.tuple_count(),

@@ -16,9 +16,10 @@
 //!   clonable [`StatsSnapshot`] can be taken at any moment; the query
 //!   layer surfaces it as `QueryResult::stats` and the REPL as `\stats`.
 //!
-//! The pre-existing operator methods (`intersect`, `difference`, …) are
-//! thin wrappers over the `*_in` variants with a fresh serial context, so
-//! their behavior is unchanged.
+//! The `*_in` operator methods are the one way to call the algebra: every
+//! call site names the context its work is counted against, and fresh
+//! counters come from a fresh context. (`GenRelation::difference` keeps a
+//! context-free form for the benchmark harness only.)
 //!
 //! [`GenRelation::intersect_in`]: crate::GenRelation::intersect_in
 
@@ -190,21 +191,6 @@ impl OpCounters {
             nanos: self.nanos.load(Relaxed),
         }
     }
-
-    fn reset(&self) {
-        self.calls.store(0, Relaxed);
-        self.tuples_in.store(0, Relaxed);
-        self.tuples_out.store(0, Relaxed);
-        self.pairs.store(0, Relaxed);
-        self.empties_pruned.store(0, Relaxed);
-        self.index_probes.store(0, Relaxed);
-        self.index_pruned.store(0, Relaxed);
-        self.atoms_simplified.store(0, Relaxed);
-        self.tuples_subsumed.store(0, Relaxed);
-        self.coalesce_merges.store(0, Relaxed);
-        self.max_period.store(0, Relaxed);
-        self.nanos.store(0, Relaxed);
-    }
 }
 
 /// Per-operator counters for a whole context; see [`OpCounters`].
@@ -222,13 +208,6 @@ impl OpStats {
     pub fn snapshot(&self) -> StatsSnapshot {
         StatsSnapshot {
             ops: OpKind::ALL.map(|k| self.op(k).snapshot()),
-        }
-    }
-
-    /// Zeroes every counter.
-    pub fn reset(&self) {
-        for c in &self.ops {
-            c.reset();
         }
     }
 }
@@ -731,11 +710,6 @@ impl ExecContext {
         self.stats.snapshot()
     }
 
-    /// Zeroes the counters (the thread budget is unchanged).
-    pub fn reset_stats(&self) {
-        self.stats.reset();
-    }
-
     pub(crate) fn op(&self, kind: OpKind) -> &OpCounters {
         self.stats.op(kind)
     }
@@ -987,9 +961,9 @@ mod tests {
         let text = snap.to_string();
         assert!(text.contains("intersect"), "{text}");
         assert!(text.contains("total"), "{text}");
-        ctx.reset_stats();
-        assert!(ctx.stats().is_zero());
-        assert!(ctx.stats().to_string().contains("no algebra"));
+        let fresh = ExecContext::with_threads(3);
+        assert!(fresh.stats().is_zero());
+        assert!(fresh.stats().to_string().contains("no algebra"));
     }
 
     #[test]

@@ -20,17 +20,17 @@
 //! Every operation of relational algebra is closed on generalized relations
 //! (§3 of the paper) and implemented here:
 //!
-//! | paper §  | operation                  | entry point                         |
-//! |----------|----------------------------|-------------------------------------|
-//! | 3.1      | union                      | [`GenRelation::union`]              |
-//! | 3.2      | intersection               | [`GenRelation::intersect`]          |
-//! | 3.3      | difference                 | [`GenRelation::difference`]         |
-//! | 3.4      | projection                 | [`GenRelation::project`]            |
-//! | 3.5      | selection                  | [`GenRelation::select_temporal`], [`GenRelation::select_data`] |
-//! | 3.6      | cross product              | [`GenRelation::cross_product`]      |
-//! | 3.7      | join                       | [`GenRelation::join_on`]            |
-//! | A.6      | complement (temporal)      | [`GenRelation::complement_temporal`]|
-//! | Thm 3.5  | nonemptiness               | [`GenRelation::denotes_empty`]      |
+//! | paper §  | operation                  | entry point                            |
+//! |----------|----------------------------|----------------------------------------|
+//! | 3.1      | union                      | [`GenRelation::union_in`]              |
+//! | 3.2      | intersection               | [`GenRelation::intersect_in`]          |
+//! | 3.3      | difference                 | [`GenRelation::difference_in`]         |
+//! | 3.4      | projection                 | [`GenRelation::project_in`]            |
+//! | 3.5      | selection                  | [`GenRelation::select_temporal_in`], [`GenRelation::select_data_in`] |
+//! | 3.6      | cross product              | [`GenRelation::cross_product_in`]      |
+//! | 3.7      | join                       | [`GenRelation::join_on_in`]            |
+//! | A.6      | complement (temporal)      | [`GenRelation::complement_temporal_in`]|
+//! | Thm 3.5  | nonemptiness               | [`GenRelation::denotes_empty`]         |
 //!
 //! Projection, difference, emptiness and complement rely on **normal form**
 //! (Definition 3.2): all lrps of a tuple share one period `k` and all
@@ -85,9 +85,8 @@ pub use normalize::grid_view;
 pub use relation::{GenRelation, RelationBuilder};
 pub use schema::Schema;
 pub use store::{
-    outcome_cache_len, outcome_cache_set_cap, resolve_value, storage_stats, storage_stats_reset,
-    Columns, DataColumn, RowRef, Rows, StorageStats, TemporalColumn, TemporalPartId, ValueId,
-    OUTCOME_CACHE_CAP,
+    resolve_value, storage_stats, Columns, DataColumn, RowRef, Rows, StorageStats, TemporalColumn,
+    TemporalPartId, ValueId, OUTCOME_CACHE_CAP,
 };
 pub use trace::{NodeSpan, Span, SpanLabel, Trace};
 pub use tuple::{GenTuple, GenTupleBuilder};

@@ -4,7 +4,8 @@
 //! that might appear" (§3.1) but leaves the problem open. Two practical
 //! pieces are implemented in this crate:
 //!
-//! * subsumption pruning, in [`crate::GenRelation::simplify`];
+//! * subsumption pruning, in the compaction pass
+//!   ([`crate::GenRelation::compact_in`]);
 //! * **coalescing** (this module): the inverse of Lemma 3.1 — when a group
 //!   of tuples is identical except for one temporal column whose lrps are
 //!   *all* the residue classes `c, c+g, …, c+(k/g−1)·g` of a coarser lrp
@@ -271,7 +272,9 @@ mod tests {
                 .unwrap()],
         )
         .unwrap();
-        let comp = r.complement_temporal().unwrap();
+        let comp = r
+            .complement_temporal_in(&crate::ExecContext::serial())
+            .unwrap();
         let c = coalesce(&comp).unwrap();
         assert!(
             c.tuple_count() < comp.tuple_count(),

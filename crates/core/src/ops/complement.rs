@@ -30,7 +30,13 @@ pub const DEFAULT_COMPLEMENT_LIMIT: u64 = 1 << 22;
 ///    `(N+1)^{m(m+1)}` bound of Theorem A.1.
 ///
 /// The `k^m` enumeration is the intrinsic exponential of general-complexity
-/// negation (Table 2); `limit` guards against accidental blow-ups.
+/// negation (Table 2); `limit` guards against accidental blow-ups. It is
+/// split into contiguous index ranges fanned over the context's threads
+/// (outputs concatenated in range order, so the result is identical at any
+/// thread count), and the context's [`OpKind::Complement`] counters record
+/// the period, the extensions enumerated, the grid-empty disjuncts pruned,
+/// and — via the probe counters — how many extensions hit a stored residue
+/// group versus bypassed the negation machinery entirely.
 ///
 /// # Errors
 /// [`CoreError::TooManyExtensions`] when `k^m > limit`; arithmetic errors
@@ -39,28 +45,6 @@ pub const DEFAULT_COMPLEMENT_LIMIT: u64 = 1 << 22;
 /// # Panics
 /// If tuples disagree on schema or have data attributes (the relation layer
 /// checks this).
-pub fn complement_tuples(
-    tuples: &[GenTuple],
-    temporal_arity: usize,
-    limit: u64,
-) -> Result<Vec<GenTuple>> {
-    complement_tuples_in(tuples, temporal_arity, limit, &ExecContext::serial())
-}
-
-/// [`complement_tuples`] under an execution context: the `k^m` extension
-/// enumeration is split into contiguous index ranges fanned over the
-/// context's threads (outputs concatenated in range order, so the result
-/// is identical at any thread count), and the context's
-/// [`OpKind::Complement`] counters record the period, the extensions
-/// enumerated, the grid-empty disjuncts pruned, and — via the probe
-/// counters — how many extensions hit a stored residue group versus
-/// bypassed the negation machinery entirely.
-///
-/// # Errors
-/// See [`complement_tuples`].
-///
-/// # Panics
-/// See [`complement_tuples`].
 pub fn complement_tuples_in(
     tuples: &[GenTuple],
     temporal_arity: usize,
@@ -270,6 +254,10 @@ mod tests {
     use crate::enumerate::materialize_tuples;
     use itd_constraint::Atom;
     use proptest::prelude::*;
+
+    fn complement_tuples(tuples: &[GenTuple], m: usize, limit: u64) -> Result<Vec<GenTuple>> {
+        complement_tuples_in(tuples, m, limit, &ExecContext::serial())
+    }
 
     fn lrp(c: i64, k: i64) -> Lrp {
         Lrp::new(c, k).unwrap()

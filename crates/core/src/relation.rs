@@ -22,7 +22,7 @@ use crate::Result;
 ///
 /// # Examples
 /// ```
-/// use itd_core::{Atom, GenRelation, GenTuple, Lrp, Schema};
+/// use itd_core::{Atom, ExecContext, GenRelation, GenTuple, Lrp, Schema};
 /// // "Every 10 ticks, a 3-tick task runs": one tuple, infinitely many facts.
 /// let task = GenTuple::builder()
 ///     .lrp(Lrp::new(0, 10).unwrap())
@@ -33,10 +33,11 @@ use crate::Result;
 /// let rel = GenRelation::builder(Schema::new(2, 0)).push_row(task).build().unwrap();
 /// assert!(rel.contains(&[1_000_000, 1_000_003], &[]));
 /// // The full algebra is closed: complement, intersect, project, …
-/// let busy_starts = rel.project(&[0], &[]).unwrap();
+/// let ctx = ExecContext::serial();
+/// let busy_starts = rel.project_in(&[0], &[], &ctx).unwrap();
 /// assert!(busy_starts.contains(&[50], &[]));
 /// assert!(!busy_starts.contains(&[51], &[]));
-/// let idle = busy_starts.complement_temporal().unwrap();
+/// let idle = busy_starts.complement_temporal_in(&ctx).unwrap();
 /// assert!(idle.contains(&[51], &[]));
 /// ```
 ///
@@ -271,16 +272,8 @@ impl GenRelation {
         Ok(true)
     }
 
-    /// Union (§3.1): merge the tuple sets.
-    ///
-    /// # Errors
-    /// [`CoreError::SchemaMismatch`].
-    pub fn union(&self, other: &GenRelation) -> Result<GenRelation> {
-        self.union_in(other, &ExecContext::serial())
-    }
-
-    /// [`GenRelation::union`] under an execution context (instrumentation
-    /// only — union is a concatenation and never worth fanning out).
+    /// Union (§3.1): merge the tuple sets. Instrumentation only — union
+    /// is a concatenation and never worth fanning out.
     ///
     /// # Errors
     /// [`CoreError::SchemaMismatch`].
@@ -297,16 +290,8 @@ impl GenRelation {
         })
     }
 
-    /// Intersection (§3.2): union of pairwise tuple intersections.
-    ///
-    /// # Errors
-    /// [`CoreError::SchemaMismatch`]; arithmetic failures.
-    pub fn intersect(&self, other: &GenRelation) -> Result<GenRelation> {
-        self.intersect_in(other, &ExecContext::serial())
-    }
-
-    /// [`GenRelation::intersect`] under an execution context, served by
-    /// the columnar batch kernel (`crate::kernel`): candidate pairs are
+    /// Intersection (§3.2): union of pairwise tuple intersections, served
+    /// by the columnar batch kernel (`crate::kernel`): candidate pairs are
     /// probed through the persistent residue index, then batch-filtered
     /// by gcd-congruence and data-id equality straight off the flat
     /// columns — only survivors materialize rows and derive, through the
@@ -323,27 +308,30 @@ impl GenRelation {
         Ok(GenRelation::from_vec(self.schema, tuples))
     }
 
+    /// [`GenRelation::difference_in`] on a fresh serial context.
+    ///
+    /// The one context-free operator left: the benchmark harness in
+    /// `perfbench/` calls it, and it goes when that harness next changes.
+    ///
+    /// # Errors
+    /// See [`GenRelation::difference_in`].
+    pub fn difference(&self, other: &GenRelation) -> Result<GenRelation> {
+        self.difference_in(other, &ExecContext::serial())
+    }
+
     /// Difference (§3.3): fold of tuple differences,
     /// `r1 − r2 = ∪ᵢ ((t1ᵢ − t21) − … − t2m)`.
     ///
     /// Grid-empty intermediate tuples are pruned after every step — the
     /// "suppress redundant tuples at each intersection" device that keeps
-    /// fixed-schema difference polynomial (Appendix A.7).
-    ///
-    /// # Errors
-    /// [`CoreError::SchemaMismatch`]; arithmetic failures.
-    pub fn difference(&self, other: &GenRelation) -> Result<GenRelation> {
-        self.difference_in(other, &ExecContext::serial())
-    }
-
-    /// [`GenRelation::difference`] under an execution context, served by
-    /// the columnar batch kernel (`crate::kernel`): per fold, the
-    /// subtrahends are probed through the persistent residue index and
-    /// batch-filtered over the flat columns (a rejected `t2` is columnwise
-    /// disjoint from `t1` or differs in data, so its step is a provable
-    /// no-op), with rows materialized only when a step actually runs. The
-    /// result and every [`OpKind::Difference`] counter are identical at
-    /// any thread count.
+    /// fixed-schema difference polynomial (Appendix A.7). Served by the
+    /// columnar batch kernel (`crate::kernel`): per fold, the subtrahends
+    /// are probed through the persistent residue index and batch-filtered
+    /// over the flat columns (a rejected `t2` is columnwise disjoint from
+    /// `t1` or differs in data, so its step is a provable no-op), with
+    /// rows materialized only when a step actually runs. The result and
+    /// every [`OpKind::Difference`] counter are identical at any thread
+    /// count.
     ///
     /// # Errors
     /// [`CoreError::SchemaMismatch`]; arithmetic failures.
@@ -356,18 +344,9 @@ impl GenRelation {
     }
 
     /// Projection (§3.4) onto the listed temporal and data columns
-    /// (order given; may permute).
-    ///
-    /// # Errors
-    /// [`CoreError::AttributeOutOfRange`]; arithmetic failures.
-    pub fn project(&self, temporal_keep: &[usize], data_keep: &[usize]) -> Result<GenRelation> {
-        self.project_in(temporal_keep, data_keep, &ExecContext::serial())
-    }
-
-    /// [`GenRelation::project`] under an execution context: per-tuple
-    /// projection (which normalizes internally and is the costly part) is
-    /// fanned over the context's threads; [`OpKind::Project`] counters are
-    /// updated.
+    /// (order given; may permute). Per-tuple projection (which normalizes
+    /// internally and is the costly part) is fanned over the context's
+    /// threads; [`OpKind::Project`] counters are updated.
     ///
     /// # Errors
     /// [`CoreError::AttributeOutOfRange`]; arithmetic failures.
@@ -405,17 +384,8 @@ impl GenRelation {
         ))
     }
 
-    /// Temporal selection (§3.5): adds the constraint atom to every tuple.
-    ///
-    /// # Errors
-    /// [`CoreError::AttributeOutOfRange`]; arithmetic failures.
-    pub fn select_temporal(&self, atom: Atom) -> Result<GenRelation> {
-        self.select_temporal_in(atom, &ExecContext::serial())
-    }
-
-    /// [`GenRelation::select_temporal`] under an execution context
-    /// ([`OpKind::Select`]: one atom conjoined per tuple, contradictory
-    /// tuples pruned).
+    /// Temporal selection (§3.5): conjoins the constraint atom to every
+    /// tuple and prunes the contradictory ones ([`OpKind::Select`]).
     ///
     /// # Errors
     /// [`CoreError::AttributeOutOfRange`]; arithmetic failures.
@@ -446,13 +416,8 @@ impl GenRelation {
 
     /// Data selection: keeps the tuples whose data vector satisfies the
     /// predicate (data attributes are concrete, so this is classical
-    /// relational selection).
-    pub fn select_data(&self, pred: impl Fn(&[Value]) -> bool) -> GenRelation {
-        self.select_data_in(pred, &ExecContext::serial())
-    }
-
-    /// [`GenRelation::select_data`] under an execution context
-    /// (instrumentation only — the predicate need not be thread-safe).
+    /// relational selection). Instrumentation only — the predicate need
+    /// not be thread-safe.
     pub fn select_data_in(
         &self,
         pred: impl Fn(&[Value]) -> bool,
@@ -477,17 +442,8 @@ impl GenRelation {
         }
     }
 
-    /// Cross product (§3.6).
-    ///
-    /// # Errors
-    /// Arithmetic failures.
-    pub fn cross_product(&self, other: &GenRelation) -> Result<GenRelation> {
-        self.cross_product_in(other, &ExecContext::serial())
-    }
-
-    /// [`GenRelation::cross_product`] under an execution context: pairwise
-    /// tuple products fanned over the context's threads
-    /// ([`OpKind::Product`]).
+    /// Cross product (§3.6): pairwise tuple products fanned over the
+    /// context's threads ([`OpKind::Product`]).
     ///
     /// # Errors
     /// Arithmetic failures.
@@ -515,21 +471,9 @@ impl GenRelation {
     ///
     /// Keeps all columns of both sides (joined temporal columns are pinned
     /// equal); project afterwards to drop duplicates — the paper's "common
-    /// column" join is `join_on(...)` followed by such a projection.
+    /// column" join is `join_on_in(...)` followed by such a projection.
     ///
-    /// # Errors
-    /// [`CoreError::AttributeOutOfRange`]; arithmetic failures.
-    pub fn join_on(
-        &self,
-        other: &GenRelation,
-        temporal_pairs: &[(usize, usize)],
-        data_pairs: &[(usize, usize)],
-    ) -> Result<GenRelation> {
-        self.join_on_in(other, temporal_pairs, data_pairs, &ExecContext::serial())
-    }
-
-    /// [`GenRelation::join_on`] under an execution context, served by the
-    /// columnar batch kernel (`crate::kernel`): `other` is
+    /// Served by the columnar batch kernel (`crate::kernel`): `other` is
     /// residue-indexed on the *right* columns of the join pairs, each
     /// left row probes with its *left* columns, and candidates are
     /// batch-filtered by gcd-congruence / data-id equality on exactly the
@@ -589,39 +533,22 @@ impl GenRelation {
     }
 
     /// Complement within `Z^temporal` (Appendix A.6), purely temporal
-    /// schemas only, with the default extension limit.
-    ///
-    /// # Errors
-    /// [`CoreError::ComplementHasData`]; [`CoreError::TooManyExtensions`].
-    pub fn complement_temporal(&self) -> Result<GenRelation> {
-        self.complement_temporal_with_limit(ops::DEFAULT_COMPLEMENT_LIMIT)
-    }
-
-    /// Complement with an explicit `k^m` ceiling.
-    ///
-    /// # Errors
-    /// See [`GenRelation::complement_temporal`].
-    pub fn complement_temporal_with_limit(&self, limit: u64) -> Result<GenRelation> {
-        self.complement_temporal_with_limit_in(limit, &ExecContext::serial())
-    }
-
-    /// [`GenRelation::complement_temporal`] under an execution context
-    /// (default limit); see
+    /// schemas only, with the default extension limit; see
     /// [`GenRelation::complement_temporal_with_limit_in`].
     ///
     /// # Errors
-    /// See [`GenRelation::complement_temporal`].
+    /// [`CoreError::ComplementHasData`]; [`CoreError::TooManyExtensions`].
     pub fn complement_temporal_in(&self, ctx: &ExecContext) -> Result<GenRelation> {
         self.complement_temporal_with_limit_in(ops::DEFAULT_COMPLEMENT_LIMIT, ctx)
     }
 
-    /// Complement under an execution context: the `k^m` free-extension
+    /// Complement with an explicit `k^m` ceiling: the free-extension
     /// enumeration is fanned over the context's threads (see
     /// [`ops::complement_tuples_in`]) and [`OpKind::Complement`] counters
     /// record the database period and pruned disjuncts.
     ///
     /// # Errors
-    /// See [`GenRelation::complement_temporal`].
+    /// See [`GenRelation::complement_temporal_in`].
     pub fn complement_temporal_with_limit_in(
         &self,
         limit: u64,
@@ -641,15 +568,7 @@ impl GenRelation {
     /// Translates one temporal column: the result denotes
     /// `{(…, xᵢ + delta, …) | (…, xᵢ, …) ∈ self}`.
     ///
-    /// Used by the query layer to interpret successor terms `t + c`.
-    ///
-    /// # Errors
-    /// [`CoreError::AttributeOutOfRange`]; arithmetic overflow.
-    pub fn shift_temporal(&self, col: usize, delta: i64) -> Result<GenRelation> {
-        self.shift_temporal_in(col, delta, &ExecContext::serial())
-    }
-
-    /// [`GenRelation::shift_temporal`] under an execution context
+    /// Used by the query layer to interpret successor terms `t + c`
     /// ([`OpKind::Shift`]).
     ///
     /// # Errors
@@ -680,17 +599,9 @@ impl GenRelation {
     }
 
     /// Normalizes every tuple (Theorem 3.2); the result denotes the same
-    /// set with every tuple in normal form.
-    ///
-    /// # Errors
-    /// Arithmetic failures; the per-tuple refinement limit.
-    pub fn normalize(&self) -> Result<GenRelation> {
-        self.normalize_in(&ExecContext::serial())
-    }
-
-    /// [`GenRelation::normalize`] under an execution context: per-tuple
-    /// normalization (refinement cross product and grid transforms) is
-    /// fanned over the context's threads. The [`OpKind::Normalize`]
+    /// set with every tuple in normal form. Per-tuple normalization
+    /// (refinement cross product and grid transforms) is fanned over the
+    /// context's threads. The [`OpKind::Normalize`]
     /// counters record the refinement combinations examined (`pairs`, the
     /// paper's `Π k/kᵢ`), grid-unsatisfiable combinations dropped
     /// (`empties_pruned`), constraint atoms of rewritten tuples
@@ -726,15 +637,8 @@ impl GenRelation {
     /// most as many tuples; the pass is near-linear thanks to a residue
     /// pre-filter and is what the query executor runs between plan nodes.
     ///
-    /// # Errors
-    /// Arithmetic failures while rebuilding lrps.
-    pub fn compact(&self) -> Result<GenRelation> {
-        self.compact_in(&ExecContext::serial())
-    }
-
-    /// [`GenRelation::compact`] under an execution context: the pass is
-    /// deliberately serial (it is near-linear, and a serial pass is
-    /// trivially bit-identical at any thread count); the
+    /// The pass is deliberately serial (it is near-linear, and a serial
+    /// pass is trivially bit-identical at any thread count); the
     /// [`OpKind::Compact`] counters record tuples dropped as subsumed and
     /// eliminated by coalescing, with
     /// `tuples_subsumed + coalesce_merges + tuples_out == tuples_in`
@@ -750,38 +654,6 @@ impl GenRelation {
         timer.add_merges(report.merges);
         timer.add_out(out.tuple_count());
         Ok(out)
-    }
-
-    /// Removes semantically empty tuples and tuples subsumed by another
-    /// tuple (sound, incomplete subsumption: columnwise lrp inclusion plus
-    /// constraint entailment). §3.1 leaves redundancy elimination open; this
-    /// is the practical part of it.
-    ///
-    /// # Errors
-    /// Arithmetic failures during emptiness checks.
-    pub fn simplify(&self) -> Result<GenRelation> {
-        let lt = self.rows_slice();
-        let mut kept: Vec<GenTuple> = Vec::with_capacity(lt.len());
-        for t in lt {
-            if !t.is_empty()? {
-                kept.push(t.clone());
-            }
-        }
-        let mut out: Vec<GenTuple> = Vec::with_capacity(kept.len());
-        for (i, t) in kept.iter().enumerate() {
-            let subsumed = kept.iter().enumerate().any(|(j, other)| {
-                if i == j {
-                    return false;
-                }
-                // Break ties so mutually-subsuming duplicates keep one copy.
-                let tie_break = j < i;
-                (tie_break || !tuple_subsumes(t, other)) && tuple_subsumes(other, t)
-            });
-            if !subsumed {
-                out.push(t.clone());
-            }
-        }
-        Ok(GenRelation::from_vec(self.schema, out))
     }
 
     /// The minimum value taken by temporal column `col` over the whole
@@ -816,7 +688,7 @@ impl GenRelation {
         let overflow = || CoreError::Numth(itd_numth::NumthError::Overflow);
         // Project onto the column first (exact), then read per-tuple grid
         // bounds.
-        let projected = self.project(&[col], &[])?;
+        let projected = self.project_in(&[col], &[], &ExecContext::serial())?;
         let mut best: Option<i64> = None;
         for t in projected.rows_slice() {
             if t.is_empty()? {
@@ -860,7 +732,7 @@ impl GenRelation {
     /// # Errors
     /// [`CoreError::AttributeOutOfRange`]; arithmetic failures.
     pub fn next_occurrence(&self, col: usize, bound: i64) -> Result<Option<i64>> {
-        self.select_temporal(Atom::ge(col, bound))?
+        self.select_temporal_in(Atom::ge(col, bound), &ExecContext::serial())?
             .min_temporal(col)
     }
 
@@ -1130,7 +1002,7 @@ mod tests {
     fn union_merges() {
         let a = rel1(vec![GenTuple::unconstrained(vec![lrp(0, 2)], vec![])]);
         let b = rel1(vec![GenTuple::unconstrained(vec![lrp(1, 2)], vec![])]);
-        let u = a.union(&b).unwrap();
+        let u = a.union_in(&b, &ExecContext::serial()).unwrap();
         assert_eq!(u.tuple_count(), 2);
         assert!(u.contains(&[0], &[]));
         assert!(u.contains(&[1], &[]));
@@ -1146,7 +1018,7 @@ mod tests {
             GenTuple::unconstrained(vec![lrp(0, 3)], vec![]),
         ]);
         let b = rel1(vec![GenTuple::unconstrained(vec![lrp(0, 5)], vec![])]);
-        let i = a.intersect(&b).unwrap();
+        let i = a.intersect_in(&b, &ExecContext::serial()).unwrap();
         // evens ∩ 5Z = 10Z; 3Z ∩ 5Z = 15Z
         assert!(i.contains(&[10], &[]));
         assert!(i.contains(&[15], &[]));
@@ -1161,7 +1033,11 @@ mod tests {
         let z = rel1(vec![GenTuple::unconstrained(vec![Lrp::all()], vec![])]);
         let evens = rel1(vec![GenTuple::unconstrained(vec![lrp(0, 2)], vec![])]);
         let threes = rel1(vec![GenTuple::unconstrained(vec![lrp(1, 3)], vec![])]);
-        let d = z.difference(&evens).unwrap().difference(&threes).unwrap();
+        let d = z
+            .difference_in(&evens, &ExecContext::serial())
+            .unwrap()
+            .difference_in(&threes, &ExecContext::serial())
+            .unwrap();
         for x in -20i64..20 {
             let expect = x % 2 != 0 && (x - 1).rem_euclid(3) != 0;
             assert_eq!(d.contains(&[x], &[]), expect, "x = {x}");
@@ -1202,7 +1078,9 @@ mod tests {
                 .build()
                 .unwrap(),
         ]);
-        let s = r.select_temporal(Atom::ge(0, 8)).unwrap();
+        let s = r
+            .select_temporal_in(Atom::ge(0, 8), &ExecContext::serial())
+            .unwrap();
         assert_eq!(s.tuple_count(), 1);
         assert!(s.contains(&[10], &[]));
         assert!(!s.contains(&[3], &[]));
@@ -1218,7 +1096,7 @@ mod tests {
             ],
         )
         .unwrap();
-        let s = r.select_data(|d| d[0] == Value::str("a"));
+        let s = r.select_data_in(|d| d[0] == Value::str("a"), &ExecContext::serial());
         assert_eq!(s.tuple_count(), 1);
         assert!(s.contains(&[0], &[Value::str("a")]));
     }
@@ -1234,35 +1112,9 @@ mod tests {
         )
         .unwrap();
         assert!(matches!(
-            r.complement_temporal(),
+            r.complement_temporal_in(&ExecContext::serial()),
             Err(CoreError::ComplementHasData)
         ));
-    }
-
-    #[test]
-    fn simplify_drops_empty_and_subsumed() {
-        let r = rel1(vec![
-            // Subsumed by the third tuple (refined class of evens).
-            GenTuple::unconstrained(vec![lrp(0, 4)], vec![]),
-            // Grid-empty.
-            GenTuple::builder()
-                .lrps(vec![lrp(0, 2)])
-                .atoms([Atom::le(0, 0), Atom::ge(0, 1)])
-                .build()
-                .unwrap(),
-            GenTuple::unconstrained(vec![lrp(0, 2)], vec![]),
-        ]);
-        let s = r.simplify().unwrap();
-        assert_eq!(s.tuple_count(), 1);
-        assert_eq!(s.rows_slice()[0].lrps()[0], lrp(0, 2));
-    }
-
-    #[test]
-    fn simplify_keeps_one_of_equal_duplicates() {
-        let t = GenTuple::unconstrained(vec![lrp(0, 2)], vec![]);
-        let r = rel1(vec![t.clone(), t]);
-        let s = r.simplify().unwrap();
-        assert_eq!(s.tuple_count(), 1);
     }
 
     #[test]
@@ -1276,7 +1128,8 @@ mod tests {
                 .unwrap()],
         )
         .unwrap();
-        let s = r.shift_temporal(0, 5).unwrap();
+        let ctx = ExecContext::serial();
+        let s = r.shift_temporal_in(0, 5, &ctx).unwrap();
         for x in -10i64..20 {
             for y in -10i64..20 {
                 assert_eq!(
@@ -1286,7 +1139,7 @@ mod tests {
                 );
             }
         }
-        assert!(r.shift_temporal(2, 1).is_err());
+        assert!(r.shift_temporal_in(2, 1, &ctx).is_err());
     }
 
     #[test]

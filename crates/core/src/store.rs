@@ -16,19 +16,17 @@
 //!   on append when the moduli survive, and invalidated precisely (only
 //!   the appends that change a column's modulus drop it).
 //!
-//! Both arenas are global hash-consing interners in the style of
-//! `crate::intern` (mutex around a `Vec` arena plus reverse map). They
-//! are append-only and process-wide, which is exactly what makes
-//! `O(1)` snapshots safe: a cloned relation shares the store `Arc`, and
-//! ids never dangle or get reused. [`storage_stats`] surfaces the arena
-//! sizes, hit rates and index reuse counts (the REPL's `\storage`
-//! command); per arena the determinism invariant
-//! `hits == lookups − distinct` holds at every snapshot.
+//! Both arenas are global hash-consing interners (a mutex around a `Vec`
+//! arena plus a reverse map). They are append-only and process-wide,
+//! which is exactly what makes `O(1)` snapshots safe: a cloned relation
+//! shares the store `Arc`, and ids never dangle or get reused.
+//! [`storage_stats`] surfaces the arena sizes, hit rates and index reuse
+//! counts (the REPL's `\storage` command); per arena the determinism
+//! invariant `hits == lookups − distinct` holds at every snapshot.
 //!
 //! Row-oriented access stays available through the [`Rows`] cursor /
-//! [`RowRef`] view API and a lazily materialized row cache (`OnceLock`),
-//! which the deprecated `tuples()` shim also reads — materialization
-//! happens at most once per store, not per call.
+//! [`RowRef`] view API and a lazily materialized row cache (`OnceLock`)
+//! — materialization happens at most once per store, not per call.
 
 use std::collections::HashMap;
 use std::fmt;
@@ -122,9 +120,9 @@ static OUTCOME_HITS: AtomicU64 = AtomicU64::new(0);
 static OUTCOME_MISSES: AtomicU64 = AtomicU64::new(0);
 static OUTCOME_EVICTIONS: AtomicU64 = AtomicU64::new(0);
 
-/// Default entry bound of the global [pairwise outcome cache]
+/// Entry bound of the global pairwise outcome cache
 /// (`outcome_cached_pair`): pair outcomes plus emptiness verdicts
-/// together never exceed the configured capacity.
+/// together never exceed it.
 pub const OUTCOME_CACHE_CAP: usize = 1 << 16;
 
 /// The algebra operation a cached pairwise outcome belongs to.
@@ -153,16 +151,39 @@ struct OutcomeInner {
     cap: usize,
 }
 
+impl OutcomeInner {
+    fn with_cap(cap: usize) -> Self {
+        OutcomeInner {
+            pairs: HashMap::new(),
+            empties: HashMap::new(),
+            cap,
+        }
+    }
+
+    fn len(&self) -> usize {
+        self.pairs.len() + self.empties.len()
+    }
+
+    /// Generational eviction: when the combined entry count reaches the
+    /// cap, drop everything and return the number of casualties. A full
+    /// clear (rather than LRU) keeps lookups lock-cheap and is
+    /// deterministic in the number of evicted entries for a fixed
+    /// insertion sequence.
+    fn evict_if_full(&mut self) -> u64 {
+        let len = self.len();
+        if len < self.cap {
+            return 0;
+        }
+        self.pairs.clear();
+        self.empties.clear();
+        len as u64
+    }
+}
+
 static OUTCOMES: OnceLock<Mutex<OutcomeInner>> = OnceLock::new();
 
 fn outcomes() -> &'static Mutex<OutcomeInner> {
-    OUTCOMES.get_or_init(|| {
-        Mutex::new(OutcomeInner {
-            pairs: HashMap::new(),
-            empties: HashMap::new(),
-            cap: OUTCOME_CACHE_CAP,
-        })
-    })
+    OUTCOMES.get_or_init(|| Mutex::new(OutcomeInner::with_cap(OUTCOME_CACHE_CAP)))
 }
 
 /// Looks up a cached pairwise outcome. The outer `Option` is the cache
@@ -196,7 +217,7 @@ pub(crate) fn outcome_cache_pair(
     outcome: Option<Arc<TemporalPart>>,
 ) {
     let mut inner = outcomes().lock().expect("outcome cache poisoned");
-    evict_if_full(&mut inner);
+    OUTCOME_EVICTIONS.fetch_add(inner.evict_if_full(), Ordering::Relaxed);
     inner.pairs.insert((left, right, op), outcome);
 }
 
@@ -218,38 +239,8 @@ pub(crate) fn outcome_cached_empty(id: TemporalPartId) -> Option<bool> {
 /// Records a grid-emptiness verdict for one interned part.
 pub(crate) fn outcome_cache_empty(id: TemporalPartId, empty: bool) {
     let mut inner = outcomes().lock().expect("outcome cache poisoned");
-    evict_if_full(&mut inner);
+    OUTCOME_EVICTIONS.fetch_add(inner.evict_if_full(), Ordering::Relaxed);
     inner.empties.insert(id, empty);
-}
-
-/// Generational eviction: when the combined entry count reaches the
-/// cap, drop everything and count the casualties. A full clear (rather
-/// than LRU) keeps lookups lock-cheap and is deterministic in the
-/// number of evicted entries for a fixed insertion sequence.
-fn evict_if_full(inner: &mut OutcomeInner) {
-    if inner.pairs.len() + inner.empties.len() >= inner.cap {
-        let dropped = (inner.pairs.len() + inner.empties.len()) as u64;
-        OUTCOME_EVICTIONS.fetch_add(dropped, Ordering::Relaxed);
-        inner.pairs.clear();
-        inner.empties.clear();
-    }
-}
-
-/// Current entry count of the global outcome cache (pairs + emptiness
-/// verdicts).
-pub fn outcome_cache_len() -> usize {
-    let inner = outcomes().lock().expect("outcome cache poisoned");
-    inner.pairs.len() + inner.empties.len()
-}
-
-/// Rebounds the global outcome cache, returning the previous cap.
-/// Shrinking below the current size triggers eviction on the next
-/// insert, not immediately. Intended for tests and benchmarks; the
-/// cache is semantically transparent, so a racing query only loses
-/// hits, never correctness.
-pub fn outcome_cache_set_cap(cap: usize) -> usize {
-    let mut inner = outcomes().lock().expect("outcome cache poisoned");
-    std::mem::replace(&mut inner.cap, cap.max(1))
 }
 
 fn values() -> &'static Mutex<ArenaInner<Value>> {
@@ -340,9 +331,10 @@ pub(crate) fn lookup_value(v: &Value) -> Option<ValueId> {
 /// A consistent snapshot of the global storage counters.
 ///
 /// Per arena, `lookups − hits == distinct` at any snapshot — misses and
-/// insertions happen under one lock, so the interner is deterministic in
-/// the same sense as `crate::intern`: totals depend only on the multiset
-/// of interned keys, never on thread scheduling.
+/// insertions happen under one lock, so the interner is deterministic:
+/// totals depend only on the multiset of interned keys, never on thread
+/// scheduling. Counters are process-lifetime totals; measure a window as
+/// [`StorageStats::delta_since`] of a snapshot taken at its start.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct StorageStats {
     /// Value-arena lookups (interning attempts) so far.
@@ -400,13 +392,11 @@ impl StorageStats {
     }
 }
 
-/// Baseline subtracted from every [`storage_stats`] read; set by
-/// [`storage_stats_reset`]. `None` (the default) means raw process
-/// totals.
-static STATS_BASELINE: Mutex<Option<StorageStats>> = Mutex::new(None);
-
-/// Reads the raw process-lifetime counters, ignoring any baseline.
-fn raw_storage_stats() -> StorageStats {
+/// Reads the global storage counters (process-lifetime totals). Each
+/// arena is snapshotted under its own lock, so the per-arena invariant
+/// `lookups − hits == distinct` holds even while other threads keep
+/// interning.
+pub fn storage_stats() -> StorageStats {
     let (value_lookups, value_hits, value_distinct, value_bytes) = {
         let inner = values().lock().expect("value arena poisoned");
         (
@@ -440,34 +430,6 @@ fn raw_storage_stats() -> StorageStats {
         outcome_misses: OUTCOME_MISSES.load(Ordering::Relaxed),
         outcome_evictions: OUTCOME_EVICTIONS.load(Ordering::Relaxed),
     }
-}
-
-/// Reads the global storage counters. Each arena is snapshotted under its
-/// own lock, so the per-arena invariant `lookups − hits == distinct`
-/// holds even while other threads keep interning.
-///
-/// After [`storage_stats_reset`], the counters are *deltas* since the
-/// reset (the arenas themselves are untouched — only the zero point
-/// moves).
-pub fn storage_stats() -> StorageStats {
-    let raw = raw_storage_stats();
-    match *STATS_BASELINE.lock().expect("stats baseline poisoned") {
-        Some(base) => raw.delta_since(&base),
-        None => raw,
-    }
-}
-
-/// Re-zeros [`storage_stats`] at the current counter values, so tests and
-/// bench sections can measure per-window deltas instead of
-/// process-lifetime totals.
-///
-/// The interning arenas themselves are deliberately **not** cleared —
-/// outstanding [`ValueId`]s/[`TemporalPartId`]s must never dangle — so
-/// this is measurement-only. Intended for tests and benchmarks; resetting
-/// while concurrent queries run simply moves their deltas' zero point.
-pub fn storage_stats_reset() {
-    let raw = raw_storage_stats();
-    *STATS_BASELINE.lock().expect("stats baseline poisoned") = Some(raw);
 }
 
 impl fmt::Display for StorageStats {
@@ -513,8 +475,7 @@ pub(crate) struct RelStore {
     t_periods: Vec<Vec<i64>>,
     /// Per data column: each row's interned value id.
     data: Vec<Vec<ValueId>>,
-    /// Lazily materialized row view (what `rows_slice` / the deprecated
-    /// `tuples()` shim hand out).
+    /// Lazily materialized row view (what `rows_slice` hands out).
     rows: OnceLock<Vec<GenTuple>>,
     /// Persistent residue indexes by column set.
     indexes: Mutex<HashMap<IndexKey, Arc<RelationIndex>>>,
@@ -1190,26 +1151,20 @@ mod tests {
 
     #[test]
     fn outcome_cache_evicts_at_cap() {
-        // Shrink the global cap for the duration of the test; the cache
-        // is semantically transparent, so concurrently running tests
-        // only lose hits while the cap is small.
+        // A local cache with a small cap: the shared one is never
+        // shrunk under concurrently running tests.
         let tuples: Vec<GenTuple> = (0..12)
             .map(|i| GenTuple::unconstrained(vec![lrp(i, 17)], vec![]))
             .collect();
         let s = RelStore::from_tuples(Schema::new(1, 0), tuples);
-        let old_cap = outcome_cache_set_cap(4);
-        let before = raw_storage_stats().outcome_evictions;
+        let mut cache = OutcomeInner::with_cap(4);
+        let mut evicted = 0;
         for &id in s.part_ids() {
-            outcome_cache_empty(id, false);
+            evicted += cache.evict_if_full();
+            cache.empties.insert(id, false);
+            assert!(cache.len() <= 4);
         }
-        let after = raw_storage_stats().outcome_evictions;
-        assert!(
-            after - before >= 8,
-            "12 inserts into a cap-4 cache must evict at least twice (got {})",
-            after - before
-        );
-        assert!(outcome_cache_len() <= 4);
-        outcome_cache_set_cap(old_cap);
+        assert_eq!(evicted, 8, "12 inserts into a cap-4 cache clear it twice");
     }
 
     #[test]
@@ -1218,12 +1173,12 @@ mod tests {
         let t2 = GenTuple::unconstrained(vec![lrp(5, 9)], vec![]);
         let s = RelStore::from_tuples(Schema::new(1, 0), vec![t1.clone(), t2]);
         let (a, b) = (s.part_ids()[0], s.part_ids()[1]);
-        let hits0 = raw_storage_stats().outcome_hits;
+        let hits0 = storage_stats().outcome_hits;
         outcome_cache_pair(a, b, PairOpKey::Intersect, Some(Arc::clone(s.part(0))));
         let got = outcome_cached_pair(a, b, &PairOpKey::Intersect)
             .expect("just-inserted outcome must hit");
         assert_eq!(got.as_deref(), Some(&**s.part(0)));
-        assert!(raw_storage_stats().outcome_hits > hits0);
+        assert!(storage_stats().outcome_hits > hits0);
         // A different op key is a distinct outcome.
         let join_key = PairOpKey::Join(vec![(0, 0)].into_boxed_slice());
         assert_eq!(outcome_cached_pair(a, b, &join_key), None);

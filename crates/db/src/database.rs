@@ -4,7 +4,7 @@ use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
 
 use itd_core::{ExecContext, GenRelation, GenTuple, MetricsRegistry, Value};
-use itd_query::{Catalog, Formula, MaintainedView, QueryOpts, QueryOutput, RelationDelta};
+use itd_query::{Catalog, MaintainedView, QueryOpts, QueryOutput, RelationDelta};
 use serde::{Deserialize, Serialize};
 
 use crate::error::DbError;
@@ -40,8 +40,8 @@ pub struct Database {
     views: Vec<RegisteredView>,
     /// Next [`ViewId`] to hand out (per database, never reused).
     next_view_id: u64,
-    /// Set when a mutation happened outside [`Database::apply`] (no
-    /// signed deltas available): the next `apply` recomputes every
+    /// Set when a mutation happened outside [`Database::apply_with`] (no
+    /// signed deltas available): the next `apply_with` recomputes every
     /// registered view instead of propagating deltas.
     views_stale: bool,
 }
@@ -206,7 +206,7 @@ impl Database {
         // point of view: contents (statistics) may change before the
         // borrow ends, so rotate the token conservatively up front. It is
         // also a mutation the view-maintenance delta path cannot see, so
-        // registered views go stale until the next `apply` recomputes
+        // registered views go stale until the next `apply_with` recomputes
         // them.
         self.bump_plan_token();
         self.views_stale = !self.views.is_empty();
@@ -231,7 +231,7 @@ impl Database {
     }
 
     /// The database's cross-query metrics registry. Every query run
-    /// through [`Database::run`]/[`Database::run_formula`] lands here
+    /// through [`Database::run`] lands here
     /// (unless the caller attached another registry); snapshot it for
     /// latency percentiles, cumulative counters, resource gauges, and the
     /// slow-query log.
@@ -256,26 +256,19 @@ impl Database {
     ///
     /// # Examples
     /// ```
-    /// use itd_db::{Database, QueryOpts, TupleSpec};
+    /// use itd_db::{Database, ExecContext, QueryOpts, TupleSpec};
     /// let mut db = Database::new();
     /// db.create_table("even", &["t"], &[]).unwrap();
     /// db.table_mut("even").unwrap().insert(TupleSpec::new().lrp("t", 0, 2)).unwrap();
-    /// let out = db.run("even(4)", QueryOpts::new()).unwrap();
-    /// assert!(out.truth().unwrap());
+    /// let ctx = ExecContext::new();
+    /// let out = db.run("even(4)", QueryOpts::new().ctx(&ctx)).unwrap();
+    /// assert!(out.truth_in(&ctx).unwrap());
     /// ```
     pub fn run(&self, src: impl AsRef<str>, opts: QueryOpts<'_>) -> Result<QueryOutput> {
         // Text-level entry: a warm prepared-plan cache answers on the raw
         // source and skips the parser too (`QueryOutput::plan_cached`).
         itd_query::run_src(self, src.as_ref(), opts.metrics_default(&self.metrics))
             .map_err(DbError::Query)
-    }
-
-    /// [`Database::run`] on a pre-built formula.
-    ///
-    /// # Errors
-    /// See [`Database::run`].
-    pub fn run_formula(&self, f: &Formula, opts: QueryOpts<'_>) -> Result<QueryOutput> {
-        itd_query::run(self, f, opts.metrics_default(&self.metrics)).map_err(DbError::Query)
     }
 
     /// The cost model's pre-execution total-pairs estimate for `src` —
@@ -302,29 +295,9 @@ impl Database {
             .map_err(DbError::Query)
     }
 
-    /// Server-facing batched entry point: runs every query in `srcs`
-    /// against this *one* database state (the caller typically holds a
-    /// cheap [`Clone`] snapshot, so `apply` transactions on the base
-    /// interleave between batches, never within one). Catalog resolution
-    /// — plan token, metrics attachment — happens once; each query then
-    /// executes under its own [`QueryOpts`] produced by `opts_for(i)`,
-    /// which lets the service attach a per-request deadline token.
-    ///
-    /// Per-query failures are per-slot: one over-deadline or malformed
-    /// query does not disturb its batch-mates' results.
-    pub fn run_batch<'a>(
-        &self,
-        srcs: &[impl AsRef<str>],
-        mut opts_for: impl FnMut(usize) -> QueryOpts<'a>,
-    ) -> Vec<Result<QueryOutput>> {
-        srcs.iter()
-            .enumerate()
-            .map(|(i, src)| self.run(src.as_ref(), opts_for(i)))
-            .collect()
-    }
-
     /// Applies a batch of signed mutations atomically — the write path
-    /// registered views are maintained under.
+    /// registered views are maintained under — on `ctx` (thread budget;
+    /// view-maintenance operator counters land in `ctx`'s stats).
     ///
     /// The whole batch is validated first (unknown tables, incomplete
     /// specs, schema mismatches fail before anything changes), then all
@@ -339,27 +312,18 @@ impl Database {
     /// [`DbError::Core`] on schema mismatch — all before mutating; view
     /// refresh failures ([`DbError::Query`]) after (the mutation itself
     /// stays applied, and the affected views recompute on the next
-    /// `apply`).
+    /// `apply_with`).
     ///
     /// # Examples
     /// ```
-    /// use itd_db::{Database, Txn, TupleSpec};
+    /// use itd_db::{Database, ExecContext, Txn, TupleSpec};
     /// let mut db = Database::new();
     /// db.create_table("even", &["t"], &[]).unwrap();
     /// let v = db.register_view("wit", "even(t) and t >= 0").unwrap();
-    /// db.apply(Txn::new().insert("even", TupleSpec::new().lrp("t", 0, 2)))
-    ///     .unwrap();
+    /// let txn = Txn::new().insert("even", TupleSpec::new().lrp("t", 0, 2));
+    /// db.apply_with(txn, &ExecContext::new()).unwrap();
     /// assert!(db.view(v).unwrap().relation.contains(&[4], &[]));
     /// ```
-    pub fn apply(&mut self, txn: Txn) -> Result<TxnSummary> {
-        self.apply_with(txn, &ExecContext::new())
-    }
-
-    /// [`Database::apply`] under an explicit execution context (thread
-    /// budget; view-maintenance operator counters land in `ctx`'s stats).
-    ///
-    /// # Errors
-    /// See [`Database::apply`].
     pub fn apply_with(&mut self, txn: Txn, ctx: &ExecContext) -> Result<TxnSummary> {
         // Validate everything up front so a failing batch changes nothing.
         let mut resolved: Vec<(String, bool, GenTuple)> = Vec::with_capacity(txn.ops.len());
@@ -487,7 +451,7 @@ impl Database {
         self.views = views;
         if let Some(e) = failed {
             // Some views may not have been refreshed: recompute all on
-            // the next `apply` rather than trusting half-updated caches.
+            // the next `apply_with` rather than trusting half-updated caches.
             self.views_stale = true;
             return Err(DbError::Query(e));
         }
@@ -495,7 +459,7 @@ impl Database {
     }
 
     /// Registers an incrementally maintained view: the query is prepared
-    /// and evaluated once, and every subsequent [`Database::apply`]
+    /// and evaluated once, and every subsequent [`Database::apply_with`]
     /// keeps it up to date by delta propagation. The name is a handle
     /// for listings and [`Database::view_named`]; it does **not** enter
     /// the table namespace (use [`Database::materialize_view`] for a
@@ -546,7 +510,7 @@ impl Database {
 
     /// The current snapshot of a registered view, or `None` for an
     /// unknown (e.g. deregistered) handle. The snapshot reflects the
-    /// last [`Database::apply`]; mutations made outside `apply` are
+    /// last [`Database::apply_with`]; mutations made outside `apply_with` are
     /// visible only after the next one.
     pub fn view(&self, id: ViewId) -> Option<Arc<ViewSnapshot>> {
         self.views
@@ -593,42 +557,21 @@ impl Database {
         }
     }
 
-    /// Compiles a query to its algebra plan *without executing it*
-    /// (EXPLAIN). Parse and sort errors are reported exactly as
-    /// [`Database::run`] would report them, but no relation is touched.
+    /// Compiles a query *without executing it* (EXPLAIN): the logical
+    /// plan next to the plan [`Database::run`] executes under the same
+    /// `opts`, both cost-annotated (see [`itd_query::explain`]). Parse
+    /// and sort errors are reported exactly as `run` would report them,
+    /// but no relation is touched.
     ///
     /// # Errors
     /// Parse/sort errors ([`DbError::Query`]).
-    pub fn explain(&self, src: impl AsRef<str>) -> Result<itd_query::Plan> {
-        let f = itd_query::parse(src.as_ref())?;
-        itd_query::explain(self, &f).map_err(DbError::Query)
-    }
-
-    /// Compiles and optimizes a query without executing it: the logical
-    /// plan next to its rewritten form, both cost-annotated, plus the
-    /// list of fired rewrite rules.
-    ///
-    /// # Errors
-    /// Parse/sort errors ([`DbError::Query`]).
-    pub fn explain_opt(&self, src: impl AsRef<str>) -> Result<itd_query::ExplainReport> {
-        let f = itd_query::parse(src.as_ref())?;
-        itd_query::explain_opt(self, &f).map_err(DbError::Query)
-    }
-
-    /// [`Database::explain_opt`] with explicit control over whether the
-    /// adaptive compaction pass inserts [`itd_query::PlanOp::Compact`]
-    /// nodes, matching a [`QueryOpts::compact`] setting so the explained
-    /// plan is the one execution would run.
-    ///
-    /// # Errors
-    /// Parse/sort errors ([`DbError::Query`]).
-    pub fn explain_opt_with(
+    pub fn explain(
         &self,
         src: impl AsRef<str>,
-        compact: bool,
+        opts: QueryOpts<'_>,
     ) -> Result<itd_query::ExplainReport> {
         let f = itd_query::parse(src.as_ref())?;
-        itd_query::explain_opt_with(self, &f, compact).map_err(DbError::Query)
+        itd_query::explain(self, &f, opts).map_err(DbError::Query)
     }
 
     /// Materializes an open query as a new table: the answer relation
@@ -637,32 +580,12 @@ impl Database {
     ///
     /// Because query answers are themselves generalized relations, the view
     /// is exact over infinite time — it is a snapshot of the *symbolic*
-    /// result, not of a window.
+    /// result, not of a window. The query runs under `opts`, as in
+    /// [`Database::run`].
     ///
     /// # Errors
     /// [`DbError::DuplicateTable`]; query errors.
-    pub fn materialize_view(&mut self, name: &str, src: impl AsRef<str>) -> Result<&Table> {
-        self.materialize_view_opts(name, src, QueryOpts::new())
-    }
-
-    /// [`Database::materialize_view`] under an explicit execution context.
-    ///
-    /// # Errors
-    /// See [`Database::materialize_view`].
-    pub fn materialize_view_with(
-        &mut self,
-        name: &str,
-        src: impl AsRef<str>,
-        ctx: &ExecContext,
-    ) -> Result<&Table> {
-        self.materialize_view_opts(name, src, QueryOpts::new().ctx(ctx))
-    }
-
-    /// [`Database::materialize_view`] under explicit [`QueryOpts`].
-    ///
-    /// # Errors
-    /// See [`Database::materialize_view`].
-    pub fn materialize_view_opts(
+    pub fn materialize_view(
         &mut self,
         name: &str,
         src: impl AsRef<str>,
@@ -750,8 +673,9 @@ mod tests {
     use crate::table::TupleSpec;
 
     fn ask(db: &Database, src: &str) -> Result<bool> {
-        db.run(src, QueryOpts::new())?
-            .truth()
+        let ctx = ExecContext::new();
+        db.run(src, QueryOpts::new().ctx(&ctx))?
+            .truth_in(&ctx)
             .map_err(DbError::Query)
     }
 
@@ -798,24 +722,26 @@ mod tests {
     fn materialized_views() {
         let mut db = sample();
         let view = db
-            .materialize_view("late_even", "even(t) and t >= 100")
+            .materialize_view("late_even", "even(t) and t >= 100", QueryOpts::new())
             .unwrap();
         assert_eq!(view.temporal_names(), &["t".to_string()]);
         assert!(ask(&db, "late_even(100)").unwrap());
         assert!(!ask(&db, "late_even(98)").unwrap());
         assert!(ask(&db, "late_even(1000000)").unwrap());
         // Views can feed further views.
-        db.materialize_view("very_late", "late_even(t) and t >= 200")
+        db.materialize_view("very_late", "late_even(t) and t >= 200", QueryOpts::new())
             .unwrap();
         assert!(ask(&db, "very_late(200)").unwrap());
         assert!(!ask(&db, "very_late(100)").unwrap());
         // Name clashes rejected.
         assert!(matches!(
-            db.materialize_view("even", "even(t)"),
+            db.materialize_view("even", "even(t)", QueryOpts::new()),
             Err(DbError::DuplicateTable(_))
         ));
         // Query errors propagate without creating the table.
-        assert!(db.materialize_view("bad", "nosuch(t)").is_err());
+        assert!(db
+            .materialize_view("bad", "nosuch(t)", QueryOpts::new())
+            .is_err());
         assert!(db.table("bad").is_err());
     }
 

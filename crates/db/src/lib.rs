@@ -18,7 +18,7 @@
 //! # Example
 //!
 //! ```
-//! use itd_db::{Database, QueryOpts, TupleSpec};
+//! use itd_db::{Database, ExecContext, QueryOpts, TupleSpec};
 //!
 //! let mut db = Database::new();
 //! // The paper's Example 2.4: hourly trains Liège → Brussels.
@@ -35,8 +35,9 @@
 //!     .unwrap();
 //!
 //! // Is there a train departing at minute 62 (= 1:02)?
-//! let out = db.run(r#"exists a. train(62, a; "slow")"#, QueryOpts::new()).unwrap();
-//! assert!(out.truth().unwrap());
+//! let ctx = ExecContext::new();
+//! let out = db.run(r#"exists a. train(62, a; "slow")"#, QueryOpts::new().ctx(&ctx)).unwrap();
+//! assert!(out.truth_in(&ctx).unwrap());
 //! ```
 
 mod database;
@@ -51,7 +52,7 @@ pub use error::{render_error_chain, DbError};
 pub use table::{Table, TupleSpec};
 pub use txn::{Txn, TxnSummary};
 
-pub use itd_core::{Atom, CancelToken, GenRelation, GenTuple, Lrp, Schema, Value};
+pub use itd_core::{Atom, CancelToken, ExecContext, GenRelation, GenTuple, Lrp, Schema, Value};
 pub use itd_query::{
     ExplainReport, Formula, MaintainedView, QueryOpts, QueryOutput, QueryResult, RefreshOutcome,
     RelationDelta,

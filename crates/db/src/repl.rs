@@ -158,11 +158,9 @@ impl ReplSession {
                     })?;
                 let ctx = self.fresh_ctx();
                 let out = {
-                    let table = self.db.materialize_view_opts(
-                        name.trim(),
-                        src.trim(),
-                        self.opts().ctx(&ctx),
-                    )?;
+                    let table =
+                        self.db
+                            .materialize_view(name.trim(), src.trim(), self.opts().ctx(&ctx))?;
                     format!(
                         "view `{}` materialized with {} generalized tuple(s)",
                         table.name(),
@@ -281,7 +279,7 @@ impl ReplSession {
     /// where each clause is one of `lrp attr offset period`,
     /// `at attr value`, `le attr c`, `ge attr c`, `eq attr c`,
     /// `diffle a b c`, `eq a b c` (difference equality), or
-    /// `datum attr value`. Both go through [`Database::apply`], so
+    /// `datum attr value`. Both go through [`Database::apply_with`], so
     /// registered views (`\subscribe`) are refreshed incrementally.
     fn mutate(&mut self, rest: &str, retract: bool) -> Result<String> {
         let verb = if retract { "retract" } else { "insert" };
@@ -413,11 +411,12 @@ impl ReplSession {
         Ok(out)
     }
 
-    /// `\explain <formula>` — prints the compiled algebra plan (plus the
-    /// optimizer's rewrite of it, when `\optimize on`) without executing
-    /// anything; `\explain analyze <formula>` additionally runs the query
-    /// with tracing and lines each plan node's cost estimate up with the
-    /// rows/pairs its spans actually recorded.
+    /// `\explain <formula>` — prints the plan `ask`/`query` would execute
+    /// (next to the logical plan it was rewritten from, when
+    /// `\optimize on`) without executing anything; `\explain analyze
+    /// <formula>` additionally runs the query with tracing and lines each
+    /// plan node's cost estimate up with the rows/pairs its spans actually
+    /// recorded.
     fn explain(&mut self, rest: &str) -> Result<String> {
         if let Some(src) = rest.strip_prefix("analyze ") {
             let ctx = ExecContext::new().traced();
@@ -436,10 +435,11 @@ impl ReplSession {
             self.last_trace = Some(trace);
             return Ok(text);
         }
+        let report = self.db.explain(rest, self.opts())?;
         if self.optimize {
-            Ok(self.db.explain_opt_with(rest, self.compact)?.render())
+            Ok(report.render())
         } else {
-            Ok(self.db.explain(rest)?.render())
+            Ok(report.executed.render())
         }
     }
 
@@ -583,8 +583,9 @@ commands:
                                  insert/retract keep it up to date
   \\unsubscribe name              deregister a maintained view
   \\views                         list maintained views with refresh counters
-  \\explain <formula>             print the compiled algebra plan (no execution);
-                                 with \\optimize on, also its rewritten form
+  \\explain <formula>             print the plan queries would execute (no
+                                 execution); with \\optimize on, also the
+                                 logical plan it was rewritten from
   \\explain analyze <formula>     execute with tracing; per-node estimated vs
                                  actual rows/pairs, plus the span tree
   \\optimize [on|off]             cost-guided plan rewriting for queries

@@ -1,19 +1,18 @@
 //! Atomic signed mutations: the [`Txn`] builder.
 //!
 //! A `Txn` describes a batch of inserts and retracts across any number of
-//! tables. [`Database::apply`](crate::Database::apply) validates the whole
+//! tables. [`Database::apply_with`](crate::Database::apply_with) validates the whole
 //! batch first (unknown tables, schema mismatches, incomplete specs fail
 //! before anything changes), then applies it — retractions before
 //! insertions — rotates the plan token once, and incrementally refreshes
 //! every registered view with the batch's signed deltas.
 //!
 //! ```
-//! use itd_db::{Database, Txn, TupleSpec};
+//! use itd_db::{Database, ExecContext, Txn, TupleSpec};
 //! let mut db = Database::new();
 //! db.create_table("even", &["t"], &[]).unwrap();
-//! let summary = db
-//!     .apply(Txn::new().insert("even", TupleSpec::new().lrp("t", 0, 2)))
-//!     .unwrap();
+//! let txn = Txn::new().insert("even", TupleSpec::new().lrp("t", 0, 2));
+//! let summary = db.apply_with(txn, &ExecContext::new()).unwrap();
 //! assert_eq!(summary.inserted, 1);
 //! ```
 
@@ -37,7 +36,7 @@ pub(crate) enum RowSpec {
 }
 
 /// A batch of signed mutations, applied atomically by
-/// [`Database::apply`](crate::Database::apply).
+/// [`Database::apply_with`](crate::Database::apply_with).
 ///
 /// Builder-style: each call moves and returns the transaction. Within one
 /// transaction all retractions are applied before all insertions, so
@@ -106,7 +105,7 @@ impl Txn {
     }
 }
 
-/// What one [`Database::apply`](crate::Database::apply) did.
+/// What one [`Database::apply_with`](crate::Database::apply_with) did.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct TxnSummary {
     /// Rows appended across all tables.

@@ -1,7 +1,7 @@
 //! Interval-relation joins and selections on generalized relations.
 
 use itd_constraint::Atom;
-use itd_core::{CoreError, GenRelation, Schema};
+use itd_core::{CoreError, ExecContext, GenRelation, Schema};
 
 use crate::relation::AllenRel;
 use crate::Result;
@@ -21,9 +21,10 @@ use crate::Result;
 pub fn allen_join(r: &GenRelation, s: &GenRelation, rel: AllenRel) -> Result<GenRelation> {
     check_interval_schema(r)?;
     check_interval_schema(s)?;
-    let mut out = r.cross_product(s)?;
+    let ctx = ExecContext::serial();
+    let mut out = r.cross_product_in(s, &ctx)?;
     for atom in rel.endpoint_atoms(0, 1, 2, 3) {
-        out = out.select_temporal(atom)?;
+        out = out.select_temporal_in(atom, &ctx)?;
     }
     Ok(out)
 }
@@ -42,10 +43,11 @@ pub fn allen_select(r: &GenRelation, rel: AllenRel, b1: i64, b2: i64) -> Result<
     // Constrain against constants by re-expressing the endpoint atoms with
     // the fixed interval folded in: build the 4-column atoms, then
     // substitute columns 2 and 3.
+    let ctx = ExecContext::serial();
     let mut out = r.clone();
     for atom in rel.endpoint_atoms(0, 1, 2, 3) {
         for substituted in substitute_constants(atom, b1, b2) {
-            out = out.select_temporal(substituted)?;
+            out = out.select_temporal_in(substituted, &ctx)?;
         }
     }
     Ok(out)
@@ -58,7 +60,7 @@ pub fn allen_select(r: &GenRelation, rel: AllenRel, b1: i64, b2: i64) -> Result<
 /// Schema/algebra failures.
 pub fn proper_intervals(r: &GenRelation) -> Result<GenRelation> {
     check_interval_schema(r)?;
-    r.select_temporal(Atom::diff_le(0, 1, -1))
+    r.select_temporal_in(Atom::diff_le(0, 1, -1), &ExecContext::serial())
 }
 
 fn check_interval_schema(r: &GenRelation) -> Result<()> {
@@ -179,7 +181,9 @@ mod tests {
             &[Value::str("probe"), Value::str("window")]
         ));
         // Projection: the probes that are inside SOME window.
-        let covered = during.project(&[0, 1], &[0]).unwrap();
+        let covered = during
+            .project_in(&[0, 1], &[0], &ExecContext::serial())
+            .unwrap();
         assert!(covered.contains(&[21, 22], &[Value::str("probe")]));
         assert!(!covered.contains(&[6, 7], &[Value::str("probe")]));
     }

@@ -1,6 +1,6 @@
 //! Unary Presburger predicates (Theorem 2.1).
 
-use itd_core::{GenRelation, GenTuple, Lrp, Schema};
+use itd_core::{ExecContext, GenRelation, GenTuple, Lrp, Schema};
 use itd_numth::{div_ceil, div_floor, solve_lin_congruence};
 
 use crate::Result;
@@ -211,11 +211,12 @@ impl UnaryFormula {
     /// Arithmetic overflow; complement extension limits for enormous
     /// moduli.
     pub fn to_relation(&self) -> Result<GenRelation> {
+        let ctx = ExecContext::serial();
         match self {
             UnaryFormula::Atom(a) => a.to_relation(),
-            UnaryFormula::Not(f) => f.to_relation()?.complement_temporal(),
-            UnaryFormula::And(a, b) => a.to_relation()?.intersect(&b.to_relation()?),
-            UnaryFormula::Or(a, b) => a.to_relation()?.union(&b.to_relation()?),
+            UnaryFormula::Not(f) => f.to_relation()?.complement_temporal_in(&ctx),
+            UnaryFormula::And(a, b) => a.to_relation()?.intersect_in(&b.to_relation()?, &ctx),
+            UnaryFormula::Or(a, b) => a.to_relation()?.union_in(&b.to_relation()?, &ctx),
         }
     }
 
@@ -247,7 +248,10 @@ impl UnaryFormula {
     pub fn equivalent(&self, other: &UnaryFormula) -> Result<bool> {
         let a = self.to_relation()?;
         let b = other.to_relation()?;
-        Ok(a.difference(&b)?.denotes_empty()? && b.difference(&a)?.denotes_empty()?)
+        Ok(a.difference_in(&b, &ExecContext::serial())?
+            .denotes_empty()?
+            && b.difference_in(&a, &ExecContext::serial())?
+                .denotes_empty()?)
     }
 
     /// Produces a witness `v` with `φ(v)`, if one exists.

@@ -196,7 +196,8 @@ impl QueryOutput {
     /// The yes/no reading of the answer (Theorem 4.1): project to the
     /// nullary relation and test non-emptiness, closing any free
     /// variables existentially. Runs the projection on `ctx` so its
-    /// counters land with the query's.
+    /// counters land with the query's (pass the query's own context, or
+    /// `&ExecContext::new()` for a throwaway one).
     ///
     /// # Errors
     /// Algebra failures; see [`QueryError`].
@@ -207,14 +208,6 @@ impl QueryOutput {
             .project_in(&[], &[], ctx)
             .map_err(QueryError::Core)?;
         Ok(!closed.denotes_empty().map_err(QueryError::Core)?)
-    }
-
-    /// [`QueryOutput::truth_in`] on a fresh context.
-    ///
-    /// # Errors
-    /// See [`QueryOutput::truth_in`].
-    pub fn truth(&self) -> Result<bool> {
-        self.truth_in(&ExecContext::new())
     }
 }
 
@@ -228,13 +221,14 @@ impl QueryOutput {
 /// # Examples
 /// ```
 /// use itd_query::{run, parse, MemoryCatalog, QueryOpts};
-/// use itd_core::{GenRelation, GenTuple, Lrp, Schema};
+/// use itd_core::{ExecContext, GenRelation, GenTuple, Lrp, Schema};
 /// let mut cat = MemoryCatalog::new();
 /// let mut even = GenRelation::empty(Schema::new(1, 0));
 /// even.push(GenTuple::unconstrained(vec![Lrp::new(0, 2).unwrap()], vec![])).unwrap();
 /// cat.insert("Even", even);
-/// let out = run(&cat, &parse("exists t. Even(t)")?, QueryOpts::new())?;
-/// assert!(out.truth()?);
+/// let ctx = ExecContext::new();
+/// let out = run(&cat, &parse("exists t. Even(t)")?, QueryOpts::new().ctx(&ctx))?;
+/// assert!(out.truth_in(&ctx)?);
 /// # Ok::<(), itd_query::QueryError>(())
 /// ```
 pub fn run(catalog: &impl Catalog, formula: &Formula, opts: QueryOpts<'_>) -> Result<QueryOutput> {
@@ -1129,7 +1123,7 @@ mod tests {
     fn ask(src: &str) -> bool {
         run(&catalog(), &parse(src).unwrap(), QueryOpts::new())
             .unwrap()
-            .truth()
+            .truth_in(&ExecContext::new())
             .unwrap()
     }
 
@@ -1141,7 +1135,7 @@ mod tests {
             QueryOpts::new().optimize(false),
         )
         .unwrap()
-        .truth()
+        .truth_in(&ExecContext::new())
         .unwrap()
     }
 
@@ -1360,10 +1354,16 @@ mod tests {
         let mut cat = MemoryCatalog::new();
         cat.insert("Q", GenRelation::empty(Schema::new(0, 1)));
         let f = parse("exists x. not Q(; x)").unwrap();
-        assert!(!run(&cat, &f, QueryOpts::new()).unwrap().truth().unwrap());
+        assert!(!run(&cat, &f, QueryOpts::new())
+            .unwrap()
+            .truth_in(&ExecContext::new())
+            .unwrap());
         // A variable with no sort evidence defaults to temporal, where the
         // domain (Z) is never empty.
         let f = parse("exists x. x = x").unwrap();
-        assert!(run(&cat, &f, QueryOpts::new()).unwrap().truth().unwrap());
+        assert!(run(&cat, &f, QueryOpts::new())
+            .unwrap()
+            .truth_in(&ExecContext::new())
+            .unwrap());
     }
 }

@@ -73,12 +73,10 @@ pub use itd_core::{
     RegistrySnapshot, SlowQueryEntry, Span, SpanLabel, StatsSnapshot, Trace,
 };
 pub use parser::parse;
-pub use plan::{
-    explain, explain_opt, explain_opt_with, CostEstimate, ExplainReport, Plan, PlanNode, PlanOp,
-};
+pub use plan::{explain, CostEstimate, ExplainReport, Plan, PlanNode, PlanOp};
 pub use plancache::{
-    next_plan_token, plan_cache_clear, plan_cache_invalidate, plan_cache_len, plan_cache_stats,
-    PlanCacheStats, PLAN_CACHE_CAP,
+    next_plan_token, plan_cache_invalidate, plan_cache_len, plan_cache_stats, PlanCacheStats,
+    PLAN_CACHE_CAP,
 };
 pub use sortcheck::check_sorts;
 pub use views::{MaintainedView, RefreshOutcome, RelationDelta};

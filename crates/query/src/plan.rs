@@ -20,7 +20,7 @@ use itd_core::Trace;
 
 use crate::ast::{CmpOp, DataTerm, Formula, TemporalTerm};
 use crate::catalog::Catalog;
-use crate::sortcheck::check_sorts;
+use crate::eval::QueryOpts;
 use crate::Result;
 
 /// A compiled algebra plan for a formula: an executable tree of
@@ -139,85 +139,73 @@ pub struct PlanNode {
     pub rules: Vec<String>,
 }
 
-/// Compiles a formula to its algebra plan without executing anything,
-/// annotating each node with the optimizer's cost estimates (the catalog
-/// is consulted for cardinalities, never for tuples).
+/// Compiles a formula without executing anything (EXPLAIN): the direct
+/// lowering next to the plan [`run`](crate::run) executes under `opts`,
+/// both annotated with the optimizer's cost estimates (the catalog is
+/// consulted for cardinalities, never for tuples).
 ///
-/// Performs the same sort/arity checking as evaluation, so unknown
-/// predicates and arity mismatches fail here too.
+/// The executed plan is built by the same preparation `run` performs —
+/// optimizer and compaction passes as `opts` ask — so EXPLAIN shows
+/// exactly the nodes that would run. Sort/arity checking is the same as
+/// evaluation's, so unknown predicates and arity mismatches fail here too.
 ///
 /// # Errors
 /// Sort/arity errors; see [`QueryError`](crate::QueryError).
 ///
 /// # Examples
 /// ```
-/// use itd_query::{explain, parse, MemoryCatalog};
+/// use itd_query::{explain, parse, MemoryCatalog, QueryOpts};
 /// use itd_core::{GenRelation, Schema};
 /// let mut cat = MemoryCatalog::new();
 /// cat.insert("P", GenRelation::empty(Schema::new(1, 0)));
-/// let plan = explain(&cat, &parse("P(t) and not P(t + 1)")?)?;
-/// let text = plan.render();
+/// let report = explain(&cat, &parse("P(t) and not P(t + 1)")?, QueryOpts::new())?;
+/// let text = report.logical.render();
 /// assert!(text.contains("join"));
 /// assert!(text.contains("difference"));
 /// # Ok::<(), itd_query::QueryError>(())
 /// ```
-pub fn explain(catalog: &impl Catalog, formula: &Formula) -> Result<Plan> {
-    let (f, _sorts) = check_sorts(catalog, formula)?;
-    let mut plan = Plan::of(&f);
-    crate::opt::annotate(catalog, &mut plan);
-    Ok(plan)
-}
-
-/// Compiles and optimizes: the logical plan next to its rewritten form,
-/// both cost-annotated — what the REPL's `\explain` prints when
-/// optimization is on.
-///
-/// # Errors
-/// Sort/arity errors; see [`QueryError`](crate::QueryError).
-pub fn explain_opt(catalog: &impl Catalog, formula: &Formula) -> Result<ExplainReport> {
-    explain_opt_with(catalog, formula, true)
-}
-
-/// [`explain_opt`] with explicit control over compaction insertion —
-/// what the REPL renders when `\compact` is toggled off, so EXPLAIN keeps
-/// matching what execution would run.
-///
-/// # Errors
-/// Sort/arity errors; see [`QueryError`](crate::QueryError).
-pub fn explain_opt_with(
+pub fn explain(
     catalog: &impl Catalog,
     formula: &Formula,
-    compact: bool,
+    opts: QueryOpts<'_>,
 ) -> Result<ExplainReport> {
-    let (f, _sorts) = check_sorts(catalog, formula)?;
-    let mut logical = Plan::of(&f);
+    let prepared = crate::eval::prepare(catalog, formula, &opts)?;
+    let mut logical = Plan::of(&prepared.formula);
     crate::opt::annotate(catalog, &mut logical);
-    let optimized = crate::opt::optimize(catalog, logical.clone(), compact);
-    Ok(ExplainReport { logical, optimized })
+    let mut executed = prepared.plan;
+    if executed.root.est.is_none() {
+        // Only the optimizer (or tracing) annotates the executed plan;
+        // EXPLAIN always shows estimates.
+        crate::opt::annotate(catalog, &mut executed);
+    }
+    Ok(ExplainReport { logical, executed })
 }
 
-/// Pre- and post-rewrite plans for one query (see [`explain_opt`]).
+/// What EXPLAIN reports for one query (see [`explain`]).
 #[derive(Debug, Clone, PartialEq)]
 pub struct ExplainReport {
     /// The direct lowering of the formula, cost-annotated.
     pub logical: Plan,
-    /// The plan after the rewrite pipeline ran.
-    pub optimized: Plan,
+    /// The plan execution runs under the explained options: the rewritten
+    /// plan when the optimizer is on, the direct lowering otherwise, with
+    /// any compaction passes inserted.
+    pub executed: Plan,
 }
 
 impl ExplainReport {
-    /// Renders both trees plus the list of fired rewrites.
+    /// Renders the optimizer's before/after view: both trees plus the
+    /// list of fired rewrites.
     pub fn render(&self) -> String {
         let mut out = String::from("logical plan:\n");
         out.push_str(&self.logical.render());
         out.push_str("optimized plan:\n");
-        out.push_str(&self.optimized.render());
-        if self.optimized.rewrites().is_empty() {
+        out.push_str(&self.executed.render());
+        if self.executed.rewrites().is_empty() {
             out.push_str("rewrites: none fired\n");
         } else {
             out.push_str(&format!(
                 "rewrites: {}\n",
-                self.optimized.rewrites().join(", ")
+                self.executed.rewrites().join(", ")
             ));
         }
         out
@@ -917,7 +905,9 @@ mod tests {
     }
 
     fn plan(src: &str) -> Plan {
-        explain(&cat(), &parse(src).unwrap()).unwrap()
+        explain(&cat(), &parse(src).unwrap(), QueryOpts::new())
+            .unwrap()
+            .logical
     }
 
     #[test]
@@ -991,7 +981,7 @@ mod tests {
 
     #[test]
     fn explain_checks_sorts_without_a_catalog_hit() {
-        let err = explain(&cat(), &parse("Missing(t)").unwrap()).unwrap_err();
+        let err = explain(&cat(), &parse("Missing(t)").unwrap(), QueryOpts::new()).unwrap_err();
         assert!(matches!(err, crate::QueryError::UnknownPredicate(_)));
     }
 

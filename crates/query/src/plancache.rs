@@ -202,15 +202,6 @@ pub fn plan_cache_len() -> usize {
     cache().lock().expect("plan cache poisoned").map.len()
 }
 
-/// Empties the cache (counters are preserved; the drops are *not*
-/// counted as evictions or invalidations). Mainly for tests and
-/// benchmarks that need a cold start.
-pub fn plan_cache_clear() {
-    let mut inner = cache().lock().expect("plan cache poisoned");
-    inner.map.clear();
-    inner.order.clear();
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -79,7 +79,7 @@ use crate::Result;
 /// tuples added and the generalized tuples removed, as mini-relations of
 /// the relation's schema.
 ///
-/// Produced by the storage layer (e.g. `itd-db`'s transactional `apply`)
+/// Produced by the storage layer (e.g. `itd-db`'s transactional `apply_with`)
 /// *after* the mutation, so `inserted` rows are present in — and
 /// `retracted` rows absent from — the relation the catalog now serves.
 #[derive(Debug, Clone)]

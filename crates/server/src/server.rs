@@ -15,7 +15,7 @@
 //!                          contiguous sub-batches, round-robin
 //!                                          ▼
 //!                                 bounded worker pool
-//!                     estimate → admission check → run_batch →
+//!                     estimate → admission check → run each →
 //!                     per-response write-back to the session socket
 //! ```
 //!
@@ -38,7 +38,7 @@ use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use itd_core::{CancelToken, CoreError, ExecContext, MetricsRegistry};
-use itd_db::{Database, DbError, QueryOpts, Txn, TxnSummary};
+use itd_db::{Database, DbError, QueryOpts, QueryOutput, Txn, TxnSummary};
 use itd_query::QueryError;
 
 use crate::error::ServerError;
@@ -235,7 +235,7 @@ impl Server {
     /// changed nothing).
     pub fn apply(&self, txn: Txn) -> Result<TxnSummary, ServerError> {
         let mut db = self.shared.db.write().expect("database lock poisoned");
-        Ok(db.apply(txn)?)
+        Ok(db.apply_with(txn, &ExecContext::new())?)
     }
 
     /// An O(1)-ish snapshot of the current shared database state — the
@@ -287,8 +287,15 @@ fn accept_loop(shared: &Arc<Shared>, listener: &TcpListener) {
     }
 }
 
+/// Largest request frame a session accepts, newline excluded. A longer
+/// frame — or a newline-free stream growing past it — is answered with a
+/// protocol error and closes its session, so no client can grow a
+/// session's buffer without limit.
+const MAX_FRAME_BYTES: usize = 1 << 20;
+
 /// One connection: read newline-delimited JSON requests, submit them to
-/// the admission queue, write back rejections immediately.
+/// the admission queue, write back rejections immediately. An oversize
+/// or non-UTF-8 frame gets a protocol error (id 0) and ends the session.
 fn session_loop(shared: &Arc<Shared>, stream: TcpStream) {
     shared.registry.server_connection();
     let _ = stream.set_nodelay(true);
@@ -299,19 +306,41 @@ fn session_loop(shared: &Arc<Shared>, stream: TcpStream) {
     };
     let out = Arc::new(Mutex::new(stream));
     let mut reader = BufReader::new(read_half);
-    let mut line = String::new();
+    let mut frame = Vec::new();
     while !shared.shutdown.load(Relaxed) {
-        match reader.read_line(&mut line) {
+        // Room for one more byte than a frame may hold: reading it means
+        // the frame is oversize.
+        let room = (MAX_FRAME_BYTES + 1 - frame.len()) as u64;
+        match (&mut reader).take(room).read_until(b'\n', &mut frame) {
             Ok(0) => break, // client closed
             Ok(_) => {
-                handle_line(shared, &out, line.trim());
-                line.clear();
+                if frame.last() == Some(&b'\n') {
+                    frame.pop();
+                }
+                let fatal = if frame.len() > MAX_FRAME_BYTES {
+                    Some(format!("frame exceeds {MAX_FRAME_BYTES} bytes"))
+                } else if let Ok(line) = std::str::from_utf8(&frame) {
+                    handle_line(shared, &out, line.trim());
+                    None
+                } else {
+                    Some("frame is not valid UTF-8".to_owned())
+                };
+                if let Some(what) = fatal {
+                    respond_err(&out, 0, &ServerError::Protocol(what));
+                    // Send the error ahead of the close.
+                    let _ = out
+                        .lock()
+                        .expect("session socket poisoned")
+                        .shutdown(std::net::Shutdown::Write);
+                    break;
+                }
+                frame.clear();
             }
             Err(e)
                 if e.kind() == std::io::ErrorKind::WouldBlock
                     || e.kind() == std::io::ErrorKind::TimedOut =>
             {
-                // Partial data (if any) stays in `line`; poll shutdown.
+                // Partial data (if any) stays in `frame`; poll shutdown.
             }
             Err(_) => break,
         }
@@ -480,25 +509,24 @@ fn run_sub_batch(shared: &Arc<Shared>, snapshot: &Database, jobs: Vec<Job>) {
     if admitted.is_empty() {
         return;
     }
-    // Deadline-aware contexts, one per admitted job, built before the
-    // batched run so `opts_for` can borrow them.
-    let ctxs: Vec<ExecContext> = admitted
+    // Run the whole sub-batch in order, each query on its own
+    // deadline-aware context, then answer.
+    let runs: Vec<(ExecContext, itd_db::Result<QueryOutput>)> = admitted
         .iter()
         .map(|job| {
-            let ctx = ExecContext::with_threads(shared.cfg.query_threads);
-            match job.deadline {
-                Some(deadline) => ctx.cancellable(CancelToken::with_deadline(deadline)),
-                None => ctx,
+            let mut ctx = ExecContext::with_threads(shared.cfg.query_threads);
+            if let Some(deadline) = job.deadline {
+                ctx = ctx.cancellable(CancelToken::with_deadline(deadline));
             }
+            let result = snapshot.run(&job.src, QueryOpts::new().ctx(&ctx));
+            (ctx, result)
         })
         .collect();
-    let srcs: Vec<&str> = admitted.iter().map(|j| j.src.as_str()).collect();
-    let results = snapshot.run_batch(&srcs, |i| QueryOpts::new().ctx(&ctxs[i]));
-    for ((job, ctx), result) in admitted.iter().zip(&ctxs).zip(results) {
+    for (job, (ctx, result)) in admitted.iter().zip(runs) {
         match result {
             Ok(output) => {
                 let truth = if job.truth {
-                    match output.truth_in(ctx) {
+                    match output.truth_in(&ctx) {
                         Ok(t) => Some(t),
                         Err(e) => {
                             respond_err(&job.out, job.id, &query_err(shared, DbError::Query(e)));

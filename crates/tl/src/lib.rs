@@ -311,7 +311,8 @@ pub fn satisfiable(catalog: &impl Catalog, f: &Tl) -> Result<bool, QueryError> {
 /// point (the optimizer stays on — TL compilation produces deep
 /// conjunction chains that benefit from the rewrites).
 fn truth(catalog: &impl Catalog, closed: &Formula) -> Result<bool, QueryError> {
-    itd_query::run(catalog, closed, itd_query::QueryOpts::new())?.truth()
+    let ctx = itd_query::ExecContext::new();
+    itd_query::run(catalog, closed, itd_query::QueryOpts::new().ctx(&ctx))?.truth_in(&ctx)
 }
 
 #[cfg(test)]

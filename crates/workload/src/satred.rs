@@ -102,7 +102,7 @@ pub fn brute_force_sat(cnf: &Cnf) -> Option<Vec<bool>> {
 /// Arithmetic/limit failures from the complement computation.
 pub fn solve_via_complement(cnf: &Cnf) -> itd_core::Result<Option<Vec<bool>>> {
     let r = cnf.to_relation();
-    let complement = r.complement_temporal()?;
+    let complement = r.complement_temporal_in(&itd_core::ExecContext::serial())?;
     for row in complement.rows() {
         let tuple = row.to_tuple();
         if tuple.is_empty()? {

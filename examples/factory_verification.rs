@@ -10,13 +10,14 @@
 //!
 //! Run with: `cargo run --example factory_verification`
 
-use itd_db::{Database, QueryOpts, TupleSpec};
+use itd_db::{Database, ExecContext, QueryOpts, TupleSpec};
 
 /// Closed-formula truth through the unified `run` entry point.
 fn ask(db: &Database, src: &str) -> bool {
-    db.run(src, QueryOpts::new())
+    let ctx = ExecContext::new();
+    db.run(src, QueryOpts::new().ctx(&ctx))
         .expect("query")
-        .truth()
+        .truth_in(&ctx)
         .expect("truth")
 }
 

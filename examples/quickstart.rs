@@ -3,13 +3,14 @@
 //!
 //! Run with: `cargo run --example quickstart`
 
-use itd_db::{Database, QueryOpts, TupleSpec};
+use itd_db::{Database, ExecContext, QueryOpts, TupleSpec};
 
 /// Closed-formula truth through the unified `run` entry point.
 fn ask(db: &Database, src: &str) -> bool {
-    db.run(src, QueryOpts::new())
+    let ctx = ExecContext::new();
+    db.run(src, QueryOpts::new().ctx(&ctx))
         .expect("query")
-        .truth()
+        .truth_in(&ctx)
         .expect("truth")
 }
 
@@ -67,8 +68,10 @@ fn main() {
     println!("primary and replica backups ever overlap: {overlapping}");
 
     // Algebra directly on the relation: project to start times.
+    // Each algebra call names the context its work is counted against.
+    let ctx = ExecContext::serial();
     let rel = db.table("backup").expect("table exists").relation();
-    let starts = rel.project(&[0], &[]).expect("projection");
+    let starts = rel.project_in(&[0], &[], &ctx).expect("projection");
     println!(
         "start times form {} generalized tuple(s); contains t=27? {}",
         starts.tuple_count(),

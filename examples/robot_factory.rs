@@ -11,13 +11,14 @@
 //!
 //! Run with: `cargo run --example robot_factory`
 
-use itd_db::{Database, QueryOpts, TupleSpec};
+use itd_db::{Database, ExecContext, QueryOpts, TupleSpec};
 
 /// Closed-formula truth through the unified `run` entry point.
 fn ask(db: &Database, src: &str) -> bool {
-    db.run(src, QueryOpts::new())
+    let ctx = ExecContext::new();
+    db.run(src, QueryOpts::new().ctx(&ctx))
         .expect("query")
-        .truth()
+        .truth_in(&ctx)
         .expect("truth")
 }
 
@@ -108,13 +109,15 @@ fn main() {
 
     // Algebra flavor: who is ever working at time point 22?
     // σ(from ≤ 22 ≤ to) then project the robot column.
+    // Each algebra call names the context its work is counted against.
+    let ctx = ExecContext::serial();
     let rel = db.table("perform").expect("exists").relation();
     let at_22 = rel
-        .select_temporal(itd_db::Atom::le(0, 22))
+        .select_temporal_in(itd_db::Atom::le(0, 22), &ctx)
         .expect("selection")
-        .select_temporal(itd_db::Atom::ge(1, 22))
+        .select_temporal_in(itd_db::Atom::ge(1, 22), &ctx)
         .expect("selection")
-        .project(&[], &[0])
+        .project_in(&[], &[0], &ctx)
         .expect("projection");
     let workers: Vec<String> = at_22
         .materialize(0, 0)

@@ -7,15 +7,16 @@
 //!
 //! Run with: `cargo run --example train_schedule`
 
-use itd_db::{Database, QueryOpts, TupleSpec};
+use itd_db::{Database, ExecContext, QueryOpts, TupleSpec};
 
 const HOUR: i64 = 60;
 
 /// Closed-formula truth through the unified `run` entry point.
 fn ask(db: &Database, src: &str) -> bool {
-    db.run(src, QueryOpts::new())
+    let ctx = ExecContext::new();
+    db.run(src, QueryOpts::new().ctx(&ctx))
         .expect("query")
-        .truth()
+        .truth_in(&ctx)
         .expect("truth")
 }
 
@@ -105,7 +106,7 @@ fn main() {
         .table("train")
         .expect("exists")
         .relation()
-        .project(&[0], &[0])
+        .project_in(&[0], &[0], &ExecContext::serial())
         .expect("projection");
     // 9:46 express and 9:02 slow are in the projection; 9:03 is not.
     assert!(departures.contains(&[9 * HOUR + 46], &[itd_db::Value::str("express")]));

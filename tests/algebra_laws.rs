@@ -2,7 +2,7 @@
 //! laws, checked against the brute-force materialization oracle on finite
 //! windows with randomized, seeded workloads.
 
-use itd_core::{GenRelation, Schema};
+use itd_core::{ExecContext, GenRelation, Schema};
 use itd_workload::{random_relation, RelationSpec};
 
 const WINDOW: (i64, i64) = (-18, 18);
@@ -30,43 +30,51 @@ fn check_seed(seed: u64) {
     let (ma, mb) = (mat(&a), mat(&b));
 
     // Union = set union.
-    let u = a.union(&b).unwrap();
+    let u = a.union_in(&b, &ExecContext::serial()).unwrap();
     let expect: std::collections::BTreeSet<_> = ma.union(&mb).cloned().collect();
     assert_eq!(mat(&u), expect, "union seed {seed}");
 
     // Intersection = set intersection.
-    let i = a.intersect(&b).unwrap();
+    let i = a.intersect_in(&b, &ExecContext::serial()).unwrap();
     let expect: std::collections::BTreeSet<_> = ma.intersection(&mb).cloned().collect();
     assert_eq!(mat(&i), expect, "intersection seed {seed}");
 
     // Commutativity of ∪ and ∩ (semantically).
     assert_eq!(
-        mat(&b.union(&a).unwrap()),
+        mat(&b.union_in(&a, &ExecContext::serial()).unwrap()),
         mat(&u),
         "∪ commutes seed {seed}"
     );
     assert_eq!(
-        mat(&b.intersect(&a).unwrap()),
+        mat(&b.intersect_in(&a, &ExecContext::serial()).unwrap()),
         mat(&i),
         "∩ commutes seed {seed}"
     );
 
     // Difference = set difference; A − B ⊆ A; (A − B) ∩ B = ∅.
-    let d = a.difference(&b).unwrap();
+    let d = a.difference_in(&b, &ExecContext::serial()).unwrap();
     let expect: std::collections::BTreeSet<_> = ma.difference(&mb).cloned().collect();
     assert_eq!(mat(&d), expect, "difference seed {seed}");
-    let dd = d.intersect(&b).unwrap();
+    let dd = d.intersect_in(&b, &ExecContext::serial()).unwrap();
     assert!(mat(&dd).is_empty(), "(A−B)∩B seed {seed}");
 
     // A = (A − B) ∪ (A ∩ B).
-    let rebuilt = d.union(&i).unwrap();
+    let rebuilt = d.union_in(&i, &ExecContext::serial()).unwrap();
     assert_eq!(mat(&rebuilt), ma, "partition law seed {seed}");
 
     // Idempotence: A ∩ A = A, A ∪ A = A, A − A = ∅.
-    assert_eq!(mat(&a.intersect(&a).unwrap()), ma, "∩ idempotent {seed}");
-    assert_eq!(mat(&a.union(&a).unwrap()), ma, "∪ idempotent {seed}");
+    assert_eq!(
+        mat(&a.intersect_in(&a, &ExecContext::serial()).unwrap()),
+        ma,
+        "∩ idempotent {seed}"
+    );
+    assert_eq!(
+        mat(&a.union_in(&a, &ExecContext::serial()).unwrap()),
+        ma,
+        "∪ idempotent {seed}"
+    );
     assert!(
-        mat(&a.difference(&a).unwrap()).is_empty(),
+        mat(&a.difference_in(&a, &ExecContext::serial()).unwrap()).is_empty(),
         "A−A empty {seed}"
     );
 }
@@ -85,16 +93,33 @@ fn distributivity_on_window() {
     let b = random_relation(&s, 22);
     let c = random_relation(&s, 33);
     // A ∩ (B ∪ C) = (A ∩ B) ∪ (A ∩ C)
-    let lhs = a.intersect(&b.union(&c).unwrap()).unwrap();
+    let lhs = a
+        .intersect_in(
+            &b.union_in(&c, &ExecContext::serial()).unwrap(),
+            &ExecContext::serial(),
+        )
+        .unwrap();
     let rhs = a
-        .intersect(&b)
+        .intersect_in(&b, &ExecContext::serial())
         .unwrap()
-        .union(&a.intersect(&c).unwrap())
+        .union_in(
+            &a.intersect_in(&c, &ExecContext::serial()).unwrap(),
+            &ExecContext::serial(),
+        )
         .unwrap();
     assert_eq!(mat(&lhs), mat(&rhs));
     // A − (B ∪ C) = (A − B) − C
-    let lhs = a.difference(&b.union(&c).unwrap()).unwrap();
-    let rhs = a.difference(&b).unwrap().difference(&c).unwrap();
+    let lhs = a
+        .difference_in(
+            &b.union_in(&c, &ExecContext::serial()).unwrap(),
+            &ExecContext::serial(),
+        )
+        .unwrap();
+    let rhs = a
+        .difference_in(&b, &ExecContext::serial())
+        .unwrap()
+        .difference_in(&c, &ExecContext::serial())
+        .unwrap();
     assert_eq!(mat(&lhs), mat(&rhs));
 }
 
@@ -103,7 +128,7 @@ fn complement_laws() {
     for seed in 0..6 {
         let s = spec(3, 1, 4);
         let a = random_relation(&s, seed);
-        let comp = a.complement_temporal().unwrap();
+        let comp = a.complement_temporal_in(&ExecContext::serial()).unwrap();
         let ma = mat(&a);
         let mc = mat(&comp);
         // Partition of the window.
@@ -115,12 +140,21 @@ fn complement_laws() {
             );
         }
         // Double complement (De Morgan's fixed point).
-        let back = comp.complement_temporal().unwrap();
+        let back = comp.complement_temporal_in(&ExecContext::serial()).unwrap();
         assert_eq!(mat(&back), ma, "double complement seed {seed}");
         // De Morgan: ¬(A ∪ B) = ¬A ∩ ¬B.
         let b = random_relation(&s, seed + 77);
-        let lhs = a.union(&b).unwrap().complement_temporal().unwrap();
-        let rhs = comp.intersect(&b.complement_temporal().unwrap()).unwrap();
+        let lhs = a
+            .union_in(&b, &ExecContext::serial())
+            .unwrap()
+            .complement_temporal_in(&ExecContext::serial())
+            .unwrap();
+        let rhs = comp
+            .intersect_in(
+                &b.complement_temporal_in(&ExecContext::serial()).unwrap(),
+                &ExecContext::serial(),
+            )
+            .unwrap();
         assert_eq!(mat(&lhs), mat(&rhs), "De Morgan seed {seed}");
     }
 }
@@ -131,11 +165,18 @@ fn projection_commutes_with_union() {
         let s = spec(4, 3, 3);
         let a = random_relation(&s, seed);
         let b = random_relation(&s, seed + 500);
-        let lhs = a.union(&b).unwrap().project(&[0, 2], &[]).unwrap();
-        let rhs = a
-            .project(&[0, 2], &[])
+        let lhs = a
+            .union_in(&b, &ExecContext::serial())
             .unwrap()
-            .union(&b.project(&[0, 2], &[]).unwrap())
+            .project_in(&[0, 2], &[], &ExecContext::serial())
+            .unwrap();
+        let rhs = a
+            .project_in(&[0, 2], &[], &ExecContext::serial())
+            .unwrap()
+            .union_in(
+                &b.project_in(&[0, 2], &[], &ExecContext::serial()).unwrap(),
+                &ExecContext::serial(),
+            )
             .unwrap();
         assert_eq!(mat(&lhs), mat(&rhs), "seed {seed}");
     }
@@ -149,7 +190,7 @@ fn projection_is_exact_existential() {
     for seed in 0..6 {
         let s = spec(5, 2, 4);
         let a = random_relation(&s, seed);
-        let p = a.project(&[0], &[]).unwrap();
+        let p = a.project_in(&[0], &[], &ExecContext::serial()).unwrap();
         for x in -10..=10 {
             let witness = (-80..=80).any(|y| a.contains(&[x, y], &[]));
             assert_eq!(p.contains(&[x], &[]), witness, "seed {seed}, x = {x}");
@@ -164,7 +205,7 @@ fn cross_product_and_join_semantics() {
     for seed in 0..5 {
         let a = random_relation(&s1, seed);
         let b = random_relation(&s2, seed + 99);
-        let cp = a.cross_product(&b).unwrap();
+        let cp = a.cross_product_in(&b, &ExecContext::serial()).unwrap();
         for x in -8..8 {
             for y in -8..8 {
                 assert_eq!(
@@ -175,7 +216,9 @@ fn cross_product_and_join_semantics() {
             }
         }
         // Join on the single column = intersection seen through 2 columns.
-        let j = a.join_on(&b, &[(0, 0)], &[]).unwrap();
+        let j = a
+            .join_on_in(&b, &[(0, 0)], &[], &ExecContext::serial())
+            .unwrap();
         for x in -8..8 {
             assert_eq!(
                 j.contains(&[x, x], &[]),
@@ -194,23 +237,29 @@ fn emptiness_agrees_with_materialization() {
     let s = spec(4, 2, 3);
     let a = random_relation(&s, 5);
     assert!(!a.denotes_empty().unwrap());
-    let d = a.difference(&a).unwrap();
+    let d = a.difference_in(&a, &ExecContext::serial()).unwrap();
     assert!(d.denotes_empty().unwrap());
     assert!(GenRelation::empty(Schema::new(2, 0))
         .denotes_empty()
         .unwrap());
-    let i = a.intersect(&a.complement_temporal().unwrap()).unwrap();
+    let i = a
+        .intersect_in(
+            &a.complement_temporal_in(&ExecContext::serial()).unwrap(),
+            &ExecContext::serial(),
+        )
+        .unwrap();
     assert!(i.denotes_empty().unwrap());
 }
 
+/// Compaction simplifies the representation, never the denotation.
 #[test]
 fn simplify_preserves_semantics() {
     for seed in 0..6 {
         let s = spec(6, 2, 4);
         let a = random_relation(&s, seed);
         // Duplicate the relation against itself to create redundancy.
-        let doubled = a.union(&a).unwrap();
-        let simplified = doubled.simplify().unwrap();
+        let doubled = a.union_in(&a, &ExecContext::serial()).unwrap();
+        let simplified = doubled.compact_in(&ExecContext::serial()).unwrap();
         assert!(simplified.tuple_count() <= doubled.tuple_count());
         assert_eq!(mat(&simplified), mat(&a), "seed {seed}");
     }
@@ -230,7 +279,7 @@ fn normalize_preserves_semantics_with_mixed_periods() {
         .build()
         .unwrap();
     let r = GenRelation::new(Schema::new(2, 0), vec![t1, t2]).unwrap();
-    let n = r.normalize().unwrap();
+    let n = r.normalize_in(&ExecContext::serial()).unwrap();
     for row in n.rows() {
         let t = row.to_tuple();
         assert!(t.is_normal_form().unwrap(), "{t}");

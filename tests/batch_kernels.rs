@@ -4,10 +4,23 @@
 //! values the former row-at-a-time implementation recorded on a fixed
 //! grid of inputs, and the global pairwise-outcome cache's warm-run
 //! transparency.
+//!
+//! Tests in this file serialize on a local mutex: the outcome-cache tests
+//! read the process-global cache counters over measurement windows, and
+//! every kernel run in another test adds hits and misses to them. The
+//! lock can go once the cache is owned per engine instead of per process.
+
+use std::sync::{Mutex, MutexGuard, PoisonError};
 
 use itd_core::{storage_stats, ExecContext, GenRelation, OpKind};
 use itd_workload::{oracle, random_relation, RelationSpec};
 use proptest::prelude::*;
+
+static LOCK: Mutex<()> = Mutex::new(());
+
+fn serialize() -> MutexGuard<'static, ()> {
+    LOCK.lock().unwrap_or_else(PoisonError::into_inner)
+}
 
 fn spec(tuples: usize, period: i64, data_arity: usize) -> RelationSpec {
     RelationSpec {
@@ -114,6 +127,7 @@ const PINNED: [(Case, [[u64; 11]; 3]); 12] = [
 /// and no other op records anything.
 #[test]
 fn kernel_matches_rowpath_bit_for_bit() {
+    let _g = serialize();
     for ((seed, n, data_arity), vectors) in PINNED {
         let (a, b) = operands(seed, n, data_arity);
         for ((name, kind, kernel, reference), pinned) in ops().into_iter().zip(vectors) {
@@ -147,6 +161,7 @@ proptest! {
         n in 2usize..10,
         data_arity in 0usize..3,
     ) {
+        let _g = serialize();
         let (a, b) = operands(seed, n, data_arity);
         for (name, _, kernel, reference) in ops() {
             let expected = reference(&a, &b);
@@ -165,6 +180,7 @@ proptest! {
     /// cache — with results and counters identical to the first run.
     #[test]
     fn warm_outcome_cache_is_transparent(seed in 0u64..100) {
+        let _g = serialize();
         let a = random_relation(&spec(8, 6, 1), seed);
         let b = a.clone();
         let (cold_out, cold_stats) = run_counted(1, |ctx| a.intersect_in(&b, ctx).unwrap());
@@ -190,6 +206,7 @@ proptest! {
 /// case) records misses, never wrong outcomes.
 #[test]
 fn outcome_cache_counts_misses_then_hits() {
+    let _g = serialize();
     let a = random_relation(&spec(12, 30, 0), 20_260_807);
     let b = random_relation(&spec(12, 30, 0), 20_260_808);
     let before = storage_stats();

@@ -2,7 +2,7 @@
 //! variables in queries, serde details, and API corners that the focused
 //! suites do not reach.
 
-use itd_core::{Atom, GenRelation, GenTuple, Lrp, Schema, Value};
+use itd_core::{Atom, ExecContext, GenRelation, GenTuple, Lrp, Schema, Value};
 
 fn lrp(c: i64, k: i64) -> Lrp {
     Lrp::new(c, k).unwrap()
@@ -30,7 +30,9 @@ fn join_on_multiple_temporal_pairs() {
             .unwrap()],
     )
     .unwrap();
-    let j = r.join_on(&s, &[(0, 0), (1, 1)], &[]).unwrap();
+    let j = r
+        .join_on_in(&s, &[(0, 0), (1, 1)], &[], &ExecContext::serial())
+        .unwrap();
     for a in -6..12 {
         for b in -6..12 {
             let expect = r.contains(&[a, b], &[]) && s.contains(&[a, b], &[]);
@@ -51,9 +53,15 @@ fn join_on_mixed_temporal_and_data_pairs() {
         )
         .unwrap()
     };
-    let r = mk(2, "x").union(&mk(3, "y")).unwrap();
-    let s = mk(4, "x").union(&mk(5, "y")).unwrap();
-    let j = r.join_on(&s, &[(0, 0)], &[(0, 0)]).unwrap();
+    let r = mk(2, "x")
+        .union_in(&mk(3, "y"), &ExecContext::serial())
+        .unwrap();
+    let s = mk(4, "x")
+        .union_in(&mk(5, "y"), &ExecContext::serial())
+        .unwrap();
+    let j = r
+        .join_on_in(&s, &[(0, 0)], &[(0, 0)], &ExecContext::serial())
+        .unwrap();
     // x-lane: multiples of lcm(2,4) = 4; y-lane: multiples of 15.
     assert!(j.contains(&[4, 4], &[Value::str("x"), Value::str("x")]));
     assert!(!j.contains(&[2, 2], &[Value::str("x"), Value::str("x")]));
@@ -68,7 +76,7 @@ fn query_shifted_repeated_variable() {
     let ask = |cat: &MemoryCatalog, src: &str| {
         run(cat, &parse(src).unwrap(), QueryOpts::new())
             .unwrap()
-            .truth()
+            .truth_in(&ExecContext::new())
             .unwrap()
     };
     let mut cat = MemoryCatalog::new();
@@ -219,7 +227,11 @@ fn compact_after_union_of_refinements() {
         vec![GenTuple::unconstrained(vec![lrp(1, 2)], vec![])],
     )
     .unwrap();
-    let evens = odds.complement_temporal().unwrap().compact().unwrap();
+    let evens = odds
+        .complement_temporal_in(&ExecContext::serial())
+        .unwrap()
+        .compact_in(&ExecContext::serial())
+        .unwrap();
     assert_eq!(evens.tuple_count(), 1);
     assert_eq!(evens.row(0).unwrap().lrps()[0], lrp(0, 2));
 }

@@ -1,7 +1,7 @@
 //! Figure 1 / §3.3: tuple and relation difference, with seeded randomized
 //! cross-checks of the decomposition `t1 − t2 = (t1 − t2*) ∪ (t̄2 ∩ t1)`.
 
-use itd_core::{GenRelation, Value};
+use itd_core::{ExecContext, GenRelation, Value};
 use itd_workload::{random_relation, RelationSpec};
 
 const WINDOW: (i64, i64) = (-15, 15);
@@ -31,7 +31,7 @@ fn single_tuple_difference_matches_sets() {
         let p2 = 2 + ((seed / 4) % 5);
         let a = random_relation(&spec(2, p1 as i64, 0.5), seed);
         let b = random_relation(&spec(2, p2 as i64, 0.5), seed + 1234);
-        let d = a.difference(&b).unwrap();
+        let d = a.difference_in(&b, &ExecContext::serial()).unwrap();
         let expect: std::collections::BTreeSet<_> = mat(&a).difference(&mat(&b)).cloned().collect();
         assert_eq!(mat(&d), expect, "seed {seed} (p1={p1}, p2={p2})");
     }
@@ -59,7 +59,7 @@ fn constrained_subtrahend_exercises_both_parts() {
         .unwrap();
     let a = GenRelation::new(Schema::new(2, 0), vec![t1]).unwrap();
     let b = GenRelation::new(Schema::new(2, 0), vec![t2]).unwrap();
-    let d = a.difference(&b).unwrap();
+    let d = a.difference_in(&b, &ExecContext::serial()).unwrap();
     // Survivors: X1 ≡ 2 (mod 4) — removed residue class complement — and
     // multiples of 4 with X2 < 4 — the negated-constraint part.
     assert!(d.contains(&[2, 2], &[])); // removed-class complement
@@ -91,11 +91,11 @@ fn multi_tuple_fold() {
             },
             seed + 50,
         );
-        let d = a.difference(&b).unwrap();
+        let d = a.difference_in(&b, &ExecContext::serial()).unwrap();
         let expect: std::collections::BTreeSet<_> = mat(&a).difference(&mat(&b)).cloned().collect();
         assert_eq!(mat(&d), expect, "seed {seed}");
         // A − B − B = A − B.
-        let d2 = d.difference(&b).unwrap();
+        let d2 = d.difference_in(&b, &ExecContext::serial()).unwrap();
         assert_eq!(mat(&d2), mat(&d), "seed {seed}");
     }
 }
@@ -119,13 +119,13 @@ fn point_subtraction_chains() {
             .push(GenTuple::unconstrained(vec![Lrp::point(p)], vec![]))
             .unwrap();
     }
-    let d = evens.difference(&holes).unwrap();
+    let d = evens.difference_in(&holes, &ExecContext::serial()).unwrap();
     for x in -12..14 {
         let expect = x % 2 == 0 && ![0, 4, 10].contains(&x);
         assert_eq!(d.contains(&[x], &[]), expect, "x = {x}");
     }
     // Punch the same holes again: no change.
-    let d2 = d.difference(&holes).unwrap();
+    let d2 = d.difference_in(&holes, &ExecContext::serial()).unwrap();
     assert_eq!(mat(&d2), mat(&d));
 }
 
@@ -138,7 +138,7 @@ fn data_attributes_partition_difference() {
         |who: &str| GenTuple::unconstrained(vec![Lrp::new(0, 2).unwrap()], vec![Value::str(who)]);
     let a = GenRelation::new(Schema::new(1, 1), vec![mk("x"), mk("y")]).unwrap();
     let b = GenRelation::new(Schema::new(1, 1), vec![mk("x")]).unwrap();
-    let d = a.difference(&b).unwrap();
+    let d = a.difference_in(&b, &ExecContext::serial()).unwrap();
     assert!(!d.contains(&[2], &[Value::str("x")]));
     assert!(d.contains(&[2], &[Value::str("y")]));
 }

@@ -253,7 +253,7 @@ fn normalize_counters_match_counting_formula() {
 fn intersect_counters_count_pairs() {
     let b = bases();
     let (two, three) = (&b[0], &b[1]);
-    let both = two.union(three).unwrap(); // 3 tuples
+    let both = two.union_in(three, &ExecContext::serial()).unwrap(); // 3 tuples
     let ctx = ExecContext::serial();
     let out = both.intersect_in(&b[2], &ctx).unwrap();
     let op = *ctx.stats().op(OpKind::Intersect);
@@ -346,7 +346,7 @@ fn traced_query_spans_sum_to_stats_and_are_thread_invariant() {
     let f = parse("even(t) and not even(t + 1)").unwrap();
 
     // EXPLAIN compiles the join + difference without touching a relation.
-    let plan = explain(&cat, &f).unwrap();
+    let plan = explain(&cat, &f, QueryOpts::new()).unwrap().logical;
     let rendered = plan.render();
     assert!(rendered.contains("join on t"), "{rendered}");
     assert!(rendered.contains("difference from Z^1"), "{rendered}");

@@ -2,6 +2,7 @@
 //! actually *solving 3-SAT* with the complement machinery and checking
 //! against a brute-force oracle.
 
+use itd_core::ExecContext;
 use itd_workload::{brute_force_sat, random_3cnf, solve_via_complement, Cnf, Lit};
 
 fn lit(var: usize, positive: bool) -> Lit {
@@ -71,7 +72,10 @@ fn pigeonhole_style_unsat() {
     };
     assert!(brute_force_sat(&cnf).is_none());
     // The complement is empty: r covers all of Z³.
-    let complement = cnf.to_relation().complement_temporal().unwrap();
+    let complement = cnf
+        .to_relation()
+        .complement_temporal_in(&ExecContext::serial())
+        .unwrap();
     assert!(complement.denotes_empty().unwrap());
     assert!(solve_via_complement(&cnf).unwrap().is_none());
 }

@@ -2,12 +2,14 @@
 //! through the public API only.
 
 use itd_db::{
-    Atom, Database, DbError, GenRelation, GenTuple, Lrp, QueryOpts, Schema, TupleSpec, Value,
+    Atom, Database, DbError, ExecContext, GenRelation, GenTuple, Lrp, QueryOpts, Schema, TupleSpec,
+    Value,
 };
 
 fn ask(db: &Database, src: &str) -> itd_db::Result<bool> {
-    db.run(src, QueryOpts::new())?
-        .truth()
+    let ctx = ExecContext::new();
+    db.run(src, QueryOpts::new().ctx(&ctx))?
+        .truth_in(&ctx)
         .map_err(DbError::Query)
 }
 
@@ -130,7 +132,7 @@ fn example_3_1_intersection() {
             .unwrap()],
     )
     .unwrap();
-    let i = a.intersect(&b).unwrap();
+    let i = a.intersect_in(&b, &ExecContext::serial()).unwrap();
     assert_eq!(i.tuple_count(), 1);
     let t = i.row(0).unwrap();
     assert_eq!(t.lrps()[0], lrp(5, 10));
@@ -168,12 +170,12 @@ fn example_3_2_normalization_and_projection() {
     let rel = GenRelation::new(Schema::new(2, 0), vec![t]).unwrap();
 
     // Normalized: the surviving tuple is [8n+3, 8n+1] X1 = X2+2 ∧ X2 ≥ 9.
-    let norm = rel.normalize().unwrap();
+    let norm = rel.normalize_in(&ExecContext::serial()).unwrap();
     assert_eq!(norm.tuple_count(), 1);
     assert!(norm.row(0).unwrap().to_tuple().is_normal_form().unwrap());
 
     // Projection on X1: the paper's answer is 8n+3 with X1 ≥ 11.
-    let p = rel.project(&[0], &[]).unwrap();
+    let p = rel.project_in(&[0], &[], &ExecContext::serial()).unwrap();
     let present: Vec<i64> = (0..50).filter(|&x| p.contains(&[x], &[])).collect();
     assert_eq!(present, vec![11, 19, 27, 35, 43]);
 }

@@ -1,11 +1,12 @@
 //! Serde persistence: databases round-trip through JSON (and files)
 //! without semantic change, across randomized contents.
 
-use itd_db::{Database, DbError, QueryOpts, TupleSpec};
+use itd_db::{Database, DbError, ExecContext, QueryOpts, TupleSpec};
 
 fn ask(db: &Database, src: &str) -> itd_db::Result<bool> {
-    db.run(src, QueryOpts::new())?
-        .truth()
+    let ctx = ExecContext::new();
+    db.run(src, QueryOpts::new().ctx(&ctx))?
+        .truth_in(&ctx)
         .map_err(DbError::Query)
 }
 use itd_workload::{random_relation, RelationSpec};

@@ -2,10 +2,12 @@
 //! for representative queries are pinned byte-for-byte. A diff here
 //! means the lowering, the cost model's printed estimates, or a rewrite
 //! rule changed behavior — update the golden deliberately, in the same
-//! change that altered the optimizer.
+//! change that altered the optimizer. Also checks that EXPLAIN shows the
+//! plan execution runs, under every optimizer and compaction setting.
 
 use itd_core::{GenRelation, GenTuple, Lrp, Schema, Value};
-use itd_query::{explain_opt, parse, MemoryCatalog};
+use itd_db::{Database, TupleSpec};
+use itd_query::{explain, parse, MemoryCatalog, Plan, PlanNode, PlanOp, QueryOpts};
 
 /// A fixed catalog (no randomness) so estimates — and therefore the
 /// rendered goldens — are stable.
@@ -49,7 +51,7 @@ fn catalog() -> MemoryCatalog {
 #[track_caller]
 fn check(src: &str, name: &str, golden: &str) {
     let cat = catalog();
-    let report = explain_opt(&cat, &parse(src).unwrap()).unwrap();
+    let report = explain(&cat, &parse(src).unwrap(), QueryOpts::new()).unwrap();
     let actual = report.render();
     if std::env::var_os("BLESS").is_some() {
         std::fs::write(format!("../../tests/goldens/{name}"), &actual).unwrap();
@@ -93,4 +95,50 @@ fn golden_pushdown_with_negation() {
         "pushdown_negation.explain.txt",
         include_str!("goldens/pushdown_negation.explain.txt"),
     );
+}
+
+/// The plan as (node id, operation) pairs in pre-order.
+fn shape(plan: &Plan) -> Vec<(u64, PlanOp)> {
+    fn walk(node: &PlanNode, out: &mut Vec<(u64, PlanOp)>) {
+        out.push((node.id, node.op.clone()));
+        for child in &node.children {
+            walk(child, out);
+        }
+    }
+    let mut out = Vec::new();
+    walk(plan.root(), &mut out);
+    out
+}
+
+/// EXPLAIN's executed plan is the plan `run` executes, node for node,
+/// with the optimizer and compaction each on or off. Twelve rows per
+/// table put both scans over the compaction threshold, so compaction
+/// passes appear whenever compaction is on — with the optimizer off too.
+#[test]
+fn explain_shows_the_executed_plan() {
+    let mut db = Database::new();
+    for (name, period) in [("p", 12), ("q", 16)] {
+        db.create_table(name, &["t"], &[]).unwrap();
+        let table = db.table_mut(name).unwrap();
+        for offset in 0..12 {
+            table
+                .insert(TupleSpec::new().lrp("t", offset, period))
+                .unwrap();
+        }
+    }
+    let src = "p(t) and q(t)";
+    for optimize in [true, false] {
+        for compact in [true, false] {
+            let opts = QueryOpts::new().optimize(optimize).compact(compact);
+            let explained = shape(&db.explain(src, opts).unwrap().executed);
+            let executed = shape(&db.run(src, opts).unwrap().plan);
+            let case = format!("optimize {optimize}, compact {compact}");
+            assert_eq!(explained, executed, "{case}");
+            assert_eq!(
+                executed.iter().any(|(_, op)| *op == PlanOp::Compact),
+                compact,
+                "{case}: compaction passes present exactly when on"
+            );
+        }
+    }
 }

@@ -2,6 +2,7 @@
 //! translations, and agreement with direct evaluation — including the
 //! paper's own proof-case formulas.
 
+use itd_core::ExecContext;
 use itd_presburger::{BinaryAtom, BinaryFormula, UnaryAtom, UnaryFormula};
 
 /// All four unary basic-formula shapes, with the coefficient signs the
@@ -126,7 +127,7 @@ fn compilation_is_homomorphic() {
     let conj_compiled = a
         .to_relation()
         .unwrap()
-        .intersect(&b.to_relation().unwrap())
+        .intersect_in(&b.to_relation().unwrap(), &ExecContext::serial())
         .unwrap();
     for v in -20..40 {
         assert_eq!(

@@ -1,7 +1,7 @@
 //! Figure 2 / Figure 3 / Theorem 3.1: real-valued projection is unsound on
 //! lrp grids, and normalization repairs it exactly.
 
-use itd_core::{Atom, ConstraintSystem, GenRelation, GenTuple, Lrp, Schema};
+use itd_core::{Atom, ConstraintSystem, ExecContext, GenRelation, GenTuple, Lrp, Schema};
 
 fn lrp(c: i64, k: i64) -> Lrp {
     Lrp::new(c, k).unwrap()
@@ -53,7 +53,7 @@ fn naive_projection_overapproximates() {
 #[test]
 fn exact_projection_rejects_false_witnesses() {
     let rel = GenRelation::new(Schema::new(2, 0), vec![figure_2_tuple()]).unwrap();
-    let p = rel.project(&[0], &[]).unwrap();
+    let p = rel.project_in(&[0], &[], &ExecContext::serial()).unwrap();
     for bogus in [3, 7, 15, 23] {
         assert!(!p.contains(&[bogus], &[]), "{bogus} has no witness");
         // Confirm by brute force that x2 really cannot exist.
@@ -65,7 +65,7 @@ fn exact_projection_rejects_false_witnesses() {
 #[test]
 fn exact_projection_matches_brute_force_everywhere() {
     let rel = GenRelation::new(Schema::new(2, 0), vec![figure_2_tuple()]).unwrap();
-    let p = rel.project(&[0], &[]).unwrap();
+    let p = rel.project_in(&[0], &[], &ExecContext::serial()).unwrap();
     for x1 in -40..80 {
         let brute = (-100..200).any(|x2| rel.contains(&[x1, x2], &[]));
         assert_eq!(p.contains(&[x1], &[]), brute, "x1 = {x1}");
@@ -103,7 +103,7 @@ fn projection_of_multi_tuple_relations() {
         ],
     )
     .unwrap();
-    let p = rel.project(&[1], &[]).unwrap();
+    let p = rel.project_in(&[1], &[], &ExecContext::serial()).unwrap();
     for x2 in -30..60 {
         let brute = (-100..150).any(|x1| rel.contains(&[x1, x2], &[]));
         assert_eq!(p.contains(&[x2], &[]), brute, "x2 = {x2}");
@@ -113,7 +113,7 @@ fn projection_of_multi_tuple_relations() {
 #[test]
 fn projecting_out_everything_is_emptiness() {
     let rel = GenRelation::new(Schema::new(2, 0), vec![figure_2_tuple()]).unwrap();
-    let zero = rel.project(&[], &[]).unwrap();
+    let zero = rel.project_in(&[], &[], &ExecContext::serial()).unwrap();
     assert!(!zero.denotes_empty().unwrap());
     // An unsatisfiable-on-grid tuple projects to the empty 0-ary relation.
     let ghost = GenRelation::new(
@@ -125,5 +125,9 @@ fn projecting_out_everything_is_emptiness() {
             .unwrap()],
     )
     .unwrap();
-    assert!(ghost.project(&[], &[]).unwrap().denotes_empty().unwrap());
+    assert!(ghost
+        .project_in(&[], &[], &ExecContext::serial())
+        .unwrap()
+        .denotes_empty()
+        .unwrap());
 }

@@ -3,13 +3,14 @@
 //! (Theorem 4.1: the same query over growing databases keeps working and
 //! answers consistently).
 
-use itd_db::{Database, DbError, QueryOpts, TupleSpec};
+use itd_db::{Database, DbError, ExecContext, QueryOpts, TupleSpec};
 
 /// `db.run` + closed-formula truth, the post-`QueryOpts` idiom for what
 /// used to be `db.ask`.
 fn ask(db: &Database, src: &str) -> itd_db::Result<bool> {
-    db.run(src, QueryOpts::new())?
-        .truth()
+    let ctx = ExecContext::new();
+    db.run(src, QueryOpts::new().ctx(&ctx))?
+        .truth_in(&ctx)
         .map_err(DbError::Query)
 }
 

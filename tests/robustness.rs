@@ -1,7 +1,7 @@
 //! Robustness: no panics on adversarial input; arithmetic overflow
 //! surfaces as typed errors, never as wraparound or aborts.
 
-use itd_core::{Atom, CoreError, GenRelation, GenTuple, Lrp, Schema};
+use itd_core::{Atom, CoreError, ExecContext, GenRelation, GenTuple, Lrp, Schema};
 use proptest::prelude::*;
 
 proptest! {
@@ -84,7 +84,7 @@ fn complement_limit_is_an_error() {
         )],
     )
     .unwrap();
-    match r.complement_temporal() {
+    match r.complement_temporal_in(&ExecContext::serial()) {
         Err(CoreError::TooManyExtensions { period, arity, .. }) => {
             assert_eq!(period, 1009);
             assert_eq!(arity, 3);
@@ -101,9 +101,9 @@ fn extreme_offsets_stay_exact() {
     let t = GenTuple::unconstrained(vec![Lrp::point(big)], vec![]);
     assert!(t.contains(&[big], &[]));
     let r = GenRelation::new(Schema::new(1, 0), vec![t]).unwrap();
-    assert!(r.shift_temporal(0, 5).is_ok());
+    assert!(r.shift_temporal_in(0, 5, &ExecContext::serial()).is_ok());
     assert!(matches!(
-        r.shift_temporal(0, 100),
+        r.shift_temporal_in(0, 100, &ExecContext::serial()),
         Err(CoreError::Numth(itd_numth::NumthError::Overflow))
     ));
 }
@@ -151,7 +151,7 @@ fn deep_query_nesting_does_not_stack_overflow() {
     // even(0) under an even number of negations: true.
     assert!(itd_query::run(&cat, &f, itd_query::QueryOpts::new())
         .unwrap()
-        .truth()
+        .truth_in(&itd_core::ExecContext::new())
         .unwrap());
 }
 

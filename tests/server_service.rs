@@ -179,6 +179,59 @@ fn malformed_frames_get_typed_protocol_errors() {
     server.shutdown();
 }
 
+/// Reads one response frame and checks it is a protocol error (id 0)
+/// mentioning `what`, after which the server closes the session.
+fn expect_fatal_protocol_error(stream: TcpStream, what: &str) {
+    let mut reader = BufReader::new(stream);
+    let mut line = String::new();
+    reader.read_line(&mut line).unwrap();
+    let resp = itd_server::wire::parse_response(line.trim()).unwrap();
+    assert_eq!(resp.id, 0, "frame errors answer with id 0");
+    let err = resp.payload.unwrap_err();
+    assert_eq!(err.kind, "protocol");
+    assert!(err.message.contains(what), "{}", err.message);
+    line.clear();
+    assert!(
+        matches!(reader.read_line(&mut line), Ok(0) | Err(_)),
+        "the session closes after a fatal frame: {line}"
+    );
+}
+
+#[test]
+fn oversize_and_non_utf8_frames_close_only_their_session() {
+    let server = start(ServerConfig::default());
+
+    // 2 MiB without a newline, twice the frame bound. The server stops
+    // reading at the bound, so the flood runs on its own thread and ends
+    // with a write error once the session closes.
+    let stream = TcpStream::connect(server.addr()).unwrap();
+    let mut writer = stream.try_clone().unwrap();
+    let flood = std::thread::spawn(move || {
+        let _ = writer.write_all(&vec![b'x'; 2 << 20]);
+    });
+    expect_fatal_protocol_error(stream, "exceeds");
+    flood.join().unwrap();
+
+    let mut stream = TcpStream::connect(server.addr()).unwrap();
+    stream
+        .write_all(b"{\"id\": 1, \"query\": \"\xff\"}\n")
+        .unwrap();
+    expect_fatal_protocol_error(stream, "UTF-8");
+
+    // Other sessions are unaffected.
+    let mut client = Client::connect(server.addr()).unwrap();
+    let res = client.query("svc_even(t)").unwrap();
+    assert_eq!(res.result, direct(&server, "svc_even(t)").2);
+    let snap = server.registry().snapshot();
+    assert_eq!(snap.server_requests, 1, "bad frames never reach admission");
+    assert_eq!(
+        snap.server_admitted + snap.server_rejected_over_budget + snap.server_rejected_queue_full,
+        snap.server_requests,
+        "every submission is admitted or rejected, exactly once"
+    );
+    server.shutdown();
+}
+
 #[test]
 fn engine_errors_travel_as_rendered_chains() {
     let server = start(ServerConfig::default());

@@ -182,18 +182,20 @@ fn txn_validates_everything_before_mutating() {
     let before: Vec<_> = db.views().into_iter().map(|v| v.refreshes).collect();
 
     // Unknown table: the valid first op must not land.
-    let err = db.apply(
+    let err = db.apply_with(
         Txn::new()
             .insert("vs", TupleSpec::new().lrp("t", 1, 3).datum("k", 2))
             .insert("nosuch", TupleSpec::new().lrp("t", 0, 2)),
+        &ExecContext::new(),
     );
     assert!(err.is_err());
 
     // Incomplete spec (missing datum for the data attribute).
-    let err = db.apply(
+    let err = db.apply_with(
         Txn::new()
             .insert("vs", TupleSpec::new().lrp("t", 1, 3).datum("k", 2))
             .insert("vs", TupleSpec::new().lrp("t", 2, 3)),
+        &ExecContext::new(),
     );
     assert!(err.is_err());
 
@@ -212,7 +214,7 @@ fn txn_validates_everything_before_mutating() {
 fn empty_txn_is_a_noop() {
     let (mut db, _ids) = fresh_db();
     let token = db.plan_token();
-    let summary = db.apply(Txn::new()).unwrap();
+    let summary = db.apply_with(Txn::new(), &ExecContext::new()).unwrap();
     assert_eq!(summary, itd_db::TxnSummary::default());
     assert_eq!(db.plan_token(), token);
 }
@@ -221,7 +223,10 @@ fn empty_txn_is_a_noop() {
 fn retract_of_absent_row_is_not_an_error() {
     let (mut db, _ids) = fresh_db();
     let summary = db
-        .apply(Txn::new().retract("vr", TupleSpec::new().lrp("t", 5, 7)))
+        .apply_with(
+            Txn::new().retract("vr", TupleSpec::new().lrp("t", 5, 7)),
+            &ExecContext::new(),
+        )
         .unwrap();
     assert_eq!(summary.retracted, 0);
     // Views are still refreshed (with empty deltas).
@@ -268,7 +273,10 @@ fn out_of_band_mutations_force_a_counted_recompute() {
         .unwrap();
 
     let summary = db
-        .apply(Txn::new().insert("vr", TupleSpec::new().lrp("t", 2, 6)))
+        .apply_with(
+            Txn::new().insert("vr", TupleSpec::new().lrp("t", 2, 6)),
+            &ExecContext::new(),
+        )
         .unwrap();
     assert_eq!(summary.views_refreshed, VIEWS.len());
     assert_eq!(
@@ -287,7 +295,10 @@ fn out_of_band_mutations_force_a_counted_recompute() {
 
     // The next apply is incremental again.
     let summary = db
-        .apply(Txn::new().retract("vr", TupleSpec::new().lrp("t", 2, 6)))
+        .apply_with(
+            Txn::new().retract("vr", TupleSpec::new().lrp("t", 2, 6)),
+            &ExecContext::new(),
+        )
         .unwrap();
     assert_eq!(summary.views_recomputed, 0);
 }
@@ -300,8 +311,11 @@ fn metrics_count_view_maintenance() {
     // Registration evaluates each view once but is not a refresh.
     assert_eq!(before.view_refreshes, 0);
 
-    db.apply(Txn::new().insert("vr", TupleSpec::new().lrp("t", 3, 6)))
-        .unwrap();
+    db.apply_with(
+        Txn::new().insert("vr", TupleSpec::new().lrp("t", 3, 6)),
+        &ExecContext::new(),
+    )
+    .unwrap();
     let after = db.metrics().snapshot();
     assert_eq!(
         after.view_refreshes,
@@ -333,8 +347,11 @@ fn metrics_count_view_maintenance() {
 #[test]
 fn view_info_reports_the_query_and_counters() {
     let (mut db, _ids) = fresh_db();
-    db.apply(Txn::new().insert("vs", TupleSpec::new().lrp("t", 2, 3).datum("k", 0)))
-        .unwrap();
+    db.apply_with(
+        Txn::new().insert("vs", TupleSpec::new().lrp("t", 2, 3).datum("k", 0)),
+        &ExecContext::new(),
+    )
+    .unwrap();
     let infos = db.views();
     let joined = infos.iter().find(|v| v.name == "joined").unwrap();
     // `query` is the parsed formula's rendering, not the source string.
@@ -359,7 +376,10 @@ fn view_registered_over_empty_table_sees_later_inserts() {
     assert_eq!(db.view(id).unwrap().relation.tuple_count(), 0);
 
     let summary = db
-        .apply(Txn::new().insert("ev", TupleSpec::new().lrp("t", 0, 2)))
+        .apply_with(
+            Txn::new().insert("ev", TupleSpec::new().lrp("t", 0, 2)),
+            &ExecContext::new(),
+        )
         .unwrap();
     assert_eq!(summary.views_refreshed, 1);
 
@@ -369,10 +389,16 @@ fn view_registered_over_empty_table_sees_later_inserts() {
 
     // Draining the table again keeps the pinned plan live: the next
     // insert is still seen.
-    db.apply(Txn::new().retract("ev", TupleSpec::new().lrp("t", 0, 2)))
-        .unwrap();
+    db.apply_with(
+        Txn::new().retract("ev", TupleSpec::new().lrp("t", 0, 2)),
+        &ExecContext::new(),
+    )
+    .unwrap();
     assert_eq!(db.view(id).unwrap().relation.tuple_count(), 0);
-    db.apply(Txn::new().insert("ev", TupleSpec::new().lrp("t", 1, 2)))
-        .unwrap();
+    db.apply_with(
+        Txn::new().insert("ev", TupleSpec::new().lrp("t", 1, 2)),
+        &ExecContext::new(),
+    )
+    .unwrap();
     assert!(db.view(id).unwrap().relation.contains(&[5], &[]));
 }
