@@ -1693,7 +1693,9 @@ fn metrics_registry() {
             ("queries", snap.queries),
         ],
     );
-    let prom = snap.to_prometheus();
+    // The report is one process, so the process-wide storage gauges belong
+    // in its rendering.
+    let prom = snap.to_prometheus() + &itd_core::storage_stats().to_prometheus();
     match std::fs::write("BENCH_metrics.prom", &prom) {
         Ok(()) => println!(
             "\nPrometheus rendering: BENCH_metrics.prom ({} lines).",

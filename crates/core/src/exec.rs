@@ -10,10 +10,12 @@
 //!   space* and the per-chunk outputs are concatenated in chunk order, so
 //!   the result is **bit-identical at any thread count** (and identical
 //!   to the serial path);
-//! * **per-operator counters** ([`OpStats`]) — tuples in/out, candidate
-//!   pairs examined, empty tuples pruned, constraint atoms rewritten,
-//!   the largest common period encountered, and wall time. A cheap,
-//!   clonable [`StatsSnapshot`] can be taken at any moment; the query
+//! * **per-operator counters** ([`OpSnapshot`]) — tuples in/out,
+//!   candidate pairs examined, empty tuples pruned, constraint atoms
+//!   rewritten, the largest common period encountered, and wall time.
+//!   Each operator call counts into its own record, merged into the
+//!   context's totals when the call returns. A cheap, clonable
+//!   [`StatsSnapshot`] of the totals can be taken at any moment; the query
 //!   layer surfaces it as `QueryResult::stats` and the REPL as `\stats`.
 //!
 //! The `*_in` operator methods are the one way to call the algebra: every
@@ -26,14 +28,14 @@
 use std::fmt;
 use std::ops::Deref;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering::Relaxed};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use std::thread;
 use std::time::{Duration, Instant};
 
 use crate::trace::{NodeSpan, SpanLabel, Trace, TraceSink};
 use crate::Result;
 
-/// The relation-level operators distinguished by [`OpStats`].
+/// The relation-level operators distinguished by [`StatsSnapshot`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum OpKind {
     /// Union (§3.1).
@@ -113,25 +115,127 @@ impl fmt::Display for OpKind {
     }
 }
 
-/// Live (atomic) counters for one operator kind.
-///
-/// All updates are `Relaxed`: the counters are monotone tallies with no
-/// ordering relationship to the data they describe, and readers only see
-/// them through [`OpStats::snapshot`] after the operators have returned.
-#[derive(Debug, Default)]
-pub struct OpCounters {
-    calls: AtomicU64,
-    tuples_in: AtomicU64,
-    tuples_out: AtomicU64,
-    pairs: AtomicU64,
-    empties_pruned: AtomicU64,
-    index_probes: AtomicU64,
-    index_pruned: AtomicU64,
-    atoms_simplified: AtomicU64,
-    tuples_subsumed: AtomicU64,
-    coalesce_merges: AtomicU64,
-    max_period: AtomicU64,
-    nanos: AtomicU64,
+/// How a counter combines across operator calls, and so how it merges,
+/// differences, scrubs and exports.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Combine {
+    /// A tally: calls add up, and a window is the end value minus the
+    /// start value. Exported as a Prometheus `_total` counter.
+    Sum,
+    /// A high-water mark: calls take the maximum, and a window keeps the
+    /// end value (maxima do not difference). Exported as a gauge.
+    Max,
+    /// Wall time in nanoseconds: a tally, and the one counter that varies
+    /// run to run, so timing scrubs zero it. Exported in seconds.
+    Nanos,
+}
+
+/// One per-operator counter, as listed in [`OpSnapshot::COUNTERS`].
+#[derive(Debug)]
+pub(crate) struct Counter {
+    /// Field name: the key in every JSON export and the stem of the
+    /// Prometheus family.
+    pub(crate) name: &'static str,
+    /// Column header in the `\stats` table, and the column's width.
+    label: &'static str,
+    width: usize,
+    /// Prometheus help text.
+    pub(crate) help: &'static str,
+    pub(crate) combine: Combine,
+    read: fn(&OpSnapshot) -> u64,
+    field: fn(&mut OpSnapshot) -> &mut u64,
+}
+
+impl Counter {
+    /// This counter's value in `op`.
+    pub(crate) fn get(&self, op: &OpSnapshot) -> u64 {
+        (self.read)(op)
+    }
+
+    /// Whether a single span exports this counter: a span is one call, so
+    /// `calls` says nothing, and its wall time is exported as a duration.
+    pub(crate) fn per_span(&self) -> bool {
+        self.name != "calls" && self.combine != Combine::Nanos
+    }
+}
+
+/// Declares the per-operator counters once: the fields of [`OpSnapshot`],
+/// the live [`OpCounters`] of one call, and [`OpSnapshot::COUNTERS`], the
+/// list that every merge, difference, scrub and exporter walks.
+macro_rules! op_counters {
+    ($(
+        $(#[doc = $doc:literal])+
+        $name:ident: $combine:ident, $label:literal / $width:literal, $help:literal;
+    )+) => {
+        /// Plain-data copy of one operator's counters.
+        #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+        pub struct OpSnapshot {
+            $($(#[doc = $doc])+ pub $name: u64,)+
+        }
+
+        /// The live counters of one operator call, owned by its
+        /// [`OpTimer`]. The operator and its scoped workers add into them;
+        /// updates are `Relaxed` because the counters are tallies that
+        /// publish no other data, and the workers join before the call
+        /// ends and the record is read.
+        #[derive(Debug, Default)]
+        pub(crate) struct OpCounters {
+            $($name: AtomicU64,)+
+        }
+
+        impl OpCounters {
+            fn snapshot(&self) -> OpSnapshot {
+                OpSnapshot { $($name: self.$name.load(Relaxed),)+ }
+            }
+        }
+
+        impl OpSnapshot {
+            /// Every counter, in export order.
+            pub(crate) const COUNTERS: &'static [Counter] = &[$(Counter {
+                name: stringify!($name),
+                label: $label,
+                width: $width,
+                help: $help,
+                combine: Combine::$combine,
+                read: |o| o.$name,
+                field: |o| &mut o.$name,
+            },)+];
+        }
+    };
+}
+
+op_counters! {
+    /// Operator invocations.
+    calls: Sum, "calls" / 6, "Algebra operator invocations.";
+    /// Generalized tuples consumed (both operands).
+    tuples_in: Sum, "in" / 9, "Generalized tuples consumed.";
+    /// Generalized tuples produced.
+    tuples_out: Sum, "out" / 9, "Generalized tuples produced.";
+    /// Candidate tuple pairs / refinement combinations examined.
+    pairs: Sum, "pairs" / 9, "Candidate tuple pairs examined.";
+    /// Candidates dropped as empty or unsatisfiable (including pairs the
+    /// residue index proved empty without examining them).
+    empties_pruned: Sum, "pruned" / 8, "Candidates dropped as empty.";
+    /// Candidate pairs actually examined after residue-index filtering
+    /// (zero when the operator ran without an index).
+    index_probes: Sum, "probes" / 9, "Candidate pairs probed after index filtering.";
+    /// Candidate pairs skipped by the residue index (data-hash or residue
+    /// incompatibility); `index_probes + index_pruned == pairs` whenever an
+    /// index was consulted.
+    index_pruned: Sum, "skipped" / 9, "Candidate pairs skipped by the residue index.";
+    /// Constraint atoms rewritten (added, conjoined, or grid-rounded).
+    atoms_simplified: Sum, "atoms" / 7, "Constraint atoms rewritten.";
+    /// Tuples dropped by compaction because another tuple's denotation
+    /// contains theirs; `tuples_subsumed + coalesce_merges + tuples_out ==
+    /// tuples_in` for every compact call.
+    tuples_subsumed: Sum, "subsumed" / 9, "Tuples dropped by compaction as subsumed.";
+    /// Tuples eliminated by coalescing complete residue-class groups into
+    /// one coarser tuple (a group of `s` tuples contributes `s − 1`).
+    coalesce_merges: Sum, "merged" / 7, "Tuples eliminated by coalescing residue classes.";
+    /// Largest common period `k` encountered.
+    max_period: Max, "max_k" / 7, "Largest common period k encountered.";
+    /// Accumulated wall time, in nanoseconds.
+    nanos: Nanos, "time" / 12, "Accumulated operator wall time.";
 }
 
 impl OpCounters {
@@ -174,78 +278,6 @@ impl OpCounters {
     pub(crate) fn record_period(&self, k: i64) {
         self.max_period.fetch_max(k.max(0) as u64, Relaxed);
     }
-
-    fn snapshot(&self) -> OpSnapshot {
-        OpSnapshot {
-            calls: self.calls.load(Relaxed),
-            tuples_in: self.tuples_in.load(Relaxed),
-            tuples_out: self.tuples_out.load(Relaxed),
-            pairs: self.pairs.load(Relaxed),
-            empties_pruned: self.empties_pruned.load(Relaxed),
-            index_probes: self.index_probes.load(Relaxed),
-            index_pruned: self.index_pruned.load(Relaxed),
-            atoms_simplified: self.atoms_simplified.load(Relaxed),
-            tuples_subsumed: self.tuples_subsumed.load(Relaxed),
-            coalesce_merges: self.coalesce_merges.load(Relaxed),
-            max_period: self.max_period.load(Relaxed),
-            nanos: self.nanos.load(Relaxed),
-        }
-    }
-}
-
-/// Per-operator counters for a whole context; see [`OpCounters`].
-#[derive(Debug, Default)]
-pub struct OpStats {
-    ops: [OpCounters; OpKind::ALL.len()],
-}
-
-impl OpStats {
-    pub(crate) fn op(&self, kind: OpKind) -> &OpCounters {
-        &self.ops[kind.index()]
-    }
-
-    /// A point-in-time copy of every counter.
-    pub fn snapshot(&self) -> StatsSnapshot {
-        StatsSnapshot {
-            ops: OpKind::ALL.map(|k| self.op(k).snapshot()),
-        }
-    }
-}
-
-/// Plain-data copy of one operator's counters.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct OpSnapshot {
-    /// Operator invocations.
-    pub calls: u64,
-    /// Generalized tuples consumed (both operands).
-    pub tuples_in: u64,
-    /// Generalized tuples produced.
-    pub tuples_out: u64,
-    /// Candidate tuple pairs / refinement combinations examined.
-    pub pairs: u64,
-    /// Candidates dropped as empty or unsatisfiable (including pairs the
-    /// residue index proved empty without examining them).
-    pub empties_pruned: u64,
-    /// Candidate pairs actually examined after residue-index filtering
-    /// (zero when the operator ran without an index).
-    pub index_probes: u64,
-    /// Candidate pairs skipped by the residue index (data-hash or residue
-    /// incompatibility); `index_probes + index_pruned == pairs` whenever an
-    /// index was consulted.
-    pub index_pruned: u64,
-    /// Constraint atoms rewritten (added, conjoined, or grid-rounded).
-    pub atoms_simplified: u64,
-    /// Tuples dropped by compaction because another tuple's denotation
-    /// contains theirs; `tuples_subsumed + coalesce_merges + tuples_out ==
-    /// tuples_in` for every compact call.
-    pub tuples_subsumed: u64,
-    /// Tuples eliminated by coalescing complete residue-class groups into
-    /// one coarser tuple (a group of `s` tuples contributes `s − 1`).
-    pub coalesce_merges: u64,
-    /// Largest common period `k` encountered.
-    pub max_period: u64,
-    /// Accumulated wall time, in nanoseconds.
-    pub nanos: u64,
 }
 
 impl OpSnapshot {
@@ -258,10 +290,47 @@ impl OpSnapshot {
     pub fn is_zero(&self) -> bool {
         self.calls == 0
     }
+
+    /// Adds `other` into `self`: tallies add, `max_period` takes the
+    /// maximum.
+    pub(crate) fn merge(&mut self, other: &OpSnapshot) {
+        for c in OpSnapshot::COUNTERS {
+            let theirs = c.get(other);
+            let mine = (c.field)(self);
+            *mine = match c.combine {
+                Combine::Sum | Combine::Nanos => *mine + theirs,
+                Combine::Max => (*mine).max(theirs),
+            };
+        }
+    }
+
+    /// `self − before` for the tallies (saturating); `max_period` keeps
+    /// `self`'s value.
+    fn delta_since(&self, before: &OpSnapshot) -> OpSnapshot {
+        let mut out = *self;
+        for c in OpSnapshot::COUNTERS {
+            if c.combine != Combine::Max {
+                let mine = (c.field)(&mut out);
+                *mine = mine.saturating_sub(c.get(before));
+            }
+        }
+        out
+    }
+
+    /// A copy with the wall time zeroed.
+    pub(crate) fn without_timing(&self) -> OpSnapshot {
+        let mut out = *self;
+        for c in OpSnapshot::COUNTERS {
+            if c.combine == Combine::Nanos {
+                *(c.field)(&mut out) = 0;
+            }
+        }
+        out
+    }
 }
 
-/// Plain-data copy of a context's [`OpStats`], cheap to clone and safe to
-/// hold after the context is gone.
+/// Plain-data copy of a context's per-operator counters, cheap to clone
+/// and safe to hold after the context is gone.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct StatsSnapshot {
     pub(crate) ops: [OpSnapshot; OpKind::ALL.len()],
@@ -303,18 +372,7 @@ impl StatsSnapshot {
     /// maximum); used to aggregate across evaluations.
     pub fn merge(&mut self, other: &StatsSnapshot) {
         for (mine, theirs) in self.ops.iter_mut().zip(&other.ops) {
-            mine.calls += theirs.calls;
-            mine.tuples_in += theirs.tuples_in;
-            mine.tuples_out += theirs.tuples_out;
-            mine.pairs += theirs.pairs;
-            mine.empties_pruned += theirs.empties_pruned;
-            mine.index_probes += theirs.index_probes;
-            mine.index_pruned += theirs.index_pruned;
-            mine.atoms_simplified += theirs.atoms_simplified;
-            mine.tuples_subsumed += theirs.tuples_subsumed;
-            mine.coalesce_merges += theirs.coalesce_merges;
-            mine.max_period = mine.max_period.max(theirs.max_period);
-            mine.nanos += theirs.nanos;
+            mine.merge(theirs);
         }
     }
 
@@ -323,31 +381,17 @@ impl StatsSnapshot {
     /// context. `max_period` keeps `self`'s value: maxima do not
     /// difference.
     pub fn delta_since(&self, before: &StatsSnapshot) -> StatsSnapshot {
-        let mut out = self.clone();
-        for (mine, prior) in out.ops.iter_mut().zip(&before.ops) {
-            mine.calls = mine.calls.saturating_sub(prior.calls);
-            mine.tuples_in = mine.tuples_in.saturating_sub(prior.tuples_in);
-            mine.tuples_out = mine.tuples_out.saturating_sub(prior.tuples_out);
-            mine.pairs = mine.pairs.saturating_sub(prior.pairs);
-            mine.empties_pruned = mine.empties_pruned.saturating_sub(prior.empties_pruned);
-            mine.index_probes = mine.index_probes.saturating_sub(prior.index_probes);
-            mine.index_pruned = mine.index_pruned.saturating_sub(prior.index_pruned);
-            mine.atoms_simplified = mine.atoms_simplified.saturating_sub(prior.atoms_simplified);
-            mine.tuples_subsumed = mine.tuples_subsumed.saturating_sub(prior.tuples_subsumed);
-            mine.coalesce_merges = mine.coalesce_merges.saturating_sub(prior.coalesce_merges);
-            mine.nanos = mine.nanos.saturating_sub(prior.nanos);
+        StatsSnapshot {
+            ops: std::array::from_fn(|i| self.ops[i].delta_since(&before.ops[i])),
         }
-        out
     }
 
     /// A copy with every wall-time field zeroed — the only counters that
     /// vary run to run — for replay-determinism comparisons.
     pub fn without_timing(&self) -> StatsSnapshot {
-        let mut out = self.clone();
-        for op in out.ops.iter_mut() {
-            op.nanos = 0;
+        StatsSnapshot {
+            ops: self.ops.map(|op| op.without_timing()),
         }
-        out
     }
 }
 
@@ -356,44 +400,26 @@ impl fmt::Display for StatsSnapshot {
         if self.is_zero() {
             return writeln!(f, "no algebra operations recorded");
         }
-        writeln!(
-            f,
-            "{:<12} {:>6} {:>9} {:>9} {:>9} {:>8} {:>9} {:>9} {:>7} {:>9} {:>7} {:>7} {:>12}",
-            "op",
-            "calls",
-            "in",
-            "out",
-            "pairs",
-            "pruned",
-            "probes",
-            "skipped",
-            "atoms",
-            "subsumed",
-            "merged",
-            "max_k",
-            "time"
-        )?;
+        write!(f, "{:<12}", "op")?;
+        for c in OpSnapshot::COUNTERS {
+            write!(f, " {:>w$}", c.label, w = c.width)?;
+        }
+        writeln!(f)?;
         for (kind, op) in self.iter() {
             if op.is_zero() {
                 continue;
             }
-            writeln!(
-                f,
-                "{:<12} {:>6} {:>9} {:>9} {:>9} {:>8} {:>9} {:>9} {:>7} {:>9} {:>7} {:>7} {:>12}",
-                kind.name(),
-                op.calls,
-                op.tuples_in,
-                op.tuples_out,
-                op.pairs,
-                op.empties_pruned,
-                op.index_probes,
-                op.index_pruned,
-                op.atoms_simplified,
-                op.tuples_subsumed,
-                op.coalesce_merges,
-                op.max_period,
-                format!("{:.1?}", op.wall_time()),
-            )?;
+            write!(f, "{:<12}", kind.name())?;
+            for c in OpSnapshot::COUNTERS {
+                match c.combine {
+                    Combine::Nanos => {
+                        let time = format!("{:.1?}", op.wall_time());
+                        write!(f, " {time:>w$}", w = c.width)?;
+                    }
+                    _ => write!(f, " {:>w$}", c.get(op), w = c.width)?,
+                }
+            }
+            writeln!(f)?;
         }
         write!(
             f,
@@ -406,65 +432,41 @@ impl fmt::Display for StatsSnapshot {
     }
 }
 
-/// Times one operator invocation; counts the call on construction and the
-/// elapsed wall time on drop. Dereferences to the operator's counters.
+/// Times one operator invocation and owns the counters of that one call:
+/// the operator (and its scoped workers) add into the timer, which
+/// dereferences to its [`OpCounters`].
 ///
-/// When the context is traced, the timer also owns a [`Span`]: per-span
-/// counters are computed on drop as the *delta* of the shared counters
-/// between construction and drop (exact because same-kind operators never
-/// nest and worker threads join before the operator returns), and the
-/// elapsed wall time is measured once and written to both the shared
-/// counters and the span.
+/// On drop the elapsed wall time completes the call's record, which is
+/// merged once into the context's totals and, when the context is traced,
+/// stored on the call's [`Span`].
 ///
 /// [`Span`]: crate::trace::Span
 pub(crate) struct OpTimer<'a> {
-    counters: &'a OpCounters,
+    ctx: &'a ExecContext,
     kind: OpKind,
-    span: Option<(&'a TraceSink, u64, OpSnapshot)>,
+    counters: OpCounters,
+    span: Option<u64>,
     start: Instant,
-}
-
-impl OpTimer<'_> {
-    /// Records a common period `k` into the shared counters and, when
-    /// traced, the timer's span. Shadows [`OpCounters::record_period`]
-    /// behind the `Deref` so period reports are never lost to the delta
-    /// trick (`fetch_max` deltas do not compose).
-    pub(crate) fn record_period(&self, k: i64) {
-        self.counters.record_period(k);
-        if let Some((sink, _, _)) = &self.span {
-            sink.record_period(self.kind, k);
-        }
-    }
 }
 
 impl Deref for OpTimer<'_> {
     type Target = OpCounters;
 
     fn deref(&self) -> &OpCounters {
-        self.counters
+        &self.counters
     }
 }
 
 impl Drop for OpTimer<'_> {
     fn drop(&mut self) {
-        let nanos = self.start.elapsed().as_nanos() as u64;
-        self.counters.nanos.fetch_add(nanos, Relaxed);
-        if let Some((sink, id, before)) = self.span.take() {
-            let after = self.counters.snapshot();
-            sink.end(id, |span| {
-                span.tuples_in = after.tuples_in.saturating_sub(before.tuples_in);
-                span.tuples_out = after.tuples_out.saturating_sub(before.tuples_out);
-                span.pairs = after.pairs.saturating_sub(before.pairs);
-                span.empties_pruned = after.empties_pruned.saturating_sub(before.empties_pruned);
-                span.index_probes = after.index_probes.saturating_sub(before.index_probes);
-                span.index_pruned = after.index_pruned.saturating_sub(before.index_pruned);
-                span.atoms_simplified = after
-                    .atoms_simplified
-                    .saturating_sub(before.atoms_simplified);
-                span.tuples_subsumed = after.tuples_subsumed.saturating_sub(before.tuples_subsumed);
-                span.coalesce_merges = after.coalesce_merges.saturating_sub(before.coalesce_merges);
-                span.nanos = nanos;
-            });
+        let record = OpSnapshot {
+            calls: 1,
+            nanos: self.start.elapsed().as_nanos() as u64,
+            ..self.counters.snapshot()
+        };
+        self.ctx.totals().ops[self.kind.index()].merge(&record);
+        if let (Some(sink), Some(id)) = (&self.ctx.trace, self.span) {
+            sink.end(id, |span| span.counters = record);
         }
     }
 }
@@ -572,7 +574,7 @@ impl CancelToken {
 #[derive(Debug)]
 pub struct ExecContext {
     threads: usize,
-    stats: OpStats,
+    totals: Mutex<StatsSnapshot>,
     trace: Option<TraceSink>,
     cancel: Option<Arc<CancelToken>>,
 }
@@ -603,7 +605,7 @@ impl ExecContext {
     pub fn with_threads(threads: usize) -> ExecContext {
         ExecContext {
             threads: threads.max(1),
-            stats: OpStats::default(),
+            totals: Mutex::default(),
             trace: None,
             cancel: None,
         }
@@ -705,30 +707,22 @@ impl ExecContext {
         self.threads
     }
 
-    /// A point-in-time copy of the per-operator counters.
+    /// A point-in-time copy of the per-operator counters: the totals of
+    /// every operator call that has returned.
     pub fn stats(&self) -> StatsSnapshot {
-        self.stats.snapshot()
+        self.totals().clone()
     }
 
-    pub(crate) fn op(&self, kind: OpKind) -> &OpCounters {
-        self.stats.op(kind)
-    }
-
-    /// Records a common period against `kind`'s shared counters and, when
-    /// traced, against the innermost open span of that kind. For call
-    /// sites that hold the context rather than an [`OpTimer`] (the
-    /// complement worker loop).
-    pub(crate) fn record_period(&self, kind: OpKind, k: i64) {
-        self.stats.op(kind).record_period(k);
-        if let Some(sink) = &self.trace {
-            sink.record_period(kind, k);
-        }
+    /// The totals, locked. Merging never panics, so a poisoned lock still
+    /// holds valid totals.
+    fn totals(&self) -> MutexGuard<'_, StatsSnapshot> {
+        self.totals.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
     /// Opens a [`OpKind::ViewRefresh`] timing scope: one registered-view
-    /// maintenance pass. The guard counts the call on construction and the
-    /// elapsed wall time on drop (into a span too, when traced); the caller
-    /// reports the delta rows consumed and the result rows produced.
+    /// maintenance pass. The guard counts the call and its elapsed wall
+    /// time on drop (into a span too, when traced); the caller reports the
+    /// delta rows consumed and the result rows produced.
     pub fn view_refresh_scope(&self) -> ViewRefreshScope<'_> {
         ViewRefreshScope {
             timer: self.timed(OpKind::ViewRefresh),
@@ -736,19 +730,14 @@ impl ExecContext {
     }
 
     pub(crate) fn timed(&self, kind: OpKind) -> OpTimer<'_> {
-        let counters = self.stats.op(kind);
-        counters.calls.fetch_add(1, Relaxed);
-        let span = self.trace.as_ref().map(|sink| {
-            (
-                sink,
-                sink.begin(SpanLabel::Op(kind), None),
-                counters.snapshot(),
-            )
-        });
         OpTimer {
-            counters,
+            ctx: self,
             kind,
-            span,
+            counters: OpCounters::default(),
+            span: self
+                .trace
+                .as_ref()
+                .map(|sink| sink.begin(SpanLabel::Op(kind), None)),
             start: Instant::now(),
         }
     }

@@ -1,8 +1,9 @@
-//! Process-global metrics: cross-query aggregation of what [`crate::trace`]
-//! only captures per query.
+//! Cross-query metrics: aggregation of what [`crate::trace`] only captures
+//! per query.
 //!
 //! A [`MetricsRegistry`] is a lock-cheap sink that a query driver feeds one
-//! [`QueryObservation`] per finished query. It maintains:
+//! [`QueryObservation`] per finished query. Each `Database` owns one and
+//! feeds it that database's queries and view refreshes. It maintains:
 //!
 //! * **Latency histograms** — fixed power-of-two log buckets (no
 //!   dependencies, no allocation on the record path) for per-query wall
@@ -12,9 +13,8 @@
 //! * **Counter totals** — a running [`StatsSnapshot`] that is, by
 //!   construction, the exact sum of every observed query's per-op
 //!   counters (asserted in the integration tests).
-//! * **Resource gauges** — tuples allocated, process-wide peak live rows,
-//!   and (at snapshot time) the interner/arena gauges from
-//!   [`storage_stats`].
+//! * **Resource gauges** — tuples allocated and the largest single-query
+//!   peak of live rows.
 //! * **A bounded slow-query log** — the [`SLOW_LOG_CAP`] worst queries by
 //!   wall time *and* by candidate pairs, each entry carrying the rendered
 //!   plan, the per-op counters, and the query's [`QueryResourceReport`];
@@ -24,7 +24,10 @@
 //! [`RegistrySnapshot`], which renders to the Prometheus text exposition
 //! format (subsuming the per-query [`StatsSnapshot::to_prometheus`]
 //! exporter), a `\top`-style summary, slow-log tables, and ASCII
-//! histograms.
+//! histograms. The interning arenas and the outcome cache are shared by
+//! the whole process, so their gauges are not part of any registry:
+//! [`StorageStats::to_prometheus`] renders them where the scope is the
+//! process (a server's `/metrics`, the bench report).
 //!
 //! The record path takes no lock for histograms and counters (relaxed
 //! atomics) and two short mutexes (totals merge, slow-log insert) per
@@ -312,17 +315,13 @@ impl SlowQueryEntry {
     /// compare equal (`seq`, `pairs`, counters, and the deterministic
     /// resource core survive).
     pub fn without_timing(&self) -> SlowQueryEntry {
-        let mut stats = self.stats.clone();
-        for op in stats.ops.iter_mut() {
-            op.nanos = 0;
-        }
         SlowQueryEntry {
             seq: self.seq,
             query: self.query.clone(),
             plan: self.plan.clone(),
             wall_nanos: 0,
             pairs: self.pairs,
-            stats,
+            stats: self.stats.without_timing(),
             resources: self.resources.without_timing(),
         }
     }
@@ -399,8 +398,9 @@ impl SlowLog {
     }
 }
 
-/// Process-global, lock-cheap cross-query metrics sink. Shareable by
-/// reference (all interior mutability); `Database` wraps one in an `Arc`.
+/// Lock-cheap cross-query metrics sink. Shareable by reference (all
+/// interior mutability); each `Database` owns one in an `Arc`, shared by
+/// its clones.
 #[derive(Debug, Default)]
 pub struct MetricsRegistry {
     queries: AtomicU64,
@@ -446,19 +446,11 @@ impl MetricsRegistry {
         self.query_wall.record(obs.wall_nanos);
         self.query_pairs.record(obs.stats.total_pairs());
         self.query_rows.record(obs.resources.peak_live_rows);
-        for (kind, op) in obs.stats.iter() {
-            if op.calls > 0 {
-                self.op_wall[kind.index()].record(op.nanos);
-            }
-        }
+        self.observe_ops(obs.stats);
         self.tuples_allocated
             .fetch_add(obs.resources.tuples_allocated, Relaxed);
         self.peak_rows
             .fetch_max(obs.resources.peak_live_rows, Relaxed);
-        self.totals
-            .lock()
-            .expect("metrics totals poisoned")
-            .merge(obs.stats);
         let resources = *obs.resources;
         self.slow
             .lock()
@@ -481,6 +473,13 @@ impl MetricsRegistry {
             self.view_full_refreshes.fetch_add(1, Relaxed);
         }
         self.view_delta_rows.fetch_add(delta_rows, Relaxed);
+        self.observe_ops(stats);
+    }
+
+    /// Records the per-op counters of one query or view refresh: one
+    /// wall-time observation per op kind it invoked, and a merge into the
+    /// cross-query totals.
+    fn observe_ops(&self, stats: &StatsSnapshot) {
         for (kind, op) in stats.iter() {
             if op.calls > 0 {
                 self.op_wall[kind.index()].record(op.nanos);
@@ -550,8 +549,7 @@ impl MetricsRegistry {
         }
     }
 
-    /// Freezes the registry (plus the current global storage gauges) into
-    /// a plain-data snapshot.
+    /// Freezes the registry into a plain-data snapshot.
     pub fn snapshot(&self) -> RegistrySnapshot {
         let slow = self.slow.lock().expect("slow log poisoned");
         RegistrySnapshot {
@@ -568,7 +566,6 @@ impl MetricsRegistry {
             peak_rows: self.peak_rows.load(Relaxed),
             slow_by_time: slow.by_time.clone(),
             slow_by_pairs: slow.by_pairs.clone(),
-            storage: storage_stats(),
             view_refreshes: self.view_refreshes.load(Relaxed),
             view_full_refreshes: self.view_full_refreshes.load(Relaxed),
             view_delta_rows: self.view_delta_rows.load(Relaxed),
@@ -587,8 +584,7 @@ impl MetricsRegistry {
     }
 }
 
-/// Plain-data freeze of a [`MetricsRegistry`], plus the storage gauges
-/// read at snapshot time.
+/// Plain-data freeze of a [`MetricsRegistry`].
 #[derive(Debug, Clone)]
 pub struct RegistrySnapshot {
     /// Queries observed.
@@ -612,8 +608,6 @@ pub struct RegistrySnapshot {
     pub slow_by_time: Vec<SlowQueryEntry>,
     /// Worst queries by candidate pairs, worst first.
     pub slow_by_pairs: Vec<SlowQueryEntry>,
-    /// Global storage gauges at snapshot time.
-    pub storage: StorageStats,
     /// Registered-view refreshes observed (incremental and full).
     pub view_refreshes: u64,
     /// Refreshes that fell back to full recomputation.
@@ -685,12 +679,92 @@ fn prom_scalar(out: &mut String, name: &str, kind: &str, help: &str, value: u64)
     let _ = writeln!(out, "{name} {value}");
 }
 
+impl StorageStats {
+    /// Renders the process-wide storage gauges (interning arenas, residue
+    /// indexes, pairwise-outcome cache) in the Prometheus text exposition
+    /// format. Every `Database` in the process shares them, so append
+    /// them only to a rendering whose scope is the whole process.
+    pub fn to_prometheus(&self) -> String {
+        let mut out = String::new();
+        for (name, help, v) in [
+            (
+                "itd_storage_value_lookups_total",
+                "Value-arena interning attempts.",
+                self.value_lookups,
+            ),
+            (
+                "itd_storage_value_hits_total",
+                "Value-arena attempts answered by an existing entry.",
+                self.value_hits,
+            ),
+            (
+                "itd_storage_part_lookups_total",
+                "Part-arena interning attempts.",
+                self.part_lookups,
+            ),
+            (
+                "itd_storage_part_hits_total",
+                "Part-arena attempts answered by an existing entry.",
+                self.part_hits,
+            ),
+            (
+                "itd_storage_index_builds_total",
+                "Residue indexes built from scratch.",
+                self.index_builds,
+            ),
+            (
+                "itd_storage_index_reuses_total",
+                "Operator calls served by a persistent index.",
+                self.index_reuses,
+            ),
+            (
+                "itd_outcome_cache_hits_total",
+                "Pairwise-outcome cache lookups answered by a cached outcome.",
+                self.outcome_hits,
+            ),
+            (
+                "itd_outcome_cache_misses_total",
+                "Pairwise-outcome cache lookups that fell through to derivation.",
+                self.outcome_misses,
+            ),
+            (
+                "itd_outcome_cache_evictions_total",
+                "Pairwise-outcome cache entries dropped by the capacity bound.",
+                self.outcome_evictions,
+            ),
+        ] {
+            prom_scalar(&mut out, name, "counter", help, v);
+        }
+        for (name, help, v) in [
+            (
+                "itd_storage_value_distinct",
+                "Distinct values interned.",
+                self.value_distinct,
+            ),
+            (
+                "itd_storage_part_distinct",
+                "Distinct temporal parts interned.",
+                self.part_distinct,
+            ),
+            (
+                "itd_storage_arena_bytes",
+                "Estimated bytes of interned arena payload.",
+                self.value_bytes + self.part_bytes,
+            ),
+        ] {
+            prom_scalar(&mut out, name, "gauge", help, v);
+        }
+        out
+    }
+}
+
 impl RegistrySnapshot {
     /// Renders the whole snapshot in the Prometheus text exposition
     /// format: the per-op counter families of
     /// [`StatsSnapshot::to_prometheus`] (now fed by cross-query totals),
     /// the query-level histograms, per-op latency percentile gauges, and
-    /// the storage gauges.
+    /// the view and service counters. The process-wide storage gauges are
+    /// rendered separately, by [`StorageStats::to_prometheus`].
     pub fn to_prometheus(&self) -> String {
         let mut out = self.totals.to_prometheus();
         prom_scalar(
@@ -771,51 +845,6 @@ impl RegistrySnapshot {
         );
         for (name, help, v) in [
             (
-                "itd_storage_value_lookups_total",
-                "Value-arena interning attempts.",
-                self.storage.value_lookups,
-            ),
-            (
-                "itd_storage_value_hits_total",
-                "Value-arena attempts answered by an existing entry.",
-                self.storage.value_hits,
-            ),
-            (
-                "itd_storage_part_lookups_total",
-                "Part-arena interning attempts.",
-                self.storage.part_lookups,
-            ),
-            (
-                "itd_storage_part_hits_total",
-                "Part-arena attempts answered by an existing entry.",
-                self.storage.part_hits,
-            ),
-            (
-                "itd_storage_index_builds_total",
-                "Residue indexes built from scratch.",
-                self.storage.index_builds,
-            ),
-            (
-                "itd_storage_index_reuses_total",
-                "Operator calls served by a persistent index.",
-                self.storage.index_reuses,
-            ),
-            (
-                "itd_outcome_cache_hits_total",
-                "Pairwise-outcome cache lookups answered by a cached outcome.",
-                self.storage.outcome_hits,
-            ),
-            (
-                "itd_outcome_cache_misses_total",
-                "Pairwise-outcome cache lookups that fell through to derivation.",
-                self.storage.outcome_misses,
-            ),
-            (
-                "itd_outcome_cache_evictions_total",
-                "Pairwise-outcome cache entries dropped by the capacity bound.",
-                self.storage.outcome_evictions,
-            ),
-            (
                 "itd_view_refreshes_total",
                 "Registered-view refreshes observed (incremental and full).",
                 self.view_refreshes,
@@ -875,21 +904,6 @@ impl RegistrySnapshot {
         }
         for (name, help, v) in [
             (
-                "itd_storage_value_distinct",
-                "Distinct values interned.",
-                self.storage.value_distinct,
-            ),
-            (
-                "itd_storage_part_distinct",
-                "Distinct temporal parts interned.",
-                self.storage.part_distinct,
-            ),
-            (
-                "itd_storage_arena_bytes",
-                "Estimated bytes of interned arena payload.",
-                self.storage.value_bytes + self.storage.part_bytes,
-            ),
-            (
                 "itd_views_registered",
                 "Views currently registered.",
                 self.views_registered,
@@ -941,7 +955,7 @@ impl RegistrySnapshot {
         }
         let _ = writeln!(
             out,
-            "tuples allocated: {}; process peak live rows: {}",
+            "tuples allocated: {}; largest query peak live rows: {}",
             self.tuples_allocated, self.peak_rows
         );
         let _ = writeln!(out, "\nper-op wall time (one observation per querying op):");
@@ -1214,7 +1228,13 @@ mod tests {
         let reg = MetricsRegistry::new();
         observe(&reg, "a", 100, 7, 3);
         observe(&reg, "b", 50, 11, 9);
-        let text = reg.snapshot().to_prometheus();
+        let registry = reg.snapshot().to_prometheus();
+        assert!(
+            !registry.contains("itd_storage_") && !registry.contains("itd_outcome_cache_"),
+            "process-wide storage gauges stay out of a registry's rendering"
+        );
+        // The process-scope rendering (a server's `/metrics`) appends them.
+        let text = registry + &storage_stats().to_prometheus();
         let mut names = std::collections::BTreeSet::new();
         let mut typed = std::collections::BTreeSet::new();
         for line in text.lines() {

@@ -6,7 +6,7 @@ use itd_constraint::ConstraintSystem;
 use itd_lrp::Lrp;
 
 use crate::error::CoreError;
-use crate::exec::{ExecContext, OpKind};
+use crate::exec::{ExecContext, OpCounters};
 use crate::tuple::GenTuple;
 use crate::Result;
 
@@ -33,7 +33,7 @@ pub const DEFAULT_COMPLEMENT_LIMIT: u64 = 1 << 22;
 /// negation (Table 2); `limit` guards against accidental blow-ups. It is
 /// split into contiguous index ranges fanned over the context's threads
 /// (outputs concatenated in range order, so the result is identical at any
-/// thread count), and the context's [`OpKind::Complement`] counters record
+/// thread count), and `counters`, the calling complement's record, get
 /// the period, the extensions enumerated, the grid-empty disjuncts pruned,
 /// and — via the probe counters — how many extensions hit a stored residue
 /// group versus bypassed the negation machinery entirely.
@@ -45,14 +45,14 @@ pub const DEFAULT_COMPLEMENT_LIMIT: u64 = 1 << 22;
 /// # Panics
 /// If tuples disagree on schema or have data attributes (the relation layer
 /// checks this).
-pub fn complement_tuples_in(
+pub(crate) fn complement_tuples_in(
     tuples: &[GenTuple],
     temporal_arity: usize,
     limit: u64,
     ctx: &ExecContext,
+    counters: &OpCounters,
 ) -> Result<Vec<GenTuple>> {
     let m = temporal_arity;
-    let counters = ctx.op(OpKind::Complement);
     // 0-ary relations: the space is a single empty tuple.
     if m == 0 {
         let nonempty = tuples.iter().any(|t| t.constraints().is_satisfiable());
@@ -74,9 +74,7 @@ pub fn complement_tuples_in(
         normal.extend(t.normalize()?);
     }
     let k = Lrp::common_period(normal.iter().flat_map(|t| t.lrps().iter()))?;
-    // Routed through the context so a traced run attributes the period to
-    // the enclosing complement span (fetch_max cannot be delta-attributed).
-    ctx.record_period(OpKind::Complement, k);
+    counters.record_period(k);
 
     let extensions = (k as u64).checked_pow(m as u32).unwrap_or(u64::MAX);
     if extensions > limit {
@@ -252,11 +250,14 @@ fn negate_disjunction(systems: &[ConstraintSystem], arity: usize) -> Result<Vec<
 mod tests {
     use super::*;
     use crate::enumerate::materialize_tuples;
+    use crate::exec::OpKind;
     use itd_constraint::Atom;
     use proptest::prelude::*;
 
     fn complement_tuples(tuples: &[GenTuple], m: usize, limit: u64) -> Result<Vec<GenTuple>> {
-        complement_tuples_in(tuples, m, limit, &ExecContext::serial())
+        let ctx = ExecContext::serial();
+        let timer = ctx.timed(OpKind::Complement);
+        complement_tuples_in(tuples, m, limit, &ctx, &timer)
     }
 
     fn lrp(c: i64, k: i64) -> Lrp {

@@ -12,7 +12,8 @@ mod intersect;
 mod product;
 mod project;
 
-pub use complement::{complement_tuples_in, DEFAULT_COMPLEMENT_LIMIT};
+pub(crate) use complement::complement_tuples_in;
+pub use complement::DEFAULT_COMPLEMENT_LIMIT;
 pub use difference::difference_tuples;
 pub use intersect::intersect_tuples;
 pub use product::{cross_product_tuples, join_tuples};

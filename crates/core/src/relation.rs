@@ -543,9 +543,9 @@ impl GenRelation {
     }
 
     /// Complement with an explicit `k^m` ceiling: the free-extension
-    /// enumeration is fanned over the context's threads (see
-    /// [`ops::complement_tuples_in`]) and [`OpKind::Complement`] counters
-    /// record the database period and pruned disjuncts.
+    /// enumeration (Appendix A.6) is fanned over the context's threads and
+    /// [`OpKind::Complement`] counters record the database period and
+    /// pruned disjuncts.
     ///
     /// # Errors
     /// See [`GenRelation::complement_temporal_in`].
@@ -560,7 +560,7 @@ impl GenRelation {
         let timer = ctx.timed(OpKind::Complement);
         let lt = self.rows_slice();
         timer.add_in(lt.len());
-        let tuples = ops::complement_tuples_in(lt, self.schema.temporal(), limit, ctx)?;
+        let tuples = ops::complement_tuples_in(lt, self.schema.temporal(), limit, ctx, &timer)?;
         timer.add_out(tuples.len());
         Ok(GenRelation::from_vec(self.schema, tuples))
     }

@@ -22,18 +22,17 @@
 //!
 //! # Exactness
 //!
-//! Per-span operator counters are *deltas* of the context's aggregate
-//! counters between span begin and end. Same-kind operator spans never
-//! nest (an operator does not re-enter itself), so
-//! [`Trace::op_totals`] reproduces the context's
-//! [`StatsSnapshot`] exactly — including wall time, which is measured
-//! once per call and written to both.
+//! Every operator call counts into its own record (the call's scoped
+//! workers add into it too, and join before the call returns). When the
+//! call returns, that one record is both merged into the context's totals
+//! and stored on the call's span, so [`Trace::op_totals`] reproduces the
+//! context's [`StatsSnapshot`] exactly — wall time included.
 
 use std::fmt;
 use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
-use crate::exec::{OpKind, OpSnapshot, StatsSnapshot};
+use crate::exec::{Combine, OpKind, OpSnapshot, StatsSnapshot};
 
 /// What a span stands for: an algebra operator call, or a node label
 /// supplied by a higher layer (a query plan node, a REPL phase, …).
@@ -77,36 +76,18 @@ pub struct Span {
     /// [`ExecContext::plan_span`](crate::ExecContext::plan_span)). Lets
     /// EXPLAIN ANALYZE join plan and trace by id instead of by label text.
     pub plan_node: Option<u64>,
-    /// Generalized tuples consumed during this span (operator spans only).
-    pub tuples_in: u64,
-    /// Generalized tuples produced.
-    pub tuples_out: u64,
-    /// Candidate pairs / refinement combinations examined.
-    pub pairs: u64,
-    /// Candidates dropped as empty or unsatisfiable.
-    pub empties_pruned: u64,
-    /// Candidate pairs examined after residue-index filtering.
-    pub index_probes: u64,
-    /// Candidate pairs skipped outright by the residue index.
-    pub index_pruned: u64,
-    /// Constraint atoms rewritten.
-    pub atoms_simplified: u64,
-    /// Tuples dropped by compaction as subsumed by another tuple.
-    pub tuples_subsumed: u64,
-    /// Tuples eliminated by coalescing residue-class groups.
-    pub coalesce_merges: u64,
-    /// Largest common period `k` encountered inside the span.
-    pub max_period: u64,
+    /// What the span counted. An operator span holds the record of its one
+    /// call (`calls == 1`); a node span holds only the tuples it produced
+    /// and its wall time. `nanos` stays 0 until the span ends.
+    pub counters: OpSnapshot,
     /// Begin time, nanoseconds since the sink was created.
     pub start_nanos: u64,
-    /// Wall time, in nanoseconds (0 until the span ends).
-    pub nanos: u64,
 }
 
 impl Span {
     /// Wall time as a [`Duration`].
     pub fn wall_time(&self) -> Duration {
-        Duration::from_nanos(self.nanos)
+        self.counters.wall_time()
     }
 }
 
@@ -152,18 +133,8 @@ impl TraceSink {
             depth,
             label,
             plan_node,
-            tuples_in: 0,
-            tuples_out: 0,
-            pairs: 0,
-            empties_pruned: 0,
-            index_probes: 0,
-            index_pruned: 0,
-            atoms_simplified: 0,
-            tuples_subsumed: 0,
-            coalesce_merges: 0,
-            max_period: 0,
+            counters: OpSnapshot::default(),
             start_nanos,
-            nanos: 0,
         });
         id
     }
@@ -182,24 +153,6 @@ impl TraceSink {
         let mut inner = self.inner.lock().expect("trace sink poisoned");
         if let Some(span) = inner.spans.get_mut(id as usize) {
             f(span);
-        }
-    }
-
-    /// Records a common period `k` against the innermost open span of
-    /// `kind`. Periods are observed mid-operator (sometimes from worker
-    /// threads), and `max` does not survive the begin/end delta trick, so
-    /// they are routed here directly.
-    pub(crate) fn record_period(&self, kind: OpKind, k: i64) {
-        let mut inner = self.inner.lock().expect("trace sink poisoned");
-        let open = inner
-            .stack
-            .iter()
-            .rev()
-            .copied()
-            .find(|id| inner.spans[*id as usize].label == SpanLabel::Op(kind));
-        if let Some(id) = open {
-            let span = &mut inner.spans[id as usize];
-            span.max_period = span.max_period.max(k.max(0) as u64);
         }
     }
 
@@ -240,7 +193,7 @@ impl<'a> NodeSpan<'a> {
     /// Records how many tuples this region produced.
     pub fn set_tuples_out(&self, n: u64) {
         if let Some((sink, id)) = self.sink {
-            sink.update(id, |span| span.tuples_out = n);
+            sink.update(id, |span| span.counters.tuples_out = n);
         }
     }
 }
@@ -249,7 +202,7 @@ impl Drop for NodeSpan<'_> {
     fn drop(&mut self) {
         if let Some((sink, id)) = self.sink.take() {
             let nanos = self.start.elapsed().as_nanos() as u64;
-            sink.end(id, |span| span.nanos = nanos);
+            sink.end(id, |span| span.counters.nanos = nanos);
         }
     }
 }
@@ -297,7 +250,7 @@ impl Trace {
     /// id. Work issued by a node's children is charged to the children,
     /// not rolled up — this is the "actual" column of EXPLAIN ANALYZE.
     pub fn op_totals_for_plan_node(&self, id: u64) -> StatsSnapshot {
-        let mut ops = [OpSnapshot::default(); OpKind::ALL.len()];
+        let mut totals = StatsSnapshot::default();
         for span in &self.spans {
             let SpanLabel::Op(kind) = span.label else {
                 continue;
@@ -318,27 +271,15 @@ impl Trace {
                 }
             };
             if owner.and_then(|s| s.plan_node) == Some(id) {
-                let op = &mut ops[kind.index()];
-                op.calls += 1;
-                op.tuples_in += span.tuples_in;
-                op.tuples_out += span.tuples_out;
-                op.pairs += span.pairs;
-                op.empties_pruned += span.empties_pruned;
-                op.index_probes += span.index_probes;
-                op.index_pruned += span.index_pruned;
-                op.atoms_simplified += span.atoms_simplified;
-                op.tuples_subsumed += span.tuples_subsumed;
-                op.coalesce_merges += span.coalesce_merges;
-                op.max_period = op.max_period.max(span.max_period);
-                op.nanos += span.nanos;
+                totals.ops[kind.index()].merge(&span.counters);
             }
         }
-        StatsSnapshot { ops }
+        totals
     }
 
-    /// A copy with `start_nanos`/`nanos` zeroed on every span — the
-    /// timing-independent tree shape, suitable for equality comparison
-    /// across runs and thread counts.
+    /// A copy with `start_nanos` and `counters.nanos` zeroed on every
+    /// span — the timing-independent tree shape, suitable for equality
+    /// comparison across runs and thread counts.
     pub fn without_timing(&self) -> Trace {
         Trace {
             spans: self
@@ -346,7 +287,7 @@ impl Trace {
                 .iter()
                 .map(|s| Span {
                     start_nanos: 0,
-                    nanos: 0,
+                    counters: s.counters.without_timing(),
                     ..s.clone()
                 })
                 .collect(),
@@ -360,25 +301,13 @@ impl Trace {
     /// time included — the acceptance check that no operator work escapes
     /// the span tree. Node spans contribute nothing.
     pub fn op_totals(&self) -> StatsSnapshot {
-        let mut ops = [OpSnapshot::default(); OpKind::ALL.len()];
+        let mut totals = StatsSnapshot::default();
         for span in &self.spans {
             if let SpanLabel::Op(kind) = span.label {
-                let op = &mut ops[kind.index()];
-                op.calls += 1;
-                op.tuples_in += span.tuples_in;
-                op.tuples_out += span.tuples_out;
-                op.pairs += span.pairs;
-                op.empties_pruned += span.empties_pruned;
-                op.index_probes += span.index_probes;
-                op.index_pruned += span.index_pruned;
-                op.atoms_simplified += span.atoms_simplified;
-                op.tuples_subsumed += span.tuples_subsumed;
-                op.coalesce_merges += span.coalesce_merges;
-                op.max_period = op.max_period.max(span.max_period);
-                op.nanos += span.nanos;
+                totals.ops[kind.index()].merge(&span.counters);
             }
         }
-        StatsSnapshot { ops }
+        totals
     }
 
     /// Folds the span tree into flamegraph *collapsed stack* lines — one
@@ -405,8 +334,8 @@ impl Trace {
         }
         let mut stacks: std::collections::BTreeMap<String, u64> = std::collections::BTreeMap::new();
         for span in &self.spans {
-            let children: u64 = self.children(span.id).map(|c| c.nanos).sum();
-            let self_nanos = span.nanos.saturating_sub(children);
+            let children: u64 = self.children(span.id).map(|c| c.counters.nanos).sum();
+            let self_nanos = span.counters.nanos.saturating_sub(children);
             if self_nanos == 0 {
                 continue;
             }
@@ -482,28 +411,16 @@ impl Trace {
             escape_json(span.label.name(), &mut out);
             out.push_str(&format!(
                 ",\"cat\":\"{}\",\"ph\":\"X\",\"ts\":{:.3},\"dur\":{:.3},\"pid\":1,\"tid\":1,\
-                 \"args\":{{\"id\":{},\"parent\":{},\"plan_node\":{},\"tuples_in\":{},\
-                 \"tuples_out\":{},\
-                 \"pairs\":{},\"empties_pruned\":{},\"index_probes\":{},\"index_pruned\":{},\
-                 \"atoms_simplified\":{},\"tuples_subsumed\":{},\"coalesce_merges\":{},\
-                 \"max_period\":{}}}}}",
+                 \"args\":{{\"id\":{},\"parent\":{},\"plan_node\":{}",
                 if span.label.is_op() { "op" } else { "node" },
                 span.start_nanos as f64 / 1_000.0,
-                span.nanos as f64 / 1_000.0,
+                span.counters.nanos as f64 / 1_000.0,
                 span.id,
                 span.parent.map_or("null".into(), |p| p.to_string()),
                 span.plan_node.map_or("null".into(), |p| p.to_string()),
-                span.tuples_in,
-                span.tuples_out,
-                span.pairs,
-                span.empties_pruned,
-                span.index_probes,
-                span.index_pruned,
-                span.atoms_simplified,
-                span.tuples_subsumed,
-                span.coalesce_merges,
-                span.max_period,
             ));
+            span_counter_fields(&mut out, &span.counters);
+            out.push_str("}}");
         }
         out.push_str("\n]\n");
         out
@@ -512,41 +429,44 @@ impl Trace {
 
 /// One-line description of a span for the tree rendering.
 fn describe(span: &Span) -> String {
+    let c = &span.counters;
     let mut line = match &span.label {
-        SpanLabel::Op(kind) => format!(
-            "{}: in={} out={}",
-            kind.name(),
-            span.tuples_in,
-            span.tuples_out
-        ),
-        SpanLabel::Node(label) => format!("{label} → {} tuple(s)", span.tuples_out),
+        SpanLabel::Op(kind) => format!("{}: in={} out={}", kind.name(), c.tuples_in, c.tuples_out),
+        SpanLabel::Node(label) => format!("{label} → {} tuple(s)", c.tuples_out),
     };
-    if span.pairs > 0 {
-        line.push_str(&format!(" pairs={}", span.pairs));
+    if c.pairs > 0 {
+        line.push_str(&format!(" pairs={}", c.pairs));
     }
-    if span.empties_pruned > 0 {
-        line.push_str(&format!(" pruned={}", span.empties_pruned));
+    if c.empties_pruned > 0 {
+        line.push_str(&format!(" pruned={}", c.empties_pruned));
     }
-    if span.index_probes > 0 || span.index_pruned > 0 {
+    if c.index_probes > 0 || c.index_pruned > 0 {
         line.push_str(&format!(
             " probes={} skipped={}",
-            span.index_probes, span.index_pruned
+            c.index_probes, c.index_pruned
         ));
     }
-    if span.atoms_simplified > 0 {
-        line.push_str(&format!(" atoms={}", span.atoms_simplified));
+    if c.atoms_simplified > 0 {
+        line.push_str(&format!(" atoms={}", c.atoms_simplified));
     }
-    if span.tuples_subsumed > 0 {
-        line.push_str(&format!(" subsumed={}", span.tuples_subsumed));
+    if c.tuples_subsumed > 0 {
+        line.push_str(&format!(" subsumed={}", c.tuples_subsumed));
     }
-    if span.coalesce_merges > 0 {
-        line.push_str(&format!(" merged={}", span.coalesce_merges));
+    if c.coalesce_merges > 0 {
+        line.push_str(&format!(" merged={}", c.coalesce_merges));
     }
-    if span.max_period > 0 {
-        line.push_str(&format!(" k={}", span.max_period));
+    if c.max_period > 0 {
+        line.push_str(&format!(" k={}", c.max_period));
     }
     line.push_str(&format!(" [{:.1?}]", span.wall_time()));
     line
+}
+
+/// Appends `,"name":value` for every counter a single span exports.
+fn span_counter_fields(out: &mut String, counters: &OpSnapshot) {
+    for c in OpSnapshot::COUNTERS.iter().filter(|c| c.per_span()) {
+        out.push_str(&format!(",\"{}\":{}", c.name, c.get(counters)));
+    }
 }
 
 fn span_json(out: &mut String, span: &Span) {
@@ -562,23 +482,10 @@ fn span_json(out: &mut String, span: &Span) {
         span.plan_node.map_or("null".to_string(), |p| p.to_string()),
     ));
     escape_json(span.label.name(), out);
+    span_counter_fields(out, &span.counters);
     out.push_str(&format!(
-        ",\"tuples_in\":{},\"tuples_out\":{},\"pairs\":{},\"empties_pruned\":{},\
-         \"index_probes\":{},\"index_pruned\":{},\"atoms_simplified\":{},\
-         \"tuples_subsumed\":{},\"coalesce_merges\":{},\"max_period\":{},\
-         \"start_ns\":{},\"dur_ns\":{}}}",
-        span.tuples_in,
-        span.tuples_out,
-        span.pairs,
-        span.empties_pruned,
-        span.index_probes,
-        span.index_pruned,
-        span.atoms_simplified,
-        span.tuples_subsumed,
-        span.coalesce_merges,
-        span.max_period,
-        span.start_nanos,
-        span.nanos,
+        ",\"start_ns\":{},\"dur_ns\":{}}}",
+        span.start_nanos, span.counters.nanos,
     ));
 }
 
@@ -613,70 +520,22 @@ impl StatsSnapshot {
     /// `max_period` is exposed as a gauge. Every operator kind is emitted
     /// for every metric so scrape series stay stable.
     pub fn to_prometheus(&self) -> String {
-        type Metric = (&'static str, &'static str, fn(&OpSnapshot) -> u64);
         let mut out = String::new();
-        let counters: [Metric; 10] = [
-            ("calls", "Algebra operator invocations.", |o| o.calls),
-            ("tuples_in", "Generalized tuples consumed.", |o| o.tuples_in),
-            ("tuples_out", "Generalized tuples produced.", |o| {
-                o.tuples_out
-            }),
-            ("pairs", "Candidate tuple pairs examined.", |o| o.pairs),
-            ("empties_pruned", "Candidates dropped as empty.", |o| {
-                o.empties_pruned
-            }),
-            (
-                "index_probes",
-                "Candidate pairs probed after index filtering.",
-                |o| o.index_probes,
-            ),
-            (
-                "index_pruned",
-                "Candidate pairs skipped by the residue index.",
-                |o| o.index_pruned,
-            ),
-            ("atoms_simplified", "Constraint atoms rewritten.", |o| {
-                o.atoms_simplified
-            }),
-            (
-                "tuples_subsumed",
-                "Tuples dropped by compaction as subsumed.",
-                |o| o.tuples_subsumed,
-            ),
-            (
-                "coalesce_merges",
-                "Tuples eliminated by coalescing residue classes.",
-                |o| o.coalesce_merges,
-            ),
-        ];
-        for (metric, help, get) in counters {
-            out.push_str(&format!("# HELP itd_op_{metric}_total {help}\n"));
-            out.push_str(&format!("# TYPE itd_op_{metric}_total counter\n"));
+        for c in OpSnapshot::COUNTERS {
+            let (name, kind) = match c.combine {
+                Combine::Sum => (format!("itd_op_{}_total", c.name), "counter"),
+                Combine::Max => (format!("itd_op_{}", c.name), "gauge"),
+                Combine::Nanos => ("itd_op_wall_seconds_total".to_owned(), "counter"),
+            };
+            out.push_str(&format!("# HELP {name} {}\n", c.help));
+            out.push_str(&format!("# TYPE {name} {kind}\n"));
             for (kind, op) in self.iter() {
-                out.push_str(&format!(
-                    "itd_op_{metric}_total{{op=\"{}\"}} {}\n",
-                    kind.name(),
-                    get(op)
-                ));
+                let value = match c.combine {
+                    Combine::Nanos => format!("{:.9}", c.get(op) as f64 / 1e9),
+                    _ => c.get(op).to_string(),
+                };
+                out.push_str(&format!("{name}{{op=\"{}\"}} {value}\n", kind.name()));
             }
-        }
-        out.push_str("# HELP itd_op_max_period Largest common period k encountered.\n");
-        out.push_str("# TYPE itd_op_max_period gauge\n");
-        for (kind, op) in self.iter() {
-            out.push_str(&format!(
-                "itd_op_max_period{{op=\"{}\"}} {}\n",
-                kind.name(),
-                op.max_period
-            ));
-        }
-        out.push_str("# HELP itd_op_wall_seconds_total Accumulated operator wall time.\n");
-        out.push_str("# TYPE itd_op_wall_seconds_total counter\n");
-        for (kind, op) in self.iter() {
-            out.push_str(&format!(
-                "itd_op_wall_seconds_total{{op=\"{}\"}} {:.9}\n",
-                kind.name(),
-                op.nanos as f64 / 1e9
-            ));
         }
         out
     }
@@ -689,25 +548,12 @@ impl StatsSnapshot {
             if i > 0 {
                 out.push(',');
             }
-            out.push_str(&format!(
-                "\"{}\":{{\"calls\":{},\"tuples_in\":{},\"tuples_out\":{},\"pairs\":{},\
-                 \"empties_pruned\":{},\"index_probes\":{},\"index_pruned\":{},\
-                 \"atoms_simplified\":{},\"tuples_subsumed\":{},\"coalesce_merges\":{},\
-                 \"max_period\":{},\"nanos\":{}}}",
-                kind.name(),
-                op.calls,
-                op.tuples_in,
-                op.tuples_out,
-                op.pairs,
-                op.empties_pruned,
-                op.index_probes,
-                op.index_pruned,
-                op.atoms_simplified,
-                op.tuples_subsumed,
-                op.coalesce_merges,
-                op.max_period,
-                op.nanos,
-            ));
+            out.push_str(&format!("\"{}\":{{", kind.name()));
+            for (j, c) in OpSnapshot::COUNTERS.iter().enumerate() {
+                let sep = if j > 0 { "," } else { "" };
+                out.push_str(&format!("{sep}\"{}\":{}", c.name, c.get(op)));
+            }
+            out.push('}');
         }
         out.push_str(&format!(
             "}},\"total_calls\":{},\"total_wall_ns\":{}}}",
@@ -722,28 +568,45 @@ impl StatsSnapshot {
 mod tests {
     use super::*;
 
+    /// The record of one finished operator call.
+    fn call(counters: OpSnapshot) -> impl FnOnce(&mut Span) {
+        move |span| {
+            span.counters = OpSnapshot {
+                calls: 1,
+                ..counters
+            }
+        }
+    }
+
     fn sample() -> Trace {
         let sink = TraceSink::new();
         let root = sink.begin(SpanLabel::Node("and \"x\"".into()), Some(7));
         let a = sink.begin(SpanLabel::Op(OpKind::Join), None);
-        sink.record_period(OpKind::Join, 6);
-        sink.end(a, |s| {
-            s.tuples_in = 4;
-            s.tuples_out = 2;
-            s.pairs = 4;
-            s.nanos = 1_500;
-        });
+        sink.end(
+            a,
+            call(OpSnapshot {
+                tuples_in: 4,
+                tuples_out: 2,
+                pairs: 4,
+                max_period: 6,
+                nanos: 1_500,
+                ..OpSnapshot::default()
+            }),
+        );
         let b = sink.begin(SpanLabel::Op(OpKind::Project), None);
-        sink.end(b, |s| {
-            s.tuples_in = 2;
-            s.tuples_out = 2;
-            s.nanos = 500;
-        });
-        sink.update(root, |s| s.tuples_out = 2);
-        sink.end(root, |s| s.nanos = 3_000);
+        sink.end(
+            b,
+            call(OpSnapshot {
+                tuples_in: 2,
+                tuples_out: 2,
+                nanos: 500,
+                ..OpSnapshot::default()
+            }),
+        );
+        sink.update(root, |s| s.counters.tuples_out = 2);
+        sink.end(root, |s| s.counters.nanos = 3_000);
         sink.take()
     }
-
     #[test]
     fn tree_shape_and_ids() {
         let t = sample();
@@ -754,7 +617,7 @@ mod tests {
         assert_eq!(t.spans()[2].parent, Some(0));
         assert_eq!(t.spans()[1].depth, 1);
         assert_eq!(t.children(0).count(), 2);
-        assert_eq!(t.spans()[1].max_period, 6);
+        assert_eq!(t.spans()[1].counters.max_period, 6);
     }
 
     #[test]
@@ -775,7 +638,10 @@ mod tests {
         let a = sample().without_timing();
         let b = sample().without_timing();
         assert_eq!(a, b);
-        assert!(a.spans().iter().all(|s| s.nanos == 0 && s.start_nanos == 0));
+        assert!(a
+            .spans()
+            .iter()
+            .all(|s| s.counters.nanos == 0 && s.start_nanos == 0));
     }
 
     #[test]
@@ -837,19 +703,27 @@ mod tests {
     fn compaction_counters_render_and_export() {
         let sink = TraceSink::new();
         let a = sink.begin(SpanLabel::Op(OpKind::Compact), None);
-        sink.end(a, |s| {
-            s.tuples_in = 10;
-            s.tuples_out = 6;
-            s.tuples_subsumed = 3;
-            s.coalesce_merges = 1;
-            s.nanos = 700;
-        });
+        sink.end(
+            a,
+            call(OpSnapshot {
+                tuples_in: 10,
+                tuples_out: 6,
+                tuples_subsumed: 3,
+                coalesce_merges: 1,
+                nanos: 700,
+                ..OpSnapshot::default()
+            }),
+        );
         let b = sink.begin(SpanLabel::Op(OpKind::Intersect), None);
-        sink.end(b, |s| {
-            s.pairs = 9;
-            s.max_period = 12;
-            s.nanos = 300;
-        });
+        sink.end(
+            b,
+            call(OpSnapshot {
+                pairs: 9,
+                max_period: 12,
+                nanos: 300,
+                ..OpSnapshot::default()
+            }),
+        );
         let t = sink.take();
         let text = t.render_tree();
         assert!(
@@ -879,22 +753,5 @@ mod tests {
         assert!(jsonl.contains("\"tuples_subsumed\":3"), "{jsonl}");
         let chrome = t.to_chrome_trace();
         assert!(chrome.contains("\"max_period\":12"), "{chrome}");
-    }
-
-    #[test]
-    fn record_period_targets_innermost_open_span_of_kind() {
-        let sink = TraceSink::new();
-        let outer = sink.begin(SpanLabel::Op(OpKind::Normalize), None);
-        let inner = sink.begin(SpanLabel::Op(OpKind::Select), None);
-        // Recorded against the open Normalize span even though Select is
-        // innermost overall.
-        sink.record_period(OpKind::Normalize, 12);
-        // No open Complement span: silently dropped.
-        sink.record_period(OpKind::Complement, 99);
-        sink.end(inner, |_| {});
-        sink.end(outer, |_| {});
-        let t = sink.take();
-        assert_eq!(t.spans()[0].max_period, 12);
-        assert_eq!(t.spans()[1].max_period, 0);
     }
 }

@@ -310,7 +310,7 @@ fn render_node(
                 let ops = trace.op_totals_for_plan_node(node.id);
                 out.push_str(&format!(
                     " [actual rows={} pairs={} in {:.1?}]",
-                    span.tuples_out,
+                    span.counters.tuples_out,
                     ops.total_pairs(),
                     span.wall_time()
                 ));

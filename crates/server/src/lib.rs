@@ -27,7 +27,8 @@
 //!   always-correct; metrics observe completed queries only).
 //!
 //! A second plain-HTTP/1.0 listener serves `GET /metrics` (the registry's
-//! Prometheus text) and `GET /healthz`.
+//! Prometheus text, plus the process-wide storage gauges) and
+//! `GET /healthz`.
 //!
 //! [`Database`]: itd_db::Database
 

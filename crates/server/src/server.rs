@@ -37,7 +37,7 @@ use std::sync::{Arc, Condvar, Mutex, RwLock};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use itd_core::{CancelToken, CoreError, ExecContext, MetricsRegistry};
+use itd_core::{storage_stats, CancelToken, CoreError, ExecContext, MetricsRegistry};
 use itd_db::{Database, DbError, QueryOpts, QueryOutput, Txn, TxnSummary};
 use itd_query::QueryError;
 
@@ -225,17 +225,19 @@ impl Server {
         Arc::clone(&self.shared.registry)
     }
 
-    /// Applies a transaction to the shared database. Takes the write
-    /// lock, so it interleaves *between* batch snapshots: every in-flight
-    /// batch keeps reading its own immutable snapshot, and the next batch
-    /// observes the new state.
+    /// Applies a transaction to the shared database, under the same
+    /// thread budget as a query ([`ServerConfig::query_threads`]). Takes
+    /// the write lock, so it interleaves *between* batch snapshots: every
+    /// in-flight batch keeps reading its own immutable snapshot, and the
+    /// next batch observes the new state.
     ///
     /// # Errors
     /// [`ServerError::Query`] on validation failure (the batch then
     /// changed nothing).
     pub fn apply(&self, txn: Txn) -> Result<TxnSummary, ServerError> {
         let mut db = self.shared.db.write().expect("database lock poisoned");
-        Ok(db.apply_with(txn, &ExecContext::new())?)
+        let ctx = ExecContext::with_threads(self.shared.cfg.query_threads);
+        Ok(db.apply_with(txn, &ctx)?)
     }
 
     /// An O(1)-ish snapshot of the current shared database state — the
@@ -598,7 +600,8 @@ fn write_line(out: &Arc<Mutex<TcpStream>>, line: &str) {
 }
 
 /// Plain-HTTP/1.0 endpoint: `GET /metrics` (Prometheus text exposition
-/// from the shared registry) and `GET /healthz`.
+/// from the shared registry, plus the process-wide storage gauges) and
+/// `GET /healthz`.
 fn metrics_loop(shared: &Arc<Shared>, listener: &TcpListener) {
     while !shared.shutdown.load(Relaxed) {
         match listener.accept() {
@@ -643,7 +646,9 @@ fn serve_http(shared: &Arc<Shared>, mut stream: TcpStream) {
         "/metrics" => (
             "200 OK",
             "text/plain; version=0.0.4",
-            shared.registry.snapshot().to_prometheus(),
+            // The storage gauges are process-wide; this endpoint's scope is
+            // the serving process.
+            shared.registry.snapshot().to_prometheus() + &storage_stats().to_prometheus(),
         ),
         "/healthz" => ("200 OK", "text/plain", "ok\n".to_owned()),
         _ => ("404 Not Found", "text/plain", "not found\n".to_owned()),

@@ -257,6 +257,34 @@ fn database_owns_and_auto_attaches_a_registry() {
     assert_eq!(reloaded.table_names(), db.table_names());
 }
 
+/// A database's metrics rendering covers that database only: interning
+/// fresh values and running a query on another database leaves it
+/// byte-identical. (Process-wide storage gauges are rendered separately,
+/// by `StorageStats::to_prometheus`.)
+#[test]
+fn metrics_render_is_scoped_to_its_database() {
+    let db = |name: &str| {
+        let mut db = Database::new();
+        db.create_table("ev", &["t"], &["who"]).unwrap();
+        db.table_mut("ev")
+            .unwrap()
+            .insert(TupleSpec::new().lrp("t", 0, 2).datum("who", name))
+            .unwrap();
+        db.run("exists w. ev(t; w) and t >= 0", QueryOpts::new())
+            .unwrap();
+        db
+    };
+    let a = db("scoped-a");
+    let before = a.metrics().snapshot().to_prometheus();
+    let b = db("scoped-b");
+    for i in 0..5 {
+        b.run(format!("ev(4; \"scoped-fresh-{i}\")"), QueryOpts::new())
+            .unwrap();
+    }
+    assert_eq!(b.metrics().queries(), 6);
+    assert_eq!(a.metrics().snapshot().to_prometheus(), before);
+}
+
 #[test]
 fn folded_trace_follows_collapsed_stack_conventions() {
     let _g = LOCK.lock().unwrap();
@@ -277,7 +305,7 @@ fn folded_trace_follows_collapsed_stack_conventions() {
     }
     // Self times sum back to (at most, under clock granularity) the
     // roots' wall time, and never to zero for a real evaluation.
-    let root_nanos: u64 = trace.roots().map(|s| s.nanos).sum();
+    let root_nanos: u64 = trace.roots().map(|s| s.counters.nanos).sum();
     assert!(total > 0);
     assert!(total <= root_nanos, "self times exceed the root wall time");
 }

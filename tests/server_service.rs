@@ -272,6 +272,7 @@ fn http_listener_serves_metrics_and_health() {
     assert!(metrics.contains("itd_server_requests_total 1"));
     assert!(metrics.contains("itd_server_connections_total"));
     assert!(metrics.contains("itd_server_queue_depth"));
+    assert!(metrics.contains("itd_storage_value_lookups_total"));
 
     let health = get("/healthz");
     assert!(health.starts_with("HTTP/1.0 200 OK"));
