@@ -198,9 +198,10 @@ impl RelationIndex {
     }
 
     /// Incrementally indexes one appended tuple at position `pos`
-    /// (`pos == len`). Returns `false` — leaving the index unusable, the
-    /// caller must drop it — when the new tuple's periods change some
-    /// column's modulus; in that case only a rebuild can produce an index
+    /// (`pos == len`), keyed on the ids `data[c][pos]` it was interned
+    /// to. Returns `false` — leaving the index unusable, the caller must
+    /// drop it — when the new tuple's periods change some column's
+    /// modulus; in that case only a rebuild can produce an index
     /// equivalent to a fresh [`RelationIndex::build`] over the extended
     /// relation.
     ///
@@ -209,7 +210,7 @@ impl RelationIndex {
     /// unchanged (so every existing residue is still correct), the new
     /// position lands at the tail of its bucket (positions are appended in
     /// ascending order), and the per-column gcd is refolded.
-    pub(crate) fn try_insert(&mut self, t: &GenTuple, pos: usize) -> bool {
+    pub(crate) fn try_insert(&mut self, t: &GenTuple, data: &[Vec<ValueId>], pos: usize) -> bool {
         debug_assert_eq!(pos, self.len);
         let mut new_gcds = Vec::with_capacity(self.gcds.len());
         for (i, &c) in self.temporal_cols.iter().enumerate() {
@@ -227,7 +228,7 @@ impl RelationIndex {
             .zip(&self.moduli)
             .map(|(&c, &m)| t.lrps()[c].offset().rem_euclid(m))
             .collect();
-        let key = intern_data_key(self.data_cols.iter().map(|&c| &t.data()[c]));
+        let key = self.data_cols.iter().map(|&c| data[c][pos]).collect();
         self.buckets.entry((key, residues)).or_default().push(pos);
         self.len += 1;
         true
@@ -493,7 +494,7 @@ mod tests {
         // index must equal a fresh build field for field.
         for i in 6..10 {
             let t = tup(vec![lrp(i, 24)]);
-            assert!(idx.try_insert(&t, tuples.len()));
+            assert!(idx.try_insert(&t, &[], tuples.len()));
             tuples.push(t);
             let fresh = RelationIndex::build(&tuples, &[0], &[]);
             assert_eq!(idx.moduli, fresh.moduli);
@@ -502,7 +503,7 @@ mod tests {
             assert_eq!(idx.buckets, fresh.buckets);
         }
         // Period 5 drops the gcd to 1 → modulus change → rejected.
-        assert!(!idx.try_insert(&tup(vec![lrp(0, 5)]), tuples.len()));
+        assert!(!idx.try_insert(&tup(vec![lrp(0, 5)]), &[], tuples.len()));
     }
 
     #[test]

@@ -79,7 +79,7 @@ pub use exec::{CancelToken, ExecContext, OpKind, OpSnapshot, StatsSnapshot};
 pub use index::RelationIndex;
 pub use metrics::{
     Histogram, HistogramSnapshot, MetricsRegistry, QueryObservation, QueryResourceReport,
-    RegistrySnapshot, ResourceCollector, SlowQueryEntry,
+    RegistryCounter, RegistryGauge, RegistrySnapshot, ResourceCollector, SlowQueryEntry,
 };
 pub use normalize::grid_view;
 pub use relation::{GenRelation, RelationBuilder};

@@ -13,8 +13,9 @@
 //! * **Counter totals** — a running [`StatsSnapshot`] that is, by
 //!   construction, the exact sum of every observed query's per-op
 //!   counters (asserted in the integration tests).
-//! * **Resource gauges** — tuples allocated and the largest single-query
-//!   peak of live rows.
+//! * **Scalars** — tuples allocated, the largest single-query peak of
+//!   live rows, and the view-maintenance and query-service counters and
+//!   gauges.
 //! * **A bounded slow-query log** — the [`SLOW_LOG_CAP`] worst queries by
 //!   wall time *and* by candidate pairs, each entry carrying the rendered
 //!   plan, the per-op counters, and the query's [`QueryResourceReport`];
@@ -29,10 +30,15 @@
 //! [`StorageStats::to_prometheus`] renders them where the scope is the
 //! process (a server's `/metrics`, the bench report).
 //!
-//! The record path takes no lock for histograms and counters (relaxed
-//! atomics) and two short mutexes (totals merge, slow-log insert) per
-//! query — not per operator — so concurrent queries contend only once per
-//! query.
+//! The query histograms, counters and gauges are declared once, in the
+//! `registry_metrics!` list (field, Prometheus family, type, help text),
+//! which generates the registry's atomics, the snapshot's fields and loads,
+//! the names that [`MetricsRegistry::count`] and [`MetricsRegistry::gauge`]
+//! take, and the lists every exporter walks; [`StorageStats`] is declared
+//! the same way in `store.rs`. The record path takes no lock for
+//! histograms and counters (relaxed atomics) and two short mutexes (totals
+//! merge, slow-log insert) per query — not per operator — so concurrent
+//! queries contend only once per query.
 
 use std::fmt::Write as _;
 use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
@@ -156,11 +162,6 @@ impl HistogramSnapshot {
 /// Per-query resource accounting, attached to every
 /// [`QueryOutput`](../../itd_query/struct.QueryOutput.html) and to slow-log
 /// entries.
-///
-/// The storage/cache fields are *deltas* over the query's execution window
-/// against the process-global counters, captured by a
-/// [`ResourceCollector`]. They are exact when one query runs at a time;
-/// under concurrency they attribute whatever the window saw.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct QueryResourceReport {
     /// Largest sum of live intermediate result rows at any point of the
@@ -168,59 +169,27 @@ pub struct QueryResourceReport {
     pub peak_live_rows: u64,
     /// Generalized tuples produced across all operators (`Σ tuples_out`).
     pub tuples_allocated: u64,
-    /// Value-arena interning attempts during the query.
-    pub value_lookups: u64,
-    /// Value-arena attempts answered by an existing entry.
-    pub value_hits: u64,
-    /// Part-arena interning attempts during the query.
-    pub part_lookups: u64,
-    /// Part-arena attempts answered by an existing entry.
-    pub part_hits: u64,
-    /// Estimated bytes of fresh arena payload interned by the query.
-    pub arena_bytes: u64,
-    /// Residue indexes built from scratch during the query.
-    pub index_builds: u64,
-    /// Operator calls served by an already-built persistent index.
-    pub index_reuses: u64,
-}
-
-fn rate(hits: u64, total: u64) -> f64 {
-    if total == 0 {
-        0.0
-    } else {
-        hits as f64 / total as f64
-    }
+    /// What the query's execution window added to the process-global
+    /// storage counters, captured by a [`ResourceCollector`]. Exact when
+    /// one query runs at a time; under concurrency it attributes whatever
+    /// the window saw.
+    pub storage: StorageStats,
 }
 
 impl QueryResourceReport {
-    /// Value-arena hit rate in `[0, 1]` (`0` when nothing was interned).
-    pub fn value_hit_rate(&self) -> f64 {
-        rate(self.value_hits, self.value_lookups)
-    }
-
-    /// Part-arena hit rate in `[0, 1]`.
-    pub fn part_hit_rate(&self) -> f64 {
-        rate(self.part_hits, self.part_lookups)
-    }
-
-    /// Fraction of index demands served by a persistent index.
-    pub fn index_reuse_rate(&self) -> f64 {
-        rate(self.index_reuses, self.index_builds + self.index_reuses)
-    }
-
     /// Scrubs every field that depends on process history or shared
-    /// caches (arena/index deltas), keeping only the replay-deterministic
+    /// caches (the storage window), keeping only the replay-deterministic
     /// core: `peak_live_rows` and `tuples_allocated`. The slow-log
     /// determinism tests compare scrubbed reports.
     pub fn without_timing(&self) -> QueryResourceReport {
         QueryResourceReport {
-            peak_live_rows: self.peak_live_rows,
-            tuples_allocated: self.tuples_allocated,
-            ..QueryResourceReport::default()
+            storage: StorageStats::default(),
+            ..*self
         }
     }
 
     fn json_fields(&self, out: &mut String) {
+        let s = &self.storage;
         let _ = write!(
             out,
             "\"peak_live_rows\":{},\"tuples_allocated\":{},\
@@ -228,19 +197,19 @@ impl QueryResourceReport {
              \"arena_bytes\":{},\"index_builds\":{},\"index_reuses\":{}",
             self.peak_live_rows,
             self.tuples_allocated,
-            self.value_lookups,
-            self.value_hits,
-            self.part_lookups,
-            self.part_hits,
-            self.arena_bytes,
-            self.index_builds,
-            self.index_reuses,
+            s.value_lookups,
+            s.value_hits,
+            s.part_lookups,
+            s.part_hits,
+            s.value_bytes + s.part_bytes,
+            s.index_builds,
+            s.index_reuses,
         );
     }
 }
 
 /// Captures the global storage counters at query start so
-/// [`ResourceCollector::finish`] can report the query's *deltas*.
+/// [`ResourceCollector::finish`] can report the query's window.
 #[derive(Debug, Clone, Copy)]
 pub struct ResourceCollector {
     storage: StorageStats,
@@ -254,23 +223,15 @@ impl ResourceCollector {
         }
     }
 
-    /// Builds the report from the post-execution counters: storage fields
-    /// are deltas against [`ResourceCollector::start`];
+    /// Builds the report from the post-execution counters: the storage
+    /// window is the delta against [`ResourceCollector::start`];
     /// `tuples_allocated` comes out of the query's own per-op counter
     /// delta `stats`.
     pub fn finish(self, peak_live_rows: u64, stats: &StatsSnapshot) -> QueryResourceReport {
-        let s = storage_stats();
-        let before_bytes = self.storage.value_bytes + self.storage.part_bytes;
         QueryResourceReport {
             peak_live_rows,
             tuples_allocated: stats.iter().map(|(_, o)| o.tuples_out).sum(),
-            value_lookups: s.value_lookups.saturating_sub(self.storage.value_lookups),
-            value_hits: s.value_hits.saturating_sub(self.storage.value_hits),
-            part_lookups: s.part_lookups.saturating_sub(self.storage.part_lookups),
-            part_hits: s.part_hits.saturating_sub(self.storage.part_hits),
-            arena_bytes: (s.value_bytes + s.part_bytes).saturating_sub(before_bytes),
-            index_builds: s.index_builds.saturating_sub(self.storage.index_builds),
-            index_reuses: s.index_reuses.saturating_sub(self.storage.index_reuses),
+            storage: storage_stats().delta_since(&self.storage),
         }
     }
 }
@@ -355,7 +316,7 @@ struct SlowLog {
 }
 
 impl SlowLog {
-    fn insert(&mut self, obs: &QueryObservation<'_>, resources: &QueryResourceReport) {
+    fn insert(&mut self, obs: &QueryObservation<'_>) {
         let seq = self.seq;
         self.seq += 1;
         let wall_nanos = obs.wall_nanos;
@@ -381,7 +342,7 @@ impl SlowLog {
             wall_nanos,
             pairs,
             stats: obs.stats.clone(),
-            resources: *resources,
+            resources: *obs.resources,
         };
         if by_time_ok {
             self.by_time.push(entry.clone());
@@ -398,34 +359,259 @@ impl SlowLog {
     }
 }
 
-/// Lock-cheap cross-query metrics sink. Shareable by reference (all
-/// interior mutability); each `Database` owns one in an `Arc`, shared by
-/// its clones.
-#[derive(Debug, Default)]
-pub struct MetricsRegistry {
-    queries: AtomicU64,
-    query_wall: Histogram,
-    query_pairs: Histogram,
-    query_rows: Histogram,
-    op_wall: [Histogram; OpKind::ALL.len()],
-    totals: Mutex<StatsSnapshot>,
-    tuples_allocated: AtomicU64,
-    peak_rows: AtomicU64,
-    slow: Mutex<SlowLog>,
-    view_refreshes: AtomicU64,
-    view_full_refreshes: AtomicU64,
-    view_delta_rows: AtomicU64,
-    views_registered: AtomicU64,
-    server_connections: AtomicU64,
-    server_requests: AtomicU64,
-    server_admitted: AtomicU64,
-    server_rejected_over_budget: AtomicU64,
-    server_rejected_queue_full: AtomicU64,
-    server_timeouts: AtomicU64,
-    server_batches: AtomicU64,
-    server_batch_queries: AtomicU64,
-    server_queue_depth: AtomicU64,
-    server_queue_depth_max: AtomicU64,
+/// Whether a declared scalar metric is a tally or a level: its Prometheus
+/// type.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Kind {
+    /// A tally that only grows.
+    Counter,
+    /// A level that goes up and down.
+    Gauge,
+}
+
+impl Kind {
+    fn name(self) -> &'static str {
+        match self {
+            Kind::Counter => "counter",
+            Kind::Gauge => "gauge",
+        }
+    }
+}
+
+/// One declared scalar metric of a snapshot type `S`: its Prometheus
+/// family, type and help text, and where `S` holds its value.
+pub(crate) struct Family<S> {
+    pub(crate) name: &'static str,
+    pub(crate) kind: Kind,
+    pub(crate) help: &'static str,
+    pub(crate) read: fn(&S) -> u64,
+}
+
+/// What a query histogram's values measure.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Unit {
+    /// Wall time in nanoseconds: rendered as durations, exported in
+    /// seconds.
+    Nanos,
+    /// A plain count.
+    Count,
+}
+
+impl Unit {
+    /// One value as a `\top` or `\histo` cell.
+    fn render(self, v: u64) -> String {
+        match self {
+            Unit::Nanos => fmt_nanos(v),
+            Unit::Count => v.to_string(),
+        }
+    }
+}
+
+/// One declared query histogram, as listed in
+/// [`RegistrySnapshot::HISTOGRAMS`].
+struct HistogramFamily {
+    /// Row label in `\top`; `\histo` titles it `query <label>`.
+    label: &'static str,
+    unit: Unit,
+    /// Prometheus family and help text.
+    name: &'static str,
+    help: &'static str,
+    read: fn(&RegistrySnapshot) -> &HistogramSnapshot,
+}
+
+/// Adds the signed `delta` to `cell`, saturating at zero, and returns the
+/// new value.
+fn add_saturating(cell: &AtomicU64, delta: i64) -> u64 {
+    let step = |v: u64| v.saturating_add_signed(delta);
+    match cell.fetch_update(Relaxed, Relaxed, |v| Some(step(v))) {
+        Ok(prev) | Err(prev) => step(prev),
+    }
+}
+
+/// Declares the registry's metrics once: the query histograms, the
+/// counters and the gauges. An entry's help text also opens its doc. The
+/// list generates the fields of [`MetricsRegistry`] and
+/// [`RegistrySnapshot`], the loads of [`MetricsRegistry::snapshot`], the
+/// [`RegistryCounter`] and [`RegistryGauge`] names that
+/// [`MetricsRegistry::count`] and [`MetricsRegistry::gauge`] take, and
+/// the family lists that the Prometheus, `\top` and `\histo` renderings
+/// walk. A gauge may declare a high-water mark, raised whenever the gauge
+/// moves.
+macro_rules! registry_metrics {
+    (
+        histograms {$(
+            $(#[doc = $hdoc:literal])*
+            $hist:ident: $unit:ident $label:literal, $hfamily:literal, $hhelp:literal;
+        )+}
+        counters {$(
+            $(#[doc = $cdoc:literal])*
+            $cvar:ident / $counter:ident: $cfamily:literal, $chelp:literal;
+        )+}
+        gauges {$(
+            $(#[doc = $gdoc:literal])*
+            $gvar:ident / $gauge:ident: $gfamily:literal, $ghelp:literal
+                $(, max $max:ident: $mfamily:literal, $mhelp:literal)?;
+        )+}
+    ) => {
+        /// A registry counter, for [`MetricsRegistry::count`].
+        #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+        pub enum RegistryCounter {
+            $(#[doc = $chelp] $(#[doc = $cdoc])* $cvar,)+
+        }
+
+        /// A registry gauge, for [`MetricsRegistry::gauge`].
+        #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+        pub enum RegistryGauge {
+            $(#[doc = $ghelp] $(#[doc = $gdoc])* $gvar,)+
+        }
+
+        /// Lock-cheap cross-query metrics sink. Shareable by reference
+        /// (all interior mutability); each `Database` owns one in an
+        /// `Arc`, shared by its clones.
+        #[derive(Debug, Default)]
+        pub struct MetricsRegistry {
+            queries: AtomicU64,
+            op_wall: [Histogram; OpKind::ALL.len()],
+            totals: Mutex<StatsSnapshot>,
+            tuples_allocated: AtomicU64,
+            peak_rows: AtomicU64,
+            slow: Mutex<SlowLog>,
+            $($hist: Histogram,)+
+            $($counter: AtomicU64,)+
+            $($gauge: AtomicU64, $($max: AtomicU64,)?)+
+        }
+
+        impl MetricsRegistry {
+            /// Adds `n` to one counter.
+            pub fn count(&self, counter: RegistryCounter, n: u64) {
+                match counter {
+                    $(RegistryCounter::$cvar => &self.$counter,)+
+                }
+                .fetch_add(n, Relaxed);
+            }
+
+            /// Moves one gauge by the signed `delta`, saturating at zero,
+            /// and raises its high-water mark if it declares one.
+            pub fn gauge(&self, gauge: RegistryGauge, delta: i64) {
+                match gauge {$(
+                    RegistryGauge::$gvar => {
+                        let _now = add_saturating(&self.$gauge, delta);
+                        $(self.$max.fetch_max(_now, Relaxed);)?
+                    }
+                )+}
+            }
+
+            /// Freezes the registry into a plain-data snapshot.
+            pub fn snapshot(&self) -> RegistrySnapshot {
+                let slow = self.slow.lock().expect("slow log poisoned");
+                RegistrySnapshot {
+                    queries: self.queries.load(Relaxed),
+                    op_wall: OpKind::ALL
+                        .iter()
+                        .map(|k| (*k, self.op_wall[k.index()].snapshot()))
+                        .collect(),
+                    totals: self.totals.lock().expect("metrics totals poisoned").clone(),
+                    tuples_allocated: self.tuples_allocated.load(Relaxed),
+                    peak_rows: self.peak_rows.load(Relaxed),
+                    slow_by_time: slow.by_time.clone(),
+                    slow_by_pairs: slow.by_pairs.clone(),
+                    $($hist: self.$hist.snapshot(),)+
+                    $($counter: self.$counter.load(Relaxed),)+
+                    $($gauge: self.$gauge.load(Relaxed), $($max: self.$max.load(Relaxed),)?)+
+                }
+            }
+        }
+
+        /// Plain-data freeze of a [`MetricsRegistry`].
+        #[derive(Debug, Clone)]
+        pub struct RegistrySnapshot {
+            /// Queries observed.
+            pub queries: u64,
+            /// Per-op wall-time histograms in display order (nanoseconds;
+            /// one observation per query that invoked the op).
+            pub op_wall: Vec<(OpKind, HistogramSnapshot)>,
+            /// Exact sum of every observed query's per-op counters.
+            pub totals: StatsSnapshot,
+            /// Total tuples allocated across observed queries.
+            pub tuples_allocated: u64,
+            /// Largest single-query peak of live intermediate rows.
+            pub peak_rows: u64,
+            /// Worst queries by wall time, worst first.
+            pub slow_by_time: Vec<SlowQueryEntry>,
+            /// Worst queries by candidate pairs, worst first.
+            pub slow_by_pairs: Vec<SlowQueryEntry>,
+            $(#[doc = $hhelp] $(#[doc = $hdoc])* pub $hist: HistogramSnapshot,)+
+            $(#[doc = $chelp] $(#[doc = $cdoc])* pub $counter: u64,)+
+            $(
+                #[doc = $ghelp] $(#[doc = $gdoc])* pub $gauge: u64,
+                $(#[doc = $mhelp] pub $max: u64,)?
+            )+
+        }
+
+        impl RegistrySnapshot {
+            /// The query histograms, in rendering order.
+            const HISTOGRAMS: &'static [HistogramFamily] = &[$(HistogramFamily {
+                label: $label, unit: Unit::$unit, name: $hfamily, help: $hhelp, read: |s| &s.$hist,
+            },)+];
+
+            /// The counters and gauges, in rendering order.
+            const SCALARS: &'static [Family<RegistrySnapshot>] = &[
+                $(Family { name: $cfamily, kind: Kind::Counter, help: $chelp, read: |s| s.$counter },)+
+                $(
+                    Family { name: $gfamily, kind: Kind::Gauge, help: $ghelp, read: |s| s.$gauge },
+                    $(Family { name: $mfamily, kind: Kind::Gauge, help: $mhelp, read: |s| s.$max },)?
+                )+
+            ];
+        }
+    };
+}
+
+registry_metrics! {
+    histograms {
+        /// In nanoseconds.
+        query_wall: Nanos "wall time", "itd_query_wall_seconds", "Per-query end-to-end wall time.";
+        query_pairs: Count "pairs", "itd_query_pairs", "Per-query candidate tuple pairs examined.";
+        query_rows: Count "peak rows", "itd_query_rows", "Per-query peak live intermediate rows.";
+    }
+    counters {
+        ViewRefreshes / view_refreshes: "itd_view_refreshes_total",
+            "Registered-view refreshes observed (incremental and full).";
+        ViewFullRefreshes / view_full_refreshes: "itd_view_full_refreshes_total",
+            "View refreshes that fell back to full recomputation.";
+        ViewDeltaRows / view_delta_rows: "itd_view_delta_rows_total",
+            "Signed delta rows consumed by view refreshes.";
+        ServerConnections / server_connections: "itd_server_connections_total",
+            "Query-service connections accepted.";
+        /// The admission invariant `admitted + rejected_over_budget +
+        /// rejected_queue_full == requests` holds at every quiescent point.
+        ServerRequests / server_requests: "itd_server_requests_total",
+            "Query-service requests submitted (before admission).";
+        ServerAdmitted / server_admitted: "itd_server_admitted_total",
+            "Requests admitted past the cost budget.";
+        ServerRejectedOverBudget / server_rejected_over_budget:
+            "itd_server_rejected_over_budget_total",
+            "Requests rejected for exceeding the admission budget.";
+        ServerRejectedQueueFull / server_rejected_queue_full:
+            "itd_server_rejected_queue_full_total",
+            "Requests rejected because the bounded queue was full.";
+        ServerTimeouts / server_timeouts: "itd_server_timeouts_total",
+            "Admitted requests cancelled by their deadline.";
+        ServerBatches / server_batches: "itd_server_batches_total",
+            "Batches dispatched against a shared snapshot.";
+        ServerBatchQueries / server_batch_queries: "itd_server_batch_queries_total",
+            "Requests carried by shared-snapshot batches.";
+    }
+    gauges {
+        /// Clones of a `Database` share its registry, so this counts the
+        /// views of every clone, and deregistering the same view from a
+        /// clone and from the original saturates at zero instead of
+        /// wrapping.
+        ViewsRegistered / views_registered: "itd_views_registered", "Views currently registered.";
+        ServerQueueDepth / server_queue_depth: "itd_server_queue_depth",
+            "Admission-queue depth at snapshot time.",
+            max server_queue_depth_max: "itd_server_queue_depth_max",
+            "High-water mark of the admission-queue depth.";
+    }
 }
 
 impl MetricsRegistry {
@@ -442,20 +628,16 @@ impl MetricsRegistry {
     /// query actually invoked (`calls > 0`), so observation *counts* are
     /// thread-count invariant even though the recorded times are not.
     pub fn observe_query(&self, obs: QueryObservation<'_>) {
+        let resources = obs.resources;
         self.queries.fetch_add(1, Relaxed);
         self.query_wall.record(obs.wall_nanos);
         self.query_pairs.record(obs.stats.total_pairs());
-        self.query_rows.record(obs.resources.peak_live_rows);
+        self.query_rows.record(resources.peak_live_rows);
         self.observe_ops(obs.stats);
         self.tuples_allocated
-            .fetch_add(obs.resources.tuples_allocated, Relaxed);
-        self.peak_rows
-            .fetch_max(obs.resources.peak_live_rows, Relaxed);
-        let resources = *obs.resources;
-        self.slow
-            .lock()
-            .expect("slow log poisoned")
-            .insert(&obs, &resources);
+            .fetch_add(resources.tuples_allocated, Relaxed);
+        self.peak_rows.fetch_max(resources.peak_live_rows, Relaxed);
+        self.slow.lock().expect("slow log poisoned").insert(&obs);
     }
 
     /// Number of queries observed so far.
@@ -490,193 +672,48 @@ impl MetricsRegistry {
             .expect("metrics totals poisoned")
             .merge(stats);
     }
-
-    /// Counts one accepted query-service connection.
-    pub fn server_connection(&self) {
-        self.server_connections.fetch_add(1, Relaxed);
-    }
-
-    /// Counts one query request submitted to the service (before
-    /// admission). The admission invariant `admitted + rejected_over_budget
-    /// + rejected_queue_full == requests` holds at every quiescent point.
-    pub fn server_request(&self) {
-        self.server_requests.fetch_add(1, Relaxed);
-    }
-
-    /// Counts one request admitted past the cost budget.
-    pub fn server_admitted(&self) {
-        self.server_admitted.fetch_add(1, Relaxed);
-    }
-
-    /// Counts one request rejected because its pre-execution total-pairs
-    /// estimate exceeded the admission budget.
-    pub fn server_rejected_over_budget(&self) {
-        self.server_rejected_over_budget.fetch_add(1, Relaxed);
-    }
-
-    /// Counts one request rejected because the bounded admission queue was
-    /// full (backpressure).
-    pub fn server_rejected_queue_full(&self) {
-        self.server_rejected_queue_full.fetch_add(1, Relaxed);
-    }
-
-    /// Counts one admitted request cancelled by its deadline.
-    pub fn server_timeout(&self) {
-        self.server_timeouts.fetch_add(1, Relaxed);
-    }
-
-    /// Records one dispatched batch of `queries` requests sharing a single
-    /// database snapshot.
-    pub fn observe_server_batch(&self, queries: u64) {
-        self.server_batches.fetch_add(1, Relaxed);
-        self.server_batch_queries.fetch_add(queries, Relaxed);
-    }
-
-    /// Publishes the current admission-queue depth (and raises the
-    /// high-water mark).
-    pub fn server_queue_depth_set(&self, depth: u64) {
-        self.server_queue_depth.store(depth, Relaxed);
-        self.server_queue_depth_max.fetch_max(depth, Relaxed);
-    }
-
-    /// Adjusts the registered-view gauge on register (`+1`) / deregister
-    /// (`-1`).
-    pub fn views_registered_add(&self, delta: i64) {
-        if delta >= 0 {
-            self.views_registered.fetch_add(delta as u64, Relaxed);
-        } else {
-            self.views_registered.fetch_sub((-delta) as u64, Relaxed);
-        }
-    }
-
-    /// Freezes the registry into a plain-data snapshot.
-    pub fn snapshot(&self) -> RegistrySnapshot {
-        let slow = self.slow.lock().expect("slow log poisoned");
-        RegistrySnapshot {
-            queries: self.queries.load(Relaxed),
-            query_wall: self.query_wall.snapshot(),
-            query_pairs: self.query_pairs.snapshot(),
-            query_rows: self.query_rows.snapshot(),
-            op_wall: OpKind::ALL
-                .iter()
-                .map(|k| (*k, self.op_wall[k.index()].snapshot()))
-                .collect(),
-            totals: self.totals.lock().expect("metrics totals poisoned").clone(),
-            tuples_allocated: self.tuples_allocated.load(Relaxed),
-            peak_rows: self.peak_rows.load(Relaxed),
-            slow_by_time: slow.by_time.clone(),
-            slow_by_pairs: slow.by_pairs.clone(),
-            view_refreshes: self.view_refreshes.load(Relaxed),
-            view_full_refreshes: self.view_full_refreshes.load(Relaxed),
-            view_delta_rows: self.view_delta_rows.load(Relaxed),
-            views_registered: self.views_registered.load(Relaxed),
-            server_connections: self.server_connections.load(Relaxed),
-            server_requests: self.server_requests.load(Relaxed),
-            server_admitted: self.server_admitted.load(Relaxed),
-            server_rejected_over_budget: self.server_rejected_over_budget.load(Relaxed),
-            server_rejected_queue_full: self.server_rejected_queue_full.load(Relaxed),
-            server_timeouts: self.server_timeouts.load(Relaxed),
-            server_batches: self.server_batches.load(Relaxed),
-            server_batch_queries: self.server_batch_queries.load(Relaxed),
-            server_queue_depth: self.server_queue_depth.load(Relaxed),
-            server_queue_depth_max: self.server_queue_depth_max.load(Relaxed),
-        }
-    }
-}
-
-/// Plain-data freeze of a [`MetricsRegistry`].
-#[derive(Debug, Clone)]
-pub struct RegistrySnapshot {
-    /// Queries observed.
-    pub queries: u64,
-    /// Per-query wall-time histogram (nanoseconds).
-    pub query_wall: HistogramSnapshot,
-    /// Per-query candidate-pair histogram.
-    pub query_pairs: HistogramSnapshot,
-    /// Per-query peak-live-row histogram.
-    pub query_rows: HistogramSnapshot,
-    /// Per-op wall-time histograms in display order (nanoseconds; one
-    /// observation per query that invoked the op).
-    pub op_wall: Vec<(OpKind, HistogramSnapshot)>,
-    /// Exact sum of every observed query's per-op counters.
-    pub totals: StatsSnapshot,
-    /// Total tuples allocated across observed queries.
-    pub tuples_allocated: u64,
-    /// Largest single-query peak of live intermediate rows.
-    pub peak_rows: u64,
-    /// Worst queries by wall time, worst first.
-    pub slow_by_time: Vec<SlowQueryEntry>,
-    /// Worst queries by candidate pairs, worst first.
-    pub slow_by_pairs: Vec<SlowQueryEntry>,
-    /// Registered-view refreshes observed (incremental and full).
-    pub view_refreshes: u64,
-    /// Refreshes that fell back to full recomputation.
-    pub view_full_refreshes: u64,
-    /// Signed delta rows consumed by view refreshes.
-    pub view_delta_rows: u64,
-    /// Views currently registered across databases sharing this registry.
-    pub views_registered: u64,
-    /// Query-service connections accepted.
-    pub server_connections: u64,
-    /// Query-service requests submitted (before admission).
-    pub server_requests: u64,
-    /// Requests admitted past the cost budget.
-    pub server_admitted: u64,
-    /// Requests rejected for exceeding the admission budget.
-    pub server_rejected_over_budget: u64,
-    /// Requests rejected because the bounded queue was full.
-    pub server_rejected_queue_full: u64,
-    /// Admitted requests cancelled by their deadline.
-    pub server_timeouts: u64,
-    /// Batches dispatched against a shared snapshot.
-    pub server_batches: u64,
-    /// Requests carried by those batches.
-    pub server_batch_queries: u64,
-    /// Admission-queue depth at snapshot time.
-    pub server_queue_depth: u64,
-    /// High-water mark of the admission-queue depth.
-    pub server_queue_depth_max: u64,
 }
 
 fn fmt_nanos(n: u64) -> String {
     format!("{:.1?}", Duration::from_nanos(n))
 }
 
-/// Appends one Prometheus classic histogram (cumulative `_bucket{le=}`
-/// series, `_sum`, `_count`). `scale` divides both the `le` boundaries and
-/// the sum (use `1e9` to render nanosecond buckets in seconds, `1.0` for
-/// dimensionless values).
-fn prom_histogram(out: &mut String, name: &str, help: &str, h: &HistogramSnapshot, scale: f64) {
-    let _ = writeln!(out, "# HELP {name} {help}");
+/// Appends one declared histogram as a Prometheus classic histogram
+/// (cumulative `_bucket{le=}` series, `_sum`, `_count`).
+fn prom_histogram(out: &mut String, family: &HistogramFamily, h: &HistogramSnapshot) {
+    let name = family.name;
+    let value = |v: u64| match family.unit {
+        Unit::Nanos => format!("{:.9}", v as f64 / 1e9),
+        Unit::Count => v.to_string(),
+    };
+    let _ = writeln!(out, "# HELP {name} {}", family.help);
     let _ = writeln!(out, "# TYPE {name} histogram");
     let last = h.max_bucket().unwrap_or(0);
     let mut cumulative = 0u64;
     for i in 0..=last {
         cumulative += h.buckets[i];
-        let le = bucket_le(i);
-        if scale == 1.0 {
-            let _ = writeln!(out, "{name}_bucket{{le=\"{le}\"}} {cumulative}");
-        } else {
-            let _ = writeln!(
-                out,
-                "{name}_bucket{{le=\"{:.9}\"}} {cumulative}",
-                le as f64 / scale
-            );
-        }
+        let le = value(bucket_le(i));
+        let _ = writeln!(out, "{name}_bucket{{le=\"{le}\"}} {cumulative}");
     }
     let _ = writeln!(out, "{name}_bucket{{le=\"+Inf\"}} {}", h.count());
-    if scale == 1.0 {
-        let _ = writeln!(out, "{name}_sum {}", h.sum);
-    } else {
-        let _ = writeln!(out, "{name}_sum {:.9}", h.sum as f64 / scale);
-    }
+    let _ = writeln!(out, "{name}_sum {}", value(h.sum));
     let _ = writeln!(out, "{name}_count {}", h.count());
 }
 
-fn prom_scalar(out: &mut String, name: &str, kind: &str, help: &str, value: u64) {
+fn prom_scalar(out: &mut String, name: &str, kind: Kind, help: &str, value: u64) {
     let _ = writeln!(out, "# HELP {name} {help}");
-    let _ = writeln!(out, "# TYPE {name} {kind}");
+    let _ = writeln!(out, "# TYPE {name} {}", kind.name());
     let _ = writeln!(out, "{name} {value}");
+}
+
+/// Appends the declared scalar `families` of `s`: every counter, then
+/// every gauge, each in declaration order.
+fn prom_families<S>(out: &mut String, s: &S, families: &[Family<S>]) {
+    for kind in [Kind::Counter, Kind::Gauge] {
+        for f in families.iter().filter(|f| f.kind == kind) {
+            prom_scalar(out, f.name, kind, f.help, (f.read)(s));
+        }
+    }
 }
 
 impl StorageStats {
@@ -686,74 +723,15 @@ impl StorageStats {
     /// them only to a rendering whose scope is the whole process.
     pub fn to_prometheus(&self) -> String {
         let mut out = String::new();
-        for (name, help, v) in [
-            (
-                "itd_storage_value_lookups_total",
-                "Value-arena interning attempts.",
-                self.value_lookups,
-            ),
-            (
-                "itd_storage_value_hits_total",
-                "Value-arena attempts answered by an existing entry.",
-                self.value_hits,
-            ),
-            (
-                "itd_storage_part_lookups_total",
-                "Part-arena interning attempts.",
-                self.part_lookups,
-            ),
-            (
-                "itd_storage_part_hits_total",
-                "Part-arena attempts answered by an existing entry.",
-                self.part_hits,
-            ),
-            (
-                "itd_storage_index_builds_total",
-                "Residue indexes built from scratch.",
-                self.index_builds,
-            ),
-            (
-                "itd_storage_index_reuses_total",
-                "Operator calls served by a persistent index.",
-                self.index_reuses,
-            ),
-            (
-                "itd_outcome_cache_hits_total",
-                "Pairwise-outcome cache lookups answered by a cached outcome.",
-                self.outcome_hits,
-            ),
-            (
-                "itd_outcome_cache_misses_total",
-                "Pairwise-outcome cache lookups that fell through to derivation.",
-                self.outcome_misses,
-            ),
-            (
-                "itd_outcome_cache_evictions_total",
-                "Pairwise-outcome cache entries dropped by the capacity bound.",
-                self.outcome_evictions,
-            ),
-        ] {
-            prom_scalar(&mut out, name, "counter", help, v);
-        }
-        for (name, help, v) in [
-            (
-                "itd_storage_value_distinct",
-                "Distinct values interned.",
-                self.value_distinct,
-            ),
-            (
-                "itd_storage_part_distinct",
-                "Distinct temporal parts interned.",
-                self.part_distinct,
-            ),
-            (
-                "itd_storage_arena_bytes",
-                "Estimated bytes of interned arena payload.",
-                self.value_bytes + self.part_bytes,
-            ),
-        ] {
-            prom_scalar(&mut out, name, "gauge", help, v);
-        }
+        prom_families(&mut out, self, StorageStats::FAMILIES);
+        // The one storage family that sums two counters.
+        prom_scalar(
+            &mut out,
+            "itd_storage_arena_bytes",
+            Kind::Gauge,
+            "Estimated bytes of interned arena payload.",
+            self.value_bytes + self.part_bytes,
+        );
         out
     }
 }
@@ -770,31 +748,13 @@ impl RegistrySnapshot {
         prom_scalar(
             &mut out,
             "itd_queries_total",
-            "counter",
+            Kind::Counter,
             "Queries observed by the metrics registry.",
             self.queries,
         );
-        prom_histogram(
-            &mut out,
-            "itd_query_wall_seconds",
-            "Per-query end-to-end wall time.",
-            &self.query_wall,
-            1e9,
-        );
-        prom_histogram(
-            &mut out,
-            "itd_query_pairs",
-            "Per-query candidate tuple pairs examined.",
-            &self.query_pairs,
-            1.0,
-        );
-        prom_histogram(
-            &mut out,
-            "itd_query_rows",
-            "Per-query peak live intermediate rows.",
-            &self.query_rows,
-            1.0,
-        );
+        for family in RegistrySnapshot::HISTOGRAMS {
+            prom_histogram(&mut out, family, (family.read)(self));
+        }
         for (p, q) in [("p50", 0.50), ("p90", 0.90), ("p99", 0.99)] {
             let name = format!("itd_op_wall_{p}_seconds");
             let _ = writeln!(
@@ -817,110 +777,30 @@ impl RegistrySnapshot {
         prom_scalar(
             &mut out,
             "itd_query_tuples_allocated_total",
-            "counter",
+            Kind::Counter,
             "Generalized tuples produced across observed queries.",
             self.tuples_allocated,
         );
         prom_scalar(
             &mut out,
             "itd_query_peak_live_rows",
-            "gauge",
+            Kind::Gauge,
             "Largest single-query peak of live intermediate rows.",
             self.peak_rows,
         );
         let _ = writeln!(
             out,
-            "# HELP itd_slow_log_entries Entries retained per slow-query ranking."
+            "# HELP itd_slow_log_entries Entries retained per slow-query ranking.\n\
+             # TYPE itd_slow_log_entries gauge"
         );
-        let _ = writeln!(out, "# TYPE itd_slow_log_entries gauge");
-        let _ = writeln!(
-            out,
-            "itd_slow_log_entries{{rank=\"time\"}} {}",
-            self.slow_by_time.len()
-        );
-        let _ = writeln!(
-            out,
-            "itd_slow_log_entries{{rank=\"pairs\"}} {}",
-            self.slow_by_pairs.len()
-        );
-        for (name, help, v) in [
-            (
-                "itd_view_refreshes_total",
-                "Registered-view refreshes observed (incremental and full).",
-                self.view_refreshes,
-            ),
-            (
-                "itd_view_full_refreshes_total",
-                "View refreshes that fell back to full recomputation.",
-                self.view_full_refreshes,
-            ),
-            (
-                "itd_view_delta_rows_total",
-                "Signed delta rows consumed by view refreshes.",
-                self.view_delta_rows,
-            ),
-            (
-                "itd_server_connections_total",
-                "Query-service connections accepted.",
-                self.server_connections,
-            ),
-            (
-                "itd_server_requests_total",
-                "Query-service requests submitted (before admission).",
-                self.server_requests,
-            ),
-            (
-                "itd_server_admitted_total",
-                "Requests admitted past the cost budget.",
-                self.server_admitted,
-            ),
-            (
-                "itd_server_rejected_over_budget_total",
-                "Requests rejected for exceeding the admission budget.",
-                self.server_rejected_over_budget,
-            ),
-            (
-                "itd_server_rejected_queue_full_total",
-                "Requests rejected because the bounded queue was full.",
-                self.server_rejected_queue_full,
-            ),
-            (
-                "itd_server_timeouts_total",
-                "Admitted requests cancelled by their deadline.",
-                self.server_timeouts,
-            ),
-            (
-                "itd_server_batches_total",
-                "Batches dispatched against a shared snapshot.",
-                self.server_batches,
-            ),
-            (
-                "itd_server_batch_queries_total",
-                "Requests carried by shared-snapshot batches.",
-                self.server_batch_queries,
-            ),
-        ] {
-            prom_scalar(&mut out, name, "counter", help, v);
+        for (rank, entries) in [("time", &self.slow_by_time), ("pairs", &self.slow_by_pairs)] {
+            let _ = writeln!(
+                out,
+                "itd_slow_log_entries{{rank=\"{rank}\"}} {}",
+                entries.len()
+            );
         }
-        for (name, help, v) in [
-            (
-                "itd_views_registered",
-                "Views currently registered.",
-                self.views_registered,
-            ),
-            (
-                "itd_server_queue_depth",
-                "Admission-queue depth at snapshot time.",
-                self.server_queue_depth,
-            ),
-            (
-                "itd_server_queue_depth_max",
-                "High-water mark of the admission-queue depth.",
-                self.server_queue_depth_max,
-            ),
-        ] {
-            prom_scalar(&mut out, name, "gauge", help, v);
-        }
+        prom_families(&mut out, self, RegistrySnapshot::SCALARS);
         out
     }
 
@@ -933,24 +813,16 @@ impl RegistrySnapshot {
             return "no queries observed".into();
         }
         let _ = writeln!(out, "{} queries observed", self.queries);
-        for (label, h, time) in [
-            ("wall time", &self.query_wall, true),
-            ("pairs", &self.query_pairs, false),
-            ("peak rows", &self.query_rows, false),
-        ] {
-            let render = |v: u64| {
-                if time {
-                    format!("{:>10}", fmt_nanos(v))
-                } else {
-                    format!("{v:>10}")
-                }
-            };
+        for family in RegistrySnapshot::HISTOGRAMS {
+            let h = (family.read)(self);
+            let at = |q| family.unit.render(h.percentile(q));
             let _ = writeln!(
                 out,
-                "{label:<10} p50 ≤ {}   p90 ≤ {}   p99 ≤ {}",
-                render(h.percentile(0.50)),
-                render(h.percentile(0.90)),
-                render(h.percentile(0.99)),
+                "{:<10} p50 ≤ {:>10}   p90 ≤ {:>10}   p99 ≤ {:>10}",
+                family.label,
+                at(0.50),
+                at(0.90),
+                at(0.99),
             );
         }
         let _ = writeln!(
@@ -1037,12 +909,9 @@ impl RegistrySnapshot {
     /// ASCII rendering of the three query-level histograms.
     pub fn render_histograms(&self) -> String {
         let mut out = String::new();
-        for (label, h, time) in [
-            ("query wall time", &self.query_wall, true),
-            ("query pairs", &self.query_pairs, false),
-            ("query peak rows", &self.query_rows, false),
-        ] {
-            let _ = writeln!(out, "{label} ({} observations):", h.count());
+        for family in RegistrySnapshot::HISTOGRAMS {
+            let h = (family.read)(self);
+            let _ = writeln!(out, "query {} ({} observations):", family.label, h.count());
             let Some(last) = h.max_bucket() else {
                 let _ = writeln!(out, "  (empty)\n");
                 continue;
@@ -1053,11 +922,7 @@ impl RegistrySnapshot {
                 if c == 0 {
                     continue;
                 }
-                let bound = if time {
-                    fmt_nanos(bucket_le(i))
-                } else {
-                    bucket_le(i).to_string()
-                };
+                let bound = family.unit.render(bucket_le(i));
                 let bar = "#".repeat(((c * 40).div_ceil(peak)) as usize);
                 let _ = writeln!(out, "  ≤ {bound:>10} {c:>8} {bar}");
             }
@@ -1210,17 +1075,17 @@ mod tests {
         let r = QueryResourceReport {
             peak_live_rows: 5,
             tuples_allocated: 6,
-            value_lookups: 100,
-            index_builds: 3,
-            arena_bytes: 4096,
-            ..QueryResourceReport::default()
+            storage: StorageStats {
+                value_lookups: 100,
+                index_builds: 3,
+                value_bytes: 4096,
+                ..StorageStats::default()
+            },
         };
         let scrubbed = r.without_timing();
         assert_eq!(scrubbed.peak_live_rows, 5);
         assert_eq!(scrubbed.tuples_allocated, 6);
-        assert_eq!(scrubbed.value_lookups, 0);
-        assert_eq!(scrubbed.index_builds, 0);
-        assert_eq!(scrubbed.arena_bytes, 0);
+        assert_eq!(scrubbed.storage, StorageStats::default());
     }
 
     #[test]

@@ -38,6 +38,7 @@ use itd_constraint::ConstraintSystem;
 use itd_lrp::Lrp;
 
 use crate::index::RelationIndex;
+use crate::metrics::{Family, Kind};
 use crate::schema::Schema;
 use crate::tuple::{GenTuple, TemporalPart};
 use crate::value::Value;
@@ -328,68 +329,70 @@ pub(crate) fn lookup_value(v: &Value) -> Option<ValueId> {
         .map(|&raw| ValueId(NonZeroU32::new(raw).expect("stored ids are nonzero")))
 }
 
-/// A consistent snapshot of the global storage counters.
-///
-/// Per arena, `lookups − hits == distinct` at any snapshot — misses and
-/// insertions happen under one lock, so the interner is deterministic:
-/// totals depend only on the multiset of interned keys, never on thread
-/// scheduling. Counters are process-lifetime totals; measure a window as
-/// [`StorageStats::delta_since`] of a snapshot taken at its start.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct StorageStats {
-    /// Value-arena lookups (interning attempts) so far.
-    pub value_lookups: u64,
-    /// Value-arena lookups that found an existing entry.
-    pub value_hits: u64,
-    /// Distinct values interned.
-    pub value_distinct: u64,
-    /// Estimated bytes of distinct value payload (inline enum + owned
-    /// string bytes).
-    pub value_bytes: u64,
-    /// Part-arena lookups (interning attempts) so far.
-    pub part_lookups: u64,
-    /// Part-arena lookups that found an existing entry.
-    pub part_hits: u64,
-    /// Distinct temporal parts interned.
-    pub part_distinct: u64,
-    /// Estimated bytes of distinct part payload (struct + lrp vector +
-    /// difference-bound matrix).
-    pub part_bytes: u64,
-    /// Residue indexes built from scratch on some relation store.
-    pub index_builds: u64,
-    /// Operator calls served by an already-built persistent index.
-    pub index_reuses: u64,
-    /// Global pairwise-outcome cache lookups that found an entry.
-    pub outcome_hits: u64,
-    /// Global pairwise-outcome cache lookups that missed.
-    pub outcome_misses: u64,
-    /// Entries dropped by outcome-cache capacity eviction.
-    pub outcome_evictions: u64,
+/// Declares the storage counters once: the fields of [`StorageStats`],
+/// [`StorageStats::delta_since`], and the Prometheus families that
+/// [`StorageStats::to_prometheus`] renders. An entry's help text, when it
+/// has a family, also opens the field's doc.
+macro_rules! storage_counters {
+    ($(
+        $(#[doc = $doc:literal])*
+        $name:ident $(: $kind:ident $family:literal, $help:literal)?;
+    )+) => {
+        /// A consistent snapshot of the global storage counters.
+        ///
+        /// Per arena, `lookups − hits == distinct` at any snapshot — misses
+        /// and insertions happen under one lock, so the interner is
+        /// deterministic: totals depend only on the multiset of interned
+        /// keys, never on thread scheduling. Counters are process-lifetime
+        /// totals; measure a window as [`StorageStats::delta_since`] of a
+        /// snapshot taken at its start.
+        #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+        pub struct StorageStats {
+            $($(#[doc = $help])? $(#[doc = $doc])* pub $name: u64,)+
+        }
+
+        impl StorageStats {
+            /// The counters exported as a family of their own.
+            pub(crate) const FAMILIES: &'static [Family<StorageStats>] = &[$($(
+                Family { name: $family, kind: Kind::$kind, help: $help, read: |s| s.$name },
+            )?)+];
+
+            /// `self − before`, field by field (saturating). The per-arena
+            /// invariant `lookups − hits == distinct` survives subtraction
+            /// of an earlier snapshot because every counter is monotone.
+            pub fn delta_since(&self, before: &StorageStats) -> StorageStats {
+                StorageStats {
+                    $($name: self.$name.saturating_sub(before.$name),)+
+                }
+            }
+        }
+    };
 }
 
-impl StorageStats {
-    /// `self − before`, field by field (saturating). The per-arena
-    /// invariant `lookups − hits == distinct` survives subtraction of an
-    /// earlier snapshot because every counter is monotone.
-    pub fn delta_since(&self, before: &StorageStats) -> StorageStats {
-        StorageStats {
-            value_lookups: self.value_lookups.saturating_sub(before.value_lookups),
-            value_hits: self.value_hits.saturating_sub(before.value_hits),
-            value_distinct: self.value_distinct.saturating_sub(before.value_distinct),
-            value_bytes: self.value_bytes.saturating_sub(before.value_bytes),
-            part_lookups: self.part_lookups.saturating_sub(before.part_lookups),
-            part_hits: self.part_hits.saturating_sub(before.part_hits),
-            part_distinct: self.part_distinct.saturating_sub(before.part_distinct),
-            part_bytes: self.part_bytes.saturating_sub(before.part_bytes),
-            index_builds: self.index_builds.saturating_sub(before.index_builds),
-            index_reuses: self.index_reuses.saturating_sub(before.index_reuses),
-            outcome_hits: self.outcome_hits.saturating_sub(before.outcome_hits),
-            outcome_misses: self.outcome_misses.saturating_sub(before.outcome_misses),
-            outcome_evictions: self
-                .outcome_evictions
-                .saturating_sub(before.outcome_evictions),
-        }
-    }
+storage_counters! {
+    value_lookups: Counter "itd_storage_value_lookups_total", "Value-arena interning attempts.";
+    value_hits: Counter "itd_storage_value_hits_total",
+        "Value-arena attempts answered by an existing entry.";
+    value_distinct: Gauge "itd_storage_value_distinct", "Distinct values interned.";
+    /// Estimated bytes of distinct value payload (inline enum + owned
+    /// string bytes).
+    value_bytes;
+    part_lookups: Counter "itd_storage_part_lookups_total", "Part-arena interning attempts.";
+    part_hits: Counter "itd_storage_part_hits_total",
+        "Part-arena attempts answered by an existing entry.";
+    part_distinct: Gauge "itd_storage_part_distinct", "Distinct temporal parts interned.";
+    /// Estimated bytes of distinct part payload (struct + lrp vector +
+    /// difference-bound matrix).
+    part_bytes;
+    index_builds: Counter "itd_storage_index_builds_total", "Residue indexes built from scratch.";
+    index_reuses: Counter "itd_storage_index_reuses_total",
+        "Operator calls served by a persistent index.";
+    outcome_hits: Counter "itd_outcome_cache_hits_total",
+        "Pairwise-outcome cache lookups answered by a cached outcome.";
+    outcome_misses: Counter "itd_outcome_cache_misses_total",
+        "Pairwise-outcome cache lookups that fell through to derivation.";
+    outcome_evictions: Counter "itd_outcome_cache_evictions_total",
+        "Pairwise-outcome cache entries dropped by the capacity bound.";
 }
 
 /// Reads the global storage counters (process-lifetime totals). Each
@@ -680,7 +683,7 @@ impl RelStore {
         }
         let pos = self.part_ids.len() - 1;
         let indexes = self.indexes.get_mut().expect("index cache poisoned");
-        indexes.retain(|_, idx| Arc::make_mut(idx).try_insert(&t, pos));
+        indexes.retain(|_, idx| Arc::make_mut(idx).try_insert(&t, &self.data, pos));
         if let Some(rows) = self.rows.get_mut() {
             rows.push(t);
         }

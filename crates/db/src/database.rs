@@ -3,7 +3,7 @@
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
 
-use itd_core::{ExecContext, GenRelation, GenTuple, MetricsRegistry, Value};
+use itd_core::{ExecContext, GenRelation, GenTuple, MetricsRegistry, RegistryGauge, Value};
 use itd_query::{Catalog, MaintainedView, QueryOpts, QueryOutput, RelationDelta};
 use serde::{Deserialize, Serialize};
 
@@ -504,7 +504,7 @@ impl Database {
             snapshot,
             refreshes: 0,
         });
-        self.metrics.views_registered_add(1);
+        self.metrics.gauge(RegistryGauge::ViewsRegistered, 1);
         Ok(id)
     }
 
@@ -550,7 +550,7 @@ impl Database {
         let before = self.views.len();
         self.views.retain(|v| v.id != id);
         if self.views.len() < before {
-            self.metrics.views_registered_add(-1);
+            self.metrics.gauge(RegistryGauge::ViewsRegistered, -1);
             true
         } else {
             false

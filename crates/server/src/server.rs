@@ -37,7 +37,10 @@ use std::sync::{Arc, Condvar, Mutex, RwLock};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use itd_core::{storage_stats, CancelToken, CoreError, ExecContext, MetricsRegistry};
+use itd_core::{
+    storage_stats, CancelToken, CoreError, ExecContext, MetricsRegistry, RegistryCounter,
+    RegistryGauge,
+};
 use itd_db::{Database, DbError, QueryOpts, QueryOutput, Txn, TxnSummary};
 use itd_query::QueryError;
 
@@ -260,12 +263,13 @@ impl Server {
         }
         // Reject anything that was still queued when the dispatcher left.
         let mut queue = self.shared.queue.lock().expect("queue poisoned");
+        let registry = &self.shared.registry;
         for job in queue.drain(..) {
-            self.shared.registry.server_rejected_queue_full();
+            registry.count(RegistryCounter::ServerRejectedQueueFull, 1);
+            registry.gauge(RegistryGauge::ServerQueueDepth, -1);
             respond_err(&job.out, job.id, &ServerError::Shutdown);
             self.shared.outstanding.fetch_sub(1, Relaxed);
         }
-        self.shared.registry.server_queue_depth_set(0);
     }
 }
 
@@ -299,7 +303,7 @@ const MAX_FRAME_BYTES: usize = 1 << 20;
 /// the admission queue, write back rejections immediately. An oversize
 /// or non-UTF-8 frame gets a protocol error (id 0) and ends the session.
 fn session_loop(shared: &Arc<Shared>, stream: TcpStream) {
-    shared.registry.server_connection();
+    shared.registry.count(RegistryCounter::ServerConnections, 1);
     let _ = stream.set_nodelay(true);
     // Bounded read timeout so idle sessions observe shutdown.
     let _ = stream.set_read_timeout(Some(Duration::from_millis(100)));
@@ -374,9 +378,10 @@ fn submit(
     req: &Request,
     out: &Arc<Mutex<TcpStream>>,
 ) -> Result<(), ServerError> {
-    shared.registry.server_request();
+    let registry = &shared.registry;
+    registry.count(RegistryCounter::ServerRequests, 1);
     if shared.shutdown.load(Relaxed) {
-        shared.registry.server_rejected_queue_full();
+        registry.count(RegistryCounter::ServerRejectedQueueFull, 1);
         return Err(ServerError::Shutdown);
     }
     let deadline_ms = req.deadline_ms.map(Duration::from_millis);
@@ -393,14 +398,14 @@ fn submit(
     {
         let mut queue = shared.queue.lock().expect("queue poisoned");
         if shared.outstanding.load(Relaxed) >= shared.cfg.queue_capacity as u64 {
-            shared.registry.server_rejected_queue_full();
+            registry.count(RegistryCounter::ServerRejectedQueueFull, 1);
             return Err(ServerError::QueueFull {
                 capacity: shared.cfg.queue_capacity,
             });
         }
         shared.outstanding.fetch_add(1, Relaxed);
         queue.push_back(job);
-        shared.registry.server_queue_depth_set(queue.len() as u64);
+        registry.gauge(RegistryGauge::ServerQueueDepth, 1);
     }
     shared.queue_cv.notify_one();
     Ok(())
@@ -411,6 +416,7 @@ fn submit(
 /// `Database::clone` under the read lock), and hand contiguous
 /// sub-batches to the worker pool.
 fn dispatcher_loop(shared: &Arc<Shared>, tx: mpsc::SyncSender<SubBatch>) {
+    let registry = &shared.registry;
     loop {
         let batch: Vec<Job> = {
             let mut queue = shared.queue.lock().expect("queue poisoned");
@@ -433,11 +439,12 @@ fn dispatcher_loop(shared: &Arc<Shared>, tx: mpsc::SyncSender<SubBatch>) {
                 std::thread::sleep(shared.cfg.batch_gather);
                 queue = shared.queue.lock().expect("queue poisoned");
             }
-            let drained = queue.drain(..).collect();
-            shared.registry.server_queue_depth_set(0);
+            let drained: Vec<Job> = queue.drain(..).collect();
+            registry.gauge(RegistryGauge::ServerQueueDepth, -(drained.len() as i64));
             drained
         };
-        shared.registry.observe_server_batch(batch.len() as u64);
+        registry.count(RegistryCounter::ServerBatches, 1);
+        registry.count(RegistryCounter::ServerBatchQueries, batch.len() as u64);
         let snapshot = Arc::new(shared.db.read().expect("database lock poisoned").clone());
         let per_worker = batch.len().div_ceil(shared.cfg.workers.max(1));
         let mut jobs = batch.into_iter();
@@ -486,12 +493,12 @@ fn run_sub_batch(shared: &Arc<Shared>, snapshot: &Database, jobs: Vec<Job>) {
         match snapshot.estimate(&job.src, QueryOpts::new()) {
             Err(e) => {
                 // Not a budget/queue rejection: it was admitted and failed.
-                registry.server_admitted();
+                registry.count(RegistryCounter::ServerAdmitted, 1);
                 respond_err(&job.out, job.id, &ServerError::Query(e));
                 shared.outstanding.fetch_sub(1, Relaxed);
             }
             Ok(est) if est > budget => {
-                registry.server_rejected_over_budget();
+                registry.count(RegistryCounter::ServerRejectedOverBudget, 1);
                 respond_err(
                     &job.out,
                     job.id,
@@ -503,7 +510,7 @@ fn run_sub_batch(shared: &Arc<Shared>, snapshot: &Database, jobs: Vec<Job>) {
                 shared.outstanding.fetch_sub(1, Relaxed);
             }
             Ok(_) => {
-                registry.server_admitted();
+                registry.count(RegistryCounter::ServerAdmitted, 1);
                 admitted.push(job);
             }
         }
@@ -562,7 +569,7 @@ fn run_sub_batch(shared: &Arc<Shared>, snapshot: &Database, jobs: Vec<Job>) {
 /// cancellations as typed timeouts.
 fn query_err(shared: &Arc<Shared>, e: DbError) -> ServerError {
     if matches!(e, DbError::Query(QueryError::Core(CoreError::Cancelled))) {
-        shared.registry.server_timeout();
+        shared.registry.count(RegistryCounter::ServerTimeouts, 1);
         ServerError::DeadlineExceeded
     } else {
         ServerError::Query(e)

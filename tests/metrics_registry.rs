@@ -285,6 +285,21 @@ fn metrics_render_is_scoped_to_its_database() {
     assert_eq!(a.metrics().snapshot().to_prometheus(), before);
 }
 
+/// Clones of a database share its registry, so deregistering one view
+/// from a clone and then from the original decrements the gauge twice;
+/// it saturates at zero instead of wrapping.
+#[test]
+fn views_registered_gauge_saturates_at_zero() {
+    let mut db = Database::new();
+    db.create_table("ev", &["t"], &[]).unwrap();
+    let id = db.register_view("v", "ev(t)").unwrap();
+    let mut clone = db.clone();
+    assert_eq!(db.metrics().snapshot().views_registered, 1);
+    assert!(clone.deregister_view(id));
+    assert!(db.deregister_view(id));
+    assert_eq!(db.metrics().snapshot().views_registered, 0);
+}
+
 #[test]
 fn folded_trace_follows_collapsed_stack_conventions() {
     let _g = LOCK.lock().unwrap();
