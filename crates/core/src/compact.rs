@@ -15,13 +15,12 @@
 //! 2. **subsumption pruning**: a tuple whose denotation is certainly
 //!    contained in another's (same data, columnwise lrp inclusion,
 //!    constraint entailment — a sound, incomplete check) is
-//!    dropped. Candidates are pre-filtered by data columns and by a
-//!    per-column residue signature `offset mod m` (with `m` the capped
-//!    smooth divisor of the column's period gcd, exactly as in
-//!    [`crate::index`]): if `big ⊇ small` then `m` divides `big`'s
-//!    period, so the offsets are congruent mod `m` — tuples in different
-//!    buckets cannot subsume each other in either direction, and the
-//!    quadratic check runs only inside (typically tiny) buckets;
+//!    dropped. Candidates are pre-filtered by the residue index
+//!    ([`crate::index`]) over all columns: if `big ⊇ small` then the
+//!    data ids are equal and, per column, the index modulus `m` divides
+//!    `big`'s period, so the offsets are congruent mod `m` — tuples in
+//!    different buckets cannot subsume each other in either direction,
+//!    and the quadratic check runs only inside (typically tiny) buckets;
 //! 3. **coalescing** ([`crate::minimize`]): complete residue-class groups
 //!    `c, c+g, …, c+(k/g−1)·g` are merged back into the coarser tuple
 //!    `c + g·n` — the inverse of Lemma 3.1 — and the survivors are
@@ -33,14 +32,9 @@
 //! budget. Per call, `tuples_subsumed + coalesce_merges + tuples_out ==
 //! tuples_in` — the counter invariant the bench report asserts.
 
-use std::collections::HashMap;
-
-use itd_numth::gcd;
-
-use crate::index::{smooth_cap, MAX_MODULUS};
+use crate::index::RelationIndex;
 use crate::relation::{tuple_subsumes, GenRelation};
 use crate::tuple::GenTuple;
-use crate::value::Value;
 use crate::Result;
 
 /// What one compaction pass removed.
@@ -60,7 +54,7 @@ pub(crate) fn compact_relation(rel: &GenRelation) -> Result<(GenRelation, Compac
     if rel.tuple_count() <= 1 {
         return Ok((rel.clone(), report));
     }
-    let kept = subsume(rel.rows_slice(), &mut report.subsumed);
+    let kept = subsume(rel, &mut report.subsumed);
     let pruned = GenRelation::new(rel.schema(), kept)?;
 
     let coalesced = crate::minimize::coalesce(&pruned)?;
@@ -71,57 +65,30 @@ pub(crate) fn compact_relation(rel: &GenRelation) -> Result<(GenRelation, Compac
         return Ok((pruned, report));
     }
 
-    let kept = subsume(coalesced.rows_slice(), &mut report.subsumed);
+    let kept = subsume(&coalesced, &mut report.subsumed);
     let out = GenRelation::new(rel.schema(), kept)?;
     Ok((out, report))
 }
 
-/// Bucket key: data columns plus per-temporal-column residue signature.
-type BucketKey = (Vec<Value>, Vec<i64>);
-
 /// One subsumption pass. Keeps input order; `removed` is incremented by
 /// the number of dropped tuples.
-fn subsume(tuples: &[GenTuple], removed: &mut u64) -> Vec<GenTuple> {
-    let temporal = tuples.first().map_or(0, |t| t.lrps().len());
-    // Per-column modulus: the capped smooth part of the gcd of the
-    // column's nonzero periods (`gcd(0, k) = k` makes points transparent;
-    // an all-points column keys on `offset mod MAX_MODULUS`).
-    let moduli: Vec<i64> = (0..temporal)
-        .map(|c| {
-            let g = tuples
-                .iter()
-                .fold(0i64, |acc, t| gcd(acc, t.lrps()[c].period()));
-            if g == 0 {
-                MAX_MODULUS
-            } else {
-                smooth_cap(g)
-            }
-        })
+fn subsume(rel: &GenRelation, removed: &mut u64) -> Vec<GenTuple> {
+    let tuples = rel.rows_slice();
+    let schema = rel.schema();
+    let tcols: Vec<usize> = (0..schema.temporal()).collect();
+    let dcols: Vec<usize> = (0..schema.data()).collect();
+    // Built uncached: compaction outputs are intermediates, so their
+    // stores keep no index and the index build/reuse counters stay put.
+    let index = RelationIndex::build(rel.store(), &tcols, &dcols);
+    let mut drop: Vec<bool> = tuples
+        .iter()
+        .map(|t| !t.constraints().is_satisfiable())
         .collect();
-    // `big ⊇ small` forces equal data and, per column, offsets congruent
-    // mod `big`'s period — hence mod `m` (which divides every period in
-    // the column). Differing keys therefore rule out subsumption in both
-    // directions, so the quadratic check stays inside buckets.
-    let mut buckets: HashMap<BucketKey, Vec<usize>> = HashMap::new();
-    let mut drop: Vec<bool> = vec![false; tuples.len()];
-    for (i, t) in tuples.iter().enumerate() {
-        if !t.constraints().is_satisfiable() {
-            drop[i] = true;
-            continue;
-        }
-        let residues: Vec<i64> = t
-            .lrps()
-            .iter()
-            .zip(&moduli)
-            .map(|(l, &m)| l.offset().rem_euclid(m))
-            .collect();
-        buckets
-            .entry((t.data().to_vec(), residues))
-            .or_default()
-            .push(i);
-    }
-    for members in buckets.values() {
+    for members in index.buckets() {
         for &i in members {
+            if drop[i] {
+                continue;
+            }
             let t = &tuples[i];
             let subsumed = members.iter().any(|&j| {
                 if i == j || drop[j] {
@@ -157,6 +124,7 @@ fn subsume(tuples: &[GenTuple], removed: &mut u64) -> Vec<GenTuple> {
 mod tests {
     use super::*;
     use crate::schema::Schema;
+    use crate::value::Value;
     use itd_constraint::Atom;
     use itd_lrp::Lrp;
 

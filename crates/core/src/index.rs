@@ -33,19 +33,26 @@
 //!
 //! # Determinism
 //!
-//! [`RelationIndex::probe`] returns candidate positions **sorted
+//! `RelationIndex::probe_cols` returns candidate positions **sorted
 //! ascending**, so an outer loop that replaces "all inner tuples" with
 //! "probed inner tuples" visits survivors in exactly the naive inner-loop
 //! order; combined with the chunk-order concatenation of
 //! [`run_chunked`](crate::exec), indexed results are bit-identical to the
 //! naive pairwise path at any thread count.
+//!
+//! # One bucketing
+//!
+//! This is the only code that turns §3.2.1 into residue buckets. The
+//! pairwise kernels (`crate::kernel`) probe it, and the compaction pass
+//! (`crate::compact`) iterates its buckets to confine the quadratic
+//! subsumption check: `big ⊇ small` forces equal data and offsets
+//! congruent modulo `big`'s period, hence modulo every `mᵢ`.
 
 use std::collections::HashMap;
 
 use itd_numth::gcd;
 
-use crate::store::{intern_value_global, lookup_value, RelStore, ValueId};
-use crate::tuple::GenTuple;
+use crate::store::{RelStore, ValueId};
 
 /// Cap on a column's index modulus (and thus on the residue fan-out of a
 /// single column).
@@ -58,9 +65,8 @@ pub const INDEX_MIN_PAIRS: usize = 32;
 
 /// The largest divisor of `g` of the form `2^a·3^b·5^c·7^d·11^e·13^f` that
 /// fits under [`MAX_MODULUS`], chosen greedily smallest-prime-first (`1`
-/// when `g` has no small prime factors). Shared with the compaction
-/// pass's residue pre-filter ([`crate::compact`]).
-pub(crate) fn smooth_cap(g: i64) -> i64 {
+/// when `g` has no small prime factors).
+fn smooth_cap(g: i64) -> i64 {
     debug_assert!(g > 0);
     let mut m = 1i64;
     let mut rest = g;
@@ -73,27 +79,24 @@ pub(crate) fn smooth_cap(g: i64) -> i64 {
     m
 }
 
-/// Interned ids of the build-side data key (inserting: stored values
-/// become part of the arena, which store-backed rows already are).
-fn intern_data_key<'a>(values: impl Iterator<Item = &'a crate::Value>) -> Vec<ValueId> {
-    values.map(intern_value_global).collect()
+/// The modulus of a column whose nonzero periods have gcd `g`: the capped
+/// smooth part of `g`, or [`MAX_MODULUS`] for a column holding only
+/// points (`g == 0`; a point's residue is binding modulo anything).
+fn modulus(g: i64) -> i64 {
+    if g == 0 {
+        MAX_MODULUS
+    } else {
+        smooth_cap(g)
+    }
 }
 
-/// Interned ids of a probe-side data key; `None` as soon as one value
-/// was never interned (it then cannot equal any stored value).
-fn lookup_data_key<'a>(values: impl Iterator<Item = &'a crate::Value>) -> Option<Vec<ValueId>> {
-    values.map(lookup_value).collect()
-}
-
-/// A residue-signature + data-hash bucket index over one relation operand.
+/// A residue-signature + data-id bucket index over one relation store.
 ///
-/// Since the columnar storage refactor, relation stores keep these
-/// indexes **persistently** (one per column set, see `crate::store`):
-/// built at most once, reused by every operator call over the same
-/// operand, and maintained incrementally on append via
+/// Relation stores keep these indexes **persistently** (one per column
+/// set, see `crate::store`): built at most once, reused by every operator
+/// call over the same operand, and maintained incrementally on append via
 /// `RelationIndex::try_insert`. [`INDEX_MIN_PAIRS`] still gates *use*,
-/// so small inputs skip the index and the counters stay identical to the
-/// per-call-build era.
+/// so small inputs skip the index.
 #[derive(Debug, Clone)]
 pub struct RelationIndex {
     /// Temporal columns of the indexed side participating in the key.
@@ -114,124 +117,81 @@ pub struct RelationIndex {
 }
 
 impl RelationIndex {
-    /// Indexes `tuples` on the given temporal and data columns.
-    ///
-    /// The column modulus is the gcd of the column's nonzero periods,
-    /// reduced to its capped smooth part; a column holding only points
-    /// keys directly on `offset mod MAX_MODULUS` (a point's residue is
-    /// binding modulo anything).
-    pub fn build(tuples: &[GenTuple], temporal_cols: &[usize], data_cols: &[usize]) -> Self {
-        let gcds: Vec<i64> = temporal_cols
-            .iter()
-            .map(|&c| {
-                tuples
-                    .iter()
-                    .fold(0i64, |acc, t| gcd(acc, t.lrps()[c].period()))
-            })
-            .collect();
-        let moduli: Vec<i64> = gcds
-            .iter()
-            .map(|&g| if g == 0 { MAX_MODULUS } else { smooth_cap(g) })
-            .collect();
-        let mut buckets: HashMap<(Vec<ValueId>, Vec<i64>), Vec<usize>> = HashMap::new();
-        for (pos, t) in tuples.iter().enumerate() {
-            let residues: Vec<i64> = temporal_cols
-                .iter()
-                .zip(&moduli)
-                .map(|(&c, &m)| t.lrps()[c].offset().rem_euclid(m))
-                .collect();
-            let key = intern_data_key(data_cols.iter().map(|&c| &t.data()[c]));
-            buckets.entry((key, residues)).or_default().push(pos);
-        }
-        RelationIndex {
-            temporal_cols: temporal_cols.to_vec(),
-            data_cols: data_cols.to_vec(),
-            moduli,
-            gcds,
-            buckets,
-            len: tuples.len(),
-        }
-    }
-
-    /// Columnar twin of [`RelationIndex::build`]: indexes a store
-    /// straight from its flat `(offset, period)` and [`ValueId`] columns,
-    /// without materializing (or force-populating) the row cache. The
-    /// result is field-for-field identical to `build` over the store's
-    /// rows — offsets, periods and data ids are the same numbers either
-    /// way.
-    pub(crate) fn build_from_store(
-        store: &RelStore,
-        temporal_cols: &[usize],
-        data_cols: &[usize],
-    ) -> Self {
-        let n = store.len();
+    /// Indexes `store` on the given temporal and data columns, straight
+    /// from its flat `(offset, period)` and [`ValueId`] columns (the row
+    /// cache is never materialized). Each column's modulus is
+    /// [`modulus`] of the gcd of its nonzero periods.
+    pub(crate) fn build(store: &RelStore, temporal_cols: &[usize], data_cols: &[usize]) -> Self {
         let gcds: Vec<i64> = temporal_cols
             .iter()
             .map(|&c| store.t_periods(c).iter().fold(0i64, |acc, &k| gcd(acc, k)))
             .collect();
-        let moduli: Vec<i64> = gcds
-            .iter()
-            .map(|&g| if g == 0 { MAX_MODULUS } else { smooth_cap(g) })
-            .collect();
-        let mut buckets: HashMap<(Vec<ValueId>, Vec<i64>), Vec<usize>> = HashMap::new();
-        let data = store.data_columns();
-        // `pos` strides several parallel column arrays at once; an
-        // iterator over any single one of them would not be clearer.
-        #[allow(clippy::needless_range_loop)]
-        for pos in 0..n {
-            let residues: Vec<i64> = temporal_cols
-                .iter()
-                .zip(&moduli)
-                .map(|(&c, &m)| store.t_offsets(c)[pos].rem_euclid(m))
-                .collect();
-            let key: Vec<ValueId> = data_cols.iter().map(|&c| data[c][pos]).collect();
-            buckets.entry((key, residues)).or_default().push(pos);
-        }
-        RelationIndex {
+        let mut index = RelationIndex {
             temporal_cols: temporal_cols.to_vec(),
             data_cols: data_cols.to_vec(),
-            moduli,
+            moduli: gcds.iter().map(|&g| modulus(g)).collect(),
             gcds,
-            buckets,
-            len: n,
+            buckets: HashMap::new(),
+            len: 0,
+        };
+        for pos in 0..store.len() {
+            index.file(store, pos);
         }
+        index
     }
 
-    /// Incrementally indexes one appended tuple at position `pos`
-    /// (`pos == len`), keyed on the ids `data[c][pos]` it was interned
-    /// to. Returns `false` — leaving the index unusable, the caller must
-    /// drop it — when the new tuple's periods change some column's
+    /// Incrementally indexes row `pos` (`pos == len`) just appended to
+    /// `store`. Returns `false` — leaving the index unusable, the caller
+    /// must drop it — when the new row's periods change some column's
     /// modulus; in that case only a rebuild can produce an index
     /// equivalent to a fresh [`RelationIndex::build`] over the extended
-    /// relation.
+    /// store.
     ///
     /// When it returns `true`, the index is **exactly** the one `build`
-    /// would produce over the extended tuple slice: the moduli are
-    /// unchanged (so every existing residue is still correct), the new
-    /// position lands at the tail of its bucket (positions are appended in
-    /// ascending order), and the per-column gcd is refolded.
-    pub(crate) fn try_insert(&mut self, t: &GenTuple, data: &[Vec<ValueId>], pos: usize) -> bool {
+    /// would produce over the extended store: the moduli are unchanged (so
+    /// every existing residue is still correct), the new position lands at
+    /// the tail of its bucket (positions are appended in ascending order),
+    /// and the per-column gcd is refolded.
+    pub(crate) fn try_insert(&mut self, store: &RelStore, pos: usize) -> bool {
         debug_assert_eq!(pos, self.len);
-        let mut new_gcds = Vec::with_capacity(self.gcds.len());
-        for (i, &c) in self.temporal_cols.iter().enumerate() {
-            let g = gcd(self.gcds[i], t.lrps()[c].period());
-            let m = if g == 0 { MAX_MODULUS } else { smooth_cap(g) };
-            if m != self.moduli[i] {
-                return false;
-            }
-            new_gcds.push(g);
+        let gcds: Vec<i64> = self
+            .temporal_cols
+            .iter()
+            .zip(&self.gcds)
+            .map(|(&c, &g)| gcd(g, store.t_periods(c)[pos]))
+            .collect();
+        if gcds
+            .iter()
+            .zip(&self.moduli)
+            .any(|(&g, &m)| modulus(g) != m)
+        {
+            return false;
         }
-        self.gcds = new_gcds;
-        let residues: Vec<i64> = self
+        self.gcds = gcds;
+        self.file(store, pos);
+        true
+    }
+
+    /// Files row `pos` of `store` into its bucket under the current moduli.
+    fn file(&mut self, store: &RelStore, pos: usize) {
+        let residues = self
             .temporal_cols
             .iter()
             .zip(&self.moduli)
-            .map(|(&c, &m)| t.lrps()[c].offset().rem_euclid(m))
+            .map(|(&c, &m)| store.t_offsets(c)[pos].rem_euclid(m))
             .collect();
-        let key = self.data_cols.iter().map(|&c| data[c][pos]).collect();
+        let key = self
+            .data_cols
+            .iter()
+            .map(|&c| store.data_columns()[c][pos])
+            .collect();
         self.buckets.entry((key, residues)).or_default().push(pos);
         self.len += 1;
-        true
+    }
+
+    /// The buckets' position lists (each ascending), in no fixed order.
+    pub(crate) fn buckets(&self) -> impl Iterator<Item = &[usize]> {
+        self.buckets.values().map(Vec::as_slice)
     }
 
     /// Number of indexed tuples.
@@ -259,41 +219,13 @@ impl RelationIndex {
     }
 
     /// Positions (ascending) of the indexed tuples not provably disjoint
-    /// from `probe`. `probe_temporal` / `probe_data` name the probe-side
-    /// columns parallel to the build-side columns (identical for
-    /// intersection and difference; the left sides of the join's column
-    /// pairs for join).
+    /// from a probe row given as per-column `(offset, period)` pairs
+    /// (period `0` = point) and interned data ids, parallel to the
+    /// build-side temporal and data columns.
     ///
     /// Soundness: a position is omitted only if some data id differs
     /// (data unequal — ids are exact) or some column residue violates the
     /// necessary congruence `r1 ≡ r2 (mod gcd(mᵢ, k_probe))`.
-    pub fn probe(
-        &self,
-        probe: &GenTuple,
-        probe_temporal: &[usize],
-        probe_data: &[usize],
-    ) -> Vec<usize> {
-        debug_assert_eq!(probe_temporal.len(), self.temporal_cols.len());
-        debug_assert_eq!(probe_data.len(), self.data_cols.len());
-        let Some(key) = lookup_data_key(probe_data.iter().map(|&c| &probe.data()[c])) else {
-            // Some probe value was never interned: it differs from every
-            // stored value, so no candidate can survive.
-            return Vec::new();
-        };
-        let lrps: Vec<(i64, i64)> = probe_temporal
-            .iter()
-            .map(|&c| {
-                let l = &probe.lrps()[c];
-                (l.offset(), l.period())
-            })
-            .collect();
-        self.probe_cols(&key, &lrps)
-    }
-
-    /// Columnar twin of [`RelationIndex::probe`]: the probe row is given
-    /// as per-column `(offset, period)` pairs (period `0` = point,
-    /// parallel to the build-side temporal columns) and already-interned
-    /// data ids (parallel to the build-side data columns).
     pub(crate) fn probe_cols(&self, data_key: &[ValueId], lrps: &[(i64, i64)]) -> Vec<usize> {
         debug_assert_eq!(lrps.len(), self.temporal_cols.len());
         debug_assert_eq!(data_key.len(), self.data_cols.len());
@@ -305,7 +237,8 @@ impl RelationIndex {
             let di = if period == 0 { m } else { gcd(m, period) };
             d.push(di);
             r.push(offset.rem_euclid(di));
-            combinations *= (m / di) as u128;
+            // Saturates past `u128` (22+ wide-open columns): scan then.
+            combinations = combinations.saturating_mul((m / di) as u128);
         }
         let mut out = if combinations <= self.buckets.len() as u128 {
             self.probe_enumerate(data_key, &r, &d)
@@ -369,6 +302,7 @@ impl RelationIndex {
 mod tests {
     use super::*;
     use crate::ops::intersect_tuples;
+    use crate::tuple::GenTuple;
     use crate::Value;
     use itd_constraint::Atom;
     use itd_lrp::Lrp;
@@ -379,6 +313,17 @@ mod tests {
 
     fn tup(lrps: Vec<Lrp>) -> GenTuple {
         GenTuple::unconstrained(lrps, vec![])
+    }
+
+    /// A store over `tuples` (all of one schema, at least one tuple).
+    fn store(tuples: Vec<GenTuple>) -> RelStore {
+        RelStore::from_tuples(tuples[0].schema(), tuples)
+    }
+
+    /// Probes with every temporal column of `t` and no data key.
+    fn probe(idx: &RelationIndex, t: &GenTuple) -> Vec<usize> {
+        let lrps: Vec<(i64, i64)> = t.lrps().iter().map(|l| (l.offset(), l.period())).collect();
+        idx.probe_cols(&[], &lrps)
     }
 
     #[test]
@@ -405,7 +350,7 @@ mod tests {
         }
         inner.push(tup(vec![Lrp::point(3)]));
         inner.push(tup(vec![lrp(5, 12)]));
-        let idx = RelationIndex::build(&inner, &[0], &[]);
+        let idx = RelationIndex::build(&store(inner.clone()), &[0], &[]);
         assert!(idx.is_discriminating());
         let mut probes = Vec::new();
         for k in [0i64, 1, 2, 3, 4, 6, 9, 10] {
@@ -415,7 +360,7 @@ mod tests {
             }
         }
         for p in &probes {
-            let cands = idx.probe(p, &[0], &[]);
+            let cands = probe(&idx, p);
             assert!(cands.windows(2).all(|w| w[0] < w[1]), "sorted, no dups");
             for (pos, t) in inner.iter().enumerate() {
                 let meets = intersect_tuples(p, t).unwrap().is_some();
@@ -431,34 +376,35 @@ mod tests {
 
     #[test]
     fn data_ids_separate_buckets() {
-        let mk = |v: i64| {
-            GenTuple::builder()
-                .lrps(vec![Lrp::all()])
-                .data(vec![Value::Int(v)])
-                .build()
-                .unwrap()
-        };
-        let tuples: Vec<GenTuple> = (0..8).map(mk).collect();
-        let idx = RelationIndex::build(&tuples, &[0], &[0]);
+        let tuples: Vec<GenTuple> = (0..8)
+            .map(|v| {
+                GenTuple::builder()
+                    .lrps(vec![Lrp::all()])
+                    .data(vec![Value::Int(v)])
+                    .build()
+                    .unwrap()
+            })
+            .collect();
+        let s = store(tuples);
+        let idx = RelationIndex::build(&s, &[0], &[0]);
         assert!(idx.is_discriminating());
         for v in 0..8 {
-            let cands = idx.probe(&mk(v), &[0], &[0]);
-            assert_eq!(cands, vec![v as usize], "equal data must survive");
+            let ids = [s.data_columns()[0][v]];
+            let cands = idx.probe_cols(&ids, &[(0, 1)]);
+            assert_eq!(cands, vec![v], "equal data must survive");
         }
     }
 
     #[test]
     fn all_point_column_keys_on_value() {
         let tuples: Vec<GenTuple> = (0..10).map(|v| tup(vec![Lrp::point(v)])).collect();
-        let idx = RelationIndex::build(&tuples, &[0], &[]);
+        let idx = RelationIndex::build(&store(tuples), &[0], &[]);
         assert!(idx.is_discriminating());
         // A point probe is compatible only with points sharing its residue
         // mod MAX_MODULUS — here, just itself.
-        let cands = idx.probe(&tup(vec![Lrp::point(4)]), &[0], &[]);
-        assert_eq!(cands, vec![4]);
+        assert_eq!(probe(&idx, &tup(vec![Lrp::point(4)])), vec![4]);
         // An infinite probe keeps exactly the residue-compatible points.
-        let cands = idx.probe(&tup(vec![lrp(1, 4)]), &[0], &[]);
-        assert_eq!(cands, vec![1, 5, 9]);
+        assert_eq!(probe(&idx, &tup(vec![lrp(1, 4)])), vec![1, 5, 9]);
     }
 
     #[test]
@@ -470,69 +416,38 @@ mod tests {
             tup(vec![lrp(2, 9)]),
             tup(vec![lrp(5, 9)]),
         ];
-        let idx = RelationIndex::build(&tuples, &[0], &[]);
-        let cands = idx.probe(&tup(vec![lrp(2, 3)]), &[0], &[]);
+        let idx = RelationIndex::build(&store(tuples), &[0], &[]);
         // Residue 2 mod 3: 2+9n and 5+9n qualify; 0+6n and 1+6n cannot.
-        assert_eq!(cands, vec![2, 3]);
+        assert_eq!(probe(&idx, &tup(vec![lrp(2, 3)])), vec![2, 3]);
     }
 
     #[test]
     fn non_discriminating_when_gcd_is_one() {
         let tuples = vec![tup(vec![lrp(0, 2)]), tup(vec![lrp(0, 3)])];
-        let idx = RelationIndex::build(&tuples, &[0], &[]);
+        let idx = RelationIndex::build(&store(tuples), &[0], &[]);
         // gcd(2, 3) = 1 and no data columns: nothing to prune on.
         assert!(!idx.is_discriminating());
-        let cands = idx.probe(&tup(vec![lrp(0, 5)]), &[0], &[]);
-        assert_eq!(cands, vec![0, 1]);
+        assert_eq!(probe(&idx, &tup(vec![lrp(0, 5)])), vec![0, 1]);
     }
 
     #[test]
     fn try_insert_matches_fresh_build() {
-        let mut tuples: Vec<GenTuple> = (0..6).map(|i| tup(vec![lrp(i, 12)])).collect();
-        let mut idx = RelationIndex::build(&tuples, &[0], &[]);
+        let mut s = store((0..6).map(|i| tup(vec![lrp(i, 12)])).collect());
+        let mut idx = RelationIndex::build(&s, &[0], &[]);
         // Period 24 keeps gcd 12 → the modulus survives, and the extended
         // index must equal a fresh build field for field.
         for i in 6..10 {
-            let t = tup(vec![lrp(i, 24)]);
-            assert!(idx.try_insert(&t, &[], tuples.len()));
-            tuples.push(t);
-            let fresh = RelationIndex::build(&tuples, &[0], &[]);
+            s.push_row(tup(vec![lrp(i, 24)]));
+            assert!(idx.try_insert(&s, s.len() - 1));
+            let fresh = RelationIndex::build(&s, &[0], &[]);
             assert_eq!(idx.moduli, fresh.moduli);
             assert_eq!(idx.gcds, fresh.gcds);
             assert_eq!(idx.len, fresh.len);
             assert_eq!(idx.buckets, fresh.buckets);
         }
         // Period 5 drops the gcd to 1 → modulus change → rejected.
-        assert!(!idx.try_insert(&tup(vec![lrp(0, 5)]), &[], tuples.len()));
-    }
-
-    #[test]
-    fn columnar_build_matches_row_build() {
-        let tuples: Vec<GenTuple> = (0..12)
-            .map(|i| {
-                GenTuple::builder()
-                    .lrps(vec![lrp(i % 6, 6), Lrp::point(i)])
-                    .data(vec![Value::Int(i % 3)])
-                    .build()
-                    .unwrap()
-            })
-            .collect();
-        let store = RelStore::from_tuples(crate::Schema::new(2, 1), tuples.clone());
-        let from_rows = RelationIndex::build(&tuples, &[0, 1], &[0]);
-        let from_cols = RelationIndex::build_from_store(&store, &[0, 1], &[0]);
-        assert_eq!(from_rows.moduli, from_cols.moduli);
-        assert_eq!(from_rows.gcds, from_cols.gcds);
-        assert_eq!(from_rows.len, from_cols.len);
-        assert_eq!(from_rows.buckets, from_cols.buckets);
-        // probe_cols with the store's own ids matches row-level probe.
-        for (pos, t) in tuples.iter().enumerate() {
-            let ids: Vec<ValueId> = vec![store.data_columns()[0][pos]];
-            let lrps: Vec<(i64, i64)> = t.lrps().iter().map(|l| (l.offset(), l.period())).collect();
-            assert_eq!(
-                from_cols.probe_cols(&ids, &lrps),
-                from_rows.probe(t, &[0, 1], &[0])
-            );
-        }
+        s.push_row(tup(vec![lrp(0, 5)]));
+        assert!(!idx.try_insert(&s, s.len() - 1));
     }
 
     #[test]
@@ -544,8 +459,7 @@ mod tests {
             .atoms([Atom::ge(0, 100)])
             .build()
             .unwrap();
-        let idx = RelationIndex::build(&[a], &[0], &[]);
-        let cands = idx.probe(&tup(vec![lrp(0, 4)]), &[0], &[]);
-        assert_eq!(cands, vec![0]);
+        let idx = RelationIndex::build(&store(vec![a]), &[0], &[]);
+        assert_eq!(probe(&idx, &tup(vec![lrp(0, 4)])), vec![0]);
     }
 }

@@ -1,11 +1,16 @@
 //! Columnar batch kernels: the one production path of the pairwise
 //! algebra (intersection §3.2, difference §3.3, join §3.7).
 //!
-//! The kernels work straight off the store's flat columns:
+//! Intersection and join are one candidate loop (`pairwise`), told
+//! apart only by their column pairing (the identity pairing for
+//! intersection), their outcome-cache key, and where a rebuilt row gets
+//! its data. All three kernels draw their candidates from one helper
+//! (`candidates`), and work straight off the store's flat columns:
 //!
 //! 1. **Probe** candidates through the persistent residue index, feeding
 //!    it the probe row's `(offset, period)` pairs and interned
-//!    [`ValueId`]s — no row materialization.
+//!    [`ValueId`]s — no row materialization — or take every right row
+//!    when the index is not consulted.
 //! 2. **Batch pre-filter** every candidate pair over the contiguous
 //!    `t_offsets`/`t_periods` arrays and `ValueId` columns: a pair dies
 //!    when some relevant data column's ids differ (ids are canonical, so
@@ -56,7 +61,8 @@
 //! through unchanged, and prune nothing. The kernel adds the same
 //! `acc.len()` pairs and skips the derivation. The fold-initial member
 //! `t1` itself is the one member that might be grid-empty (a no-op step
-//! still prunes it); both arms handle it explicitly below.
+//! still prunes it): with the index consulted it is pruned upfront,
+//! without it the first step runs literally (see `difference`).
 
 use std::sync::Arc;
 
@@ -70,7 +76,7 @@ use crate::store::{
     RelStore, TemporalPartId, ValueId,
 };
 use crate::tuple::GenTuple;
-use crate::Result;
+use crate::{Result, Value};
 
 /// Is the columnwise meet of `c1 + k1·Z` and `c2 + k2·Z` empty?
 ///
@@ -127,25 +133,6 @@ fn row_tuple(store: &RelStore, row: usize) -> GenTuple {
     GenTuple::from_part(Arc::clone(store.part(row)), store.resolve_row_data(row))
 }
 
-/// The probe arguments of row `i` for [`RelationIndex::probe_cols`]:
-/// per-column `(offset, period)` pairs and interned data ids.
-fn probe_args(
-    store: &RelStore,
-    row: usize,
-    tcols: &[usize],
-    dcols: &[usize],
-) -> (Vec<(i64, i64)>, Vec<ValueId>) {
-    let lrps = tcols
-        .iter()
-        .map(|&c| (store.t_offsets(c)[row], store.t_periods(c)[row]))
-        .collect();
-    let ids = dcols
-        .iter()
-        .map(|&c| store.data_columns()[c][row])
-        .collect();
-    (lrps, ids)
-}
-
 /// Grid-emptiness of an interned part through the global verdict cache.
 fn part_is_empty(id: TemporalPartId, t: &GenTuple) -> Result<bool> {
     if let Some(empty) = outcome_cached_empty(id) {
@@ -169,6 +156,119 @@ fn gated_index(
         .filter(|idx| idx.is_discriminating())
 }
 
+/// The candidate right rows of left row `i`, ascending, and how many of
+/// the `m` right rows the index skipped. With an index, the probe on the
+/// left row's columns `tcols`/`dcols` (counting its probes and skips);
+/// without one, every right row.
+fn candidates(
+    left: &RelStore,
+    i: usize,
+    index: Option<&RelationIndex>,
+    m: usize,
+    tcols: &[usize],
+    dcols: &[usize],
+    timer: &OpTimer<'_>,
+) -> (u64, impl Iterator<Item = usize>) {
+    let probed = index.map(|idx| {
+        let lrps: Vec<(i64, i64)> = tcols
+            .iter()
+            .map(|&c| (left.t_offsets(c)[i], left.t_periods(c)[i]))
+            .collect();
+        let ids: Vec<ValueId> = dcols.iter().map(|&c| left.data_columns()[c][i]).collect();
+        let cands = idx.probe_cols(&ids, &lrps);
+        timer.add_probes(cands.len() as u64);
+        timer.add_index_pruned((m - cands.len()) as u64);
+        cands
+    });
+    let skipped = probed.as_ref().map_or(0, |c| (m - c.len()) as u64);
+    let all = if probed.is_some() { 0..0 } else { 0..m };
+    (skipped, probed.into_iter().flatten().chain(all))
+}
+
+/// What tells intersection and join apart in [`pairwise`].
+struct PairOp<'a, R, C> {
+    /// `(left column, right column)` temporal pairs.
+    tpairs: &'a [(usize, usize)],
+    /// `(left column, right column)` data pairs.
+    dpairs: &'a [(usize, usize)],
+    /// The outcome-cache key; it also picks the per-pair derivation.
+    key: PairOpKey,
+    /// The data of right row `j` rebuilt for a derivation, given the
+    /// rebuilt left row.
+    right_data: R,
+    /// The data of the output tuple rebuilt from a cached part for right
+    /// row `j`, given the rebuilt left row.
+    cached_data: C,
+}
+
+/// The candidate loop of intersection and join: every left row probes
+/// (or scans) the right rows, the batch pre-filter rejects dead pairs,
+/// and survivors derive through the outcome cache. Counts under the
+/// contract of the module docs.
+fn pairwise<R, C>(
+    left: &RelStore,
+    right: &RelStore,
+    op: PairOp<'_, R, C>,
+    ctx: &ExecContext,
+    timer: &OpTimer<'_>,
+) -> Result<Vec<GenTuple>>
+where
+    R: Fn(&GenTuple, usize) -> Vec<Value> + Sync,
+    C: Fn(&GenTuple, usize) -> Vec<Value> + Sync,
+{
+    let (n, m) = (left.len(), right.len());
+    timer.add_in(n + m);
+    timer.add_pairs(n as u64 * m as u64);
+    let (left_t, right_t): (Vec<usize>, Vec<usize>) = op.tpairs.iter().copied().unzip();
+    let (left_d, right_d): (Vec<usize>, Vec<usize>) = op.dpairs.iter().copied().unzip();
+    let index = gated_index(right, n * m, &right_t, &right_d);
+    let use_cache = n * m >= INDEX_MIN_PAIRS;
+    exec::run_chunked_range(ctx, n, |i| {
+        let mut out = Vec::new();
+        // The left row is rebuilt at most once per outer row, and only
+        // if some candidate survives the batch filter.
+        let mut t1: Option<GenTuple> = None;
+        let (skipped, cands) = candidates(left, i, index.as_deref(), m, &left_t, &left_d, timer);
+        timer.add_pruned(skipped);
+        for j in cands {
+            if pair_rejected(left, right, i, j, op.tpairs, op.dpairs) {
+                // Exactly the pairs whose derivation would be `None`.
+                timer.add_pruned(1);
+                continue;
+            }
+            let t1 = t1.get_or_insert_with(|| row_tuple(left, i));
+            let (p1, p2) = (left.part_ids()[i], right.part_ids()[j]);
+            let cached = if use_cache {
+                outcome_cached_pair(p1, p2, &op.key)
+            } else {
+                None
+            };
+            let res = match cached {
+                Some(outcome) => {
+                    outcome.map(|part| GenTuple::from_part(part, (op.cached_data)(t1, j)))
+                }
+                None => {
+                    let t2 = GenTuple::from_part(Arc::clone(right.part(j)), (op.right_data)(t1, j));
+                    let res = match &op.key {
+                        PairOpKey::Intersect => ops::intersect_tuples(t1, &t2)?,
+                        PairOpKey::Join(_) => ops::join_tuples(t1, &t2, op.tpairs, op.dpairs)?,
+                    };
+                    if use_cache {
+                        let part = res.as_ref().map(|t| Arc::clone(t.part_arc()));
+                        outcome_cache_pair(p1, p2, op.key.clone(), part);
+                    }
+                    res
+                }
+            };
+            match res {
+                Some(t) => out.push(t),
+                None => timer.add_pruned(1),
+            }
+        }
+        Ok(out)
+    })
+}
+
 /// Batched intersection: returns the output tuples of `left ∩ right`
 /// under the counter contract of the module docs.
 pub(crate) fn intersect(
@@ -177,76 +277,20 @@ pub(crate) fn intersect(
     ctx: &ExecContext,
     timer: &OpTimer<'_>,
 ) -> Result<Vec<GenTuple>> {
-    let (n, m) = (left.len(), right.len());
-    timer.add_in(n + m);
-    timer.add_pairs(n as u64 * m as u64);
     let schema = left.schema();
-    let tcols: Vec<usize> = (0..schema.temporal()).collect();
-    let dcols: Vec<usize> = (0..schema.data()).collect();
-    let tpairs: Vec<(usize, usize)> = tcols.iter().map(|&c| (c, c)).collect();
-    let dpairs: Vec<(usize, usize)> = dcols.iter().map(|&c| (c, c)).collect();
-    let index = gated_index(right, n * m, &tcols, &dcols);
-    let use_cache = n * m >= INDEX_MIN_PAIRS;
-    exec::run_chunked_range(ctx, n, |i| {
-        let mut out = Vec::new();
-        // The left row is rebuilt at most once per outer row, and only
-        // if some candidate survives the batch filter.
-        let mut t1: Option<GenTuple> = None;
-        let mut visit = |j: usize, out: &mut Vec<GenTuple>| -> Result<()> {
-            if pair_rejected(left, right, i, j, &tpairs, &dpairs) {
-                // Exactly the pairs whose derivation would be `None`.
-                timer.add_pruned(1);
-                return Ok(());
-            }
-            let t1 = t1.get_or_insert_with(|| row_tuple(left, i));
-            let key = (left.part_ids()[i], right.part_ids()[j]);
-            if use_cache {
-                if let Some(outcome) = outcome_cached_pair(key.0, key.1, &PairOpKey::Intersect) {
-                    match outcome {
-                        Some(part) => out.push(GenTuple::from_part(part, t1.data().to_vec())),
-                        None => timer.add_pruned(1),
-                    }
-                    return Ok(());
-                }
-            }
-            // Data ids matched, so the values are equal: reuse `t1`'s
-            // resolved data for the right side instead of resolving it.
-            let t2 = GenTuple::from_part(Arc::clone(right.part(j)), t1.data().to_vec());
-            let res = ops::intersect_tuples(t1, &t2)?;
-            if use_cache {
-                outcome_cache_pair(
-                    key.0,
-                    key.1,
-                    PairOpKey::Intersect,
-                    res.as_ref().map(|t| Arc::clone(t.part_arc())),
-                );
-            }
-            match res {
-                Some(t) => out.push(t),
-                None => timer.add_pruned(1),
-            }
-            Ok(())
-        };
-        match &index {
-            Some(idx) => {
-                let (lrps, ids) = probe_args(left, i, &tcols, &dcols);
-                let cands = idx.probe_cols(&ids, &lrps);
-                let skipped = (m - cands.len()) as u64;
-                timer.add_probes(cands.len() as u64);
-                timer.add_index_pruned(skipped);
-                timer.add_pruned(skipped);
-                for &j in &cands {
-                    visit(j, &mut out)?;
-                }
-            }
-            None => {
-                for j in 0..m {
-                    visit(j, &mut out)?;
-                }
-            }
-        }
-        Ok(out)
-    })
+    let tpairs: Vec<(usize, usize)> = (0..schema.temporal()).map(|c| (c, c)).collect();
+    let dpairs: Vec<(usize, usize)> = (0..schema.data()).map(|c| (c, c)).collect();
+    // Data ids matched, so the values are equal: the left row's resolved
+    // data serves the right row and every output.
+    let left_data = |t1: &GenTuple, _: usize| t1.data().to_vec();
+    let op = PairOp {
+        tpairs: &tpairs,
+        dpairs: &dpairs,
+        key: PairOpKey::Intersect,
+        right_data: left_data,
+        cached_data: left_data,
+    };
+    pairwise(left, right, op, ctx, timer)
 }
 
 /// Batched equi-join on the given column pairs: returns the output
@@ -260,81 +304,22 @@ pub(crate) fn join_on(
     ctx: &ExecContext,
     timer: &OpTimer<'_>,
 ) -> Result<Vec<GenTuple>> {
-    let (n, m) = (left.len(), right.len());
-    timer.add_in(n + m);
-    timer.add_pairs(n as u64 * m as u64);
-    let left_t: Vec<usize> = temporal_pairs.iter().map(|&(i, _)| i).collect();
-    let right_t: Vec<usize> = temporal_pairs.iter().map(|&(_, j)| j).collect();
-    let left_d: Vec<usize> = data_pairs.iter().map(|&(i, _)| i).collect();
-    let right_d: Vec<usize> = data_pairs.iter().map(|&(_, j)| j).collect();
-    let index = gated_index(right, n * m, &right_t, &right_d);
-    let use_cache = n * m >= INDEX_MIN_PAIRS;
-    // With the join columns fixed for the whole invocation, the temporal
-    // outcome of a pair depends only on the two parts and the temporal
-    // pairing; the output data is always the concatenation.
-    let op_key = PairOpKey::Join(temporal_pairs.to_vec().into_boxed_slice());
     // Right-side data is shared by every outer row: resolve each right
     // row once up front (ids only; the row cache is never populated).
-    let rdata: Vec<Vec<crate::Value>> = (0..m).map(|j| right.resolve_row_data(j)).collect();
-    exec::run_chunked_range(ctx, n, |i| {
-        let mut out = Vec::new();
-        let mut t1: Option<GenTuple> = None;
-        let mut visit = |j: usize, out: &mut Vec<GenTuple>| -> Result<()> {
-            if pair_rejected(left, right, i, j, temporal_pairs, data_pairs) {
-                timer.add_pruned(1);
-                return Ok(());
-            }
-            let t1 = t1.get_or_insert_with(|| row_tuple(left, i));
-            let key = (left.part_ids()[i], right.part_ids()[j]);
-            if use_cache {
-                if let Some(outcome) = outcome_cached_pair(key.0, key.1, &op_key) {
-                    match outcome {
-                        Some(part) => {
-                            let mut data = t1.data().to_vec();
-                            data.extend_from_slice(&rdata[j]);
-                            out.push(GenTuple::from_part(part, data));
-                        }
-                        None => timer.add_pruned(1),
-                    }
-                    return Ok(());
-                }
-            }
-            let t2 = GenTuple::from_part(Arc::clone(right.part(j)), rdata[j].clone());
-            let res = ops::join_tuples(t1, &t2, temporal_pairs, data_pairs)?;
-            if use_cache {
-                outcome_cache_pair(
-                    key.0,
-                    key.1,
-                    op_key.clone(),
-                    res.as_ref().map(|t| Arc::clone(t.part_arc())),
-                );
-            }
-            match res {
-                Some(t) => out.push(t),
-                None => timer.add_pruned(1),
-            }
-            Ok(())
-        };
-        match &index {
-            Some(idx) => {
-                let (lrps, ids) = probe_args(left, i, &left_t, &left_d);
-                let cands = idx.probe_cols(&ids, &lrps);
-                let skipped = (m - cands.len()) as u64;
-                timer.add_probes(cands.len() as u64);
-                timer.add_index_pruned(skipped);
-                timer.add_pruned(skipped);
-                for &j in &cands {
-                    visit(j, &mut out)?;
-                }
-            }
-            None => {
-                for j in 0..m {
-                    visit(j, &mut out)?;
-                }
-            }
-        }
-        Ok(out)
-    })
+    let rdata: Vec<Vec<Value>> = (0..right.len())
+        .map(|j| right.resolve_row_data(j))
+        .collect();
+    let op = PairOp {
+        tpairs: temporal_pairs,
+        dpairs: data_pairs,
+        // With the join columns fixed for the whole invocation, the
+        // temporal outcome of a pair depends only on the two parts and
+        // the temporal pairing; the output data is the concatenation.
+        key: PairOpKey::Join(temporal_pairs.into()),
+        right_data: |_: &GenTuple, j: usize| rdata[j].clone(),
+        cached_data: |t1: &GenTuple, j: usize| [t1.data(), &rdata[j]].concat(),
+    };
+    pairwise(left, right, op, ctx, timer)
 }
 
 /// Batched difference fold: returns the output tuples under the counter
@@ -381,65 +366,42 @@ pub(crate) fn difference(
         // matched, so `t1`'s resolved data doubles for the right side.
         let subtrahend =
             |j: usize| GenTuple::from_part(Arc::clone(right.part(j)), t1.data().to_vec());
-        match &index {
-            Some(idx) => {
-                let (lrps, ids) = probe_args(left, i, &tcols, &dcols);
-                let cands = idx.probe_cols(&ids, &lrps);
-                timer.add_probes(cands.len() as u64);
-                timer.add_index_pruned((m - cands.len()) as u64);
-                // A grid-empty `t1` is dropped upfront, as the first
-                // all-pairs step would (`right` is nonempty whenever the
-                // index gate passed).
-                if part_is_empty(left.part_ids()[i], &t1)? {
-                    timer.add_pruned(1);
-                    return Ok(vec![]);
-                }
-                let mut acc = vec![t1.clone()];
-                for &j in &cands {
-                    if pair_rejected(left, right, i, j, &tpairs, &dpairs) {
-                        // No-op step: every member would pass through
-                        // unchanged and survive the prune (members are
-                        // prune-survivors, hence non-grid-empty).
-                        timer.add_pairs(acc.len() as u64);
-                        continue;
-                    }
-                    acc = step(acc, &subtrahend(j))?;
-                    if acc.is_empty() {
-                        break;
-                    }
-                }
-                Ok(acc)
+        let (_, cands) = candidates(left, i, index.as_deref(), m, &tcols, &dcols, timer);
+        // The batch filter may only skip steps whose members are known
+        // non-grid-empty. That holds after any executed step (members
+        // are prune-survivors) — and from the start iff `t1` itself is
+        // non-empty. A grid-empty `t1` falls to the first all-pairs step
+        // whatever `t2` is: with the index consulted it is dropped
+        // upfront (`right` is nonempty whenever the index gate passed);
+        // without it that first step runs literally, reproducing its
+        // exact pair/prune counts.
+        let mut literal_first = m > 0 && part_is_empty(left.part_ids()[i], &t1)?;
+        if literal_first && index.is_some() {
+            timer.add_pruned(1);
+            return Ok(vec![]);
+        }
+        let mut acc = vec![t1.clone()];
+        for j in cands {
+            if literal_first {
+                // Grid-empty initial member: execute the step verbatim,
+                // with the subtrahend's own data (the filter has not
+                // vouched for equality). It prunes every member, so the
+                // loop ends here.
+                acc = step(acc, &row_tuple(right, j))?;
+                literal_first = false;
+            } else if pair_rejected(left, right, i, j, &tpairs, &dpairs) {
+                // No-op step: every member would pass through unchanged
+                // and survive the prune (members are prune-survivors,
+                // hence non-grid-empty).
+                timer.add_pairs(acc.len() as u64);
+                continue;
+            } else {
+                acc = step(acc, &subtrahend(j))?;
             }
-            None => {
-                // Unindexed arm: the batch filter may only skip steps
-                // whose members are known non-grid-empty. That holds
-                // after any executed step (members are prune-survivors)
-                // — and from the start iff `t1` itself is non-empty.
-                // For a grid-empty `t1` the all-pairs first step prunes
-                // it no matter what `t2` is; run that first step
-                // literally to reproduce its exact pair/prune counts.
-                let mut literal_first = m > 0 && part_is_empty(left.part_ids()[i], &t1)?;
-                let mut acc = vec![t1.clone()];
-                for j in 0..m {
-                    if literal_first {
-                        // Grid-empty initial member: execute the step
-                        // verbatim, with the subtrahend's own data (the
-                        // filter has not vouched for equality). It
-                        // prunes every member, so the loop ends here.
-                        acc = step(acc, &row_tuple(right, j))?;
-                        literal_first = false;
-                    } else if pair_rejected(left, right, i, j, &tpairs, &dpairs) {
-                        timer.add_pairs(acc.len() as u64);
-                        continue;
-                    } else {
-                        acc = step(acc, &subtrahend(j))?;
-                    }
-                    if acc.is_empty() {
-                        break;
-                    }
-                }
-                Ok(acc)
+            if acc.is_empty() {
+                break;
             }
         }
+        Ok(acc)
     })
 }

@@ -12,35 +12,18 @@
 //!   `c + g·n`, the group is replaced by the single coarser tuple.
 //!   Normalization and complement systematically produce such groups, so
 //!   coalescing after them often shrinks relations by the full `k/kᵢ`
-//!   refinement factor.
+//!   refinement factor. The search is bounded by the group, not the
+//!   period: a complete group has `k/g` members, so only cofactors `k/g`
+//!   up to the member count and only residues some member occupies are
+//!   tried — two classes mod `2⁴⁰` cost as little as two classes mod 4.
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 
 use itd_lrp::Lrp;
 
 use crate::relation::GenRelation;
 use crate::tuple::GenTuple;
 use crate::Result;
-
-/// Positive divisors of `k`, ascending, by trial division up to `√k`
-/// (each small divisor `d` pairs with the large divisor `k/d`).
-fn divisors(k: i64) -> Vec<i64> {
-    debug_assert!(k > 0);
-    let mut small = Vec::new();
-    let mut large = Vec::new();
-    let mut d = 1;
-    while d * d <= k {
-        if k % d == 0 {
-            small.push(d);
-            if d * d != k {
-                large.push(k / d);
-            }
-        }
-        d += 1;
-    }
-    small.extend(large.into_iter().rev());
-    small
-}
 
 /// One coalescing pass over one column; returns `true` if anything merged.
 fn coalesce_column(tuples: &mut Vec<GenTuple>, col: usize) -> Result<bool> {
@@ -78,12 +61,16 @@ fn coalesce_column(tuples: &mut Vec<GenTuple>, col: usize) -> Result<bool> {
         for (k, offs) in by_period {
             let mut available: BTreeMap<i64, usize> =
                 offs.iter().map(|&(o, idx)| (o, idx)).collect();
-            for g in divisors(k) {
-                if g == k {
-                    break; // no coarsening left
-                }
-                let classes = k / g;
-                for c in 0..g {
+            // A complete group `c, c+g, …, c+(k/g−1)·g` has `k/g` members,
+            // so only cofactors `k/g` up to the member count can merge;
+            // the coarsest `g` (largest cofactor) is tried first.
+            let most = available.len() as i64;
+            for classes in (2..=most).rev().filter(|q| k % q == 0) {
+                let g = k / classes;
+                // A group holds its residue `c` itself: only residues
+                // some member occupies can complete, in ascending order.
+                let residues: BTreeSet<i64> = available.keys().map(|o| o.rem_euclid(g)).collect();
+                for c in residues {
                     let wanted: Vec<i64> = (0..classes).map(|j| c + j * g).collect();
                     if wanted.iter().all(|o| available.contains_key(o)) {
                         let mut removed_idxs = Vec::with_capacity(wanted.len());
@@ -142,19 +129,6 @@ mod tests {
 
     fn lrp(c: i64, k: i64) -> Lrp {
         Lrp::new(c, k).unwrap()
-    }
-
-    #[test]
-    fn divisors_ascending_and_complete() {
-        assert_eq!(divisors(1), vec![1]);
-        assert_eq!(divisors(12), vec![1, 2, 3, 4, 6, 12]);
-        assert_eq!(divisors(36), vec![1, 2, 3, 4, 6, 9, 12, 18, 36]);
-        assert_eq!(divisors(97), vec![1, 97]); // prime
-        for k in 1..=200 {
-            let fast = divisors(k);
-            let naive: Vec<i64> = (1..=k).filter(|d| k % d == 0).collect();
-            assert_eq!(fast, naive, "k = {k}");
-        }
     }
 
     #[test]
@@ -298,5 +272,23 @@ mod tests {
         .unwrap();
         let c = coalesce(&rel).unwrap();
         assert_eq!(c.tuple_count(), 3); // data values differ; the point is skipped
+    }
+
+    #[test]
+    fn huge_period_pair_costs_nothing() {
+        // Two of the 2^40 residue classes mod 2^40: no complete group, and
+        // the search must not visit (or allocate) per residue or class.
+        let k = 1i64 << 40;
+        let rel = GenRelation::new(
+            Schema::new(1, 0),
+            vec![
+                GenTuple::unconstrained(vec![lrp(0, k)], vec![]),
+                GenTuple::unconstrained(vec![lrp(1, k)], vec![]),
+            ],
+        )
+        .unwrap();
+        let (c, report) = crate::compact::compact_relation(&rel).unwrap();
+        assert_eq!(c.tuple_count(), 2);
+        assert_eq!(report.merges, 0);
     }
 }

@@ -144,6 +144,11 @@ impl GenRelation {
         self.store.rows_vec()
     }
 
+    /// The columnar store behind the rows.
+    pub(crate) fn store(&self) -> &RelStore {
+        &self.store
+    }
+
     /// Cursor iteration over the rows as [`RowRef`] views.
     pub fn rows(&self) -> Rows<'_> {
         Rows::new(&self.store)

@@ -313,13 +313,6 @@ pub fn resolve_value(id: ValueId) -> Value {
     inner.arena[id.index()].clone()
 }
 
-/// Interns `v` into the global value arena (used by index builds over
-/// raw tuple slices; store construction interns in bulk under one lock).
-pub(crate) fn intern_value_global(v: &Value) -> ValueId {
-    let mut inner = values().lock().expect("value arena poisoned");
-    intern_value(&mut inner, v)
-}
-
 /// Non-inserting probe: the id of `v` if it has ever been interned.
 pub(crate) fn lookup_value(v: &Value) -> Option<ValueId> {
     let inner = values().lock().expect("value arena poisoned");
@@ -682,8 +675,11 @@ impl RelStore {
             }
         }
         let pos = self.part_ids.len() - 1;
-        let indexes = self.indexes.get_mut().expect("index cache poisoned");
-        indexes.retain(|_, idx| Arc::make_mut(idx).try_insert(&t, &self.data, pos));
+        // Taken out of the lock so `try_insert` can read the extended
+        // columns through `self`.
+        let mut indexes = std::mem::take(self.indexes.get_mut().expect("index cache poisoned"));
+        indexes.retain(|_, idx| Arc::make_mut(idx).try_insert(self, pos));
+        *self.indexes.get_mut().expect("index cache poisoned") = indexes;
         if let Some(rows) = self.rows.get_mut() {
             rows.push(t);
         }
@@ -773,11 +769,7 @@ impl RelStore {
         // Build outside the cache lock, straight from the flat columns —
         // indexing needs only offsets, periods and value ids, so it must
         // not force-populate the row cache.
-        let built = Arc::new(RelationIndex::build_from_store(
-            self,
-            temporal_cols,
-            data_cols,
-        ));
+        let built = Arc::new(RelationIndex::build(self, temporal_cols, data_cols));
         let mut cache = self.indexes.lock().expect("index cache poisoned");
         if let Some(idx) = cache.get(&key) {
             INDEX_REUSES.fetch_add(1, Ordering::Relaxed);

@@ -33,6 +33,7 @@
 use std::collections::{BTreeMap, BTreeSet};
 
 use itd_core::index::MAX_MODULUS;
+use itd_numth::gcd;
 
 use crate::ast::{DataTerm, TemporalTerm};
 use crate::catalog::Catalog;
@@ -130,14 +131,6 @@ struct NodeEst {
     total: f64,
     tmod: BTreeMap<String, i64>,
     ddist: BTreeMap<String, f64>,
-}
-
-fn gcd(a: i64, b: i64) -> i64 {
-    let (mut a, mut b) = (a.abs(), b.abs());
-    while b != 0 {
-        (a, b) = (b, a % b);
-    }
-    a
 }
 
 /// Estimates `node` bottom-up without mutating it.

@@ -149,6 +149,68 @@ fn kernel_matches_rowpath_bit_for_bit() {
     }
 }
 
+/// The multi-pair joins of the pinned grid: two temporal pairs each —
+/// one straight and one crossing a left column onto a different right
+/// column, then both crossed — plus every data column paired with
+/// itself.
+const JOIN_TPAIRS: [[(usize, usize); 2]; 2] = [[(0, 0), (1, 0)], [(0, 1), (1, 0)]];
+
+fn data_pairs(x: &GenRelation) -> Vec<(usize, usize)> {
+    (0..x.schema().data()).map(|c| (c, c)).collect()
+}
+
+/// `(seed, n, data_arity)` over the `PINNED` cases and the `Join`
+/// counter vector of each [`JOIN_TPAIRS`] join, in `Counters` order,
+/// recorded from the kernels before intersect and join shared one
+/// candidate loop.
+#[rustfmt::skip]
+const PINNED_JOINS: [(Case, [[u64; 11]; 2]); 12] = [
+    ((1, 2, 0), [[1, 4, 0, 4, 4, 0, 0, 0, 0, 0, 0], [1, 4, 0, 4, 4, 0, 0, 0, 0, 0, 0]]),
+    ((17, 3, 1), [[1, 6, 0, 9, 9, 0, 0, 0, 0, 0, 0], [1, 6, 0, 9, 9, 0, 0, 0, 0, 0, 0]]),
+    ((42, 4, 2), [[1, 8, 0, 16, 16, 0, 0, 0, 0, 0, 0], [1, 8, 1, 16, 15, 0, 0, 0, 0, 0, 0]]),
+    ((99, 5, 0), [[1, 10, 4, 25, 21, 0, 0, 0, 0, 0, 0], [1, 10, 6, 25, 19, 0, 0, 0, 0, 0, 0]]),
+    ((7, 5, 1), [[1, 10, 2, 25, 23, 0, 0, 0, 0, 0, 0], [1, 10, 0, 25, 25, 0, 0, 0, 0, 0, 0]]),
+    ((123, 6, 0), [[1, 12, 0, 36, 36, 6, 30, 0, 0, 0, 0], [1, 12, 8, 36, 28, 9, 27, 0, 0, 0, 0]]),
+    ((256, 6, 2), [[1, 12, 0, 36, 36, 0, 36, 0, 0, 0, 0], [1, 12, 2, 36, 34, 2, 34, 0, 0, 0, 0]]),
+    ((5, 7, 1), [[1, 14, 0, 49, 49, 1, 48, 0, 0, 0, 0], [1, 14, 2, 49, 47, 2, 47, 0, 0, 0, 0]]),
+    ((77, 8, 0), [[1, 16, 3, 64, 61, 19, 45, 0, 0, 0, 0], [1, 16, 10, 64, 54, 11, 53, 0, 0, 0, 0]]),
+    ((200, 8, 2), [[1, 16, 1, 64, 63, 2, 62, 0, 0, 0, 0], [1, 16, 0, 64, 64, 0, 64, 0, 0, 0, 0]]),
+    ((31, 9, 1), [[1, 18, 3, 81, 78, 8, 73, 0, 0, 0, 0], [1, 18, 4, 81, 77, 5, 76, 0, 0, 0, 0]]),
+    ((299, 9, 0), [[1, 18, 13, 81, 68, 25, 56, 0, 0, 0, 0], [1, 18, 24, 81, 57, 24, 57, 0, 0, 0, 0]]),
+];
+
+/// On the pinned grid, at 1/2/8 threads: each multi-pair join equals the
+/// oracle's and its counters equal the recorded vector.
+#[test]
+fn multi_pair_joins_are_pinned() {
+    let _g = serialize();
+    for ((seed, n, data_arity), vectors) in PINNED_JOINS {
+        let (a, b) = operands(seed, n, data_arity);
+        let dpairs = data_pairs(&a);
+        for (tpairs, pinned) in JOIN_TPAIRS.iter().zip(vectors) {
+            let expected_out = oracle::join_on(&a, &b, tpairs, &dpairs).unwrap();
+            let expected: Counters = OpKind::ALL
+                .iter()
+                .map(|k| if *k == OpKind::Join { pinned } else { [0; 11] })
+                .collect();
+            for threads in [1usize, 2, 8] {
+                let (out, stats) = run_counted(threads, |ctx| {
+                    a.join_on_in(&b, tpairs, &dpairs, ctx).unwrap()
+                });
+                let case = format!(
+                    "join {tpairs:?} on {:?} at {threads} threads",
+                    (seed, n, data_arity)
+                );
+                assert_eq!(out, expected_out, "{case}: result differs from the oracle");
+                assert_eq!(
+                    stats, expected,
+                    "{case}: counters differ from the pinned vector"
+                );
+            }
+        }
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 

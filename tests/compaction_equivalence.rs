@@ -279,3 +279,125 @@ proptest! {
         );
     }
 }
+
+/// Every counter of the `Compact` op except wall time, in `OpCounters`
+/// field order.
+fn compact_counters(ctx: &ExecContext) -> [u64; 11] {
+    let op = *ctx.stats().op(OpKind::Compact);
+    [
+        op.calls,
+        op.tuples_in,
+        op.tuples_out,
+        op.pairs,
+        op.empties_pruned,
+        op.index_probes,
+        op.index_pruned,
+        op.atoms_simplified,
+        op.tuples_subsumed,
+        op.coalesce_merges,
+        op.max_period,
+    ]
+}
+
+/// The fixed compaction grid: `(case name, input)` over data arity 0–2
+/// and periods 2/3/4/6/9/12. Each seeded relation gets a complete
+/// residue family (coalescible), duplicate rows and an unsatisfiable
+/// row; complement outputs of a one-tuple relation close the grid.
+fn compaction_grid() -> Vec<(String, GenRelation)> {
+    use itd_workload::{random_relation, RelationSpec};
+    let mut cases = Vec::new();
+    for data_arity in 0..=2usize {
+        for period in [2i64, 3, 4, 6, 9, 12] {
+            for seed in [1u64, 2] {
+                let spec = RelationSpec {
+                    tuples: 6,
+                    temporal_arity: 2,
+                    period,
+                    data_arity,
+                    constraint_density: 0.4,
+                    bound_steps: 4,
+                };
+                let mut rel = random_relation(&spec, seed * 1000 + period as u64);
+                let data = vec![Value::str("a"); data_arity];
+                for c in 0..period {
+                    rel.push(GenTuple::unconstrained(
+                        vec![lrp(c, period), lrp(seed as i64 % period, period)],
+                        data.clone(),
+                    ))
+                    .unwrap();
+                }
+                let dups: Vec<GenTuple> = rel.rows().take(2).map(|r| r.to_tuple()).collect();
+                for t in dups {
+                    rel.push(t).unwrap();
+                }
+                rel.push(
+                    GenTuple::builder()
+                        .lrps(vec![lrp(1 % period, period), lrp(0, period)])
+                        .atoms([Atom::le(0, 0), Atom::ge(0, 5)])
+                        .data(data)
+                        .build()
+                        .unwrap(),
+                )
+                .unwrap();
+                cases.push((format!("d{data_arity} k{period} s{seed}"), rel));
+            }
+        }
+    }
+    for period in [2i64, 3, 4, 6, 9, 12] {
+        let rel = GenRelation::builder(Schema::new(1, 0))
+            .push_row(
+                GenTuple::builder()
+                    .lrps(vec![lrp(0, period)])
+                    .atoms([Atom::ge(0, 0)])
+                    .build()
+                    .unwrap(),
+            )
+            .build()
+            .unwrap();
+        let comp = rel.complement_temporal_in(&ExecContext::serial()).unwrap();
+        cases.push((format!("complement k{period}"), comp));
+    }
+    cases
+}
+
+/// Renders every grid case: its `Compact` counter vector, then its kept
+/// tuples in output order.
+fn render_compaction_grid(threads: usize) -> String {
+    use std::fmt::Write;
+    let mut out = String::new();
+    for (name, rel) in compaction_grid() {
+        let ctx = ExecContext::with_threads(threads);
+        let kept = rel.compact_in(&ctx).unwrap();
+        writeln!(out, "{name}: {:?}", compact_counters(&ctx)).unwrap();
+        for row in kept.rows() {
+            writeln!(out, "  {}", row.to_tuple()).unwrap();
+        }
+    }
+    out
+}
+
+/// The kept tuples and counters of the fixed compaction grid, pinned at
+/// 1/2/8 threads against `tests/goldens/compaction_grid.txt`. Regenerate
+/// on a deliberate change with
+/// `BLESS=1 cargo test -p itd-db --test compaction_equivalence`, then
+/// rebuild (the golden is compiled in via `include_str!`).
+#[test]
+fn compaction_grid_is_pinned() {
+    if std::env::var_os("BLESS").is_some() {
+        std::fs::write(
+            "../../tests/goldens/compaction_grid.txt",
+            render_compaction_grid(1),
+        )
+        .expect("write golden");
+        return;
+    }
+    let golden = include_str!("goldens/compaction_grid.txt");
+    for threads in [1usize, 2, 8] {
+        assert_eq!(
+            render_compaction_grid(threads),
+            golden,
+            "compaction at {threads} threads drifted from tests/goldens/compaction_grid.txt \
+             (rerun with BLESS=1 if the change is deliberate)"
+        );
+    }
+}

@@ -181,3 +181,41 @@ fn small_inputs_skip_the_index() {
     assert_eq!(op.index_probes, 0);
     assert_eq!(op.index_pruned, 0);
 }
+
+/// A probe over many wide-open columns has more compatible residue keys
+/// than `u128` can count (64 per column, 22 columns): the index must fall
+/// back to scanning its buckets, not overflow or enumerate 64²² keys.
+#[test]
+fn probe_over_22_open_columns_completes() {
+    const COLS: usize = 22;
+    let left = GenRelation::new(
+        Schema::new(COLS, 0),
+        vec![GenTuple::unconstrained(vec![Lrp::all(); COLS], vec![])],
+    )
+    .unwrap();
+    let right = GenRelation::new(
+        Schema::new(COLS, 0),
+        (0..32i64)
+            .map(|j| {
+                let lrps = (0..COLS as i64).map(|c| lrp((j + c) % 64, 64)).collect();
+                GenTuple::unconstrained(lrps, vec![])
+            })
+            .collect(),
+    )
+    .unwrap();
+    let pairs: Vec<(usize, usize)> = (0..COLS).map(|c| (c, c)).collect();
+    for threads in [1usize, 2] {
+        let ctx = ExecContext::with_threads(threads);
+        assert_eq!(
+            left.intersect_in(&right, &ctx).unwrap(),
+            oracle::intersect(&left, &right).unwrap()
+        );
+        assert_eq!(
+            left.join_on_in(&right, &pairs, &[], &ctx).unwrap(),
+            oracle::join_on(&left, &right, &pairs, &[]).unwrap()
+        );
+        // Both ops consulted the index: one probe per right row each.
+        assert_eq!(ctx.stats().op(OpKind::Intersect).index_probes, 32);
+        assert_eq!(ctx.stats().op(OpKind::Join).index_probes, 32);
+    }
+}
