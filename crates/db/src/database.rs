@@ -416,17 +416,11 @@ impl Database {
         // Move the views aside so `self` can serve as the catalog.
         let mut views = std::mem::take(&mut self.views);
         let stale = std::mem::take(&mut self.views_stale);
-        let delta_rows: u64 = deltas.iter().map(RelationDelta::rows).sum();
         let mut failed = None;
         for rv in &mut views {
             let before = ctx.stats();
             let outcome = if stale {
-                rv.view
-                    .recompute(&*self, ctx)
-                    .map(|()| itd_query::RefreshOutcome {
-                        full: true,
-                        delta_rows,
-                    })
+                rv.view.recompute(&*self, deltas, ctx)
             } else {
                 rv.view.refresh(&*self, deltas, ctx)
             };

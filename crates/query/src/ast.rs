@@ -115,6 +115,29 @@ impl CmpOp {
             CmpOp::Gt => l > r,
         }
     }
+
+    /// The operator with its operands swapped: `l op r ⇔ r op.mirrored() l`.
+    pub fn mirrored(self) -> CmpOp {
+        match self {
+            CmpOp::Le => CmpOp::Ge,
+            CmpOp::Lt => CmpOp::Gt,
+            CmpOp::Ge => CmpOp::Le,
+            CmpOp::Gt => CmpOp::Lt,
+            CmpOp::Eq | CmpOp::Ne => self,
+        }
+    }
+
+    /// The complementary operator: `¬(l op r) ⇔ l op.negated() r`.
+    pub fn negated(self) -> CmpOp {
+        match self {
+            CmpOp::Le => CmpOp::Gt,
+            CmpOp::Lt => CmpOp::Ge,
+            CmpOp::Eq => CmpOp::Ne,
+            CmpOp::Ne => CmpOp::Eq,
+            CmpOp::Ge => CmpOp::Lt,
+            CmpOp::Gt => CmpOp::Le,
+        }
+    }
 }
 
 impl fmt::Display for CmpOp {
@@ -367,6 +390,17 @@ impl fmt::Display for Formula {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn mirrored_swaps_operands_and_negated_complements() {
+        use CmpOp::*;
+        for op in [Le, Lt, Eq, Ne, Ge, Gt] {
+            for (l, r) in [(-1, 0), (0, 0), (1, 0)] {
+                assert_eq!(op.eval(l, r), op.mirrored().eval(r, l), "{op}");
+                assert_eq!(!op.eval(l, r), op.negated().eval(l, r), "{op}");
+            }
+        }
+    }
 
     #[test]
     fn free_vars_respects_binders() {

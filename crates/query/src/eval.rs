@@ -2,14 +2,16 @@
 //! (§4.2–4.3).
 //!
 //! Evaluation is plan-driven: the formula is lowered to a [`Plan`] (a tree
-//! of [`PlanOp`](crate::PlanOp) nodes), optionally rewritten by the
-//! optimizer, and the plan tree is then interpreted by [`Env::exec`]. The
-//! unoptimized plan mirrors the formula node for node, so executing it
-//! performs exactly the algebra operations the direct recursive evaluator
-//! used to — same operators, same order, same traced spans.
+//! of [`PlanOp`](crate::PlanOp) nodes), prepared once (optionally
+//! rewritten, compaction passes inserted, cost-annotated), and the plan
+//! tree is then interpreted by [`Env::exec`]. Each node's output is a bare
+//! [`GenRelation`] whose columns are the node's
+//! [`temporal_vars`](PlanNode::temporal_vars) and
+//! [`data_vars`](PlanNode::data_vars); the executor reads every column
+//! name and position from the plan and works out none itself.
 
-use std::cell::Cell;
-use std::collections::BTreeSet;
+use std::cell::{Cell, RefCell};
+use std::collections::{BTreeSet, HashMap};
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -187,8 +189,9 @@ pub struct QueryOutput {
     /// were all skipped and the cached plan executed directly.
     pub plan_cached: bool,
     /// The cost model's whole-plan total-pairs estimate computed at
-    /// preparation time (see [`estimate_src`]) — what admission control
-    /// compared against its budget before this run.
+    /// preparation time (see [`estimate_src`]): the executed plan root's
+    /// `est.total_pairs`, which admission control compared against its
+    /// budget before this run.
     pub est_total_pairs: f64,
 }
 
@@ -269,9 +272,7 @@ fn prepare_keyed(
     opts: &QueryOpts<'_>,
 ) -> Result<(Arc<crate::plancache::PreparedPlan>, bool)> {
     if let Some(token) = catalog.plan_token() {
-        if let Some(prepared) =
-            crate::plancache::lookup(token, text, opts.optimize, opts.compact, opts.trace)
-        {
+        if let Some(prepared) = crate::plancache::lookup(token, text, opts.optimize, opts.compact) {
             return Ok((prepared, true));
         }
         let prepared = Arc::new(prepare(catalog, &make_formula()?, opts)?);
@@ -280,7 +281,6 @@ fn prepare_keyed(
             text.to_owned(),
             opts.optimize,
             opts.compact,
-            opts.trace,
             Arc::clone(&prepared),
         );
         return Ok((prepared, false));
@@ -308,7 +308,7 @@ fn prepare_keyed(
 /// touches relation data, so algebra failures cannot occur here.
 pub fn estimate_src(catalog: &impl Catalog, src: &str, opts: QueryOpts<'_>) -> Result<f64> {
     let (prepared, _) = prepare_keyed(catalog, src, || crate::parser::parse(src), &opts)?;
-    Ok(prepared.est_total_pairs)
+    Ok(prepared.plan.est_total_pairs())
 }
 
 /// The pure preparation pipeline: sort-check, lower to a [`Plan`], and
@@ -343,32 +343,8 @@ fn prepare_inner(
     dynamic: bool,
 ) -> Result<crate::plancache::PreparedPlan> {
     let (f, _sorts) = check_sorts(catalog, formula)?;
-    let mut plan = Plan::of(&f);
-    if opts.optimize {
-        plan = if dynamic {
-            crate::opt::optimize_dynamic(catalog, plan, opts.compact)
-        } else {
-            crate::opt::optimize(catalog, plan, opts.compact)
-        };
-    } else {
-        if opts.compact {
-            // Compaction is independent of the rewriter: insert the
-            // passes into the direct lowering too, so the executed plan
-            // (which `QueryOutput::plan` returns) shows them.
-            crate::opt::insert_compaction(catalog, &mut plan);
-        }
-        if opts.trace {
-            // The optimizer annotates its output; annotate the direct
-            // lowering too so EXPLAIN ANALYZE has an `est` column.
-            crate::opt::annotate(catalog, &mut plan);
-        }
-    }
-    let est_total_pairs = crate::opt::total_pairs(catalog, &plan);
-    Ok(crate::plancache::PreparedPlan {
-        formula: f,
-        plan,
-        est_total_pairs,
-    })
+    let plan = crate::opt::prepare(catalog, Plan::of(&f), opts.optimize, opts.compact, dynamic);
+    Ok(crate::plancache::PreparedPlan { formula: f, plan })
 }
 
 /// Executes a prepared plan: context setup, resource accounting, plan
@@ -418,7 +394,7 @@ fn exec_prepared(
         trace,
         resources,
         plan_cached,
-        est_total_pairs: prepared.est_total_pairs,
+        est_total_pairs: plan.est_total_pairs(),
     })
 }
 
@@ -435,11 +411,10 @@ fn exec_plan(
     // too small to reach a chunked loop.
     ctx.check_cancelled().map_err(QueryError::Core)?;
     let env = Env::new(catalog, adom_for(catalog, f), ctx, false);
-    let ev = env.exec(plan.root())?;
     let result = QueryResult {
-        relation: ev.rel,
-        temporal_vars: ev.tvars,
-        data_vars: ev.dvars,
+        relation: env.exec(plan.root())?,
+        temporal_vars: plan.root().temporal_vars.clone(),
+        data_vars: plan.root().data_vars.clone(),
         stats: ctx.stats(),
     };
     Ok((result, env.peak_rows.get()))
@@ -484,16 +459,6 @@ fn collect_constants(f: &Formula, adom: &mut BTreeSet<Value>) {
     }
 }
 
-/// An evaluated subplan: relation plus column naming. Cloning is cheap —
-/// the relation is an `Arc` snapshot — which is what lets view maintenance
-/// cache every plan node's output.
-#[derive(Debug, Clone)]
-pub(crate) struct Ev {
-    pub(crate) rel: GenRelation,
-    pub(crate) tvars: Vec<String>,
-    pub(crate) dvars: Vec<String>,
-}
-
 pub(crate) struct Env<'a, C: Catalog> {
     catalog: &'a C,
     pub(crate) adom: Vec<Value>,
@@ -505,9 +470,9 @@ pub(crate) struct Env<'a, C: Catalog> {
     /// any thread count, so this is deterministic too.
     peak_rows: Cell<u64>,
     /// When present, [`Env::exec`] deposits a clone of every plan node's
-    /// output keyed by node id — the per-node cache view maintenance
-    /// propagates deltas against.
-    record: Option<std::cell::RefCell<std::collections::HashMap<u64, Ev>>>,
+    /// output (an `Arc` snapshot, so cheap) keyed by node id — the
+    /// per-node cache view maintenance propagates deltas against.
+    record: Option<RefCell<HashMap<u64, GenRelation>>>,
 }
 
 impl<'a, C: Catalog> Env<'a, C> {
@@ -523,7 +488,7 @@ impl<'a, C: Catalog> Env<'a, C> {
             ctx,
             live_rows: Cell::new(0),
             peak_rows: Cell::new(0),
-            record: recording.then(|| std::cell::RefCell::new(std::collections::HashMap::new())),
+            record: recording.then(|| RefCell::new(HashMap::new())),
         }
     }
 
@@ -532,20 +497,35 @@ impl<'a, C: Catalog> Env<'a, C> {
         self.ctx
     }
 
-    /// The catalog relation under `name`, cloned (an `Arc` snapshot, so
-    /// this is cheap).
-    pub(crate) fn catalog_relation(&self, name: &str) -> Option<GenRelation> {
-        self.catalog.relation(name).cloned()
-    }
-
     /// Drains the recorded per-node outputs (empty unless constructed with
     /// `recording = true`).
-    pub(crate) fn take_record(&self) -> std::collections::HashMap<u64, Ev> {
+    pub(crate) fn take_record(&self) -> HashMap<u64, GenRelation> {
         self.record
             .as_ref()
             .map(|r| std::mem::take(&mut *r.borrow_mut()))
             .unwrap_or_default()
     }
+}
+
+/// The position of `var`'s first occurrence in the column list `cols`.
+/// Every column a plan node outputs comes from its input, so the lookup
+/// cannot miss.
+fn column<'v>(mut cols: impl Iterator<Item = &'v String>, var: &str) -> usize {
+    cols.position(|c| c == var)
+        .expect("a node's column comes from its input")
+}
+
+/// `have`'s columns followed by `want`'s variables missing from them, in
+/// `want`'s order: the columns [`Env::pad`] builds before permuting.
+fn padded<'v>(have: &'v [String], want: &'v [String]) -> impl Iterator<Item = &'v String> + Clone {
+    have.iter()
+        .chain(want.iter().filter(move |v| !have.contains(v)))
+}
+
+/// [`column`] for each of `vars`, in order: the keep/permutation list
+/// that projects `cols` onto `vars`.
+fn columns<'v>(vars: &[String], cols: impl Iterator<Item = &'v String> + Clone) -> Vec<usize> {
+    vars.iter().map(|v| column(cols.clone(), v)).collect()
 }
 
 impl<C: Catalog> Env<'_, C> {
@@ -569,11 +549,11 @@ impl<C: Catalog> Env<'_, C> {
         rel
     }
 
-    /// The full space `Z^t × adom^d`.
-    pub(crate) fn full_for(&self, tvars: usize, dvars: usize) -> Result<GenRelation> {
-        let mut rel =
-            GenRelation::full_temporal(Schema::new(tvars, 0)).map_err(QueryError::Core)?;
-        for _ in 0..dvars {
+    /// The full space `Z^t × adom^d` over `schema`'s columns.
+    pub(crate) fn full_for(&self, schema: Schema) -> Result<GenRelation> {
+        let mut rel = GenRelation::full_temporal(Schema::new(schema.temporal(), 0))
+            .map_err(QueryError::Core)?;
+        for _ in 0..schema.data() {
             rel = rel
                 .cross_product_in(&self.adom_relation(), self.ctx)
                 .map_err(QueryError::Core)?;
@@ -583,12 +563,15 @@ impl<C: Catalog> Env<'_, C> {
 
     /// Interprets one plan node, recording a node span carrying the
     /// node's stable id when the context is traced — the id is what
-    /// EXPLAIN ANALYZE joins plan and trace on.
-    pub(crate) fn exec(&self, n: &PlanNode) -> Result<Ev> {
+    /// EXPLAIN ANALYZE joins plan and trace on. The output's columns are
+    /// the node's [`temporal_vars`](PlanNode::temporal_vars) and
+    /// [`data_vars`](PlanNode::data_vars).
+    pub(crate) fn exec(&self, n: &PlanNode) -> Result<GenRelation> {
         let span = self.ctx.plan_span(n.id, || n.label.clone());
         let before = self.live_rows.get();
-        let ev = self.exec_arm(n)?;
-        let out = ev.rel.tuple_count() as u64;
+        let rel = self.exec_arm(n)?;
+        debug_assert_eq!(rel.schema(), n.schema(), "node {} output columns", n.id);
+        let out = rel.tuple_count() as u64;
         // While the operator ran, its children's outputs were still live
         // (`live_rows` is now `before` + their row counts); this node's
         // output coexists with them for a moment before they are dropped,
@@ -598,97 +581,70 @@ impl<C: Catalog> Env<'_, C> {
         self.live_rows.set(before + out);
         span.set_tuples_out(out);
         if let Some(rec) = &self.record {
-            rec.borrow_mut().insert(n.id, ev.clone());
+            rec.borrow_mut().insert(n.id, rel.clone());
         }
-        Ok(ev)
+        Ok(rel)
     }
 
-    fn exec_arm(&self, n: &PlanNode) -> Result<Ev> {
+    fn exec_arm(&self, n: &PlanNode) -> Result<GenRelation> {
+        let child = |i: usize| self.exec(&n.children[i]);
         match &n.op {
-            PlanOp::Unit(truth) => Ok(Ev {
-                rel: Self::unit(*truth),
-                tvars: vec![],
-                dvars: vec![],
-            }),
-            PlanOp::Scan {
-                name,
-                temporal,
-                data,
-            } => self.eval_pred(name, temporal, data),
+            PlanOp::Unit(truth) => Ok(Self::unit(*truth)),
+            PlanOp::Scan { .. } => self.scan(n),
             PlanOp::TempCmp { left, op, right } => self.eval_temp_cmp(left, *op, right),
             PlanOp::DataCmp { left, eq, right } => self.eval_data_cmp(left, *eq, right),
             PlanOp::Conjoin => {
-                let (a, b) = (self.exec(&n.children[0])?, self.exec(&n.children[1])?);
-                self.conjoin(a, b)
+                let (a, b) = (child(0)?, child(1)?);
+                self.conjoin(n, a, b)
             }
             PlanOp::Disjoin => {
-                let (a, b) = (self.exec(&n.children[0])?, self.exec(&n.children[1])?);
-                self.disjoin(a, b)
+                let (a, b) = (child(0)?, child(1)?);
+                self.disjoin(n, a, b)
             }
-            PlanOp::ProjectOut { var, negate } => {
-                let ev = self.exec(&n.children[0])?;
-                let proj = self.project_out(ev, var)?;
+            PlanOp::ProjectOut { negate, .. } => {
+                let proj = self.project_out(n, child(0)?)?;
                 if *negate {
                     self.negate(proj)
                 } else {
                     Ok(proj)
                 }
             }
-            PlanOp::Negate => {
-                let ev = self.exec(&n.children[0])?;
-                self.negate(ev)
-            }
-            PlanOp::Pass => self.exec(&n.children[0]),
-            PlanOp::Empty => Ok(Ev {
-                rel: GenRelation::empty(Schema::new(n.temporal_vars.len(), n.data_vars.len())),
-                tvars: n.temporal_vars.clone(),
-                dvars: n.data_vars.clone(),
-            }),
-            PlanOp::Arrange => {
-                let ev = self.exec(&n.children[0])?;
-                let rel = self.pad(ev, &n.temporal_vars, &n.data_vars)?;
-                Ok(Ev {
-                    rel,
-                    tvars: n.temporal_vars.clone(),
-                    dvars: n.data_vars.clone(),
-                })
-            }
-            PlanOp::Compact => {
-                let ev = self.exec(&n.children[0])?;
-                let rel = ev.rel.compact_in(self.ctx).map_err(QueryError::Core)?;
-                Ok(Ev {
-                    rel,
-                    tvars: ev.tvars,
-                    dvars: ev.dvars,
-                })
-            }
+            PlanOp::Negate => self.negate(child(0)?),
+            PlanOp::Pass => child(0),
+            PlanOp::Empty => Ok(GenRelation::empty(n.schema())),
+            PlanOp::Arrange => self.pad(child(0)?, &n.children[0], n),
+            PlanOp::Compact => child(0)?.compact_in(self.ctx).map_err(QueryError::Core),
         }
     }
 
-    fn eval_pred(&self, name: &str, temporal: &[TemporalTerm], data: &[DataTerm]) -> Result<Ev> {
+    /// The scan node `n` over its base relation's current contents.
+    pub(crate) fn scan(&self, n: &PlanNode) -> Result<GenRelation> {
+        let PlanOp::Scan { name, .. } = &n.op else {
+            unreachable!("scan runs a scan node");
+        };
         let base = self
             .catalog
             .relation(name)
             .ok_or_else(|| QueryError::UnknownPredicate(name.to_owned()))?;
-        self.eval_pred_on(base.clone(), temporal, data)
+        self.eval_pred_on(n, base.clone())
     }
 
-    /// The scan pipeline (selections for constants and repeated variables,
-    /// shifts for successor terms, final projection) applied to an explicit
-    /// base relation. The pipeline is per-row, so view maintenance runs it
-    /// over mini-relations holding just a delta's inserted or retracted
-    /// rows and gets exactly the delta of the scan's output.
-    pub(crate) fn eval_pred_on(
-        &self,
-        base: GenRelation,
-        temporal: &[TemporalTerm],
-        data: &[DataTerm],
-    ) -> Result<Ev> {
+    /// The scan pipeline of node `n` (selections for constants and
+    /// repeated variables, shifts for successor terms, final projection
+    /// onto the node's columns) applied to an explicit base relation. The
+    /// pipeline is per-row, so view maintenance runs it over
+    /// mini-relations holding just a delta's inserted or retracted rows
+    /// and gets exactly the delta of the scan's output.
+    pub(crate) fn eval_pred_on(&self, n: &PlanNode, base: GenRelation) -> Result<GenRelation> {
+        let PlanOp::Scan { temporal, data, .. } = &n.op else {
+            unreachable!("eval_pred_on runs a scan node");
+        };
         let mut rel = base;
 
-        // Temporal arguments: column i currently holds the term value.
-        let mut tvars: Vec<String> = Vec::new();
-        let mut tkeep: Vec<usize> = Vec::new();
+        // Temporal arguments: column i currently holds the term value. The
+        // first column bound to each of the node's variables is kept; later
+        // ones are selected equal to it.
+        let mut tkeep: Vec<Option<usize>> = vec![None; n.temporal_vars.len()];
         for (col, term) in temporal.iter().enumerate() {
             match term {
                 TemporalTerm::Const(c) => {
@@ -710,21 +666,21 @@ impl<C: Catalog> Env<'_, C> {
                             .shift_temporal_in(col, delta, self.ctx)
                             .map_err(QueryError::Core)?;
                     }
-                    if let Some(first) = tvars.iter().position(|v| v == name) {
-                        rel = rel
-                            .select_temporal_in(Atom::diff_eq(tkeep[first], col, 0), self.ctx)
-                            .map_err(QueryError::Core)?;
-                    } else {
-                        tvars.push(name.clone());
-                        tkeep.push(col);
+                    let slot = &mut tkeep[column(n.temporal_vars.iter(), name)];
+                    match *slot {
+                        Some(first) => {
+                            rel = rel
+                                .select_temporal_in(Atom::diff_eq(first, col, 0), self.ctx)
+                                .map_err(QueryError::Core)?;
+                        }
+                        None => *slot = Some(col),
                     }
                 }
             }
         }
 
         // Data arguments.
-        let mut dvars: Vec<String> = Vec::new();
-        let mut dkeep: Vec<usize> = Vec::new();
+        let mut dkeep: Vec<Option<usize>> = vec![None; n.data_vars.len()];
         for (col, term) in data.iter().enumerate() {
             match term {
                 DataTerm::Const(v) => {
@@ -732,24 +688,29 @@ impl<C: Catalog> Env<'_, C> {
                     rel = rel.select_data_in(move |d| d[col] == v, self.ctx);
                 }
                 DataTerm::Var(name) => {
-                    if let Some(first) = dvars.iter().position(|v| v == name) {
-                        let fc = dkeep[first];
-                        rel = rel.select_data_in(move |d| d[fc] == d[col], self.ctx);
-                    } else {
-                        dvars.push(name.clone());
-                        dkeep.push(col);
+                    let slot = &mut dkeep[column(n.data_vars.iter(), name)];
+                    match *slot {
+                        Some(first) => {
+                            rel = rel.select_data_in(move |d| d[first] == d[col], self.ctx);
+                        }
+                        None => *slot = Some(col),
                     }
                 }
             }
         }
 
-        let rel = rel
-            .project_in(&tkeep, &dkeep, self.ctx)
-            .map_err(QueryError::Core)?;
-        Ok(Ev { rel, tvars, dvars })
+        let tkeep: Vec<usize> = tkeep.into_iter().flatten().collect();
+        let dkeep: Vec<usize> = dkeep.into_iter().flatten().collect();
+        rel.project_in(&tkeep, &dkeep, self.ctx)
+            .map_err(QueryError::Core)
     }
 
-    fn eval_temp_cmp(&self, left: &TemporalTerm, op: CmpOp, right: &TemporalTerm) -> Result<Ev> {
+    fn eval_temp_cmp(
+        &self,
+        left: &TemporalTerm,
+        op: CmpOp,
+        right: &TemporalTerm,
+    ) -> Result<GenRelation> {
         let overflow = || QueryError::Core(CoreError::Numth(itd_numth::NumthError::Overflow));
         // Atoms for `X(col_l) op X(col_r) + c` or `X op c`, split for `!=`.
         fn diff_atoms(op: CmpOp, i: usize, j: usize, c: i64) -> Option<Vec<Atom>> {
@@ -775,48 +736,33 @@ impl<C: Catalog> Env<'_, C> {
                 CmpOp::Ne => vec![Atom::lt(i, c)?, Atom::gt(i, c)?],
             })
         }
-        // Each atom in the returned list is one tuple (their union is the
-        // relation).
-        let one_var = |var: &str, atoms: Vec<Atom>| -> Result<Ev> {
-            let mut rel = GenRelation::empty(Schema::new(1, 0));
+        // Each atom in the list is one tuple over `arity` unconstrained
+        // temporal columns (their union is the relation).
+        let constrained = |arity: usize, atoms: Vec<Atom>| -> Result<GenRelation> {
+            let mut rel = GenRelation::empty(Schema::new(arity, 0));
             for a in atoms {
                 rel.push(
                     GenTuple::builder()
-                        .lrps(vec![Lrp::all()])
+                        .lrps(vec![Lrp::all(); arity])
                         .atoms([a])
                         .build()
                         .map_err(QueryError::Core)?,
                 )
                 .map_err(QueryError::Core)?;
             }
-            Ok(Ev {
-                rel,
-                tvars: vec![var.to_owned()],
-                dvars: vec![],
-            })
+            Ok(rel)
         };
         match (left, right) {
-            (TemporalTerm::Const(a), TemporalTerm::Const(b)) => Ok(Ev {
-                rel: Self::unit(op.eval(*a, *b)),
-                tvars: vec![],
-                dvars: vec![],
-            }),
-            (TemporalTerm::Var { name, shift }, TemporalTerm::Const(c)) => {
+            (TemporalTerm::Const(a), TemporalTerm::Const(b)) => Ok(Self::unit(op.eval(*a, *b))),
+            (TemporalTerm::Var { shift, .. }, TemporalTerm::Const(c)) => {
                 // v + s op c ⇔ v op c − s
                 let c = c.checked_sub(*shift).ok_or_else(overflow)?;
-                one_var(name, const_atoms(op, 0, c).ok_or_else(overflow)?)
+                constrained(1, const_atoms(op, 0, c).ok_or_else(overflow)?)
             }
-            (TemporalTerm::Const(c), TemporalTerm::Var { name, shift }) => {
+            (TemporalTerm::Const(c), TemporalTerm::Var { shift, .. }) => {
                 // c op v + s ⇔ v op' c − s with the operator mirrored.
-                let mirrored = match op {
-                    CmpOp::Le => CmpOp::Ge,
-                    CmpOp::Lt => CmpOp::Gt,
-                    CmpOp::Ge => CmpOp::Le,
-                    CmpOp::Gt => CmpOp::Lt,
-                    other => other,
-                };
                 let c = c.checked_sub(*shift).ok_or_else(overflow)?;
-                one_var(name, const_atoms(mirrored, 0, c).ok_or_else(overflow)?)
+                constrained(1, const_atoms(op.mirrored(), 0, c).ok_or_else(overflow)?)
             }
             (
                 TemporalTerm::Var {
@@ -830,61 +776,31 @@ impl<C: Catalog> Env<'_, C> {
             ) => {
                 if n1 == n2 {
                     // v + s1 op v + s2 ⇔ s1 op s2, but v stays free.
-                    let truth = op.eval(*s1, *s2);
-                    let rel = if truth {
-                        GenRelation::full_temporal(Schema::new(1, 0)).map_err(QueryError::Core)?
+                    return if op.eval(*s1, *s2) {
+                        GenRelation::full_temporal(Schema::new(1, 0)).map_err(QueryError::Core)
                     } else {
-                        GenRelation::empty(Schema::new(1, 0))
+                        Ok(GenRelation::empty(Schema::new(1, 0)))
                     };
-                    return Ok(Ev {
-                        rel,
-                        tvars: vec![n1.clone()],
-                        dvars: vec![],
-                    });
                 }
                 // v1 + s1 op v2 + s2 ⇔ v1 op v2 + (s2 − s1)
                 let c = s2.checked_sub(*s1).ok_or_else(overflow)?;
-                let atoms = diff_atoms(op, 0, 1, c).ok_or_else(overflow)?;
-                let mut rel = GenRelation::empty(Schema::new(2, 0));
-                for a in atoms {
-                    rel.push(
-                        GenTuple::builder()
-                            .lrps(vec![Lrp::all(), Lrp::all()])
-                            .atoms([a])
-                            .build()
-                            .map_err(QueryError::Core)?,
-                    )
-                    .map_err(QueryError::Core)?;
-                }
-                Ok(Ev {
-                    rel,
-                    tvars: vec![n1.clone(), n2.clone()],
-                    dvars: vec![],
-                })
+                constrained(2, diff_atoms(op, 0, 1, c).ok_or_else(overflow)?)
             }
         }
     }
 
-    fn eval_data_cmp(&self, left: &DataTerm, eq: bool, right: &DataTerm) -> Result<Ev> {
-        let mk = |tuples: Vec<Vec<Value>>, dvars: Vec<String>| -> Result<Ev> {
-            let mut rel = GenRelation::empty(Schema::new(0, dvars.len()));
+    fn eval_data_cmp(&self, left: &DataTerm, eq: bool, right: &DataTerm) -> Result<GenRelation> {
+        let mk = |arity: usize, tuples: Vec<Vec<Value>>| -> Result<GenRelation> {
+            let mut rel = GenRelation::empty(Schema::new(0, arity));
             for data in tuples {
                 rel.push(GenTuple::unconstrained(vec![], data))
                     .map_err(QueryError::Core)?;
             }
-            Ok(Ev {
-                rel,
-                tvars: vec![],
-                dvars,
-            })
+            Ok(rel)
         };
         match (left, right) {
-            (DataTerm::Const(a), DataTerm::Const(b)) => Ok(Ev {
-                rel: Self::unit((a == b) == eq),
-                tvars: vec![],
-                dvars: vec![],
-            }),
-            (DataTerm::Var(x), DataTerm::Const(v)) | (DataTerm::Const(v), DataTerm::Var(x)) => {
+            (DataTerm::Const(a), DataTerm::Const(b)) => Ok(Self::unit((a == b) == eq)),
+            (DataTerm::Var(_), DataTerm::Const(v)) | (DataTerm::Const(v), DataTerm::Var(_)) => {
                 let tuples: Vec<Vec<Value>> = if eq {
                     vec![vec![v.clone()]]
                 } else {
@@ -894,7 +810,7 @@ impl<C: Catalog> Env<'_, C> {
                         .map(|d| vec![d.clone()])
                         .collect()
                 };
-                mk(tuples, vec![x.clone()])
+                mk(1, tuples)
             }
             (DataTerm::Var(x), DataTerm::Var(y)) => {
                 if x == y {
@@ -903,7 +819,7 @@ impl<C: Catalog> Env<'_, C> {
                     } else {
                         vec![]
                     };
-                    return mk(tuples, vec![x.clone()]);
+                    return mk(1, tuples);
                 }
                 let mut tuples = Vec::new();
                 for a in &self.adom {
@@ -913,161 +829,117 @@ impl<C: Catalog> Env<'_, C> {
                         }
                     }
                 }
-                mk(tuples, vec![x.clone(), y.clone()])
+                mk(2, tuples)
             }
         }
     }
 
-    /// `¬φ` = free space over φ's variables minus φ.
-    pub(crate) fn negate(&self, ev: Ev) -> Result<Ev> {
-        let full = self.full_for(ev.tvars.len(), ev.dvars.len())?;
-        let rel = full
-            .difference_in(&ev.rel, self.ctx)
-            .map_err(QueryError::Core)?;
-        Ok(Ev {
-            rel,
-            tvars: ev.tvars,
-            dvars: ev.dvars,
-        })
+    /// `¬φ` = free space over φ's columns minus φ.
+    pub(crate) fn negate(&self, rel: GenRelation) -> Result<GenRelation> {
+        self.full_for(rel.schema())?
+            .difference_in(&rel, self.ctx)
+            .map_err(QueryError::Core)
     }
 
-    /// `φ ∧ ψ` = join on shared variables, keeping each variable once.
-    pub(crate) fn conjoin(&self, a: Ev, b: Ev) -> Result<Ev> {
-        let mut tpairs = Vec::new();
-        for (j, var) in b.tvars.iter().enumerate() {
-            if let Some(i) = a.tvars.iter().position(|v| v == var) {
-                tpairs.push((i, j));
-            }
-        }
-        let mut dpairs = Vec::new();
-        for (j, var) in b.dvars.iter().enumerate() {
-            if let Some(i) = a.dvars.iter().position(|v| v == var) {
-                dpairs.push((i, j));
-            }
-        }
+    /// `φ ∧ ψ` (conjoin node `n` over `a` and `b`, which have its
+    /// children's columns) = join on shared variables, then project onto
+    /// `n`'s columns, which keep each variable once.
+    pub(crate) fn conjoin(
+        &self,
+        n: &PlanNode,
+        a: GenRelation,
+        b: GenRelation,
+    ) -> Result<GenRelation> {
+        let (l, r) = (&n.children[0], &n.children[1]);
+        let shared = |lv: &[String], rv: &[String]| -> Vec<(usize, usize)> {
+            rv.iter()
+                .enumerate()
+                .filter_map(|(j, v)| Some((lv.iter().position(|w| w == v)?, j)))
+                .collect()
+        };
         let joined = a
-            .rel
-            .join_on_in(&b.rel, &tpairs, &dpairs, self.ctx)
+            .join_on_in(
+                &b,
+                &shared(&l.temporal_vars, &r.temporal_vars),
+                &shared(&l.data_vars, &r.data_vars),
+                self.ctx,
+            )
             .map_err(QueryError::Core)?;
-        // Keep a's columns plus b's non-shared columns.
-        let mut tkeep: Vec<usize> = (0..a.tvars.len()).collect();
-        let mut tvars = a.tvars.clone();
-        for (j, var) in b.tvars.iter().enumerate() {
-            if !a.tvars.contains(var) {
-                tkeep.push(a.tvars.len() + j);
-                tvars.push(var.clone());
-            }
-        }
-        let mut dkeep: Vec<usize> = (0..a.dvars.len()).collect();
-        let mut dvars = a.dvars.clone();
-        for (j, var) in b.dvars.iter().enumerate() {
-            if !a.dvars.contains(var) {
-                dkeep.push(a.dvars.len() + j);
-                dvars.push(var.clone());
-            }
-        }
-        let rel = joined
+        // The joined columns are `a`'s then `b`'s: a shared variable's
+        // first occurrence is its `a` column.
+        let tkeep = columns(
+            &n.temporal_vars,
+            l.temporal_vars.iter().chain(&r.temporal_vars),
+        );
+        let dkeep = columns(&n.data_vars, l.data_vars.iter().chain(&r.data_vars));
+        joined
             .project_in(&tkeep, &dkeep, self.ctx)
-            .map_err(QueryError::Core)?;
-        Ok(Ev { rel, tvars, dvars })
+            .map_err(QueryError::Core)
     }
 
-    /// `φ ∨ ψ` = union after padding both to the merged variable set.
-    pub(crate) fn disjoin(&self, a: Ev, b: Ev) -> Result<Ev> {
-        let mut tvars = a.tvars.clone();
-        for v in &b.tvars {
-            if !tvars.contains(v) {
-                tvars.push(v.clone());
-            }
-        }
-        let mut dvars = a.dvars.clone();
-        for v in &b.dvars {
-            if !dvars.contains(v) {
-                dvars.push(v.clone());
-            }
-        }
-        let pa = self.pad(a, &tvars, &dvars)?;
-        let pb = self.pad(b, &tvars, &dvars)?;
-        let rel = pa.union_in(&pb, self.ctx).map_err(QueryError::Core)?;
-        Ok(Ev { rel, tvars, dvars })
+    /// `φ ∨ ψ` (disjoin node `n`) = union after padding both sides to
+    /// `n`'s columns.
+    pub(crate) fn disjoin(
+        &self,
+        n: &PlanNode,
+        a: GenRelation,
+        b: GenRelation,
+    ) -> Result<GenRelation> {
+        let pa = self.pad(a, &n.children[0], n)?;
+        let pb = self.pad(b, &n.children[1], n)?;
+        pa.union_in(&pb, self.ctx).map_err(QueryError::Core)
     }
 
-    /// Extends `ev` with unconstrained columns for missing variables, then
-    /// permutes columns to the target order.
-    pub(crate) fn pad(&self, ev: Ev, tt: &[String], dd: &[String]) -> Result<GenRelation> {
-        let mut rel = ev.rel;
-        let mut tvars = ev.tvars;
-        let mut dvars = ev.dvars;
-        for v in tt {
-            if !tvars.contains(v) {
-                rel = rel
-                    .cross_product_in(
-                        &GenRelation::full_temporal(Schema::new(1, 0)).map_err(QueryError::Core)?,
-                        self.ctx,
-                    )
-                    .map_err(QueryError::Core)?;
-                tvars.push(v.clone());
-            }
+    /// Extends `rel` (with `from`'s columns) by unconstrained columns for
+    /// the variables of `to` it lacks, then permutes to `to`'s columns.
+    pub(crate) fn pad(
+        &self,
+        rel: GenRelation,
+        from: &PlanNode,
+        to: &PlanNode,
+    ) -> Result<GenRelation> {
+        let tcols = padded(&from.temporal_vars, &to.temporal_vars);
+        let dcols = padded(&from.data_vars, &to.data_vars);
+        let mut rel = rel;
+        for _ in from.temporal_vars.len()..tcols.clone().count() {
+            rel = rel
+                .cross_product_in(
+                    &GenRelation::full_temporal(Schema::new(1, 0)).map_err(QueryError::Core)?,
+                    self.ctx,
+                )
+                .map_err(QueryError::Core)?;
         }
-        for v in dd {
-            if !dvars.contains(v) {
-                rel = rel
-                    .cross_product_in(&self.adom_relation(), self.ctx)
-                    .map_err(QueryError::Core)?;
-                dvars.push(v.clone());
-            }
+        for _ in from.data_vars.len()..dcols.clone().count() {
+            rel = rel
+                .cross_product_in(&self.adom_relation(), self.ctx)
+                .map_err(QueryError::Core)?;
         }
-        let tperm: Vec<usize> = tt
-            .iter()
-            .map(|v| tvars.iter().position(|w| w == v).expect("padded"))
-            .collect();
-        let dperm: Vec<usize> = dd
-            .iter()
-            .map(|v| dvars.iter().position(|w| w == v).expect("padded"))
-            .collect();
+        let tperm = columns(&to.temporal_vars, tcols);
+        let dperm = columns(&to.data_vars, dcols);
         rel.project_in(&tperm, &dperm, self.ctx)
             .map_err(QueryError::Core)
     }
 
-    /// `∃var` = drop the variable's column (no-op if the variable does not
-    /// occur — then `∃v.φ ≡ φ` since both sorts are nonempty... except the
-    /// data sort with an empty active domain, which correctly yields an
-    /// empty padding anyway because `φ` cannot mention data either).
+    /// `∃var` (projection node `n` over `rel`, which has its child's
+    /// columns) = keep `n`'s columns. A no-op when the child has no column
+    /// for the variable — then `∃v.φ ≡ φ` since both sorts are nonempty...
+    /// except the data sort with an empty active domain, which correctly
+    /// yields an empty padding anyway because `φ` cannot mention data
+    /// either.
     ///
-    /// The subplan's own column lists are authoritative for where the
-    /// variable lives — a variable may acquire its data sort only through
-    /// atom reclassification, in which case the global sort map does not
+    /// The child's column lists are authoritative for where the variable
+    /// lives — a variable may acquire its data sort only through atom
+    /// reclassification, in which case the global sort map does not
     /// record it.
-    pub(crate) fn project_out(&self, ev: Ev, var: &str) -> Result<Ev> {
-        if let Some(i) = ev.tvars.iter().position(|v| v == var) {
-            let tkeep: Vec<usize> = (0..ev.tvars.len()).filter(|&j| j != i).collect();
-            let dkeep: Vec<usize> = (0..ev.dvars.len()).collect();
-            let rel = ev
-                .rel
-                .project_in(&tkeep, &dkeep, self.ctx)
-                .map_err(QueryError::Core)?;
-            let tvars = tkeep.iter().map(|&j| ev.tvars[j].clone()).collect();
-            return Ok(Ev {
-                rel,
-                tvars,
-                dvars: ev.dvars,
-            });
+    pub(crate) fn project_out(&self, n: &PlanNode, rel: GenRelation) -> Result<GenRelation> {
+        let child = &n.children[0];
+        if child.schema() == n.schema() {
+            return Ok(rel);
         }
-        if let Some(i) = ev.dvars.iter().position(|v| v == var) {
-            let tkeep: Vec<usize> = (0..ev.tvars.len()).collect();
-            let dkeep: Vec<usize> = (0..ev.dvars.len()).filter(|&j| j != i).collect();
-            let rel = ev
-                .rel
-                .project_in(&tkeep, &dkeep, self.ctx)
-                .map_err(QueryError::Core)?;
-            let dvars = dkeep.iter().map(|&j| ev.dvars[j].clone()).collect();
-            return Ok(Ev {
-                rel,
-                tvars: ev.tvars,
-                dvars,
-            });
-        }
-        Ok(ev)
+        let tkeep = columns(&n.temporal_vars, child.temporal_vars.iter());
+        let dkeep = columns(&n.data_vars, child.data_vars.iter());
+        rel.project_in(&tkeep, &dkeep, self.ctx)
+            .map_err(QueryError::Core)
     }
 }
 

@@ -1,6 +1,6 @@
 //! Cost-guided plan optimization.
 //!
-//! [`optimize`] runs a fixpoint rewrite pipeline over the plan IR
+//! [`prepare`] runs a fixpoint rewrite pipeline over the plan IR
 //! ([`crate::plan`]) before execution:
 //!
 //! * **empty short-circuits** — a scan of an empty base relation, or an
@@ -446,15 +446,6 @@ fn conjoin_est(a: &NodeEst, b: &NodeEst) -> NodeEst {
     }
 }
 
-/// The cost model's whole-plan total-pairs estimate (the root's `total`:
-/// candidate pairs summed over every node), computed against the current
-/// catalog statistics without mutating the plan. This is the number the
-/// query service checks against its admission budget before execution.
-pub(crate) fn total_pairs(catalog: &impl Catalog, plan: &Plan) -> f64 {
-    let st = CatalogStats::gather(catalog, plan);
-    node_est(&plan.root, &st).total
-}
-
 /// Writes cost estimates on every node of `plan` (the EXPLAIN columns).
 pub(crate) fn annotate(catalog: &impl Catalog, plan: &mut Plan) {
     let st = CatalogStats::gather(catalog, plan);
@@ -473,27 +464,42 @@ fn annotate_node(node: &mut PlanNode, st: &CatalogStats) {
     });
 }
 
-/// Runs the rewrite pipeline to fixpoint and returns the optimized,
-/// cost-annotated plan. Surviving nodes keep their ids; fired rules are
-/// recorded both on the rewritten nodes and in
-/// [`Plan::rewrites`](crate::Plan::rewrites). When `compact` is on, the
-/// adaptive compaction insertion runs on the rewritten tree last.
-pub(crate) fn optimize(catalog: &impl Catalog, plan: Plan, compact: bool) -> Plan {
-    optimize_inner(catalog, plan, compact, false)
-}
-
-/// [`optimize`] for plans that outlive the current catalog contents
-/// (registered views pin their plan across mutations): rewrites that
-/// bake *data* into the structure — a scan of a currently-empty base
-/// relation folding to [`PlanOp::Empty`] — are disabled, so the plan
-/// stays valid for every future catalog state. Cost estimates still use
-/// the current statistics; they only steer, never change denotation.
-pub(crate) fn optimize_dynamic(catalog: &impl Catalog, plan: Plan, compact: bool) -> Plan {
-    optimize_inner(catalog, plan, compact, true)
-}
-
-fn optimize_inner(catalog: &impl Catalog, mut plan: Plan, compact: bool, dynamic: bool) -> Plan {
+/// The one preparation pipeline over a freshly lowered plan: gathers the
+/// catalog statistics once, then runs the rewrite pipeline to fixpoint
+/// (when `optimize`), inserts adaptive compaction passes (when
+/// `compact`), and always writes cost estimates on every node — the
+/// root's `total_pairs` is the admission-control estimate. Rewrites only
+/// remove scans, so statistics gathered over the lowered plan cover every
+/// later shape.
+///
+/// Surviving nodes keep their ids; fired rules are recorded both on the
+/// rewritten nodes and in [`Plan::rewrites`](crate::Plan::rewrites).
+/// `dynamic` is for plans that outlive the current catalog contents
+/// (registered views pin their plan across mutations): rewrites that bake
+/// *data* into the structure — a scan of a currently-empty base relation
+/// folding to [`PlanOp::Empty`] — are disabled, so the plan stays valid
+/// for every future catalog state. Cost estimates still use the current
+/// statistics; they only steer, never change denotation.
+pub(crate) fn prepare(
+    catalog: &impl Catalog,
+    mut plan: Plan,
+    optimize: bool,
+    compact: bool,
+    dynamic: bool,
+) -> Plan {
     let st = CatalogStats::gather(catalog, &plan);
+    if optimize {
+        rewrite(&st, &mut plan, dynamic);
+    }
+    if compact {
+        insert_compaction(&st, &mut plan);
+    }
+    annotate_node(&mut plan.root, &st);
+    plan
+}
+
+/// Runs the rewrite rules to fixpoint (at most [`MAX_PASSES`] passes).
+fn rewrite(st: &CatalogStats, plan: &mut Plan, dynamic: bool) {
     let mut cx = Rewriter {
         st,
         next_id: plan.next_id,
@@ -509,13 +515,7 @@ fn optimize_inner(catalog: &impl Catalog, mut plan: Plan, compact: bool, dynamic
         }
     }
     plan.next_id = cx.next_id;
-    plan.rewrites.extend(cx.fired.iter().cloned());
-    if compact {
-        insert_compaction(catalog, &mut plan);
-    }
-    let st = CatalogStats::gather(catalog, &plan);
-    annotate_node(&mut plan.root, &st);
-    plan
+    plan.rewrites.extend(cx.fired);
 }
 
 /// Inserts [`PlanOp::Compact`] nodes between producers and the quadratic
@@ -525,11 +525,10 @@ fn optimize_inner(catalog: &impl Catalog, mut plan: Plan, compact: bool, dynamic
 /// difference a pushed-down negation executes). The insertion is purely
 /// additive — it never reorders or rewrites the surrounding tree — and
 /// deterministic, so EXPLAIN shows exactly the passes execution runs.
-pub(crate) fn insert_compaction(catalog: &impl Catalog, plan: &mut Plan) {
-    let st = CatalogStats::gather(catalog, plan);
+fn insert_compaction(st: &CatalogStats, plan: &mut Plan) {
     let mut next_id = plan.next_id;
     let mut fired = Vec::new();
-    insert_compaction_node(&mut plan.root, &st, &mut next_id, &mut fired);
+    insert_compaction_node(&mut plan.root, st, &mut next_id, &mut fired);
     plan.next_id = next_id;
     plan.rewrites.extend(fired);
 }
@@ -598,13 +597,12 @@ fn placeholder() -> PlanNode {
     }
 }
 
-struct Rewriter {
-    st: CatalogStats,
+struct Rewriter<'s> {
+    st: &'s CatalogStats,
     next_id: u64,
     fired: Vec<String>,
-    /// Plan outlives the current catalog contents (see
-    /// [`optimize_dynamic`]): never fold a relation's *current*
-    /// emptiness into the tree.
+    /// Plan outlives the current catalog contents (see [`prepare`]):
+    /// never fold a relation's *current* emptiness into the tree.
     dynamic: bool,
 }
 
@@ -612,7 +610,7 @@ struct Rewriter {
 // unchanged node handed back by value — the large "error" variant is
 // the point, not an accident worth boxing.
 #[allow(clippy::result_large_err)]
-impl Rewriter {
+impl Rewriter<'_> {
     fn fresh_id(&mut self) -> u64 {
         let id = self.next_id;
         self.next_id += 1;
@@ -640,13 +638,13 @@ impl Rewriter {
     /// Tries each rule once; `Ok` means a rule fired and returned the
     /// replacement, `Err` hands the unchanged node back.
     fn apply_local(&mut self, node: PlanNode) -> (PlanNode, bool) {
-        let rules: [fn(&mut Rewriter, PlanNode) -> RuleResult; 6] = [
-            Rewriter::empty_leaf,
-            Rewriter::empty_propagate,
-            Rewriter::tautology,
-            Rewriter::select_pushdown,
-            Rewriter::proj_pushdown,
-            Rewriter::join_reorder,
+        let rules: [fn(&mut Self, PlanNode) -> RuleResult; 6] = [
+            Self::empty_leaf,
+            Self::empty_propagate,
+            Self::tautology,
+            Self::select_pushdown,
+            Self::proj_pushdown,
+            Self::join_reorder,
         ];
         let mut node = node;
         for rule in rules {
@@ -903,7 +901,7 @@ impl Rewriter {
         {
             return Err(node);
         }
-        let orig_total = node_est(&node, &self.st).total;
+        let orig_total = node_est(&node, self.st).total;
         let tvars = node.temporal_vars.clone();
         let dvars = node.data_vars.clone();
         let node_id = node.id;
@@ -913,7 +911,7 @@ impl Rewriter {
         if leaves.len() < 3 {
             return Err(node);
         }
-        let ests: Vec<NodeEst> = leaves.iter().map(|l| node_est(l, &self.st)).collect();
+        let ests: Vec<NodeEst> = leaves.iter().map(|l| node_est(l, self.st)).collect();
         let mut remaining: Vec<usize> = (0..leaves.len()).collect();
         let start = remaining
             .iter()
@@ -959,7 +957,7 @@ impl Rewriter {
             let (iid, ilabel) = ids.pop().expect("one internal per join");
             tree = plan_conjoin(iid, ilabel, tree, leaf);
         }
-        let new_total = node_est(&tree, &self.st).total;
+        let new_total = node_est(&tree, self.st).total;
         if new_total >= orig_total * REORDER_MARGIN {
             return Err(node);
         }

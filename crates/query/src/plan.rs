@@ -2,13 +2,15 @@
 //!
 //! [`Plan`] is the algebra lowering of a formula (§4.2–4.3): each
 //! [`PlanNode`] carries a machine-readable [`PlanOp`] (what to execute)
-//! alongside the rendered `steps` (what EXPLAIN prints). The lowering
-//! mirrors the evaluator's translation — the same negation pushdown, the
-//! same conjoin/disjoin/project structure — and the evaluator now
-//! *interprets this tree*, so EXPLAIN shows exactly what runs. Each node
-//! has a stable `id` (pre-order at lowering; preserved by the optimizer
-//! for surviving nodes) that the executor stamps on the node's trace span
-//! via [`ExecContext::plan_span`](itd_core::ExecContext::plan_span), so
+//! alongside the rendered `steps` (what EXPLAIN prints) and its output
+//! columns. Lowering is the one place the §4 translation happens —
+//! negation pushed to the leaves, conjoin/disjoin/project structure, each
+//! node's column list — and the executor *interprets this tree*, reading
+//! every column name and position from the nodes, so EXPLAIN shows
+//! exactly what runs. Each node has a stable `id` (pre-order at lowering;
+//! preserved by the optimizer for surviving nodes) that the executor
+//! stamps on the node's trace span via
+//! [`ExecContext::plan_span`](itd_core::ExecContext::plan_span), so
 //! EXPLAIN ANALYZE joins plan and trace by id instead of by label text.
 //!
 //! The optimizer ([`crate::opt`]) rewrites this IR before execution and
@@ -16,7 +18,7 @@
 
 use std::fmt;
 
-use itd_core::Trace;
+use itd_core::{Schema, Trace};
 
 use crate::ast::{CmpOp, DataTerm, Formula, TemporalTerm};
 use crate::catalog::Catalog;
@@ -36,7 +38,7 @@ pub struct Plan {
 
 /// The algebra operation a [`PlanNode`] executes. Comparison operands are
 /// stored with any enclosing negation already applied (`not t < 5` lowers
-/// to a `>=` node), mirroring the evaluator's negation pushdown.
+/// to a `>=` node): lowering pushes negation to the leaves.
 #[derive(Debug, Clone, PartialEq)]
 pub enum PlanOp {
     /// The 0-ary unit relation: `{()}` when true, `{}` when false.
@@ -139,6 +141,15 @@ pub struct PlanNode {
     pub rules: Vec<String>,
 }
 
+impl PlanNode {
+    /// The schema of this node's output: one temporal column per
+    /// [`temporal_vars`](Self::temporal_vars) entry, one data column per
+    /// [`data_vars`](Self::data_vars) entry.
+    pub(crate) fn schema(&self) -> Schema {
+        Schema::new(self.temporal_vars.len(), self.data_vars.len())
+    }
+}
+
 /// Compiles a formula without executing anything (EXPLAIN): the direct
 /// lowering next to the plan [`run`](crate::run) executes under `opts`,
 /// both annotated with the optimizer's cost estimates (the catalog is
@@ -172,13 +183,10 @@ pub fn explain(
     let prepared = crate::eval::prepare(catalog, formula, &opts)?;
     let mut logical = Plan::of(&prepared.formula);
     crate::opt::annotate(catalog, &mut logical);
-    let mut executed = prepared.plan;
-    if executed.root.est.is_none() {
-        // Only the optimizer (or tracing) annotates the executed plan;
-        // EXPLAIN always shows estimates.
-        crate::opt::annotate(catalog, &mut executed);
-    }
-    Ok(ExplainReport { logical, executed })
+    Ok(ExplainReport {
+        logical,
+        executed: prepared.plan,
+    })
 }
 
 /// What EXPLAIN reports for one query (see [`explain`]).
@@ -227,6 +235,13 @@ impl Plan {
     /// The root node.
     pub fn root(&self) -> &PlanNode {
         &self.root
+    }
+
+    /// The cost model's whole-plan total-pairs estimate: the root's
+    /// annotation, which preparation always writes (0 on an unannotated
+    /// plan).
+    pub(crate) fn est_total_pairs(&self) -> f64 {
+        self.root.est.map_or(0.0, |est| est.total_pairs)
     }
 
     /// The rewrite rules the optimizer fired on this plan, in application
@@ -345,8 +360,8 @@ fn fmt_est(x: f64) -> String {
 }
 
 /// Label for the plan node / traced span of subformula `f` evaluated
-/// under negation (`negated`). Kept in sync with the evaluator: the
-/// traced `eval`/`eval_neg` wrappers call this with the same arguments.
+/// under negation (`negated`). Lowering stores it on the node, and the
+/// executor stamps the node's span with it, so EXPLAIN and trace agree.
 pub(crate) fn node_label(f: &Formula, negated: bool) -> String {
     let base = match f {
         Formula::True => "true".to_string(),
@@ -417,16 +432,15 @@ fn take_id(ids: &mut u64) -> u64 {
     id
 }
 
-/// Mirrors `Env::eval` (`negated = false`) and `Env::eval_neg`
-/// (`negated = true`): each arm produces the node the evaluator's
-/// corresponding arm would trace, with the same children in the same
-/// order. Ids are assigned in pre-order.
+/// Lowers `f` (`negated`: under an odd number of enclosing negations,
+/// which are pushed to the leaves) to its plan node, children in
+/// evaluation order. Ids are assigned in pre-order.
 fn compile(f: &Formula, negated: bool, ids: &mut u64) -> PlanNode {
     let id = take_id(ids);
     let label = node_label(f, negated);
     match f {
-        // ¬true and ¬false re-enter eval on the opposite literal, so the
-        // plan shows that literal as a child — exactly like the trace.
+        // ¬true and ¬false lower to the opposite literal, shown as a
+        // child of a pass-through node.
         Formula::True if negated => wrap(
             id,
             label,
@@ -463,8 +477,8 @@ fn compile(f: &Formula, negated: bool, ids: &mut u64) -> PlanNode {
             data,
         } => {
             if negated {
-                // eval_neg(Pred) evaluates the predicate positively, then
-                // differences it from the free space.
+                // A negated predicate scans positively, then differences
+                // the scan from the free space.
                 let positive = compile_pred(take_id(ids), name, temporal, data);
                 let steps = vec![negate_step(
                     positive.temporal_vars.len(),
@@ -476,7 +490,7 @@ fn compile(f: &Formula, negated: bool, ids: &mut u64) -> PlanNode {
             }
         }
         Formula::TempCmp { left, op, right } => {
-            let op = if negated { flip(*op) } else { *op };
+            let op = if negated { op.negated() } else { *op };
             compile_temp_cmp(id, label, left, op, right)
         }
         Formula::DataCmp { left, eq, right } => {
@@ -599,17 +613,6 @@ fn node_label_pred(name: &str, temporal: &[TemporalTerm], data: &[DataTerm]) -> 
     )
 }
 
-fn flip(op: CmpOp) -> CmpOp {
-    match op {
-        CmpOp::Le => CmpOp::Gt,
-        CmpOp::Lt => CmpOp::Ge,
-        CmpOp::Eq => CmpOp::Ne,
-        CmpOp::Ne => CmpOp::Eq,
-        CmpOp::Ge => CmpOp::Lt,
-        CmpOp::Gt => CmpOp::Le,
-    }
-}
-
 fn compile_temp_cmp(
     id: u64,
     label: String,
@@ -643,19 +646,12 @@ fn compile_temp_cmp(
             )
         }
         (TemporalTerm::Const(c), TemporalTerm::Var { name, shift }) => {
-            let mirrored = match op {
-                CmpOp::Le => CmpOp::Ge,
-                CmpOp::Lt => CmpOp::Gt,
-                CmpOp::Ge => CmpOp::Le,
-                CmpOp::Gt => CmpOp::Lt,
-                other => other,
-            };
             let c = i128::from(*c) - i128::from(*shift);
             leaf(
                 id,
                 label,
                 plan_op,
-                vec![format!("constraint {name} {mirrored} {c} over Z")],
+                vec![format!("constraint {name} {} {c} over Z", op.mirrored())],
                 vec![name.clone()],
                 vec![],
             )
@@ -795,8 +791,8 @@ pub(crate) fn conjoin_steps(a: &PlanNode, b: &PlanNode) -> Vec<String> {
     steps
 }
 
-/// Mirrors `Env::conjoin`: join on shared variables, then keep each
-/// variable once.
+/// A conjoin node: join on shared variables, then keep each variable
+/// once (`a`'s columns, then `b`'s new ones).
 pub(crate) fn conjoin(id: u64, label: String, a: PlanNode, b: PlanNode) -> PlanNode {
     let steps = conjoin_steps(&a, &b);
     let (tvars, dvars) = merged_vars(&a, &b);
@@ -832,8 +828,8 @@ pub(crate) fn disjoin_steps(a: &PlanNode, b: &PlanNode) -> Vec<String> {
     steps
 }
 
-/// Mirrors `Env::disjoin`: pad both sides to the merged variable set,
-/// then union.
+/// A disjoin node: pad both sides to the merged variable set, then
+/// union.
 pub(crate) fn disjoin(id: u64, label: String, a: PlanNode, b: PlanNode) -> PlanNode {
     let (tvars, dvars) = merged_vars(&a, &b);
     let steps = disjoin_steps(&a, &b);
@@ -850,8 +846,8 @@ pub(crate) fn disjoin(id: u64, label: String, a: PlanNode, b: PlanNode) -> PlanN
     }
 }
 
-/// Mirrors `Env::project_out` (+ optional negation for the quantifier
-/// arms that pay a complement).
+/// A projection node dropping `var`'s column (+ optional negation for
+/// the quantifier arms that pay a complement).
 pub(crate) fn project_out(
     id: u64,
     label: String,

@@ -12,7 +12,9 @@
 //! * the query **text** (the formula rendering, or the raw source for
 //!   [`run_src`](crate::run_src), which then skips the parser too);
 //! * the [`QueryOpts`](crate::QueryOpts) knobs that shape the plan
-//!   (`optimize`, `compact`, `trace`).
+//!   (`optimize`, `compact`). Tracing does not: every prepared plan
+//!   carries its cost estimates, so a traced run reuses an untraced
+//!   run's preparation.
 //!
 //! Correctness note: a cached plan is *logical* — execution re-reads the
 //! named relations and recomputes the active domain per run, so cached
@@ -35,15 +37,14 @@ use crate::plan::Plan;
 /// evicted first.
 pub const PLAN_CACHE_CAP: usize = 256;
 
-/// One prepared query: the sort-checked formula, the plan that
-/// [`run`](crate::run) would execute for it under the keyed options, and
-/// the cost model's whole-plan total-pairs estimate at preparation time
-/// (the admission-control input — statistics as of the keyed plan token).
+/// One prepared query: the sort-checked formula and the cost-annotated
+/// plan that [`run`](crate::run) would execute for it under the keyed
+/// options (estimates from statistics as of the keyed plan token; the
+/// root's is the admission-control input).
 #[derive(Debug)]
 pub(crate) struct PreparedPlan {
     pub(crate) formula: Formula,
     pub(crate) plan: Plan,
-    pub(crate) est_total_pairs: f64,
 }
 
 /// Cache key: catalog version × query text × plan-shaping knobs.
@@ -53,7 +54,6 @@ struct Key {
     text: String,
     optimize: bool,
     compact: bool,
-    trace: bool,
 }
 
 #[derive(Debug, Default)]
@@ -99,13 +99,12 @@ pub fn next_plan_token() -> u64 {
 }
 
 impl Key {
-    fn new(token: u64, text: String, optimize: bool, compact: bool, trace: bool) -> Key {
+    fn new(token: u64, text: String, optimize: bool, compact: bool) -> Key {
         Key {
             token,
             text,
             optimize,
             compact,
-            trace,
         }
     }
 }
@@ -156,9 +155,8 @@ pub(crate) fn lookup(
     text: &str,
     optimize: bool,
     compact: bool,
-    trace: bool,
 ) -> Option<Arc<PreparedPlan>> {
-    let key = Key::new(token, text.to_owned(), optimize, compact, trace);
+    let key = Key::new(token, text.to_owned(), optimize, compact);
     cache().lock().expect("plan cache poisoned").lookup(&key)
 }
 
@@ -167,10 +165,9 @@ pub(crate) fn insert(
     text: String,
     optimize: bool,
     compact: bool,
-    trace: bool,
     entry: Arc<PreparedPlan>,
 ) {
-    let key = Key::new(token, text, optimize, compact, trace);
+    let key = Key::new(token, text, optimize, compact);
     cache()
         .lock()
         .expect("plan cache poisoned")
@@ -210,26 +207,21 @@ mod tests {
     fn entry(src: &str) -> Arc<PreparedPlan> {
         let formula = parse(src).unwrap();
         let plan = Plan::of(&formula);
-        Arc::new(PreparedPlan {
-            formula,
-            plan,
-            est_total_pairs: 0.0,
-        })
+        Arc::new(PreparedPlan { formula, plan })
     }
 
     #[test]
     fn lookup_insert_invalidate_roundtrip() {
         let token = next_plan_token();
-        assert!(lookup(token, "p(t)", true, true, false).is_none());
-        insert(token, "p(t)".into(), true, true, false, entry("p(t)"));
-        assert!(lookup(token, "p(t)", true, true, false).is_some());
+        assert!(lookup(token, "p(t)", true, true).is_none());
+        insert(token, "p(t)".into(), true, true, entry("p(t)"));
+        assert!(lookup(token, "p(t)", true, true).is_some());
         // Every key component discriminates.
-        assert!(lookup(token, "p(t)", false, true, false).is_none());
-        assert!(lookup(token, "p(t)", true, false, false).is_none());
-        assert!(lookup(token, "p(t)", true, true, true).is_none());
-        assert!(lookup(next_plan_token(), "p(t)", true, true, false).is_none());
+        assert!(lookup(token, "p(t)", false, true).is_none());
+        assert!(lookup(token, "p(t)", true, false).is_none());
+        assert!(lookup(next_plan_token(), "p(t)", true, true).is_none());
         assert_eq!(plan_cache_invalidate(token), 1);
-        assert!(lookup(token, "p(t)", true, true, false).is_none());
+        assert!(lookup(token, "p(t)", true, true).is_none());
     }
 
     /// Runs on a private cache, so concurrent tests using the global one
@@ -238,7 +230,7 @@ mod tests {
     fn fifo_eviction_is_bounded_and_counted() {
         let mut inner = Inner::default();
         for i in 0..PLAN_CACHE_CAP + 8 {
-            let key = Key::new(1, format!("p(t + {i})"), true, true, false);
+            let key = Key::new(1, format!("p(t + {i})"), true, true);
             inner.insert(key, entry("p(t)"));
         }
         assert_eq!(inner.stats.insertions, (PLAN_CACHE_CAP + 8) as u64);
@@ -246,8 +238,8 @@ mod tests {
         assert_eq!(inner.map.len(), PLAN_CACHE_CAP);
         assert_eq!(inner.order.len(), PLAN_CACHE_CAP);
         // The eight oldest entries went first.
-        let oldest = Key::new(1, "p(t + 7)".into(), true, true, false);
-        let kept = Key::new(1, "p(t + 8)".into(), true, true, false);
+        let oldest = Key::new(1, "p(t + 7)".into(), true, true);
+        let kept = Key::new(1, "p(t + 8)".into(), true, true);
         assert!(inner.lookup(&oldest).is_none());
         assert!(inner.lookup(&kept).is_some());
         assert_eq!(inner.invalidate(1), PLAN_CACHE_CAP);

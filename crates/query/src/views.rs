@@ -5,7 +5,10 @@
 //! retracted generalized tuples ([`RelationDelta`]) — without re-running
 //! the query from scratch. It caches every plan node's output from the
 //! initial evaluation and, on [`MaintainedView::refresh`], propagates the
-//! deltas bottom-up through the plan tree.
+//! deltas bottom-up through the plan tree. Cached outputs and deltas are
+//! bare [`GenRelation`]s: their columns are the plan node's, and the
+//! operator helpers the executor uses (join, pad, projection) read the
+//! column lists from the node, so deltas need no naming of their own.
 //!
 //! # Delta propagation
 //!
@@ -52,7 +55,11 @@
 //! to one counted **full recompute** ([`RefreshOutcome::full`]) instead
 //! of attempting (unsound) delta propagation through adom-dependent
 //! operators. Small mutations over a stable value universe — the common
-//! case — keep the incremental path.
+//! case — keep the incremental path. A caller whose catalog also changed
+//! outside the delta path forces the same recompute with
+//! [`MaintainedView::recompute`]. Registration, the fallback and the
+//! forced recompute share one evaluate-everything path, and both refresh
+//! entry points count signed rows the same way.
 //!
 //! # Cache coherence
 //!
@@ -66,12 +73,12 @@
 
 use std::collections::{BTreeSet, HashMap};
 
-use itd_core::{ExecContext, GenRelation, Schema, Value};
+use itd_core::{ExecContext, GenRelation, Value};
 
 use crate::ast::Formula;
 use crate::catalog::Catalog;
 use crate::error::QueryError;
-use crate::eval::{adom_for, prepare_dynamic, Env, Ev, QueryOpts};
+use crate::eval::{adom_for, prepare_dynamic, Env, QueryOpts};
 use crate::plan::{Plan, PlanNode, PlanOp};
 use crate::Result;
 
@@ -122,11 +129,10 @@ struct NodeDelta {
 }
 
 impl NodeDelta {
-    fn empty_like(ev: &Ev) -> NodeDelta {
-        let schema = Schema::new(ev.tvars.len(), ev.dvars.len());
+    fn empty_like(rel: &GenRelation) -> NodeDelta {
         NodeDelta {
-            ins: GenRelation::empty(schema),
-            del: GenRelation::empty(schema),
+            ins: GenRelation::empty(rel.schema()),
+            del: GenRelation::empty(rel.schema()),
         }
     }
 }
@@ -144,8 +150,8 @@ pub struct MaintainedView {
     formula: Formula,
     plan: Plan,
     /// Every plan node's output from the last refresh, keyed by
-    /// [`PlanNode::id`].
-    cache: HashMap<u64, Ev>,
+    /// [`PlanNode::id`]; its columns are the node's.
+    cache: HashMap<u64, GenRelation>,
     /// Per node: the relation names scanned anywhere in its subtree —
     /// the clean-subtree test.
     scans: HashMap<u64, BTreeSet<String>>,
@@ -171,7 +177,6 @@ impl MaintainedView {
     /// Sort/arity errors and algebra failures; see [`QueryError`].
     pub fn new(catalog: &impl Catalog, formula: &Formula, opts: QueryOpts<'_>) -> Result<Self> {
         let prepared = prepare_dynamic(catalog, formula, &opts)?;
-        let adom = adom_for(catalog, &prepared.formula);
         let fresh;
         let ctx = match opts.ctx {
             Some(ctx) => ctx,
@@ -180,35 +185,36 @@ impl MaintainedView {
                 &fresh
             }
         };
-        let env = Env::new(catalog, adom.clone(), ctx, true);
-        env.exec(prepared.plan.root())?;
-        let cache = env.take_record();
         let mut scans = HashMap::new();
         collect_scans(prepared.plan.root(), &mut scans);
-        Ok(MaintainedView {
+        let mut view = MaintainedView {
             formula: prepared.formula,
             plan: prepared.plan,
-            cache,
+            cache: HashMap::new(),
             scans,
-            adom,
+            adom: Vec::new(),
             delta_rows: 0,
             full_refreshes: 0,
-        })
+        };
+        view.evaluate_all(catalog, adom_for(catalog, &view.formula), ctx)?;
+        Ok(view)
     }
 
     /// The maintained answer relation.
     pub fn relation(&self) -> &GenRelation {
-        &self.root_ev().rel
+        self.cache
+            .get(&self.plan.root().id)
+            .expect("root output cached at construction")
     }
 
     /// Names of the answer's temporal columns.
     pub fn temporal_vars(&self) -> &[String] {
-        &self.root_ev().tvars
+        &self.plan.root().temporal_vars
     }
 
     /// Names of the answer's data columns.
     pub fn data_vars(&self) -> &[String] {
-        &self.root_ev().dvars
+        &self.plan.root().data_vars
     }
 
     /// The query this view maintains.
@@ -232,29 +238,22 @@ impl MaintainedView {
         self.full_refreshes
     }
 
-    /// Recomputes every cached output from scratch on the current
-    /// catalog, counted as a full refresh. For callers whose catalog
-    /// mutated *outside* the delta path (no signed rows available), so
-    /// incremental propagation has nothing to propagate.
+    /// Brings the view up to date with a catalog that has already applied
+    /// `deltas` by recomputing every cached output from scratch, counted
+    /// as a full refresh. For callers whose catalog *also* mutated
+    /// outside the delta path, so the signed rows do not describe the
+    /// whole change and cannot be propagated; they are still counted
+    /// exactly as [`refresh`](Self::refresh) counts them.
     ///
     /// # Errors
     /// Algebra failures; see [`QueryError`].
-    pub fn recompute(&mut self, catalog: &impl Catalog, ctx: &ExecContext) -> Result<()> {
-        let scope = ctx.view_refresh_scope();
-        let adom = adom_for(catalog, &self.formula);
-        let env = Env::new(catalog, adom.clone(), ctx, true);
-        env.exec(self.plan.root())?;
-        self.cache = env.take_record();
-        self.adom = adom;
-        self.full_refreshes += 1;
-        scope.add_result_rows(self.root_ev().rel.tuple_count());
-        Ok(())
-    }
-
-    fn root_ev(&self) -> &Ev {
-        self.cache
-            .get(&self.plan.root().id)
-            .expect("root output cached at construction")
+    pub fn recompute(
+        &mut self,
+        catalog: &impl Catalog,
+        deltas: &[RelationDelta],
+        ctx: &ExecContext,
+    ) -> Result<RefreshOutcome> {
+        self.apply(catalog, deltas, ctx, true)
     }
 
     /// Brings the view up to date with a catalog that has already applied
@@ -271,21 +270,33 @@ impl MaintainedView {
         deltas: &[RelationDelta],
         ctx: &ExecContext,
     ) -> Result<RefreshOutcome> {
+        self.apply(catalog, deltas, ctx, false)
+    }
+
+    /// The one refresh path behind [`refresh`](Self::refresh) and
+    /// [`recompute`](Self::recompute): counts the signed rows, then
+    /// either recomputes everything (`full`, or an active-domain change)
+    /// or propagates the deltas.
+    fn apply(
+        &mut self,
+        catalog: &impl Catalog,
+        deltas: &[RelationDelta],
+        ctx: &ExecContext,
+        full: bool,
+    ) -> Result<RefreshOutcome> {
         let scope = ctx.view_refresh_scope();
         let delta_rows: u64 = deltas.iter().map(RelationDelta::rows).sum();
         scope.add_delta_rows(delta_rows as usize);
         self.delta_rows += delta_rows;
 
         let adom = adom_for(catalog, &self.formula);
-        let full = adom != self.adom;
+        // Adom-dependent operators (DataCmp enumerations, data-column
+        // padding, the full space of negation) baked the old domain into
+        // every cached output; a changed domain recomputes rather than
+        // patches.
+        let full = full || adom != self.adom;
         if full {
-            // Adom-dependent operators (DataCmp enumerations, data-column
-            // padding, the full space of negation) baked the old domain
-            // into every cached output; recompute rather than patch.
-            let env = Env::new(catalog, adom.clone(), ctx, true);
-            env.exec(self.plan.root())?;
-            self.cache = env.take_record();
-            self.adom = adom;
+            self.evaluate_all(catalog, adom, ctx)?;
             self.full_refreshes += 1;
         } else {
             let changed: BTreeSet<&str> = deltas
@@ -302,8 +313,23 @@ impl MaintainedView {
                 self.cache = next;
             }
         }
-        scope.add_result_rows(self.root_ev().rel.tuple_count());
+        scope.add_result_rows(self.relation().tuple_count());
         Ok(RefreshOutcome { full, delta_rows })
+    }
+
+    /// Evaluates the whole plan on the current catalog under its active
+    /// domain `adom`, replacing every cached output and the adom snapshot.
+    fn evaluate_all(
+        &mut self,
+        catalog: &impl Catalog,
+        adom: Vec<Value>,
+        ctx: &ExecContext,
+    ) -> Result<()> {
+        let env = Env::new(catalog, adom, ctx, true);
+        env.exec(self.plan.root())?;
+        self.cache = env.take_record();
+        self.adom = env.adom;
+        Ok(())
     }
 
     /// Propagates deltas through `n`'s subtree: updates `next[n.id]` to
@@ -314,8 +340,8 @@ impl MaintainedView {
         env: &Env<'_, impl Catalog>,
         deltas: &[RelationDelta],
         changed: &BTreeSet<&str>,
-        next: &mut HashMap<u64, Ev>,
-    ) -> Result<(Ev, NodeDelta)> {
+        next: &mut HashMap<u64, GenRelation>,
+    ) -> Result<(GenRelation, NodeDelta)> {
         let old = next
             .get(&n.id)
             .expect("every node cached at construction")
@@ -331,43 +357,30 @@ impl MaintainedView {
         }
         let ctx = env.ctx();
         let (new, delta) = match &n.op {
-            PlanOp::Scan {
-                name,
-                temporal,
-                data,
-            } => {
+            PlanOp::Scan { name, .. } => {
                 let d = deltas
                     .iter()
                     .find(|d| d.name == *name)
                     .expect("changed scan has a delta");
-                let ins = env.eval_pred_on(d.inserted.clone(), temporal, data)?.rel;
+                let ins = env.eval_pred_on(n, d.inserted.clone())?;
                 if d.retracted.tuple_count() == 0 {
                     // Monotone fast path: without retractions the cached
                     // output is still exact, and the scan pipeline is
                     // per-row, so appending the inserted rows' images is
                     // the whole update — no pass over the base relation.
                     let del = GenRelation::empty(ins.schema());
-                    let rel = plus(&old.rel, &ins, ctx)?;
-                    let new = Ev {
-                        rel,
-                        tvars: old.tvars.clone(),
-                        dvars: old.dvars.clone(),
-                    };
-                    (new, NodeDelta { ins, del })
+                    (plus(&old, &ins, ctx)?, NodeDelta { ins, del })
                 } else {
                     // Retractions force a linear recompute: a retracted
                     // row's points may still be derivable from surviving
                     // rows (duplicates, overlapping periodic sets), so
                     // the old output cannot be patched by subtraction.
-                    let base = env
-                        .catalog_relation(name)
-                        .ok_or_else(|| QueryError::UnknownPredicate(name.to_owned()))?;
-                    let new = env.eval_pred_on(base, temporal, data)?;
-                    let del_raw = env.eval_pred_on(d.retracted.clone(), temporal, data)?.rel;
+                    let new = env.scan(n)?;
+                    let del_raw = env.eval_pred_on(n, d.retracted.clone())?;
                     // A retracted row's output may still be produced by
                     // surviving rows (e.g. a duplicate re-inserted in
                     // the same batch): trim by the recomputed output.
-                    let del = minus(&del_raw, &new.rel, ctx)?;
+                    let del = minus(&del_raw, &new, ctx)?;
                     (new, NodeDelta { ins, del })
                 }
             }
@@ -375,70 +388,42 @@ impl MaintainedView {
                 // Read B's *old* output before recursing overwrites it.
                 let b_old = next[&n.children[1].id].clone();
                 let (a_new, da) = self.step(&n.children[0], env, deltas, changed, next)?;
-                let (b_new, db) = self.step(&n.children[1], env, deltas, changed, next)?;
-                let with = |rel: GenRelation, of: &Ev| Ev {
-                    rel,
-                    tvars: of.tvars.clone(),
-                    dvars: of.dvars.clone(),
-                };
+                let (_, db) = self.step(&n.children[1], env, deltas, changed, next)?;
                 // ΔA against old B, then ΔB against new A — the standard
                 // two-sided join delta; each output point determines its
                 // antecedents, so the four parts patch exactly.
-                let d1 = env.conjoin(with(da.del, &a_new), b_old.clone())?.rel;
-                let i1 = env.conjoin(with(da.ins, &a_new), b_old)?.rel;
-                let d2 = env.conjoin(a_new.clone(), with(db.del, &b_new))?.rel;
-                let i2 = env.conjoin(a_new, with(db.ins, &b_new))?.rel;
-                let rel = minus(&old.rel, &d1, ctx)?;
+                let d1 = env.conjoin(n, da.del, b_old.clone())?;
+                let i1 = env.conjoin(n, da.ins, b_old)?;
+                let d2 = env.conjoin(n, a_new.clone(), db.del)?;
+                let i2 = env.conjoin(n, a_new, db.ins)?;
+                let rel = minus(&old, &d1, ctx)?;
                 let rel = plus(&rel, &i1, ctx)?;
                 let rel = minus(&rel, &d2, ctx)?;
                 let rel = plus(&rel, &i2, ctx)?;
                 let del = plus(&d1, &d2, ctx)?;
                 let ins = plus(&minus(&i1, &d2, ctx)?, &i2, ctx)?;
-                let new = Ev {
-                    rel,
-                    tvars: old.tvars.clone(),
-                    dvars: old.dvars.clone(),
-                };
-                (new, NodeDelta { ins, del })
+                (rel, NodeDelta { ins, del })
             }
             PlanOp::Disjoin => {
                 let (a_new, da) = self.step(&n.children[0], env, deltas, changed, next)?;
                 let (b_new, db) = self.step(&n.children[1], env, deltas, changed, next)?;
-                let shape = |rel: GenRelation, of: &Ev| Ev {
-                    rel,
-                    tvars: of.tvars.clone(),
-                    dvars: of.dvars.clone(),
-                };
-                let ins = env
-                    .disjoin(shape(da.ins, &a_new), shape(db.ins, &b_new))?
-                    .rel;
-                let del_raw = env
-                    .disjoin(shape(da.del, &a_new), shape(db.del, &b_new))?
-                    .rel;
-                let new = env.disjoin(a_new, b_new)?;
+                let ins = env.disjoin(n, da.ins, db.ins)?;
+                let del_raw = env.disjoin(n, da.del, db.del)?;
+                let new = env.disjoin(n, a_new, b_new)?;
                 // An element deleted from one branch may survive via the
                 // other: trim by the refreshed union.
-                let del = minus(&del_raw, &new.rel, ctx)?;
+                let del = minus(&del_raw, &new, ctx)?;
                 (new, NodeDelta { ins, del })
             }
-            PlanOp::ProjectOut { var, negate } => {
+            PlanOp::ProjectOut { negate, .. } => {
                 let (c_new, dc) = self.step(&n.children[0], env, deltas, changed, next)?;
-                let shape = |rel: GenRelation| Ev {
-                    rel,
-                    tvars: c_new.tvars.clone(),
-                    dvars: c_new.dvars.clone(),
-                };
-                let proj_new = env.project_out(c_new.clone(), var)?;
-                let ins_p = env.project_out(shape(dc.ins), var)?.rel;
+                let proj_new = env.project_out(n, c_new)?;
+                let ins_p = env.project_out(n, dc.ins)?;
                 // A deleted witness may not be the last one: trim by the
                 // recomputed projection.
-                let del_p = minus(
-                    &env.project_out(shape(dc.del), var)?.rel,
-                    &proj_new.rel,
-                    ctx,
-                )?;
+                let del_p = minus(&env.project_out(n, dc.del)?, &proj_new, ctx)?;
                 if *negate {
-                    self.negate_delta(env, &old, proj_new, ins_p, del_p)?
+                    negate_delta(env, &old, &proj_new, ins_p, del_p)?
                 } else {
                     (
                         proj_new,
@@ -451,42 +436,23 @@ impl MaintainedView {
             }
             PlanOp::Negate => {
                 let (c_new, dc) = self.step(&n.children[0], env, deltas, changed, next)?;
-                self.negate_delta(env, &old, c_new, dc.ins, dc.del)?
+                negate_delta(env, &old, &c_new, dc.ins, dc.del)?
             }
-            PlanOp::Pass => {
-                let (new, delta) = self.step(&n.children[0], env, deltas, changed, next)?;
-                (new, delta)
-            }
+            PlanOp::Pass => self.step(&n.children[0], env, deltas, changed, next)?,
             PlanOp::Arrange => {
                 let (c_new, dc) = self.step(&n.children[0], env, deltas, changed, next)?;
-                let shape = |rel: GenRelation| Ev {
-                    rel,
-                    tvars: c_new.tvars.clone(),
-                    dvars: c_new.dvars.clone(),
-                };
                 // Padding is a cross product with a fixed space plus a
                 // column permutation — exact on signed deltas.
-                let ins = env.pad(shape(dc.ins), &n.temporal_vars, &n.data_vars)?;
-                let del = env.pad(shape(dc.del), &n.temporal_vars, &n.data_vars)?;
-                let rel = env.pad(c_new, &n.temporal_vars, &n.data_vars)?;
-                let new = Ev {
-                    rel,
-                    tvars: n.temporal_vars.clone(),
-                    dvars: n.data_vars.clone(),
-                };
-                (new, NodeDelta { ins, del })
+                let child = &n.children[0];
+                let ins = env.pad(dc.ins, child, n)?;
+                let del = env.pad(dc.del, child, n)?;
+                (env.pad(c_new, child, n)?, NodeDelta { ins, del })
             }
             PlanOp::Compact => {
                 let (c_new, dc) = self.step(&n.children[0], env, deltas, changed, next)?;
-                let rel = c_new.rel.compact_in(ctx).map_err(QueryError::Core)?;
-                let new = Ev {
-                    rel,
-                    tvars: c_new.tvars,
-                    dvars: c_new.dvars,
-                };
                 // Compaction changes representation, not denotation: the
                 // child's deltas describe this output too.
-                (new, dc)
+                (c_new.compact_in(ctx).map_err(QueryError::Core)?, dc)
             }
             // Leaves without scans (Unit, Empty, TempCmp, DataCmp) have
             // empty scan sets and were handled by the clean-subtree test.
@@ -497,38 +463,32 @@ impl MaintainedView {
         next.insert(n.id, new.clone());
         Ok((new, delta))
     }
+}
 
-    /// The negation delta rule: for `N = full ∖ C`, inserts into `C`
-    /// delete from `N` and deletes from `C` insert into `N` (clipped to
-    /// the free space). Patches the cached complement `old` without
-    /// recomputing `full ∖ C_new`.
-    fn negate_delta(
-        &self,
-        env: &Env<'_, impl Catalog>,
-        old: &Ev,
-        c_new: Ev,
-        ins_c: GenRelation,
-        del_c: GenRelation,
-    ) -> Result<(Ev, NodeDelta)> {
-        let ctx = env.ctx();
-        let ins = if del_c.tuple_count() == 0 {
-            GenRelation::empty(del_c.schema())
-        } else {
-            let full = env.full_for(c_new.tvars.len(), c_new.dvars.len())?;
-            minus(
-                &del_c.intersect_in(&full, ctx).map_err(QueryError::Core)?,
-                &ins_c,
-                ctx,
-            )?
-        };
-        let rel = minus(&plus(&old.rel, &ins, ctx)?, &ins_c, ctx)?;
-        let new = Ev {
-            rel,
-            tvars: c_new.tvars,
-            dvars: c_new.dvars,
-        };
-        Ok((new, NodeDelta { ins, del: ins_c }))
-    }
+/// The negation delta rule: for `N = full ∖ C`, inserts into `C` delete
+/// from `N` and deletes from `C` insert into `N` (clipped to the free
+/// space). Patches the cached complement `old` without recomputing
+/// `full ∖ C_new`.
+fn negate_delta(
+    env: &Env<'_, impl Catalog>,
+    old: &GenRelation,
+    c_new: &GenRelation,
+    ins_c: GenRelation,
+    del_c: GenRelation,
+) -> Result<(GenRelation, NodeDelta)> {
+    let ctx = env.ctx();
+    let ins = if del_c.tuple_count() == 0 {
+        GenRelation::empty(del_c.schema())
+    } else {
+        let full = env.full_for(c_new.schema())?;
+        minus(
+            &del_c.intersect_in(&full, ctx).map_err(QueryError::Core)?,
+            &ins_c,
+            ctx,
+        )?
+    };
+    let rel = minus(&plus(old, &ins, ctx)?, &ins_c, ctx)?;
+    Ok((rel, NodeDelta { ins, del: ins_c }))
 }
 
 /// `a ∖ b` with the empty sides the delta algebra hits constantly

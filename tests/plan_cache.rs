@@ -41,7 +41,9 @@ fn warm_database_run_reuses_the_prepared_plan() {
 }
 
 /// The key includes every knob that changes preparation, so flipping
-/// `optimize`/`compact`/`trace` is a miss, not a wrong plan.
+/// `optimize`/`compact` is a miss, not a wrong plan. Tracing does not
+/// change preparation (every prepared plan carries its estimates), so a
+/// traced run reuses the plain run's plan.
 #[test]
 fn query_knobs_key_separate_plans() {
     let db = sample_db("pc_knobs");
@@ -55,6 +57,20 @@ fn query_knobs_key_separate_plans() {
     assert!(warm.plan_cached);
     assert_eq!(plain.result.relation, unopt.result.relation);
     assert_eq!(unopt.result.relation, warm.result.relation);
+
+    let traced = db.run(src, QueryOpts::new().trace(true)).unwrap();
+    assert!(traced.plan_cached, "tracing does not key a distinct plan");
+    assert!(traced.trace.is_some());
+    assert_eq!(traced.plan, plain.plan);
+
+    // The admission estimate is the prepared root's annotation, whichever
+    // way it is read.
+    let estimate = db.estimate(src, QueryOpts::new()).unwrap();
+    let root = plain.plan.root().est.expect("prepared plans are annotated");
+    assert_eq!(estimate, plain.est_total_pairs);
+    assert_eq!(estimate, root.total_pairs);
+    let root = unopt.plan.root().est.expect("prepared plans are annotated");
+    assert_eq!(unopt.est_total_pairs, root.total_pairs);
 }
 
 #[test]

@@ -6,7 +6,7 @@
 //! the view registry lifecycle, the stale-catalog fallback, and the
 //! `itd_view_*` metrics counters.
 
-use itd_core::{ExecContext, GenRelation, Value};
+use itd_core::{ExecContext, GenRelation, OpKind, Value};
 use itd_db::{Database, QueryOpts, TupleSpec, Txn, ViewId};
 use proptest::prelude::*;
 
@@ -301,6 +301,38 @@ fn out_of_band_mutations_force_a_counted_recompute() {
         )
         .unwrap();
     assert_eq!(summary.views_recomputed, 0);
+}
+
+/// Regression: the full recompute a stale catalog forces counts the
+/// applied transaction's signed rows in all three places the incremental
+/// path does — the view's own counter, the `ViewRefresh` op's `in`
+/// column, and the registry.
+#[test]
+fn stale_recompute_counts_its_delta_rows() {
+    let mut db = Database::new();
+    db.create_table("ev", &["t"], &[]).unwrap();
+    let id = db.register_view("w", "ev(t)").unwrap();
+    db.table_mut("ev")
+        .unwrap()
+        .insert(TupleSpec::new().lrp("t", 0, 2))
+        .unwrap();
+
+    let before = db.metrics().snapshot();
+    let ctx = ExecContext::new();
+    let summary = db
+        .apply_with(
+            Txn::new().insert("ev", TupleSpec::new().lrp("t", 1, 2)),
+            &ctx,
+        )
+        .unwrap();
+    assert_eq!(summary.views_recomputed, 1);
+
+    let info = db.views().into_iter().find(|v| v.id == id).unwrap();
+    assert_eq!(info.full_refreshes, 1);
+    assert_eq!(info.delta_rows, 1);
+    assert_eq!(ctx.stats().op(OpKind::ViewRefresh).tuples_in, 1);
+    let after = db.metrics().snapshot();
+    assert_eq!(after.view_delta_rows - before.view_delta_rows, 1);
 }
 
 #[test]
