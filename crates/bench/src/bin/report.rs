@@ -1194,7 +1194,7 @@ fn batch_kernels() {
 }
 
 /// The acceptance gate for the cost-guided optimizer: on Table-2-style
-/// workloads where the parse order is not the cheapest order, the
+/// workloads where the parse order is not the cheapest plan, the
 /// optimized plan must cut total candidate `pairs` by at least 20%
 /// against the unoptimized plan, the answers must agree, and each mode
 /// must stay bit-identical at 1, 2, and 8 threads. Both counter sets go
@@ -1223,6 +1223,11 @@ fn optimizer_effectiveness() {
     cat.insert("q", mk(if smoke() { 64 } else { 128 }, 5));
     cat.insert("r", mk(8, 1));
     cat.insert("never", GenRelation::empty(Schema::new(1, 0)));
+    // Binary relations on the same residue grid, with difference
+    // constraints and bounds.
+    let n2 = if smoke() { 32 } else { 64 };
+    cat.insert("a", random_relation(&spec(n2, 2, 6), 31));
+    cat.insert("b", random_relation(&spec(n2, 2, 6), 32));
 
     println!("| query | rewrite exercised | pairs (unoptimized) | pairs (optimized) | reduction | identical at 1/2/8 threads |");
     println!("|---|---|---|---|---|---|");
@@ -1241,6 +1246,16 @@ fn optimizer_effectiveness() {
             // empty scan; the optimizer collapses the whole tree first.
             "empty-scan + empty-join",
             "empty_short_circuit",
+        ),
+        (
+            "a(t1, t2) and not b(t1, t2)",
+            // The parse order joins `a` with `b`'s complement against Z^2,
+            // which shatters over the residue grid; the optimizer
+            // subtracts `b` from `a` instead. (`p(t) and not q(t)` shows
+            // no gain: `q` covers every residue mod 6, so its complement
+            // is empty and cheaper than the subtraction.)
+            "antijoin",
+            "antijoin",
         ),
     ];
     for (src, rewrite, json_name) in workloads {
@@ -1363,8 +1378,10 @@ fn compaction_effectiveness() {
     println!("| workload | tuples seen | subsumed | merged | kept | reduction | pairs (off) | pairs (on) | identical at 1/2/8 threads |");
     println!("|---|---|---|---|---|---|---|---|---|");
 
+    // `u` is bound by no positive conjunct, so `not q(u)` stays a real
+    // complement against Z instead of becoming an antijoin.
     let workloads = [
-        ("p(t) and not q(t)", "complement"),
+        ("p(t) and not q(u)", "complement"),
         ("(p(t) or p(t)) and q(t)", "union"),
     ];
     for (src, json_name) in workloads {

@@ -23,6 +23,7 @@ use itd_core::{
 use crate::ast::{CmpOp, DataTerm, Formula, TemporalTerm};
 use crate::catalog::Catalog;
 use crate::error::QueryError;
+use crate::opt::CatalogStats;
 use crate::plan::{Plan, PlanNode, PlanOp};
 use crate::sortcheck::check_sorts;
 use crate::Result;
@@ -319,7 +320,7 @@ pub(crate) fn prepare(
     formula: &Formula,
     opts: &QueryOpts<'_>,
 ) -> Result<crate::plancache::PreparedPlan> {
-    prepare_inner(catalog, formula, opts, false)
+    Ok(prepare_inner(catalog, formula, opts, false)?.0)
 }
 
 /// [`prepare`] for plans that must stay valid as the catalog's
@@ -333,18 +334,23 @@ pub(crate) fn prepare_dynamic(
     formula: &Formula,
     opts: &QueryOpts<'_>,
 ) -> Result<crate::plancache::PreparedPlan> {
-    prepare_inner(catalog, formula, opts, true)
+    Ok(prepare_inner(catalog, formula, opts, true)?.0)
 }
 
-fn prepare_inner(
+/// The preparation behind [`prepare`] and [`prepare_dynamic`], also
+/// handing back the catalog statistics it gathered over the lowered plan
+/// (EXPLAIN annotates the logical plan from them).
+pub(crate) fn prepare_inner(
     catalog: &impl Catalog,
     formula: &Formula,
     opts: &QueryOpts<'_>,
     dynamic: bool,
-) -> Result<crate::plancache::PreparedPlan> {
+) -> Result<(crate::plancache::PreparedPlan, CatalogStats)> {
     let (f, _sorts) = check_sorts(catalog, formula)?;
-    let plan = crate::opt::prepare(catalog, Plan::of(&f), opts.optimize, opts.compact, dynamic);
-    Ok(crate::plancache::PreparedPlan { formula: f, plan })
+    let plan = Plan::of(&f);
+    let stats = CatalogStats::gather(catalog, &plan);
+    let plan = crate::opt::prepare(&stats, plan, opts.optimize, opts.compact, dynamic);
+    Ok((crate::plancache::PreparedPlan { formula: f, plan }, stats))
 }
 
 /// Executes a prepared plan: context setup, resource accounting, plan
@@ -601,15 +607,12 @@ impl<C: Catalog> Env<'_, C> {
                 let (a, b) = (child(0)?, child(1)?);
                 self.disjoin(n, a, b)
             }
-            PlanOp::ProjectOut { negate, .. } => {
-                let proj = self.project_out(n, child(0)?)?;
-                if *negate {
-                    self.negate(proj)
-                } else {
-                    Ok(proj)
-                }
+            PlanOp::ProjectOut { .. } => self.project_out(n, child(0)?),
+            PlanOp::Difference => {
+                let (l, r) = (child(0)?, child(1)?);
+                self.difference(n, l, r)
             }
-            PlanOp::Negate => self.negate(child(0)?),
+            PlanOp::Full => self.full_for(n.schema()),
             PlanOp::Pass => child(0),
             PlanOp::Empty => Ok(GenRelation::empty(n.schema())),
             PlanOp::Arrange => self.pad(child(0)?, &n.children[0], n),
@@ -834,11 +837,38 @@ impl<C: Catalog> Env<'_, C> {
         }
     }
 
-    /// `¬φ` = free space over φ's columns minus φ.
-    pub(crate) fn negate(&self, rel: GenRelation) -> Result<GenRelation> {
-        self.full_for(rel.schema())?
-            .difference_in(&rel, self.ctx)
+    /// `φ ∧ ¬ψ` (difference node `n` over `l` and `r`, which have its
+    /// children's columns) = `l` minus what [`Env::matched`] finds of `r`
+    /// in it.
+    pub(crate) fn difference(
+        &self,
+        n: &PlanNode,
+        l: GenRelation,
+        r: GenRelation,
+    ) -> Result<GenRelation> {
+        let matched = self.matched(n, &l, r)?;
+        l.difference_in(&matched, self.ctx)
             .map_err(QueryError::Core)
+    }
+
+    /// What difference node `n` subtracts from `l` for `r`, over `n`'s
+    /// columns: `r` itself when it has `l`'s variables (permuted only when
+    /// the order differs), else `π(l ⋈ r)`, the part of `l` that `r`
+    /// matches on its fewer variables.
+    pub(crate) fn matched(
+        &self,
+        n: &PlanNode,
+        l: &GenRelation,
+        r: GenRelation,
+    ) -> Result<GenRelation> {
+        let right = &n.children[1];
+        if right.temporal_vars == n.temporal_vars && right.data_vars == n.data_vars {
+            Ok(r)
+        } else if right.schema() == n.schema() {
+            self.pad(r, right, n)
+        } else {
+            self.conjoin(n, l.clone(), r)
+        }
     }
 
     /// `φ ∧ ψ` (conjoin node `n` over `a` and `b`, which have its

@@ -16,7 +16,9 @@
 //!   column shifts, constants by selection, and repeated variables by
 //!   equality selection;
 //! * `∧` → join, `∨` → union (after padding to a common free-variable
-//!   schema), `¬` → difference from the free space;
+//!   schema), `¬` → difference (one plan op): from the free space
+//!   `Z^t × adom^d`, or — when the other conjuncts bind every negated
+//!   variable — from their join (`A ∧ ¬B = A ∖ (A ⋉ B)`);
 //! * `∃` → projection, `∀` → `¬∃¬`.
 //!
 //! The data sort is interpreted over the **active domain** (all data values

@@ -14,6 +14,10 @@
 //!   filter before the expensive pairing;
 //! * **projection pruning** — `∃x` sinks into the one join branch or
 //!   union side that binds `x`, removing dead columns before padding;
+//! * **antijoin** — a negated conjunct `Difference(Full, B)` whose
+//!   variables the rest of its conjunction chain binds is subtracted from
+//!   the rest's join (`A ∧ ¬B = A ∖ (A ⋉ B)`) instead of being joined as
+//!   B's complement against `Z^t × adom^d`;
 //! * **greedy join reordering** — maximal conjunction chains are
 //!   flattened and re-associated left-deep in the order the cost model
 //!   scores cheapest, guarded so the rewrite only fires on a strict
@@ -37,7 +41,9 @@ use itd_numth::gcd;
 
 use crate::ast::{DataTerm, TemporalTerm};
 use crate::catalog::Catalog;
-use crate::plan::{conjoin as plan_conjoin, disjoin as plan_disjoin};
+use crate::plan::{
+    conjoin as plan_conjoin, difference as plan_difference, disjoin as plan_disjoin,
+};
 use crate::plan::{project_out as plan_project_out, CostEstimate, Plan, PlanNode, PlanOp};
 
 /// Upper bound on full rewrite passes; each pass walks the tree once.
@@ -70,7 +76,7 @@ pub(crate) struct CatalogStats {
 }
 
 impl CatalogStats {
-    fn gather(catalog: &impl Catalog, plan: &Plan) -> CatalogStats {
+    pub(crate) fn gather(catalog: &impl Catalog, plan: &Plan) -> CatalogStats {
         let mut names = BTreeSet::new();
         collect_scans(plan.root(), &mut names);
         let mut rels = BTreeMap::new();
@@ -275,22 +281,43 @@ fn node_est(node: &PlanNode, st: &CatalogStats) -> NodeEst {
                 ddist,
             }
         }
-        PlanOp::ProjectOut { var, negate } => {
+        PlanOp::ProjectOut { var } => {
             let mut est = kids[0].clone();
             est.tmod.remove(var);
             est.ddist.remove(var);
             est.pairs = 0.0;
             est.total = 0.0;
-            if *negate {
-                complement(&mut est, node, adom);
-            }
             est
         }
-        PlanOp::Negate => {
-            let mut est = kids[0].clone();
+        PlanOp::Full => {
+            let mut est = NodeEst {
+                rows: 0.0,
+                pairs: 0.0,
+                total: 0.0,
+                tmod: BTreeMap::new(),
+                ddist: BTreeMap::new(),
+            };
+            complement(&mut est, node, adom);
+            est
+        }
+        // A negation: the complement of the right child.
+        PlanOp::Difference if matches!(node.children[0].op, PlanOp::Full) => {
+            let mut est = kids[1].clone();
             est.pairs = 0.0;
             est.total = 0.0;
             complement(&mut est, node, adom);
+            est
+        }
+        // An antijoin keeps at most the left rows; it pairs the sides, and
+        // on fewer right variables then subtracts the matched part.
+        PlanOp::Difference => {
+            let (l, r) = (&kids[0], &kids[1]);
+            let matched = conjoin_est(l, r);
+            let mut est = l.clone();
+            est.pairs = matched.pairs;
+            if node.children[1].schema() != node.schema() {
+                est.pairs += l.rows * matched.rows;
+            }
             est
         }
         PlanOp::Pass => {
@@ -447,9 +474,8 @@ fn conjoin_est(a: &NodeEst, b: &NodeEst) -> NodeEst {
 }
 
 /// Writes cost estimates on every node of `plan` (the EXPLAIN columns).
-pub(crate) fn annotate(catalog: &impl Catalog, plan: &mut Plan) {
-    let st = CatalogStats::gather(catalog, plan);
-    annotate_node(&mut plan.root, &st);
+pub(crate) fn annotate(st: &CatalogStats, plan: &mut Plan) {
+    annotate_node(&mut plan.root, st);
 }
 
 fn annotate_node(node: &mut PlanNode, st: &CatalogStats) {
@@ -464,9 +490,9 @@ fn annotate_node(node: &mut PlanNode, st: &CatalogStats) {
     });
 }
 
-/// The one preparation pipeline over a freshly lowered plan: gathers the
-/// catalog statistics once, then runs the rewrite pipeline to fixpoint
-/// (when `optimize`), inserts adaptive compaction passes (when
+/// The one preparation pipeline over a freshly lowered plan, from the
+/// catalog statistics gathered over it: runs the rewrite pipeline to
+/// fixpoint (when `optimize`), inserts adaptive compaction passes (when
 /// `compact`), and always writes cost estimates on every node — the
 /// root's `total_pairs` is the admission-control estimate. Rewrites only
 /// remove scans, so statistics gathered over the lowered plan cover every
@@ -481,20 +507,19 @@ fn annotate_node(node: &mut PlanNode, st: &CatalogStats) {
 /// for every future catalog state. Cost estimates still use the current
 /// statistics; they only steer, never change denotation.
 pub(crate) fn prepare(
-    catalog: &impl Catalog,
+    st: &CatalogStats,
     mut plan: Plan,
     optimize: bool,
     compact: bool,
     dynamic: bool,
 ) -> Plan {
-    let st = CatalogStats::gather(catalog, &plan);
     if optimize {
-        rewrite(&st, &mut plan, dynamic);
+        rewrite(st, &mut plan, dynamic);
     }
     if compact {
-        insert_compaction(&st, &mut plan);
+        insert_compaction(st, &mut plan);
     }
-    annotate_node(&mut plan.root, &st);
+    annotate(st, &mut plan);
     plan
 }
 
@@ -521,8 +546,8 @@ fn rewrite(st: &CatalogStats, plan: &mut Plan, dynamic: bool) {
 /// Inserts [`PlanOp::Compact`] nodes between producers and the quadratic
 /// consumers the cost model predicts will pay for them: a compaction
 /// fires only where the child is estimated to feed at least
-/// [`COMPACT_MIN_ROWS`] tuples into a pairwise operator (join, or the
-/// difference a pushed-down negation executes). The insertion is purely
+/// [`COMPACT_MIN_ROWS`] tuples into a pairwise operator (join or
+/// difference), never above a [`PlanOp::Full`] leaf. The insertion is purely
 /// additive — it never reorders or rewrites the surrounding tree — and
 /// deterministic, so EXPLAIN shows exactly the passes execution runs.
 fn insert_compaction(st: &CatalogStats, plan: &mut Plan) {
@@ -542,18 +567,11 @@ fn insert_compaction_node(
     for child in &mut node.children {
         insert_compaction_node(child, st, next_id, fired);
     }
-    // Quadratic consumers: pairwise joins, and the differences a negation
-    // (standalone or paid by a ∀ / ¬∃ projection) executes against the
-    // free space.
-    let quadratic = matches!(
-        node.op,
-        PlanOp::Conjoin | PlanOp::Negate | PlanOp::ProjectOut { negate: true, .. }
-    );
-    if !quadratic {
+    if !matches!(node.op, PlanOp::Conjoin | PlanOp::Difference) {
         return;
     }
     for child in &mut node.children {
-        if matches!(child.op, PlanOp::Compact) {
+        if matches!(child.op, PlanOp::Compact | PlanOp::Full) {
             continue;
         }
         let est = node_est(child, st);
@@ -638,12 +656,13 @@ impl Rewriter<'_> {
     /// Tries each rule once; `Ok` means a rule fired and returned the
     /// replacement, `Err` hands the unchanged node back.
     fn apply_local(&mut self, node: PlanNode) -> (PlanNode, bool) {
-        let rules: [fn(&mut Self, PlanNode) -> RuleResult; 6] = [
+        let rules: [fn(&mut Self, PlanNode) -> RuleResult; 7] = [
             Self::empty_leaf,
             Self::empty_propagate,
             Self::tautology,
             Self::select_pushdown,
             Self::proj_pushdown,
+            Self::antijoin,
             Self::join_reorder,
         ];
         let mut node = node;
@@ -726,7 +745,7 @@ impl Rewriter<'_> {
                     }
                 }
             }
-            PlanOp::ProjectOut { negate: false, .. } | PlanOp::Arrange
+            PlanOp::ProjectOut { .. } | PlanOp::Arrange
                 if node.children.iter().any(is_empty_op) =>
             {
                 let mut replacement = mk_empty(&node);
@@ -843,11 +862,7 @@ impl Rewriter<'_> {
     /// `x` (pruning the dead column before the pairing or padding), and
     /// drops projections of variables the child never binds.
     fn proj_pushdown(&mut self, node: PlanNode) -> RuleResult {
-        let PlanOp::ProjectOut {
-            ref var,
-            negate: false,
-        } = node.op
-        else {
+        let PlanOp::ProjectOut { ref var } = node.op else {
             return Err(node);
         };
         let var = var.clone();
@@ -869,10 +884,10 @@ impl Rewriter<'_> {
             return Err(node);
         }
         let (pushed_a, pushed_b) = if in_b {
-            let pb = plan_project_out(id, label, b.clone(), &var, false);
+            let pb = plan_project_out(id, label, b.clone(), &var);
             (a.clone(), pb)
         } else {
-            let pa = plan_project_out(id, label, a.clone(), &var, false);
+            let pa = plan_project_out(id, label, a.clone(), &var);
             (pa, b.clone())
         };
         let mut new = match child.op {
@@ -885,6 +900,63 @@ impl Rewriter<'_> {
         } else {
             Err(node)
         }
+    }
+
+    /// `A ∧ ¬B → A ∖ B`: flattens a conjunction chain and takes out every
+    /// negated member `Difference(Full, B)` whose variables the members
+    /// left in the join bind; each becomes a [`PlanOp::Difference`] that
+    /// subtracts `B` from that join, instead of joining with `B`'s
+    /// complement against `Z^t × adom^d`. A negation no other member
+    /// covers stays a join member. The rebuilt nodes reuse the chain's
+    /// internal ids (outermost keeps this node's id); an `Arrange` node
+    /// restores the column order if the join's differs.
+    fn antijoin(&mut self, node: PlanNode) -> RuleResult {
+        if !matches!(node.op, PlanOp::Conjoin) {
+            return Err(node);
+        }
+        let mut members = Vec::new();
+        let mut internals = Vec::new();
+        flatten_conjoins(node.clone(), &mut members, &mut internals);
+        let (mut kept, mut pending): (Vec<usize>, Vec<usize>) =
+            (0..members.len()).partition(|&i| negated_body(&members[i]).is_none());
+        let mut anti = Vec::new();
+        while !pending.is_empty() {
+            let covered = pending.iter().position(|&i| {
+                let b = negated_body(&members[i]).expect("pending members negate");
+                b.temporal_vars
+                    .iter()
+                    .chain(&b.data_vars)
+                    .all(|v| kept.iter().any(|&k| has_var(&members[k], v)))
+            });
+            match covered {
+                Some(p) => anti.push(pending.remove(p)),
+                None => kept.push(pending.remove(0)),
+            }
+        }
+        if anti.is_empty() || kept.is_empty() {
+            return Err(node);
+        }
+        kept.sort_unstable();
+        let mut tree = std::mem::replace(&mut members[kept[0]], placeholder());
+        for &i in &kept[1..] {
+            let (iid, ilabel) = internals.pop().expect("one internal per join");
+            let member = std::mem::replace(&mut members[i], placeholder());
+            tree = plan_conjoin(iid, ilabel, tree, member);
+        }
+        for i in anti {
+            let (iid, ilabel) = internals.pop().expect("one internal per join");
+            let b = negated_body(&members[i]).expect("antijoined members negate");
+            tree = plan_difference(iid, ilabel, tree, b.clone());
+        }
+        let (tvars, dvars) = (&node.temporal_vars, &node.data_vars);
+        let mut replacement = if same_vars(&tree, tvars, dvars) {
+            tree
+        } else {
+            mk_arrange_with(self.fresh_id(), tvars, dvars, tree)
+        };
+        self.fired.push(format!("antijoin @ node {}", node.id));
+        replacement.rules.push("antijoin".to_string());
+        Ok(replacement)
     }
 
     /// Flattens a maximal conjunction chain and re-associates it
@@ -1002,6 +1074,16 @@ fn is_cmp_leaf(n: &PlanNode) -> bool {
 
 fn has_var(n: &PlanNode, var: &str) -> bool {
     n.temporal_vars.iter().any(|v| v == var) || n.data_vars.iter().any(|v| v == var)
+}
+
+/// `B` when `n` is a lowered negation `Difference(Full, B)`, looking
+/// through syntactic `not` wrappers.
+fn negated_body(n: &PlanNode) -> Option<&PlanNode> {
+    match n.op {
+        PlanOp::Pass => negated_body(&n.children[0]),
+        PlanOp::Difference if matches!(n.children[0].op, PlanOp::Full) => Some(&n.children[1]),
+        _ => None,
+    }
 }
 
 /// Whether `container` binds every variable of `leaf`.

@@ -76,17 +76,19 @@ pub enum PlanOp {
     Conjoin,
     /// Pad both children to the merged variable set, then union.
     Disjoin,
-    /// Drop one variable's column (`∃`); `negate` adds the complement a
-    /// pushed-down `¬∃` / `∀` pays.
+    /// Drop one variable's column (`∃`).
     ProjectOut {
         /// Variable to project away.
         var: String,
-        /// Complement the result afterwards (`∀` / `¬∃`).
-        negate: bool,
     },
-    /// Complement the single child against the free space
-    /// `Z^t × adom^d` (a negated predicate leaf).
-    Negate,
+    /// `L ∧ ¬R` over the two children `[L, R]`, where R's variables are a
+    /// subset of L's; the output has L's columns. Negation lowers to a
+    /// difference from a [`Full`](PlanOp::Full) left child; the optimizer's
+    /// `antijoin` rule puts a conjunction's other members there instead.
+    Difference,
+    /// The free space `Z^t × adom^d` over this node's columns: the left
+    /// child of a lowered negation.
+    Full,
     /// Pass the single child through unchanged (a syntactic `not` wrapper
     /// or a `¬true`/`¬false` re-entry; no algebra is performed).
     Pass,
@@ -180,9 +182,11 @@ pub fn explain(
     formula: &Formula,
     opts: QueryOpts<'_>,
 ) -> Result<ExplainReport> {
-    let prepared = crate::eval::prepare(catalog, formula, &opts)?;
+    // One statistics pass feeds both trees: preparation's, over the same
+    // lowering the logical plan is.
+    let (prepared, stats) = crate::eval::prepare_inner(catalog, formula, &opts, false)?;
     let mut logical = Plan::of(&prepared.formula);
-    crate::opt::annotate(catalog, &mut logical);
+    crate::opt::annotate(&stats, &mut logical);
     Ok(ExplainReport {
         logical,
         executed: prepared.plan,
@@ -395,13 +399,14 @@ fn project_step(tvars: &[String], dvars: &[String]) -> String {
     format!("project ⟨{}⟩", columns(tvars, dvars))
 }
 
-/// The algebra cost of a pushed-down negation: set difference against the
-/// free space `Z^t × adom^d`.
-fn negate_step(tvars: usize, dvars: usize) -> String {
-    if dvars > 0 {
-        format!("difference from Z^{tvars} × adom^{dvars}")
+/// The free space `Z^t × adom^d` over `node`'s columns, as EXPLAIN
+/// prints it.
+fn space(node: &PlanNode) -> String {
+    let (t, d) = (node.temporal_vars.len(), node.data_vars.len());
+    if d > 0 {
+        format!("Z^{t} × adom^{d}")
     } else {
-        format!("difference from Z^{tvars}")
+        format!("Z^{t}")
     }
 }
 
@@ -441,20 +446,8 @@ fn compile(f: &Formula, negated: bool, ids: &mut u64) -> PlanNode {
     match f {
         // ¬true and ¬false lower to the opposite literal, shown as a
         // child of a pass-through node.
-        Formula::True if negated => wrap(
-            id,
-            label,
-            PlanOp::Pass,
-            compile(&Formula::False, false, ids),
-            vec![],
-        ),
-        Formula::False if negated => wrap(
-            id,
-            label,
-            PlanOp::Pass,
-            compile(&Formula::True, false, ids),
-            vec![],
-        ),
+        Formula::True if negated => pass(id, label, compile(&Formula::False, false, ids)),
+        Formula::False if negated => pass(id, label, compile(&Formula::True, false, ids)),
         Formula::True => leaf(
             id,
             label,
@@ -479,12 +472,9 @@ fn compile(f: &Formula, negated: bool, ids: &mut u64) -> PlanNode {
             if negated {
                 // A negated predicate scans positively, then differences
                 // the scan from the free space.
+                let full = take_id(ids);
                 let positive = compile_pred(take_id(ids), name, temporal, data);
-                let steps = vec![negate_step(
-                    positive.temporal_vars.len(),
-                    positive.data_vars.len(),
-                )];
-                wrap(id, label, PlanOp::Negate, positive, steps)
+                negation(id, label, full, positive)
             } else {
                 compile_pred(id, name, temporal, data)
             }
@@ -497,13 +487,7 @@ fn compile(f: &Formula, negated: bool, ids: &mut u64) -> PlanNode {
             let eq = if negated { !eq } else { *eq };
             compile_data_cmp(id, label, left, eq, right)
         }
-        Formula::Not(inner) => wrap(
-            id,
-            label,
-            PlanOp::Pass,
-            compile(inner, !negated, ids),
-            vec![],
-        ),
+        Formula::Not(inner) => pass(id, label, compile(inner, !negated, ids)),
         Formula::And(a, b) if !negated => {
             conjoin(id, label, compile(a, false, ids), compile(b, false, ids))
         }
@@ -518,30 +502,46 @@ fn compile(f: &Formula, negated: bool, ids: &mut u64) -> PlanNode {
         }
         Formula::Implies(a, b) => conjoin(id, label, compile(a, false, ids), compile(b, true, ids)),
         Formula::Exists { var, body } if !negated => {
-            project_out(id, label, compile(body, false, ids), var, false)
-        }
-        // ¬∃v.φ — project, then one unavoidable complement.
-        Formula::Exists { var, body } => {
-            project_out(id, label, compile(body, false, ids), var, true)
-        }
-        // ∀v.φ ≡ ¬∃v.¬φ — negation pushed to the leaves.
-        Formula::Forall { var, body } if !negated => {
-            project_out(id, label, compile(body, true, ids), var, true)
+            project_out(id, label, compile(body, false, ids), var)
         }
         // ¬∀v.φ ≡ ∃v.¬φ.
-        Formula::Forall { var, body } => {
-            project_out(id, label, compile(body, true, ids), var, false)
+        Formula::Forall { var, body } if negated => {
+            project_out(id, label, compile(body, true, ids), var)
+        }
+        // ¬∃v.φ, and ∀v.φ ≡ ¬∃v.¬φ with the inner negation pushed to the
+        // leaves — project, then one unavoidable complement.
+        Formula::Exists { var, body } | Formula::Forall { var, body } => {
+            let full = take_id(ids);
+            let proj = take_id(ids);
+            let inner = compile(body, matches!(f, Formula::Forall { .. }), ids);
+            let exists = project_out(proj, format!("exists {var}"), inner, var);
+            negation(id, label, full, exists)
         }
     }
 }
 
-/// A node that passes its single child through `steps`.
-fn wrap(id: u64, label: String, op: PlanOp, child: PlanNode, steps: Vec<String>) -> PlanNode {
+/// `¬child`: the difference of `child` from the free space over its
+/// columns, a [`PlanOp::Full`] leaf with id `full`.
+fn negation(id: u64, label: String, full: u64, child: PlanNode) -> PlanNode {
+    let steps = vec![format!("all of {}", space(&child))];
+    let full = leaf(
+        full,
+        "full".to_string(),
+        PlanOp::Full,
+        steps,
+        child.temporal_vars.clone(),
+        child.data_vars.clone(),
+    );
+    difference(id, label, full, child)
+}
+
+/// A node that passes its single child through unchanged.
+fn pass(id: u64, label: String, child: PlanNode) -> PlanNode {
     PlanNode {
         id,
         label,
-        op,
-        steps,
+        op: PlanOp::Pass,
+        steps: vec![],
         temporal_vars: child.temporal_vars.clone(),
         data_vars: child.data_vars.clone(),
         children: vec![child],
@@ -846,15 +846,8 @@ pub(crate) fn disjoin(id: u64, label: String, a: PlanNode, b: PlanNode) -> PlanN
     }
 }
 
-/// A projection node dropping `var`'s column (+ optional negation for
-/// the quantifier arms that pay a complement).
-pub(crate) fn project_out(
-    id: u64,
-    label: String,
-    child: PlanNode,
-    var: &str,
-    negate: bool,
-) -> PlanNode {
+/// A projection node dropping `var`'s column.
+pub(crate) fn project_out(id: u64, label: String, child: PlanNode, var: &str) -> PlanNode {
     let mut tvars = child.temporal_vars.clone();
     let mut dvars = child.data_vars.clone();
     let mut steps = Vec::new();
@@ -867,20 +860,48 @@ pub(crate) fn project_out(
     } else {
         steps.push(format!("no column for {var} (no-op)"));
     }
-    if negate {
-        steps.push(negate_step(tvars.len(), dvars.len()));
-    }
     PlanNode {
         id,
         label,
         op: PlanOp::ProjectOut {
             var: var.to_owned(),
-            negate,
         },
         steps,
         temporal_vars: tvars,
         data_vars: dvars,
         children: vec![child],
+        est: None,
+        rules: vec![],
+    }
+}
+
+/// A difference node `l ∧ ¬r` (`r`'s variables are a subset of `l`'s),
+/// with `l`'s columns. Its step names the form the executor picks: from
+/// the free space when `l` is [`PlanOp::Full`], a plain difference when
+/// both sides have the same variables, else an antijoin that subtracts
+/// the part of `l` that joins `r`.
+pub(crate) fn difference(id: u64, label: String, l: PlanNode, r: PlanNode) -> PlanNode {
+    let step = if matches!(l.op, PlanOp::Full) {
+        format!("difference from {}", space(&l))
+    } else if r.schema() == l.schema() {
+        "difference".to_string()
+    } else {
+        let on: Vec<&str> = r
+            .temporal_vars
+            .iter()
+            .chain(&r.data_vars)
+            .map(String::as_str)
+            .collect();
+        format!("antijoin on {}", on.join(", "))
+    };
+    PlanNode {
+        id,
+        label,
+        op: PlanOp::Difference,
+        steps: vec![step],
+        temporal_vars: l.temporal_vars.clone(),
+        data_vars: l.data_vars.clone(),
+        children: vec![l, r],
         est: None,
         rules: vec![],
     }
@@ -914,13 +935,14 @@ mod tests {
         assert!(text.contains("join on t"), "{text}");
         assert!(text.contains("difference from Z^1"), "{text}");
         assert!(text.contains("shift t0 by -1"), "{text}");
-        // Tree shape: and → [P(t), not → [not P(t+1) → [P(t+1)]]] — the
-        // syntactic `not` wrapper, then the pushed-down negated leaf.
+        // Tree shape: and → [P(t), not → [not P(t+1) → [full, P(t+1)]]] —
+        // the syntactic `not` wrapper, then the pushed-down negated leaf.
         assert_eq!(p.root().children.len(), 2);
         let not = &p.root().children[1];
         assert_eq!(not.label, "not");
         assert_eq!(not.children[0].label, "not P(t + 1)");
-        assert_eq!(not.children[0].children[0].label, "P(t + 1)");
+        assert_eq!(not.children[0].children[0].op, PlanOp::Full);
+        assert_eq!(not.children[0].children[1].label, "P(t + 1)");
     }
 
     #[test]
@@ -928,15 +950,11 @@ mod tests {
         let p = plan("forall t. P(t) implies P(t + 2)");
         let root = p.root();
         assert_eq!(root.label, "forall t");
-        assert_eq!(
-            root.steps,
-            vec![
-                "project out t".to_string(),
-                "difference from Z^0".to_string()
-            ]
-        );
+        assert_eq!(root.steps, vec!["difference from Z^0".to_string()]);
+        let project = &root.children[1];
+        assert_eq!(project.steps, vec!["project out t".to_string()]);
         // The body is compiled negated: ¬(a → b) ≡ a ∧ ¬b.
-        let body = &root.children[0];
+        let body = &project.children[0];
         assert_eq!(body.label, "not implies");
         assert!(body.steps.iter().any(|s| s.contains("join")), "{body:?}");
     }

@@ -37,19 +37,25 @@
 //!   an element still produced by the other branch is not over-deleted.
 //! * **ProjectOut** — projection of the child deltas, with the projected
 //!   `del` trimmed by the recomputed output (a witness may survive).
-//! * **Negate** (and the negating projection) — deltas swap sign:
-//!   `del' = ins_child`, `ins' = (del_child ∩ full) ∖ ins_child`, and the
-//!   cached complement is patched without materializing `full ∖ new`.
+//! * **Difference** (`N = L ∧ ¬R`) — from `new ≡ (old ∖ del) ∪ ins`:
+//!   `del = del_L ∪ (old ∧ ins_R)`, `ins = (ins_L ∧ ¬R_new) ∪ (L_new ∧
+//!   del_R)`, each term through the executor's own join and difference
+//!   helpers; the cached output is patched, never recomputed. A negation
+//!   is the case whose left child is the clean free-space leaf: `R`'s
+//!   inserts delete from the cached complement and its deletes insert.
 //! * **Pass / Arrange / Compact** — forwarded (padding is exact on
 //!   deltas; compaction changes representation, not denotation).
 //!
 //! A subtree that scans none of the changed relations is **clean**: its
 //! cached output is returned as-is with empty deltas, skipping the
-//! subtree entirely.
+//! subtree entirely. A refreshed output with more tuples than its cached
+//! predecessor is compacted before it is cached, so a view's
+//! representation tracks its denotation rather than the length of its
+//! mutation history.
 //!
 //! # Active-domain fallback
 //!
-//! `DataCmp` nodes, data-column padding and the `full` space of negation
+//! `DataCmp` nodes, data-column padding and the `Full` leaf of negation
 //! all depend on the query's active domain. The view snapshots the adom
 //! it was built under; a refresh whose deltas change the adom falls back
 //! to one counted **full recompute** ([`RefreshOutcome::full`]) instead
@@ -415,28 +421,29 @@ impl MaintainedView {
                 let del = minus(&del_raw, &new, ctx)?;
                 (new, NodeDelta { ins, del })
             }
-            PlanOp::ProjectOut { negate, .. } => {
+            PlanOp::ProjectOut { .. } => {
                 let (c_new, dc) = self.step(&n.children[0], env, deltas, changed, next)?;
-                let proj_new = env.project_out(n, c_new)?;
-                let ins_p = env.project_out(n, dc.ins)?;
+                let new = env.project_out(n, c_new)?;
+                let ins = env.project_out(n, dc.ins)?;
                 // A deleted witness may not be the last one: trim by the
                 // recomputed projection.
-                let del_p = minus(&env.project_out(n, dc.del)?, &proj_new, ctx)?;
-                if *negate {
-                    negate_delta(env, &old, &proj_new, ins_p, del_p)?
-                } else {
-                    (
-                        proj_new,
-                        NodeDelta {
-                            ins: ins_p,
-                            del: del_p,
-                        },
-                    )
-                }
+                let del = minus(&env.project_out(n, dc.del)?, &new, ctx)?;
+                (new, NodeDelta { ins, del })
             }
-            PlanOp::Negate => {
-                let (c_new, dc) = self.step(&n.children[0], env, deltas, changed, next)?;
-                negate_delta(env, &old, &c_new, dc.ins, dc.del)?
+            PlanOp::Difference => {
+                let (l_new, dl) = self.step(&n.children[0], env, deltas, changed, next)?;
+                let (r_new, dr) = self.step(&n.children[1], env, deltas, changed, next)?;
+                // N = L ∧ ¬R. A point leaves N when it leaves L or R gains
+                // it, and enters N when L gains it outside R, or R loses
+                // it while L still holds it (`del_R` is disjoint from
+                // `R_new`, so that part needs no second subtraction).
+                let gained_r = through(n, dr.ins, |d| env.matched(n, &old, d))?;
+                let del = plus(&dl.del, &gained_r, ctx)?;
+                let gained_l = through(n, dl.ins, |d| env.difference(n, d, r_new))?;
+                let lost_r = through(n, dr.del, |d| env.conjoin(n, l_new, d))?;
+                let ins = plus(&gained_l, &lost_r, ctx)?;
+                let new = plus(&minus(&old, &del, ctx)?, &ins, ctx)?;
+                (new, NodeDelta { ins, del })
             }
             PlanOp::Pass => self.step(&n.children[0], env, deltas, changed, next)?,
             PlanOp::Arrange => {
@@ -456,39 +463,38 @@ impl MaintainedView {
             }
             // Leaves without scans (Unit, Empty, TempCmp, DataCmp) have
             // empty scan sets and were handled by the clean-subtree test.
-            PlanOp::Unit(_) | PlanOp::Empty | PlanOp::TempCmp { .. } | PlanOp::DataCmp { .. } => {
+            PlanOp::Unit(_)
+            | PlanOp::Empty
+            | PlanOp::Full
+            | PlanOp::TempCmp { .. }
+            | PlanOp::DataCmp { .. } => {
                 unreachable!("scanless leaf reached the dirty path")
             }
+        };
+        // Every `∖` in a patch splits tuples: compact what a refresh grew,
+        // so the cache tracks its denotation, not the transaction count.
+        let new = if new.tuple_count() > old.tuple_count() {
+            new.compact_in(ctx).map_err(QueryError::Core)?
+        } else {
+            new
         };
         next.insert(n.id, new.clone());
         Ok((new, delta))
     }
 }
 
-/// The negation delta rule: for `N = full ∖ C`, inserts into `C` delete
-/// from `N` and deletes from `C` insert into `N` (clipped to the free
-/// space). Patches the cached complement `old` without recomputing
-/// `full ∖ C_new`.
-fn negate_delta(
-    env: &Env<'_, impl Catalog>,
-    old: &GenRelation,
-    c_new: &GenRelation,
-    ins_c: GenRelation,
-    del_c: GenRelation,
-) -> Result<(GenRelation, NodeDelta)> {
-    let ctx = env.ctx();
-    let ins = if del_c.tuple_count() == 0 {
-        GenRelation::empty(del_c.schema())
+/// `op(delta)`, a relation over node `n`'s columns, with the work skipped
+/// for an empty delta.
+fn through(
+    n: &PlanNode,
+    delta: GenRelation,
+    op: impl FnOnce(GenRelation) -> Result<GenRelation>,
+) -> Result<GenRelation> {
+    if delta.has_no_tuples() {
+        Ok(GenRelation::empty(n.schema()))
     } else {
-        let full = env.full_for(c_new.schema())?;
-        minus(
-            &del_c.intersect_in(&full, ctx).map_err(QueryError::Core)?,
-            &ins_c,
-            ctx,
-        )?
-    };
-    let rel = minus(&plus(old, &ins, ctx)?, &ins_c, ctx)?;
-    Ok((rel, NodeDelta { ins, del: ins_c }))
+        op(delta)
+    }
 }
 
 /// `a ∖ b` with the empty sides the delta algebra hits constantly
@@ -598,19 +604,24 @@ mod tests {
         assert!(ba.denotes_empty().unwrap(), "recomputed ⊄ maintained");
     }
 
-    fn check_against_rerun(src: &str, deltas: Vec<RelationDelta>) {
+    /// Applies each delta, checks the view against a fresh run, and
+    /// returns whether each refresh fell back to a full recompute.
+    fn check_against_rerun(src: &str, deltas: Vec<RelationDelta>) -> Vec<bool> {
         let ctx = ExecContext::serial();
         let mut cat = catalog();
         let f = parse(src).unwrap();
         let mut view = MaintainedView::new(&cat, &f, QueryOpts::new().ctx(&ctx)).unwrap();
+        let mut full = Vec::new();
         for d in deltas {
             apply(&mut cat, &d);
-            view.refresh(&cat, std::slice::from_ref(&d), &ctx).unwrap();
+            let outcome = view.refresh(&cat, std::slice::from_ref(&d), &ctx).unwrap();
+            full.push(outcome.full);
             let fresh = run(&cat, &f, QueryOpts::new().ctx(&ctx)).unwrap();
             assert_eq!(view.temporal_vars(), &fresh.result.temporal_vars[..]);
             assert_eq!(view.data_vars(), &fresh.result.data_vars[..]);
             assert_same_set(view.relation(), &fresh.result.relation, &ctx);
         }
+        full
     }
 
     #[test]
@@ -653,6 +664,43 @@ mod tests {
                 ),
             ],
         );
+    }
+
+    /// Both sides of a difference change over a stable active domain, so
+    /// every refresh takes the incremental path: a row is inserted and
+    /// retracted on each side, once where it covers the other side's
+    /// points and once where it does not. One query negates on the same
+    /// variables, one on a strict subset.
+    #[test]
+    fn difference_deltas_on_a_stable_domain() {
+        let perform = |row: &GenTuple| {
+            [
+                delta("Perform", Schema::new(2, 1), vec![row.clone()], vec![]),
+                delta("Perform", Schema::new(2, 1), vec![], vec![row.clone()]),
+            ]
+        };
+        let idle = |row: GenTuple| {
+            [
+                delta("Idle", Schema::new(1, 0), vec![row.clone()], vec![]),
+                delta("Idle", Schema::new(1, 0), vec![], vec![row]),
+            ]
+        };
+        for src in [
+            "Idle(t) and not (exists t2. exists x. Perform(t, t2; x))",
+            "Perform(t1, t2; x) and not Idle(t1)",
+        ] {
+            let deltas: Vec<RelationDelta> = [
+                perform(&interval(4, 1, 10, "fast")),
+                idle(GenTuple::unconstrained(vec![lrp(0, 10)], vec![])),
+                idle(GenTuple::unconstrained(vec![lrp(2, 10)], vec![])),
+                perform(&interval(2, 1, 10, "slow")),
+            ]
+            .into_iter()
+            .flatten()
+            .collect();
+            let full = check_against_rerun(src, deltas);
+            assert_eq!(full, [false; 8], "{src}");
+        }
     }
 
     #[test]

@@ -42,17 +42,35 @@ fn catalog() -> MemoryCatalog {
             .build()
             .unwrap(),
     );
+    cat.insert(
+        "task",
+        GenRelation::builder(Schema::new(2, 1))
+            .push_row(GenTuple::unconstrained(
+                vec![Lrp::new(0, 4).unwrap(), Lrp::new(1, 4).unwrap()],
+                vec![Value::str("robot1")],
+            ))
+            .build()
+            .unwrap(),
+    );
     cat
 }
 
-/// Compares against the golden, or rewrites it when `BLESS` is set in
-/// the environment (`BLESS=1 cargo test -p itd-db --test plan_snapshots`,
+/// Compares the EXPLAIN renderings of `srcs`, one after the other,
+/// against the golden, or rewrites it when `BLESS` is set in the
+/// environment (`BLESS=1 cargo test -p itd-db --test plan_snapshots`,
 /// then rebuild — goldens are compiled in via `include_str!`).
 #[track_caller]
-fn check(src: &str, name: &str, golden: &str) {
+fn check(srcs: &[&str], name: &str, golden: &str) {
     let cat = catalog();
-    let report = explain(&cat, &parse(src).unwrap(), QueryOpts::new()).unwrap();
-    let actual = report.render();
+    let actual: String = srcs
+        .iter()
+        .map(|src| {
+            explain(&cat, &parse(src).unwrap(), QueryOpts::new())
+                .unwrap()
+                .render()
+        })
+        .collect();
+    let src = srcs.join("`, `");
     if std::env::var_os("BLESS").is_some() {
         std::fs::write(format!("../../tests/goldens/{name}"), &actual).unwrap();
         return;
@@ -69,7 +87,7 @@ fn check(src: &str, name: &str, golden: &str) {
 #[test]
 fn golden_join_reorder() {
     check(
-        "p(t) and q(t) and r(t)",
+        &["p(t) and q(t) and r(t)"],
         "join_reorder.explain.txt",
         include_str!("goldens/join_reorder.explain.txt"),
     );
@@ -80,20 +98,38 @@ fn golden_join_reorder() {
 #[test]
 fn golden_empty_short_circuit() {
     check(
-        "exists t. (p(t) and q(t)) and never(t)",
+        &["exists t. (p(t) and q(t)) and never(t)"],
         "empty_short_circuit.explain.txt",
         include_str!("goldens/empty_short_circuit.explain.txt"),
     );
 }
 
 /// Selection pushdown plus negation: the constraint sinks below the
-/// join; the negated predicate keeps its difference-from-`Z` wrapper.
+/// join, and the negated predicate is subtracted from the join instead of
+/// differenced from `Z` and joined.
 #[test]
 fn golden_pushdown_with_negation() {
     check(
-        r#"exists t. (p(t) and perform(t; "robot1")) and t >= 4 and not q(t)"#,
+        &[r#"exists t. (p(t) and perform(t; "robot1")) and t >= 4 and not q(t)"#],
         "pushdown_negation.explain.txt",
         include_str!("goldens/pushdown_negation.explain.txt"),
+    );
+}
+
+/// The antijoin rewrite on its three shapes: a negated atom with the same
+/// variables as the join under a selection (a plain difference), one on a
+/// strict subset with a data column (an antijoin), and one with a
+/// variable no positive conjunct binds, where the rule must not fire.
+#[test]
+fn golden_antijoin() {
+    check(
+        &[
+            "p(t) and not q(t) and t >= 4",
+            "task(t1, t2; x) and not perform(t1; x)",
+            "p(t) and not q(u)",
+        ],
+        "antijoin.explain.txt",
+        include_str!("goldens/antijoin.explain.txt"),
     );
 }
 

@@ -11,8 +11,9 @@ use itd_db::{Database, QueryOpts, TupleSpec, Txn, ViewId};
 use proptest::prelude::*;
 
 /// The views every scenario registers: a join, a negation, and a
-/// projection — together they exercise the Scan, Conjoin, Negate and
-/// ProjectOut delta rules end to end.
+/// projection — together they exercise the Scan, Conjoin, Difference (as
+/// an antijoin: the optimizer subtracts `vr` from `vs`) and ProjectOut
+/// delta rules end to end.
 const VIEWS: &[(&str, &str)] = &[
     ("joined", "vs(t; k) and vr(t)"),
     ("lone", "vs(t; k) and not vr(t)"),
