@@ -760,11 +760,37 @@ fn ablations() {
     );
 
     // Partial vs full normalization in projection (§3.4 remark).
+    jsonout::begin_section("ablation_projection");
     println!("\n### Projection: partial vs full normalization (§3.4 remark)\n");
-    println!("| unrelated column period | full | partial | speedup |");
+    println!("| input | full | partial | speedup |");
     println!("|---|---|---|---|");
     {
-        use itd_core::{ops, Atom as CAtom, GenTuple, Lrp};
+        use itd_core::{ops, Atom as CAtom, GenTuple, Lrp, Value};
+        let row = |name: &str,
+                   label: &str,
+                   full: Duration,
+                   partial: Duration,
+                   rf: &[GenTuple],
+                   rp: &[GenTuple]| {
+            println!(
+                "| {label} | {} ({} tuples) | {} ({} tuples) | ×{:.1} |",
+                fmt_duration(full),
+                rf.len(),
+                fmt_duration(partial),
+                rp.len(),
+                full.as_secs_f64() / partial.as_secs_f64().max(1e-9),
+            );
+            jsonout::counters(
+                name,
+                &[
+                    ("full_nanos", full.as_nanos() as u64),
+                    ("partial_nanos", partial.as_nanos() as u64),
+                    ("full_tuples", rf.len() as u64),
+                    ("partial_tuples", rp.len() as u64),
+                    ("identical", u64::from(rf == rp)),
+                ],
+            );
+        };
         for kc in take(&[7i64, 11, 13, 17]) {
             // Figure 2's coupled pair plus one unrelated coprime column:
             // full normalization fans out by lcm; partial does not.
@@ -795,15 +821,59 @@ fn ablations() {
                     assert_eq!(a, b, "partial/full divergence at ({x},{z})");
                 }
             }
-            println!(
-                "| {kc} | {} ({} tuples) | {} ({} tuples) | ×{:.1} |",
-                fmt_duration(full),
-                rf.len(),
-                fmt_duration(partial),
-                rp.len(),
-                full.as_secs_f64() / partial.as_secs_f64().max(1e-9),
+            row(
+                &format!("unrelated_k_{kc}"),
+                &format!("unrelated column period {kc}"),
+                full,
+                partial,
+                &rf,
+                &rp,
             );
         }
+        // Join duplicates: `p(t1, t2; x) ⋈ q(t1, t2; x)` keeps `p`'s
+        // columns, each pinned equal to a dropped `q` column with the
+        // same lrp. `project_tuple` substitutes the twins and normalizes
+        // two columns; `project_tuple_full` normalizes all four.
+        let p = GenTuple::builder()
+            .lrps(vec![
+                Lrp::new(1, 4).expect("valid"),
+                Lrp::new(3, 6).expect("valid"),
+            ])
+            .atoms([
+                CAtom::diff_le(1, 0, 10),
+                CAtom::diff_le(0, 1, 5),
+                CAtom::ge(0, 0),
+            ])
+            .data(vec![Value::str("x")])
+            .build()
+            .expect("valid");
+        let q = GenTuple::builder()
+            .lrps(vec![
+                Lrp::new(1, 2).expect("valid"),
+                Lrp::new(0, 3).expect("valid"),
+            ])
+            .atoms([CAtom::le(1, 400)])
+            .data(vec![Value::str("x")])
+            .build()
+            .expect("valid");
+        let joined = ops::join_tuples(&p, &q, &[(0, 0), (1, 1)], &[(0, 0)])
+            .expect("join")
+            .expect("the join is nonempty");
+        let (full, rf) = time_median(REPS, || {
+            ops::project_tuple_full(&joined, &[0, 1], &[0]).expect("ok")
+        });
+        let (partial, rp) = time_median(REPS, || {
+            ops::project_tuple(&joined, &[0, 1], &[0]).expect("ok")
+        });
+        assert_eq!(rf, rp, "join-duplicate projection must be bit-identical");
+        row(
+            "join_duplicate",
+            "join duplicate p ⋈ q",
+            full,
+            partial,
+            &rf,
+            &rp,
+        );
     }
 
     // Compaction (inverse of Lemma 3.1) on complement outputs.

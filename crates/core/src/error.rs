@@ -25,6 +25,11 @@ pub enum CoreError {
         /// Number of attributes of that kind.
         arity: usize,
     },
+    /// A projection keep list named the same attribute twice.
+    RepeatedAttribute {
+        /// The repeated index.
+        index: usize,
+    },
     /// A complement/normalization would enumerate more than the configured
     /// number of free extensions (`k^m` blow-up guard, Appendix A.6).
     TooManyExtensions {
@@ -58,6 +63,9 @@ impl fmt::Display for CoreError {
             }
             CoreError::AttributeOutOfRange { index, arity } => {
                 write!(f, "attribute {index} out of range (arity {arity})")
+            }
+            CoreError::RepeatedAttribute { index } => {
+                write!(f, "attribute {index} listed twice in a projection")
             }
             CoreError::TooManyExtensions {
                 period,
@@ -114,6 +122,9 @@ mod tests {
         assert!(CoreError::AttributeOutOfRange { index: 5, arity: 2 }
             .to_string()
             .contains('5'));
+        assert!(CoreError::RepeatedAttribute { index: 3 }
+            .to_string()
+            .contains("attribute 3 listed twice"));
         let e = CoreError::TooManyExtensions {
             period: 30,
             arity: 4,

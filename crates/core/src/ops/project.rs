@@ -1,6 +1,6 @@
 //! Projection (§3.4) — the operation that makes normalization necessary.
 
-use itd_constraint::Atom;
+use itd_constraint::{Atom, Bound, ConstraintSystem};
 
 use crate::tuple::GenTuple;
 use crate::Result;
@@ -33,14 +33,14 @@ impl Components {
     }
 }
 
-/// The columns that must be normalized to eliminate `dropped` exactly: the
-/// union of the constraint-graph components (over a minimal generating
-/// atom set — the closed matrix would over-couple) that touch a dropped
-/// column.
+/// The columns that must be normalized to eliminate the dropped columns
+/// exactly: the union of the constraint-graph components (over a minimal
+/// generating atom set — the closed matrix would over-couple) that touch a
+/// seed column.
 ///
 /// This is the paper's §3.4 remark — "only column i and columns sharing a
 /// constraint with column i have to be normalized" — extended transitively.
-fn columns_needing_normalization(t: &GenTuple, dropped: &[usize]) -> Result<Vec<usize>> {
+fn columns_needing_normalization(t: &GenTuple, seeds: &[usize]) -> Result<Vec<usize>> {
     let m = t.lrps().len();
     let mut uf = Components::new(m);
     for atom in t.constraints().reduced_atoms()? {
@@ -49,7 +49,7 @@ fn columns_needing_normalization(t: &GenTuple, dropped: &[usize]) -> Result<Vec<
         }
     }
     let mut needed = vec![false; m];
-    for &d in dropped {
+    for &d in seeds {
         let root = uf.find(d);
         for (c, flag) in needed.iter_mut().enumerate() {
             if uf.find(c) == root {
@@ -76,6 +76,28 @@ fn columns_needing_normalization(t: &GenTuple, dropped: &[usize]) -> Result<Vec<
 /// [`project_tuple_full`] to force whole-tuple normalization (the ablation
 /// benchmark compares the two).
 ///
+/// The work done depends on what is dropped; all three paths return the
+/// same tuples in the same order:
+/// * **Nothing dropped** (a permutation, or a data-only projection): no
+///   column needs normalization, so the constraint graph is not examined
+///   and the matrix is only permuted.
+/// * **Join duplicates.** A dropped column is a *twin* of a kept one when
+///   the closed matrix pins the two equal and their lrps are identical —
+///   exactly the column pairs [`crate::ops::join_tuples`] builds (a column
+///   its bounds pin to one value never counts as a twin). When
+///   every dropped column has a twin, the twins are eliminated by
+///   substitution (restricting the closed matrix is exact, since each
+///   solution extends by copying the twin's value), and the component
+///   logic runs on the smaller tuple, seeded with the twins' kept columns.
+///   That second step must not be skipped: the substituted bounds can sit
+///   off the grid (`[2n]` with `X₁ ≥ 3` where the normal form says
+///   `X₁ ≥ 4`), and an off-grid bound is a different interned part for
+///   every constant, which defeats the part arenas and the pairwise
+///   outcome cache downstream. Only the twins' component is renormalized,
+///   as the general path would: a kept column outside it stays as it was.
+/// * **General**: normalize the components of the dropped columns and
+///   eliminate them on the grid.
+///
 /// One input tuple can project to several output tuples (one per normal
 /// form component).
 ///
@@ -91,11 +113,76 @@ pub fn project_tuple(
 ) -> Result<Vec<GenTuple>> {
     let m = t.lrps().len();
     let dropped: Vec<usize> = (0..m).filter(|c| !temporal_keep.contains(c)).collect();
-    let hot = columns_needing_normalization(t, &dropped)?;
-    if hot.len() == m {
+    if dropped.is_empty() {
+        return project_components(t, temporal_keep, data_keep, &[]);
+    }
+    let Some(twins) = twins(t, temporal_keep, &dropped) else {
+        return project_components(t, temporal_keep, data_keep, &dropped);
+    };
+    // Substitute: keep the kept columns in the input's column order, so the
+    // normalization below enumerates residue combinations in the order
+    // the general path would.
+    let mut kept = temporal_keep.to_vec();
+    kept.sort_unstable();
+    let at = |c: usize| kept.binary_search(&c).expect("kept column");
+    let s = GenTuple::from_parts(
+        kept.iter().map(|&c| t.lrps()[c]).collect(),
+        t.constraints().project_onto(&kept),
+        data_keep.iter().map(|&i| t.data()[i].clone()).collect(),
+    )?;
+    let keep: Vec<usize> = temporal_keep.iter().map(|&c| at(c)).collect();
+    let seeds: Vec<usize> = twins.into_iter().map(at).collect();
+    let identity_data: Vec<usize> = (0..data_keep.len()).collect();
+    project_components(&s, &keep, &identity_data, &seeds)
+}
+
+/// The kept twin of every dropped column (see [`project_tuple`]), or
+/// `None` when some dropped column has none.
+///
+/// A column pinned to one value by its bounds has no twin: its equality to
+/// another column is implied through the origin, so the general path
+/// treats it as a component of its own — one that can empty the tuple or
+/// raise the common period its component is normalized to — and
+/// substitution would skip that.
+fn twins(t: &GenTuple, temporal_keep: &[usize], dropped: &[usize]) -> Option<Vec<usize>> {
+    let (lrps, cons) = (t.lrps(), t.constraints());
+    dropped
+        .iter()
+        .map(|&d| {
+            if pinned(cons, d) {
+                return None;
+            }
+            temporal_keep.iter().copied().find(|&c| {
+                lrps[c] == lrps[d]
+                    && cons.diff_bound(c, d) == Bound::ZERO
+                    && cons.diff_bound(d, c) == Bound::ZERO
+            })
+        })
+        .collect()
+}
+
+/// Do the bounds of column `c` admit one value only?
+fn pinned(cons: &ConstraintSystem, c: usize) -> bool {
+    cons.lower(c).is_some() && cons.upper(c).finite() == cons.lower(c)
+}
+
+/// Projection that normalizes the constraint-graph components of `seeds`
+/// (the dropped columns, or the kept twins of substituted ones) and leaves
+/// every other column untouched.
+fn project_components(
+    t: &GenTuple,
+    temporal_keep: &[usize],
+    data_keep: &[usize],
+    seeds: &[usize],
+) -> Result<Vec<GenTuple>> {
+    let hot = if seeds.is_empty() {
+        Vec::new()
+    } else {
+        columns_needing_normalization(t, seeds)?
+    };
+    if hot.len() == t.lrps().len() {
         return project_tuple_full(t, temporal_keep, data_keep);
     }
-
     let data: Vec<_> = data_keep.iter().map(|&i| t.data()[i].clone()).collect();
     // Split kept columns into the hot component(s) and the cold rest.
     let hot_kept: Vec<usize> = temporal_keep
@@ -332,6 +419,232 @@ mod tests {
                     "({x},{y})"
                 );
             }
+        }
+    }
+
+    /// The general path of [`project_tuple`]: eliminate the dropped
+    /// columns through their components, with no twin substitution.
+    fn project_general(
+        t: &GenTuple,
+        temporal_keep: &[usize],
+        data_keep: &[usize],
+    ) -> Vec<GenTuple> {
+        let dropped: Vec<usize> = (0..t.lrps().len())
+            .filter(|c| !temporal_keep.contains(c))
+            .collect();
+        project_components(t, temporal_keep, data_keep, &dropped).unwrap()
+    }
+
+    #[test]
+    fn twin_path_leaves_unrelated_mixed_period_column_alone() {
+        // [0+2n, 2+6n, 2+6n] keep [0, 1]: columns 1 and 2 are join twins
+        // and column 0 shares no constraint with them, so it keeps period 2
+        // (normalizing the whole substituted tuple would refine it three
+        // ways, to period 6).
+        let left = GenTuple::builder()
+            .lrps(vec![lrp(0, 2), lrp(2, 6)])
+            .atoms([Atom::le(0, 20)])
+            .build()
+            .unwrap();
+        let right = GenTuple::builder()
+            .lrps(vec![lrp(2, 6)])
+            .atoms([Atom::ge(0, 1)])
+            .build()
+            .unwrap();
+        let t = crate::ops::join_tuples(&left, &right, &[(1, 0)], &[])
+            .unwrap()
+            .unwrap();
+        assert_eq!(twins(&t, &[0, 1], &[2]), Some(vec![1]));
+        let p = project_tuple(&t, &[0, 1], &[]).unwrap();
+        assert_eq!(p, project_general(&t, &[0, 1], &[]));
+        assert_eq!(p.len(), 1, "{p:?}");
+        assert_eq!(p[0].lrps(), &[lrp(0, 2), lrp(2, 6)]);
+        // The twin's component was renormalized: X1 ≥ 1 rounds up to 2.
+        assert_eq!(p[0].constraints().lower(1), Some(2));
+        // Once column 0 is coupled to the twins, both paths refine it.
+        let coupled = GenTuple::builder()
+            .lrps(vec![lrp(0, 2), lrp(2, 6), lrp(2, 6)])
+            .atoms([Atom::diff_eq(1, 2, 0), Atom::diff_le(0, 1, 0)])
+            .build()
+            .unwrap();
+        let p = project_tuple(&coupled, &[0, 1], &[]).unwrap();
+        assert_eq!(p, project_general(&coupled, &[0, 1], &[]));
+        assert_eq!(p.len(), 3);
+        assert!(p.iter().all(|pt| pt.lrps()[0].period() == 6));
+    }
+
+    #[test]
+    fn twin_path_leaves_kept_column_outside_the_component_unaligned() {
+        // Column 0's bound X0 ≥ 2 is off its grid 1+3n (the normal form
+        // says X0 ≥ 4), but column 0 is not in the twins' component, so
+        // the general path leaves it as it is — and so must the twin path.
+        let left = GenTuple::builder()
+            .lrps(vec![lrp(1, 3), lrp(0, 2)])
+            .atoms([Atom::ge(0, 2)])
+            .data(vec![Value::str("a")])
+            .build()
+            .unwrap();
+        let right = GenTuple::builder()
+            .lrps(vec![lrp(0, 2)])
+            .atoms([Atom::ge(0, 3)])
+            .data(vec![Value::str("a"), Value::Int(7)])
+            .build()
+            .unwrap();
+        let t = crate::ops::join_tuples(&left, &right, &[(1, 0)], &[(0, 0)])
+            .unwrap()
+            .unwrap();
+        let p = project_tuple(&t, &[0, 1], &[0, 2]).unwrap();
+        assert_eq!(p, project_general(&t, &[0, 1], &[0, 2]));
+        assert_eq!(p.len(), 1);
+        assert_eq!(p[0].constraints().lower(0), Some(2));
+        // Substituting without renormalizing would leave X1 ≥ 3 here.
+        assert_eq!(p[0].constraints().lower(1), Some(4));
+        assert_eq!(p[0].data(), &[Value::str("a"), Value::Int(7)]);
+    }
+
+    #[test]
+    fn project_in_identity_is_a_snapshot() {
+        use crate::{ExecContext, GenRelation, OpKind, Schema};
+        let rows: Vec<GenTuple> = (0..12)
+            .map(|i| {
+                GenTuple::builder()
+                    .lrps(vec![lrp(i % 3, 3), lrp(i % 4, 4)])
+                    .atoms([Atom::diff_le(0, 1, i)])
+                    .data(vec![Value::Int(i)])
+                    .build()
+                    .unwrap()
+            })
+            .collect();
+        let rel = GenRelation::new(Schema::new(2, 1), rows).unwrap();
+        for threads in [1, 2, 8] {
+            let ctx = ExecContext::with_threads(threads);
+            let p = rel.project_in(&[0, 1], &[0], &ctx).unwrap();
+            assert_eq!(p, rel);
+            assert!(std::ptr::eq(p.store(), rel.store()), "shares the store");
+            let op = *ctx.stats().op(OpKind::Project);
+            assert_eq!((op.calls, op.tuples_in, op.tuples_out), (1, 12, 12));
+        }
+        // A permutation is not the identity: it takes the per-tuple path,
+        // with the same counters.
+        let ctx = ExecContext::serial();
+        let p = rel.project_in(&[1, 0], &[0], &ctx).unwrap();
+        assert!(!std::ptr::eq(p.store(), rel.store()));
+        let op = *ctx.stats().op(OpKind::Project);
+        assert_eq!((op.calls, op.tuples_in, op.tuples_out), (1, 12, 12));
+    }
+
+    #[test]
+    fn project_in_rejects_repeated_columns() {
+        use crate::{CoreError, ExecContext, GenRelation, Schema};
+        let t = GenTuple::builder()
+            .lrps(vec![lrp(0, 2), lrp(1, 2)])
+            .data(vec![Value::Int(1)])
+            .build()
+            .unwrap();
+        let rel = GenRelation::new(Schema::new(2, 1), vec![t]).unwrap();
+        let ctx = ExecContext::serial();
+        assert_eq!(
+            rel.project_in(&[0, 0], &[], &ctx),
+            Err(CoreError::RepeatedAttribute { index: 0 })
+        );
+        assert_eq!(
+            rel.project_in(&[1], &[0, 0], &ctx),
+            Err(CoreError::RepeatedAttribute { index: 0 })
+        );
+        assert_eq!(
+            rel.project_in(&[2], &[], &ctx),
+            Err(CoreError::AttributeOutOfRange { index: 2, arity: 2 })
+        );
+    }
+
+    /// Raw material for one random tuple: a base period, up to two
+    /// columns, up to three atoms and one datum.
+    type TupleSpec = (i64, Vec<(i64, i64, u8)>, Vec<(u8, usize, usize, i64)>, u8);
+
+    fn arb_spec() -> impl Strategy<Value = TupleSpec> {
+        (
+            1i64..=12,
+            proptest::collection::vec((0i64..12, 1i64..=12, 0u8..8), 2),
+            proptest::collection::vec((0u8..4, 0usize..2, 0usize..2, -6i64..6), 0..=3),
+            0u8..2,
+        )
+    }
+
+    /// A tuple with `m` temporal and `d` data columns from `spec`: column
+    /// periods divide the base period (so columns mix periods while
+    /// normalization stays small), and one column in eight is a point.
+    fn spec_tuple((base, cols, atoms, datum): TupleSpec, m: usize, d: usize) -> GenTuple {
+        let lrps = cols[..m].iter().map(|&(c, div, kind)| {
+            if kind == 0 {
+                Lrp::point(c - 6)
+            } else {
+                // The largest divisor of `base` not above `div`.
+                let k = (1..=div).rev().find(|k| base % k == 0).unwrap();
+                lrp(c, k)
+            }
+        });
+        let atoms = atoms.into_iter().map(|(kind, i, j, a)| {
+            let (i, j) = (i % m, j % m);
+            match kind {
+                0 => Atom::ge(i, a),
+                1 => Atom::le(i, a),
+                _ if i == j => Atom::le(i, a + 6),
+                2 => Atom::diff_le(i, j, a),
+                _ => Atom::diff_eq(i, j, a),
+            }
+        });
+        GenTuple::builder()
+            .lrps(lrps)
+            .atoms(atoms)
+            .data((0..d).map(|_| Value::str(["x", "y"][datum as usize])))
+            .build()
+            .unwrap()
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(128))]
+
+        /// On `join_tuples` outputs with the right side's join columns
+        /// dropped (the query layer's conjunction), the twin path is
+        /// bit-identical to the general path — lrps, constraint systems,
+        /// data and order — and denotes the projected join on a window.
+        #[test]
+        fn prop_twin_path_equals_general(
+            (m1, m2, d1, d2) in (1usize..=2, 1usize..=2, 0usize..=1, 0usize..=1),
+            spec1 in arb_spec(),
+            spec2 in arb_spec(),
+            (pairs, reverse) in (1usize..=2, 0u8..2),
+        ) {
+            let (t1, t2) = (spec_tuple(spec1, m1, d1), spec_tuple(spec2, m2, d2));
+            let pairs = pairs.min(m1).min(m2);
+            let temporal_pairs: Vec<(usize, usize)> = (0..pairs).map(|i| (i, i)).collect();
+            let data_pairs: Vec<(usize, usize)> = if d1 == 1 && d2 == 1 { vec![(0, 0)] } else { vec![] };
+            let Some(j) = crate::ops::join_tuples(&t1, &t2, &temporal_pairs, &data_pairs).unwrap() else {
+                return Ok(());
+            };
+            let mut tkeep: Vec<usize> = (0..m1).chain(m1 + pairs..m1 + m2).collect();
+            let mut dkeep: Vec<usize> = (0..d1).chain(d1 + data_pairs.len()..d1 + d2).collect();
+            if reverse == 1 {
+                tkeep.reverse();
+                dkeep.reverse();
+            }
+            let dropped: Vec<usize> = (m1..m1 + pairs).collect();
+            let pinned_drop = dropped.iter().any(|&d| pinned(j.constraints(), d));
+            prop_assert_eq!(twins(&j, &tkeep, &dropped).is_some(), !pinned_drop);
+            let fast = project_tuple(&j, &tkeep, &dkeep).unwrap();
+            prop_assert_eq!(&fast, &project_general(&j, &tkeep, &dkeep));
+            // Dropped columns copy kept ones, so every witness of a kept
+            // point in the window lies in the window too.
+            let expect: BTreeSet<_> = materialize_tuples(&[j], -7, 7)
+                .into_iter()
+                .map(|(ts, ds)| {
+                    (
+                        tkeep.iter().map(|&c| ts[c]).collect::<Vec<_>>(),
+                        dkeep.iter().map(|&c| ds[c].clone()).collect::<Vec<_>>(),
+                    )
+                })
+                .collect();
+            prop_assert_eq!(materialize_tuples(&fast, -7, 7), expect);
         }
     }
 

@@ -353,35 +353,43 @@ impl GenRelation {
     /// internally and is the costly part) is fanned over the context's
     /// threads; [`OpKind::Project`] counters are updated.
     ///
+    /// Each tuple takes the cheapest of [`ops::project_tuple`]'s three
+    /// paths — nothing dropped, join duplicates substituted, or general
+    /// elimination — and every path returns the same tuples. Identity
+    /// keep lists (every column, in order) skip the tuples altogether:
+    /// the result is an `O(1)` snapshot sharing this relation's store,
+    /// recorded as one [`OpKind::Project`] call with `in == out`. (A
+    /// relation holding a tuple whose constraints are unsatisfiable still
+    /// takes the per-tuple path, which drops that tuple.)
+    ///
     /// # Errors
-    /// [`CoreError::AttributeOutOfRange`]; arithmetic failures.
+    /// [`CoreError::AttributeOutOfRange`]; [`CoreError::RepeatedAttribute`]
+    /// when a keep list names a column twice; arithmetic failures.
     pub fn project_in(
         &self,
         temporal_keep: &[usize],
         data_keep: &[usize],
         ctx: &ExecContext,
     ) -> Result<GenRelation> {
-        for &i in temporal_keep {
-            if i >= self.schema.temporal() {
-                return Err(CoreError::AttributeOutOfRange {
-                    index: i,
-                    arity: self.schema.temporal(),
-                });
-            }
-        }
-        for &i in data_keep {
-            if i >= self.schema.data() {
-                return Err(CoreError::AttributeOutOfRange {
-                    index: i,
-                    arity: self.schema.data(),
-                });
-            }
-        }
+        check_keep(temporal_keep, self.schema.temporal())?;
+        check_keep(data_keep, self.schema.data())?;
         let timer = ctx.timed(OpKind::Project);
-        let lt = self.rows_slice();
-        timer.add_in(lt.len());
-        let tuples =
-            exec::run_chunked(ctx, lt, |t| ops::project_tuple(t, temporal_keep, data_keep))?;
+        let n = self.store.len();
+        timer.add_in(n);
+        let identity = |keep: &[usize], arity: usize| keep.iter().copied().eq(0..arity);
+        if identity(temporal_keep, self.schema.temporal())
+            && identity(data_keep, self.schema.data())
+            && self.rows().all(|r| r.constraints().is_satisfiable())
+        {
+            if n > 0 {
+                ctx.check_cancelled()?;
+            }
+            timer.add_out(n);
+            return Ok(self.clone());
+        }
+        let tuples = exec::run_chunked(ctx, self.rows_slice(), |t| {
+            ops::project_tuple(t, temporal_keep, data_keep)
+        })?;
         timer.add_out(tuples.len());
         Ok(GenRelation::from_vec(
             Schema::new(temporal_keep.len(), data_keep.len()),
@@ -767,6 +775,21 @@ pub(crate) fn tuple_subsumes(big: &GenTuple, small: &GenTuple) -> bool {
             .zip(big.lrps())
             .all(|(s, b)| b.includes(s))
         && small.constraints().entails(big.constraints())
+}
+
+/// Validates a projection keep list against an arity: every index in
+/// range, none repeated.
+fn check_keep(keep: &[usize], arity: usize) -> Result<()> {
+    let mut seen = vec![false; arity];
+    for &index in keep {
+        if index >= arity {
+            return Err(CoreError::AttributeOutOfRange { index, arity });
+        }
+        if std::mem::replace(&mut seen[index], true) {
+            return Err(CoreError::RepeatedAttribute { index });
+        }
+    }
+    Ok(())
 }
 
 /// Incremental constructor for [`GenRelation`], obtained from
