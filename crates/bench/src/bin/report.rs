@@ -878,8 +878,8 @@ fn ablations() {
 
     // Compaction (inverse of Lemma 3.1) on complement outputs.
     println!("\n### Compacting complement outputs (inverse of Lemma 3.1)\n");
-    println!("| k | complement tuples | after compaction | time |");
-    println!("|---|---|---|---|");
+    println!("| k | complement tuples | after compaction | time (cold) | time (warm, memo hit) |");
+    println!("|---|---|---|---|---|");
     use itd_core::{Atom, GenTuple, Lrp, Schema};
     for k in take(&[4i64, 8, 16, 32]) {
         let r = GenRelation::new(
@@ -892,17 +892,31 @@ fn ablations() {
         )
         .expect("schema");
         let comp = r.complement_temporal_in(&serial).expect("complement");
-        let (d, small) = time_median(REPS, || comp.compact_in(&serial).expect("compact"));
+        // A store memoizes its compaction, so each cold rep compacts a
+        // fresh store, built (and dropped) outside the timed closure.
+        let rows: Vec<GenTuple> = comp.rows().map(|t| t.to_tuple()).collect();
+        let mut fresh: Vec<GenRelation> = (0..REPS)
+            .map(|_| GenRelation::new(comp.schema(), rows.clone()).expect("same rows"))
+            .collect();
+        let (cold, (_, small)) = time_median(REPS, || {
+            let input = fresh.pop().expect("one fresh store per rep");
+            let out = input.compact_in(&serial).expect("compact");
+            (input, out)
+        });
+        comp.compact_in(&serial).expect("compact"); // fills `comp`'s memo
+        let (warm, again) = time_median(REPS, || comp.compact_in(&serial).expect("compact"));
+        assert_eq!(again, small, "a memo hit must return the cold output");
         assert_eq!(
             comp.materialize(-60, 60),
             small.materialize(-60, 60),
             "compaction must not change semantics"
         );
         println!(
-            "| {k} | {} | {} | {} |",
+            "| {k} | {} | {} | {} | {} |",
             comp.tuple_count(),
             small.tuple_count(),
-            fmt_duration(d)
+            fmt_duration(cold),
+            fmt_duration(warm)
         );
     }
 }
@@ -1441,6 +1455,9 @@ fn compaction_effectiveness() {
         )],
     )
     .expect("schema");
+    let shattered = q
+        .complement_temporal_in(&ExecContext::serial())
+        .expect("complement");
     let mut cat = MemoryCatalog::new();
     cat.insert("p", p);
     cat.insert("q", q);
@@ -1538,6 +1555,49 @@ fn compaction_effectiveness() {
             ],
         );
     }
+
+    // A store is compacted at most once: compacting the same relation
+    // again must return the first output and replay its counters.
+    let compact_once = || {
+        let ctx = ExecContext::serial();
+        let (d, out) = time_once(|| shattered.compact_in(&ctx).expect("compact"));
+        let mut op = *ctx.stats().op(OpKind::Compact);
+        op.nanos = 0;
+        (d, out, op)
+    };
+    let (first_d, first, first_op) = compact_once();
+    let (second_d, second, second_op) = compact_once();
+    let identical = first == second && first_op == second_op;
+    assert!(
+        identical,
+        "a repeated compaction must return the same output and counters"
+    );
+    assert!(
+        first_op.tuples_out < first_op.tuples_in,
+        "the repeated relation must have something to compact"
+    );
+    println!(
+        "| repeat: complement of `q` compacted twice | {} | {} | {} | {} | {:.1}% | — | — | identical output and counters ({} then {}) |",
+        first_op.tuples_in,
+        first_op.tuples_subsumed,
+        first_op.coalesce_merges,
+        first_op.tuples_out,
+        100.0 * (first_op.tuples_in - first_op.tuples_out) as f64 / first_op.tuples_in as f64,
+        fmt_duration(first_d),
+        fmt_duration(second_d)
+    );
+    jsonout::counters(
+        "repeat",
+        &[
+            ("tuples_in", first_op.tuples_in),
+            ("tuples_subsumed", first_op.tuples_subsumed),
+            ("coalesce_merges", first_op.coalesce_merges),
+            ("tuples_out", first_op.tuples_out),
+            ("identical", u64::from(identical)),
+            ("first_nanos", first_d.as_nanos() as u64),
+            ("second_nanos", second_d.as_nanos() as u64),
+        ],
+    );
 
     // Where nothing clears the cost threshold, the pass must not exist —
     // and asking must not slow the query down.

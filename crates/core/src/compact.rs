@@ -27,6 +27,14 @@
 //!    subsumption-pruned once more (a coarser class may now cover tuples
 //!    the first pass kept).
 //!
+//! The pass costs only what it removes. Kept rows are selected from the
+//! input store (their interned ids are copied, nothing is re-interned),
+//! and a pass that removes nothing returns an `O(1)` snapshot of its
+//! input. Coalescing first checks the columnar store for a complete
+//! family and copies no tuple when there is none. Each store is compacted
+//! at most once: [`GenRelation::compact_in`] memoizes the result on the
+//! store and replays its counters on later calls.
+//!
 //! The pass is deliberately serial: it is near-linear thanks to the
 //! bucketing, and a serial pass is trivially bit-identical at any thread
 //! budget. Per call, `tuples_subsumed + coalesce_merges + tuples_out ==
@@ -34,7 +42,6 @@
 
 use crate::index::RelationIndex;
 use crate::relation::{tuple_subsumes, GenRelation};
-use crate::tuple::GenTuple;
 use crate::Result;
 
 /// What one compaction pass removed.
@@ -48,37 +55,36 @@ pub(crate) struct CompactReport {
 
 /// Compacts `rel` without changing its denotation; returns the smaller
 /// relation and the removal tally. `report.subsumed + report.merges +
-/// result.tuple_count() == rel.tuple_count()` always holds.
+/// result.tuple_count() == rel.tuple_count()` always holds. Kept rows are
+/// selected from their input store, never re-interned, and when nothing is
+/// removed the result is an `O(1)` snapshot of `rel`.
 pub(crate) fn compact_relation(rel: &GenRelation) -> Result<(GenRelation, CompactReport)> {
     let mut report = CompactReport::default();
-    if rel.tuple_count() <= 1 {
+    let lone_satisfiable = || rel.row(0).is_some_and(|r| r.constraints().is_satisfiable());
+    if rel.has_no_tuples() || (rel.tuple_count() == 1 && lone_satisfiable()) {
         return Ok((rel.clone(), report));
     }
-    let kept = subsume(rel, &mut report.subsumed);
-    let pruned = GenRelation::new(rel.schema(), kept)?;
+    let pruned = subsume(rel, &mut report.subsumed);
 
-    let coalesced = crate::minimize::coalesce(&pruned)?;
-    report.merges = (pruned.tuple_count() - coalesced.tuple_count()) as u64;
-    if report.merges == 0 {
+    let Some(coalesced) = crate::minimize::coalesce(&pruned)? else {
         // Nothing merged: the first subsumption pass already reached a
         // fixpoint, so a second pass would keep everything.
         return Ok((pruned, report));
-    }
-
-    let kept = subsume(&coalesced, &mut report.subsumed);
-    let out = GenRelation::new(rel.schema(), kept)?;
+    };
+    report.merges = (pruned.tuple_count() - coalesced.tuple_count()) as u64;
+    let out = subsume(&coalesced, &mut report.subsumed);
     Ok((out, report))
 }
 
-/// One subsumption pass. Keeps input order; `removed` is incremented by
-/// the number of dropped tuples.
-fn subsume(rel: &GenRelation, removed: &mut u64) -> Vec<GenTuple> {
+/// One subsumption pass: the kept rows in input order (`rel` itself when
+/// none drop); `removed` is incremented by the number of dropped tuples.
+fn subsume(rel: &GenRelation, removed: &mut u64) -> GenRelation {
     let tuples = rel.rows_slice();
     let schema = rel.schema();
     let tcols: Vec<usize> = (0..schema.temporal()).collect();
     let dcols: Vec<usize> = (0..schema.data()).collect();
-    // Built uncached: compaction outputs are intermediates, so their
-    // stores keep no index and the index build/reuse counters stay put.
+    // Built uncached: a store is compacted at most once (the memo in
+    // `GenRelation::compact_in`), so a cached index would never be reused.
     let index = RelationIndex::build(rel.store(), &tcols, &dcols);
     let mut drop: Vec<bool> = tuples
         .iter()
@@ -109,21 +115,20 @@ fn subsume(rel: &GenRelation, removed: &mut u64) -> Vec<GenTuple> {
             }
         }
     }
-    let mut kept = Vec::with_capacity(tuples.len());
-    for (i, t) in tuples.iter().enumerate() {
-        if drop[i] {
-            *removed += 1;
-        } else {
-            kept.push(t.clone());
-        }
+    let keep: Vec<usize> = (0..tuples.len()).filter(|&i| !drop[i]).collect();
+    *removed += (tuples.len() - keep.len()) as u64;
+    if keep.len() == tuples.len() {
+        rel.clone()
+    } else {
+        rel.subset(&keep)
     }
-    kept
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::schema::Schema;
+    use crate::tuple::GenTuple;
     use crate::value::Value;
     use itd_constraint::Atom;
     use itd_lrp::Lrp;
@@ -253,6 +258,106 @@ mod tests {
             comp.tuple_count() as u64
         );
         assert_eq!(c.materialize(-24, 24), comp.materialize(-24, 24));
+    }
+
+    #[test]
+    fn lone_unsatisfiable_tuple_is_dropped() {
+        let r = rel(vec![GenTuple::builder()
+            .lrps(vec![lrp(1, 4)])
+            .atoms([Atom::le(0, 0), Atom::ge(0, 5)])
+            .build()
+            .unwrap()]);
+        let ctx = crate::ExecContext::serial();
+        let c = r.compact_in(&ctx).unwrap();
+        assert_eq!(c.tuple_count(), 0);
+        let op = *ctx.stats().op(crate::OpKind::Compact);
+        assert_eq!((op.tuples_subsumed, op.tuples_out), (1, 0));
+    }
+
+    /// The `Compact` counters of `ctx`, wall time scrubbed.
+    fn compact_op(ctx: &crate::ExecContext) -> crate::OpSnapshot {
+        let mut op = *ctx.stats().op(crate::OpKind::Compact);
+        op.nanos = 0;
+        op
+    }
+
+    /// Classes 0, 1, 2 mod 6 and a refinement of 0 mod 6: compaction drops
+    /// the refinement and merges nothing.
+    fn three_classes_and_a_refinement() -> GenRelation {
+        rel(vec![
+            GenTuple::unconstrained(vec![lrp(0, 6)], vec![]),
+            GenTuple::unconstrained(vec![lrp(1, 6)], vec![]),
+            GenTuple::unconstrained(vec![lrp(0, 12)], vec![]),
+            GenTuple::unconstrained(vec![lrp(2, 6)], vec![]),
+        ])
+    }
+
+    #[test]
+    fn memo_hit_shares_the_output_and_replays_counters() {
+        let r = three_classes_and_a_refinement();
+        let cold_ctx = crate::ExecContext::serial();
+        let cold = r.compact_in(&cold_ctx).unwrap();
+        let cold_op = compact_op(&cold_ctx);
+        assert_eq!(
+            (cold_op.calls, cold_op.tuples_in, cold_op.tuples_subsumed),
+            (1, 4, 1)
+        );
+        for threads in [1, 2, 8] {
+            let ctx = crate::ExecContext::with_threads(threads);
+            let warm = r.clone().compact_in(&ctx).unwrap();
+            assert!(std::ptr::eq(warm.store(), cold.store()), "shares the store");
+            assert_eq!(compact_op(&ctx), cold_op, "at {threads} threads");
+        }
+    }
+
+    #[test]
+    fn push_clears_the_memo() {
+        let completing = GenTuple::unconstrained(vec![lrp(3, 6)], vec![]);
+        let ctx = crate::ExecContext::serial();
+        let fresh = |r: &GenRelation| {
+            let ctx = crate::ExecContext::serial();
+            let rebuilt = GenRelation::new(r.schema(), r.rows_slice().to_vec()).unwrap();
+            (rebuilt.compact_in(&ctx).unwrap(), compact_op(&ctx))
+        };
+
+        // Sole owner: the append happens in place and must clear the memo.
+        let mut r = three_classes_and_a_refinement();
+        let before = r.compact_in(&ctx).unwrap();
+        assert_eq!(r.store_strong_count(), 1, "the append is in place");
+        r.push(completing.clone()).unwrap();
+        let after_ctx = crate::ExecContext::serial();
+        let after = r.compact_in(&after_ctx).unwrap();
+        // 0 and 3 mod 6 now complete the family 0 mod 3.
+        assert_eq!(compact_op(&after_ctx).coalesce_merges, 1);
+        assert_ne!(after, before);
+        assert_eq!((after.clone(), compact_op(&after_ctx)), fresh(&r));
+
+        // A copy-on-write clone starts with no memo; the original keeps its.
+        let original = three_classes_and_a_refinement();
+        let first = original.compact_in(&ctx).unwrap();
+        let mut snapshot = original.clone();
+        snapshot.push(completing).unwrap();
+        let cow_ctx = crate::ExecContext::serial();
+        let cow = snapshot.compact_in(&cow_ctx).unwrap();
+        assert_eq!((cow, compact_op(&cow_ctx)), fresh(&snapshot));
+        let again = original.compact_in(&ctx).unwrap();
+        assert!(std::ptr::eq(again.store(), first.store()));
+    }
+
+    #[test]
+    fn already_compact_keeps_no_self_reference() {
+        let r = rel(vec![
+            GenTuple::unconstrained(vec![lrp(0, 4)], vec![]),
+            GenTuple::unconstrained(vec![lrp(1, 6)], vec![]),
+        ]);
+        let ctx = crate::ExecContext::serial();
+        let count = r.store_strong_count();
+        for _ in 0..2 {
+            let c = r.compact_in(&ctx).unwrap();
+            assert!(std::ptr::eq(c.store(), r.store()), "an O(1) snapshot");
+        }
+        assert_eq!(r.store_strong_count(), count, "the memo holds no self-Arc");
+        assert_eq!(compact_op(&ctx).calls, 2);
     }
 
     #[test]

@@ -16,14 +16,112 @@
 //!   period: a complete group has `k/g` members, so only cofactors `k/g`
 //!   up to the member count and only residues some member occupies are
 //!   tried — two classes mod `2⁴⁰` cost as little as two classes mod 4.
+//!
+//! Most relations hold no complete group, so [`coalesce`] first looks for
+//! one directly on the columnar store, grouping row positions by borrowed
+//! keys. Only when a group exists does it copy the tuples and merge; a
+//! relation with nothing to merge costs no clone and no interning.
 
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::{BTreeMap, BTreeSet, HashMap};
+use std::hash::{Hash, Hasher};
 
 use itd_lrp::Lrp;
 
 use crate::relation::GenRelation;
-use crate::tuple::GenTuple;
+use crate::store::{RelStore, ValueId};
+use crate::tuple::{GenTuple, TemporalPart};
 use crate::Result;
+
+/// One row seen as a member of a column-`col` group: rows are equal keys
+/// when they agree on everything but the offset at `col` — the other lrps,
+/// the period at `col`, the constraint system and the data ids (the key
+/// `coalesce_column` builds by cloning, borrowed here from the store).
+struct GroupKey<'a> {
+    part: &'a TemporalPart,
+    data: &'a [Vec<ValueId>],
+    col: usize,
+    row: usize,
+}
+
+impl GroupKey<'_> {
+    fn period(&self) -> i64 {
+        self.part.lrps[self.col].period()
+    }
+
+    fn others(&self) -> (&[Lrp], &[Lrp]) {
+        let lrps = &self.part.lrps;
+        (&lrps[..self.col], &lrps[self.col + 1..])
+    }
+}
+
+impl PartialEq for GroupKey<'_> {
+    fn eq(&self, other: &GroupKey<'_>) -> bool {
+        self.period() == other.period()
+            && self.others() == other.others()
+            && self.data.iter().all(|ids| ids[self.row] == ids[other.row])
+            && self.part.cons == other.part.cons
+    }
+}
+
+impl Eq for GroupKey<'_> {}
+
+impl Hash for GroupKey<'_> {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        self.period().hash(state);
+        self.others().hash(state);
+        for ids in self.data {
+            ids[self.row].hash(state);
+        }
+        self.part.cons.hash(state);
+    }
+}
+
+/// Does some group of `store`'s rows hold a complete residue family on some
+/// column? Exactly when this holds does the first `coalesce_column` pass
+/// merge: before any merge every member is available, so its search (the
+/// same cofactors and residues as here) reaches a complete family unless
+/// an earlier one already merged.
+fn has_complete_family(store: &RelStore) -> bool {
+    let data = store.data_columns();
+    (0..store.schema().temporal()).any(|col| {
+        let mut groups: HashMap<GroupKey<'_>, Vec<i64>> = HashMap::new();
+        for row in 0..store.len() {
+            let part = &**store.part(row);
+            let l = part.lrps[col];
+            if !l.is_point() {
+                groups
+                    .entry(GroupKey {
+                        part,
+                        data,
+                        col,
+                        row,
+                    })
+                    .or_default()
+                    .push(l.offset());
+            }
+        }
+        groups
+            .iter()
+            .any(|(key, offsets)| holds_complete_family(key.period(), offsets))
+    })
+}
+
+/// Do the offsets (of lrps of period `k`) include every class
+/// `c, c+g, …, c+(k/g−1)·g` of some coarser lrp `c + g·n`?
+fn holds_complete_family(k: i64, offsets: &[i64]) -> bool {
+    if offsets.len() < 2 {
+        return false;
+    }
+    let available: BTreeSet<i64> = offsets.iter().copied().collect();
+    let most = available.len() as i64;
+    (2..=most).filter(|q| k % q == 0).any(|classes| {
+        let g = k / classes;
+        let residues: BTreeSet<i64> = available.iter().map(|o| o.rem_euclid(g)).collect();
+        residues
+            .into_iter()
+            .any(|c| (0..classes).all(|j| available.contains(&(c + j * g))))
+    })
+}
 
 /// One coalescing pass over one column; returns `true` if anything merged.
 fn coalesce_column(tuples: &mut Vec<GenTuple>, col: usize) -> Result<bool> {
@@ -105,8 +203,11 @@ fn coalesce_column(tuples: &mut Vec<GenTuple>, col: usize) -> Result<bool> {
 
 /// Coalesces complete groups of residue classes into coarser tuples, across
 /// all columns, to a fixpoint. Returns a semantically equal relation with
-/// at most as many tuples.
-pub(crate) fn coalesce(rel: &GenRelation) -> Result<GenRelation> {
+/// fewer tuples, or `None` when nothing merges.
+pub(crate) fn coalesce(rel: &GenRelation) -> Result<Option<GenRelation>> {
+    if !has_complete_family(rel.store()) {
+        return Ok(None);
+    }
     let mut tuples = rel.rows_slice().to_vec();
     let cols = rel.schema().temporal();
     loop {
@@ -118,7 +219,8 @@ pub(crate) fn coalesce(rel: &GenRelation) -> Result<GenRelation> {
             break;
         }
     }
-    GenRelation::new(rel.schema(), tuples)
+    debug_assert!(tuples.len() < rel.tuple_count(), "a complete family merges");
+    GenRelation::new(rel.schema(), tuples).map(Some)
 }
 
 #[cfg(test)]
@@ -126,9 +228,15 @@ mod tests {
     use super::*;
     use crate::schema::Schema;
     use itd_constraint::Atom;
+    use proptest::prelude::*;
 
     fn lrp(c: i64, k: i64) -> Lrp {
         Lrp::new(c, k).unwrap()
+    }
+
+    /// `coalesce`'s result on a relation that holds a complete family.
+    fn coalesced(rel: &GenRelation) -> GenRelation {
+        coalesce(rel).unwrap().expect("a complete family merges")
     }
 
     #[test]
@@ -152,7 +260,7 @@ mod tests {
             })
             .collect();
         let rel = GenRelation::new(Schema::new(1, 0), refined).unwrap();
-        let coalesced = coalesce(&rel).unwrap();
+        let coalesced = coalesced(&rel);
         assert_eq!(coalesced.tuple_count(), 1);
         assert_eq!(coalesced.rows_slice()[0], original);
     }
@@ -170,7 +278,7 @@ mod tests {
             ],
         )
         .unwrap();
-        let c = coalesce(&rel).unwrap();
+        let c = coalesced(&rel);
         assert_eq!(c.tuple_count(), 2);
         assert_eq!(c.materialize(-30, 30), rel.materialize(-30, 30));
         assert!(c.rows_slice().iter().any(|t| t.lrps()[0] == lrp(1, 6)));
@@ -195,8 +303,7 @@ mod tests {
             ],
         )
         .unwrap();
-        let c = coalesce(&rel).unwrap();
-        assert_eq!(c.tuple_count(), 2);
+        assert!(coalesce(&rel).unwrap().is_none());
     }
 
     #[test]
@@ -211,7 +318,7 @@ mod tests {
         }
         let rel = GenRelation::new(Schema::new(2, 0), tuples).unwrap();
         assert_eq!(rel.tuple_count(), 4);
-        let c = coalesce(&rel).unwrap();
+        let c = coalesced(&rel);
         assert_eq!(c.tuple_count(), 1);
         assert_eq!(c.rows_slice()[0].lrps(), &[lrp(0, 2), lrp(1, 3)]);
     }
@@ -228,7 +335,7 @@ mod tests {
             ],
         )
         .unwrap();
-        let c = coalesce(&rel).unwrap();
+        let c = coalesced(&rel);
         assert_eq!(c.tuple_count(), 1);
         assert_eq!(c.rows_slice()[0].lrps()[0], Lrp::all());
     }
@@ -249,7 +356,7 @@ mod tests {
         let comp = r
             .complement_temporal_in(&crate::ExecContext::serial())
             .unwrap();
-        let c = coalesce(&comp).unwrap();
+        let c = coalesced(&comp);
         assert!(
             c.tuple_count() < comp.tuple_count(),
             "{} < {}",
@@ -270,8 +377,8 @@ mod tests {
             ],
         )
         .unwrap();
-        let c = coalesce(&rel).unwrap();
-        assert_eq!(c.tuple_count(), 3); // data values differ; the point is skipped
+        // Data values differ; the point is skipped.
+        assert!(coalesce(&rel).unwrap().is_none());
     }
 
     #[test]
@@ -290,5 +397,65 @@ mod tests {
         let (c, report) = crate::compact::compact_relation(&rel).unwrap();
         assert_eq!(c.tuple_count(), 2);
         assert_eq!(report.merges, 0);
+    }
+
+    /// One seed of a random relation: a base lrp `c + g·n` on one of two
+    /// columns, refined by `factor` (Lemma 3.1) with possibly one class
+    /// left out, next to a shared other-column lrp (or point), a datum and
+    /// a constraint choice.
+    type Seed = ((i64, i64), (usize, i64, u8), (i64, i64, u8), u8);
+
+    fn seed() -> impl Strategy<Value = Seed> {
+        (
+            (0i64..12, 1i64..=6),
+            (0usize..2, 1i64..=4, 0u8..2),
+            (0i64..6, 0i64..=3, 0u8..2),
+            0u8..3,
+        )
+    }
+
+    fn seeded_rows(seeds: &[Seed]) -> Vec<GenTuple> {
+        let mut rows = Vec::new();
+        for &((c, g), (col, factor, leave_out), (oc, ok, datum), cons) in seeds {
+            let mut classes = lrp(c, g).refine_to_period(g * factor).unwrap();
+            if leave_out == 1 && classes.len() > 1 {
+                classes.pop();
+            }
+            let other = if ok == 0 { Lrp::point(oc) } else { lrp(oc, ok) };
+            for class in classes {
+                let mut lrps = vec![other, other];
+                lrps[col] = class;
+                let atoms = match cons {
+                    0 => vec![],
+                    1 => vec![Atom::ge(0, -3)],
+                    _ => vec![Atom::diff_le(0, 1, 2)],
+                };
+                rows.push(
+                    GenTuple::builder()
+                        .lrps(lrps)
+                        .atoms(atoms)
+                        .data(vec![crate::Value::Int(i64::from(datum))])
+                        .build()
+                        .unwrap(),
+                );
+            }
+        }
+        rows
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// The columnar family test is exact: it holds iff the first pass
+        /// of `coalesce_column` over the columns merges something.
+        #[test]
+        fn family_test_agrees_with_coalescing(seeds in proptest::collection::vec(seed(), 1..6)) {
+            let rows = seeded_rows(&seeds);
+            let rel = GenRelation::new(Schema::new(2, 1), rows.clone()).unwrap();
+            let mut tuples = rows;
+            let merges = (0..2).any(|col| coalesce_column(&mut tuples, col).unwrap());
+            prop_assert_eq!(has_complete_family(rel.store()), merges);
+            prop_assert_eq!(coalesce(&rel).unwrap().is_some(), merges);
+        }
     }
 }

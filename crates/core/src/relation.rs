@@ -149,6 +149,12 @@ impl GenRelation {
         &self.store
     }
 
+    /// How many relations and memos share this relation's store.
+    #[cfg(test)]
+    pub(crate) fn store_strong_count(&self) -> usize {
+        Arc::strong_count(&self.store)
+    }
+
     /// Cursor iteration over the rows as [`RowRef`] views.
     pub fn rows(&self) -> Rows<'_> {
         Rows::new(&self.store)
@@ -447,11 +453,16 @@ impl GenRelation {
             .collect();
         timer.add_pruned((lt.len() - keep.len()) as u64);
         timer.add_out(keep.len());
-        // Positional column copy: the surviving rows keep their interned
-        // ids, nothing is re-hashed.
+        self.subset(&keep)
+    }
+
+    /// The rows at positions `keep`, in that order: a positional column
+    /// copy in which the rows keep their interned ids and nothing is
+    /// re-hashed.
+    pub(crate) fn subset(&self, keep: &[usize]) -> GenRelation {
         GenRelation {
             schema: self.schema,
-            store: Arc::new(self.store.select(&keep)),
+            store: Arc::new(self.store.select(keep)),
         }
     }
 
@@ -657,12 +668,26 @@ impl GenRelation {
     /// `tuples_subsumed + coalesce_merges + tuples_out == tuples_in`
     /// per call.
     ///
+    /// A store is compacted at most once: the result and its counters are
+    /// memoized on the store, and a later call on any snapshot of it
+    /// returns a relation sharing the first output's store and replays the
+    /// same counters (only the wall time differs). An already-compact
+    /// relation compacts to an `O(1)` snapshot of itself.
+    ///
     /// # Errors
     /// Arithmetic failures while rebuilding lrps.
     pub fn compact_in(&self, ctx: &ExecContext) -> Result<GenRelation> {
         let timer = ctx.timed(OpKind::Compact);
         timer.add_in(self.store.len());
-        let (out, report) = crate::compact::compact_relation(self)?;
+        let (store, report) = self.store.compacted(|| {
+            let (out, report) = crate::compact::compact_relation(self)?;
+            let changed = !Arc::ptr_eq(&out.store, &self.store);
+            Ok((changed.then_some(out.store), report))
+        })?;
+        let out = GenRelation {
+            schema: self.schema,
+            store: Arc::clone(store.as_ref().unwrap_or(&self.store)),
+        };
         timer.add_subsumed(report.subsumed);
         timer.add_merges(report.merges);
         timer.add_out(out.tuple_count());

@@ -27,6 +27,12 @@
 //! Row-oriented access stays available through the [`Rows`] cursor /
 //! [`RowRef`] view API and a lazily materialized row cache (`OnceLock`)
 //! — materialization happens at most once per store, not per call.
+//!
+//! Compaction follows the same one-cache-per-fact rule: a store memoizes
+//! what compacting it produced (see
+//! [`GenRelation::compact_in`](crate::GenRelation::compact_in)), so a
+//! store is compacted at most once. Only an in-place append changes a
+//! store's rows, and it clears the memo.
 
 use std::collections::HashMap;
 use std::fmt;
@@ -37,6 +43,7 @@ use std::sync::{Arc, Mutex, OnceLock};
 use itd_constraint::ConstraintSystem;
 use itd_lrp::Lrp;
 
+use crate::compact::CompactReport;
 use crate::index::RelationIndex;
 use crate::metrics::{Family, Kind};
 use crate::schema::Schema;
@@ -457,6 +464,11 @@ impl fmt::Display for StorageStats {
 /// was built over.
 type IndexKey = (Vec<usize>, Vec<usize>);
 
+/// What compacting a store produced: the compacted store, or `None` when
+/// compaction removes nothing (the output is the store itself, and an
+/// `Arc` to itself would be a cycle that leaks it), plus what it removed.
+pub(crate) type Compacted = (Option<Arc<RelStore>>, CompactReport);
+
 /// The columnar backing store of one relation. Immutable once shared
 /// (relations append through `Arc::get_mut` or copy-on-write).
 pub(crate) struct RelStore {
@@ -475,6 +487,8 @@ pub(crate) struct RelStore {
     rows: OnceLock<Vec<GenTuple>>,
     /// Persistent residue indexes by column set.
     indexes: Mutex<HashMap<IndexKey, Arc<RelationIndex>>>,
+    /// The compaction result, memoized on first use.
+    compacted: OnceLock<Compacted>,
 }
 
 impl fmt::Debug for RelStore {
@@ -483,6 +497,7 @@ impl fmt::Debug for RelStore {
             .field("schema", &self.schema)
             .field("len", &self.part_ids.len())
             .field("rows_cached", &self.rows.get().is_some())
+            .field("compacted", &self.compacted.get().is_some())
             .finish()
     }
 }
@@ -541,6 +556,7 @@ impl RelStore {
             data,
             rows,
             indexes: Mutex::new(HashMap::new()),
+            compacted: OnceLock::new(),
         }
     }
 
@@ -596,6 +612,7 @@ impl RelStore {
             data,
             rows,
             indexes: Mutex::new(HashMap::new()),
+            compacted: OnceLock::new(),
         }
     }
 
@@ -627,6 +644,7 @@ impl RelStore {
             data,
             rows,
             indexes: Mutex::new(HashMap::new()),
+            compacted: OnceLock::new(),
         }
     }
 
@@ -648,15 +666,17 @@ impl RelStore {
             data: self.data.clone(),
             rows,
             indexes: Mutex::new(indexes),
+            compacted: OnceLock::new(),
         }
     }
 
     /// Appends one schema-checked row. Cached indexes are extended in
     /// place when the new row preserves their moduli and dropped (precise
     /// invalidation) when it does not; the row cache is extended only if
-    /// already materialized.
+    /// already materialized; the compaction memo is cleared.
     pub(crate) fn push_row(&mut self, mut t: GenTuple) {
         debug_assert_eq!(t.schema(), self.schema);
+        self.compacted.take();
         let (id, part) = {
             let mut inner = parts().lock().expect("part arena poisoned");
             intern_part(&mut inner, t.part_arc())
@@ -752,6 +772,20 @@ impl RelStore {
                 .map(|(part, data)| GenTuple::from_part(Arc::clone(part), data))
                 .collect()
         })
+    }
+
+    /// The memoized compaction result, computed by `compact` on first use.
+    /// Concurrent first uses may both compute; they produce equal results
+    /// and all callers see the one that was stored.
+    pub(crate) fn compacted(
+        &self,
+        compact: impl FnOnce() -> crate::Result<Compacted>,
+    ) -> crate::Result<&Compacted> {
+        if let Some(memo) = self.compacted.get() {
+            return Ok(memo);
+        }
+        let memo = compact()?;
+        Ok(self.compacted.get_or_init(|| memo))
     }
 
     /// The persistent residue index over the given column sets: built on
