@@ -30,10 +30,10 @@
 //! The pass costs only what it removes. Kept rows are selected from the
 //! input store (their interned ids are copied, nothing is re-interned),
 //! and a pass that removes nothing returns an `O(1)` snapshot of its
-//! input. Coalescing first checks the columnar store for a complete
-//! family and copies no tuple when there is none. Each store is compacted
-//! at most once: [`GenRelation::compact_in`] memoizes the result on the
-//! store and replays its counters on later calls.
+//! input. Coalescing copies no tuple when a pass over every column merges
+//! nothing. Each store is compacted at most once:
+//! [`GenRelation::compact_in`] memoizes the result on the store and
+//! replays its counters on later calls.
 //!
 //! The pass is deliberately serial: it is near-linear thanks to the
 //! bucketing, and a serial pass is trivially bit-identical at any thread

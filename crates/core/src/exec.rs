@@ -3,13 +3,15 @@
 //! An [`ExecContext`] carries two things through the relation-level
 //! operators ([`GenRelation::intersect_in`] and friends):
 //!
-//! * a **thread budget** — the embarrassingly-parallel pairwise tuple work
-//!   of intersection, difference, product, join, projection and
-//!   normalization is fanned out over [`std::thread::scope`] workers.
-//!   Work is split into *contiguous chunks of the outer tuple index
-//!   space* and the per-chunk outputs are concatenated in chunk order, so
-//!   the result is **bit-identical at any thread count** (and identical
-//!   to the serial path);
+//! * a **thread budget** — the embarrassingly-parallel work of
+//!   intersection, difference, product, join, projection, normalization
+//!   and complement's `k^m` extension walk is fanned out over
+//!   [`std::thread::scope`] workers by one function, `run_chunked_range`.
+//!   Work is split into *contiguous chunks of an index space* (outer
+//!   tuples, or complement's extensions) and the per-chunk outputs are
+//!   concatenated in chunk order, so the result is **bit-identical at any
+//!   thread count** (and identical to the serial path). The cancellation
+//!   token is polled before every index;
 //! * **per-operator counters** ([`OpSnapshot`]) — tuples in/out,
 //!   candidate pairs examined, empty tuples pruned, constraint atoms
 //!   rewritten, the largest common period encountered, and wall time.
@@ -763,67 +765,42 @@ impl ViewRefreshScope<'_> {
     }
 }
 
-/// Applies `f` to every item, concatenating the outputs **in item order**,
-/// fanning the work over up to `threads` scoped workers.
+/// Applies `f` to every index in `0..n`, concatenating the outputs **in
+/// index order**, fanning the work over up to `threads` scoped workers.
+/// This is the algebra's only fan-out.
 ///
-/// Determinism: items are split into contiguous chunks, each worker
-/// processes its chunk left to right, and chunk outputs are concatenated
-/// in chunk order — exactly the serial output, at any thread count. On
-/// failure the reported error is the one a serial run would hit first
-/// (first failing item of the first failing chunk; earlier chunks hold
-/// earlier items, and within its chunk a worker stops at its first error).
-/// [`run_chunked`] over the row indices `0..n`: chunk boundaries depend
-/// only on the length and thread count, so a columnar caller that never
-/// materializes rows splits work (and concatenates outputs) exactly like
-/// a row-slice caller of the same length — the bit-identity argument
-/// carries over unchanged.
+/// Determinism: `0..n` is split into contiguous ranges of
+/// `⌈n / workers⌉` indices, each worker processes its range left to
+/// right, and range outputs are concatenated in range order — exactly the
+/// serial output, at any thread count. The boundaries depend only on `n`
+/// and the thread count. On failure the reported error is the one a
+/// serial run would hit first (first failing index of the first failing
+/// range; earlier ranges hold earlier indices, and within its range a
+/// worker stops at its first error). The cancellation token is polled
+/// before every index.
 pub(crate) fn run_chunked_range<U, F>(ctx: &ExecContext, n: usize, f: F) -> Result<Vec<U>>
 where
     U: Send,
     F: Fn(usize) -> Result<Vec<U>> + Sync,
 {
-    let indices: Vec<usize> = (0..n).collect();
-    run_chunked(ctx, &indices, |&i| f(i))
-}
-
-pub(crate) fn run_chunked<T, U, F>(ctx: &ExecContext, items: &[T], f: F) -> Result<Vec<U>>
-where
-    T: Sync,
-    U: Send,
-    F: Fn(&T) -> Result<Vec<U>> + Sync,
-{
-    let cancel = ctx.cancel.as_deref();
-    let check = |token: Option<&CancelToken>| -> Result<()> {
-        match token {
-            Some(t) if t.is_cancelled() => Err(crate::CoreError::Cancelled),
-            _ => Ok(()),
-        }
-    };
-    let workers = ctx.threads.min(items.len());
-    if workers <= 1 {
+    let run = |range: std::ops::Range<usize>| -> Result<Vec<U>> {
         let mut out = Vec::new();
-        for item in items {
-            check(cancel)?;
-            out.extend(f(item)?);
+        for i in range {
+            ctx.check_cancelled()?;
+            out.extend(f(i)?);
         }
-        return Ok(out);
+        Ok(out)
+    };
+    let workers = ctx.threads.min(n);
+    if workers <= 1 {
+        return run(0..n);
     }
-    let chunk_len = items.len().div_ceil(workers);
-    let f = &f;
-    let check = &check;
+    let chunk_len = n.div_ceil(workers);
+    let run = &run;
     let per_chunk: Vec<Result<Vec<U>>> = thread::scope(|scope| {
-        let handles: Vec<_> = items
-            .chunks(chunk_len)
-            .map(|chunk| {
-                scope.spawn(move || {
-                    let mut out = Vec::new();
-                    for item in chunk {
-                        check(cancel)?;
-                        out.extend(f(item)?);
-                    }
-                    Ok(out)
-                })
-            })
+        let handles: Vec<_> = (0..n)
+            .step_by(chunk_len)
+            .map(|start| scope.spawn(move || run(start..n.min(start + chunk_len))))
             .collect();
         handles
             .into_iter()
@@ -835,6 +812,16 @@ where
         out.extend(r?);
     }
     Ok(out)
+}
+
+/// [`run_chunked_range`] over the items of a slice.
+pub(crate) fn run_chunked<T, U, F>(ctx: &ExecContext, items: &[T], f: F) -> Result<Vec<U>>
+where
+    T: Sync,
+    U: Send,
+    F: Fn(&T) -> Result<Vec<U>> + Sync,
+{
+    run_chunked_range(ctx, items.len(), |i| f(&items[i]))
 }
 
 #[cfg(test)]

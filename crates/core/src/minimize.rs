@@ -17,139 +17,51 @@
 //!   up to the member count and only residues some member occupies are
 //!   tried — two classes mod `2⁴⁰` cost as little as two classes mod 4.
 //!
-//! Most relations hold no complete group, so [`coalesce`] first looks for
-//! one directly on the columnar store, grouping row positions by borrowed
-//! keys. Only when a group exists does it copy the tuples and merge; a
-//! relation with nothing to merge costs no clone and no interning.
+//! Groups are keyed by the row's other lrps, constraint system and data,
+//! all borrowed from the input rows, and there is one search. Most
+//! relations hold no complete group; then a pass over every column merges
+//! nothing, and [`coalesce`] returns `None` having copied no tuple.
 
-use std::collections::{BTreeMap, BTreeSet, HashMap};
-use std::hash::{Hash, Hasher};
+use std::borrow::Cow;
+use std::collections::{BTreeMap, BTreeSet};
 
+use itd_constraint::ConstraintSystem;
 use itd_lrp::Lrp;
 
 use crate::relation::GenRelation;
-use crate::store::{RelStore, ValueId};
-use crate::tuple::{GenTuple, TemporalPart};
+use crate::tuple::GenTuple;
+use crate::value::Value;
 use crate::Result;
 
-/// One row seen as a member of a column-`col` group: rows are equal keys
-/// when they agree on everything but the offset at `col` — the other lrps,
-/// the period at `col`, the constraint system and the data ids (the key
-/// `coalesce_column` builds by cloning, borrowed here from the store).
-struct GroupKey<'a> {
-    part: &'a TemporalPart,
-    data: &'a [Vec<ValueId>],
-    col: usize,
-    row: usize,
-}
-
-impl GroupKey<'_> {
-    fn period(&self) -> i64 {
-        self.part.lrps[self.col].period()
-    }
-
-    fn others(&self) -> (&[Lrp], &[Lrp]) {
-        let lrps = &self.part.lrps;
-        (&lrps[..self.col], &lrps[self.col + 1..])
-    }
-}
-
-impl PartialEq for GroupKey<'_> {
-    fn eq(&self, other: &GroupKey<'_>) -> bool {
-        self.period() == other.period()
-            && self.others() == other.others()
-            && self.data.iter().all(|ids| ids[self.row] == ids[other.row])
-            && self.part.cons == other.part.cons
-    }
-}
-
-impl Eq for GroupKey<'_> {}
-
-impl Hash for GroupKey<'_> {
-    fn hash<H: Hasher>(&self, state: &mut H) {
-        self.period().hash(state);
-        self.others().hash(state);
-        for ids in self.data {
-            ids[self.row].hash(state);
-        }
-        self.part.cons.hash(state);
-    }
-}
-
-/// Does some group of `store`'s rows hold a complete residue family on some
-/// column? Exactly when this holds does the first `coalesce_column` pass
-/// merge: before any merge every member is available, so its search (the
-/// same cofactors and residues as here) reaches a complete family unless
-/// an earlier one already merged.
-fn has_complete_family(store: &RelStore) -> bool {
-    let data = store.data_columns();
-    (0..store.schema().temporal()).any(|col| {
-        let mut groups: HashMap<GroupKey<'_>, Vec<i64>> = HashMap::new();
-        for row in 0..store.len() {
-            let part = &**store.part(row);
-            let l = part.lrps[col];
-            if !l.is_point() {
-                groups
-                    .entry(GroupKey {
-                        part,
-                        data,
-                        col,
-                        row,
-                    })
-                    .or_default()
-                    .push(l.offset());
-            }
-        }
-        groups
-            .iter()
-            .any(|(key, offsets)| holds_complete_family(key.period(), offsets))
-    })
-}
-
-/// Do the offsets (of lrps of period `k`) include every class
-/// `c, c+g, …, c+(k/g−1)·g` of some coarser lrp `c + g·n`?
-fn holds_complete_family(k: i64, offsets: &[i64]) -> bool {
-    if offsets.len() < 2 {
-        return false;
-    }
-    let available: BTreeSet<i64> = offsets.iter().copied().collect();
-    let most = available.len() as i64;
-    (2..=most).filter(|q| k % q == 0).any(|classes| {
-        let g = k / classes;
-        let residues: BTreeSet<i64> = available.iter().map(|o| o.rem_euclid(g)).collect();
-        residues
-            .into_iter()
-            .any(|c| (0..classes).all(|j| available.contains(&(c + j * g))))
-    })
-}
-
-/// One coalescing pass over one column; returns `true` if anything merged.
-fn coalesce_column(tuples: &mut Vec<GenTuple>, col: usize) -> Result<bool> {
-    // Group by everything except the lrp at `col`.
-    type Key = (
-        Vec<Lrp>,
-        itd_constraint::ConstraintSystem,
-        Vec<crate::Value>,
-    );
+/// One coalescing pass over one column: the tuples with every complete
+/// family replaced by its coarser tuple (survivors in order, merged tuples
+/// appended), or `None` when nothing merges.
+fn coalesce_column(tuples: &[GenTuple], col: usize) -> Result<Option<Vec<GenTuple>>> {
+    // Group by everything except the lrp at `col`: the lrps before and
+    // after it, the constraints and the data.
+    type Key<'a> = (&'a [Lrp], &'a [Lrp], &'a ConstraintSystem, &'a [Value]);
     /// Offset, period and tuple index of one group member.
     type Member = (i64, i64, usize);
-    let mut groups: BTreeMap<Key, Vec<Member>> = BTreeMap::new();
+    let mut groups: BTreeMap<Key<'_>, Vec<Member>> = BTreeMap::new();
     for (idx, t) in tuples.iter().enumerate() {
         let l = t.lrps()[col];
         if l.is_point() {
             continue;
         }
-        let mut rest = t.lrps().to_vec();
-        rest.remove(col);
-        let key: Key = (rest, t.constraints().clone(), t.data().to_vec());
+        let key = (
+            &t.lrps()[..col],
+            &t.lrps()[col + 1..],
+            t.constraints(),
+            t.data(),
+        );
         groups
             .entry(key)
             .or_default()
             .push((l.offset(), l.period(), idx));
     }
 
-    let mut to_remove: Vec<usize> = Vec::new();
-    let mut to_add: Vec<GenTuple> = Vec::new();
+    let mut removed = vec![false; tuples.len()];
+    let mut added: Vec<GenTuple> = Vec::new();
     for (_, members) in groups {
         // Only merge among members with one common period.
         let mut by_period: BTreeMap<i64, Vec<(i64, usize)>> = BTreeMap::new();
@@ -157,8 +69,7 @@ fn coalesce_column(tuples: &mut Vec<GenTuple>, col: usize) -> Result<bool> {
             by_period.entry(period).or_default().push((offset, idx));
         }
         for (k, offs) in by_period {
-            let mut available: BTreeMap<i64, usize> =
-                offs.iter().map(|&(o, idx)| (o, idx)).collect();
+            let mut available: BTreeMap<i64, usize> = offs.into_iter().collect();
             // A complete group `c, c+g, …, c+(k/g−1)·g` has `k/g` members,
             // so only cofactors `k/g` up to the member count can merge;
             // the coarsest `g` (largest cofactor) is tried first.
@@ -169,58 +80,62 @@ fn coalesce_column(tuples: &mut Vec<GenTuple>, col: usize) -> Result<bool> {
                 // some member occupies can complete, in ascending order.
                 let residues: BTreeSet<i64> = available.keys().map(|o| o.rem_euclid(g)).collect();
                 for c in residues {
-                    let wanted: Vec<i64> = (0..classes).map(|j| c + j * g).collect();
-                    if wanted.iter().all(|o| available.contains_key(o)) {
-                        let mut removed_idxs = Vec::with_capacity(wanted.len());
-                        for o in &wanted {
-                            removed_idxs.push(available.remove(o).expect("checked"));
-                        }
-                        // Build the coarser tuple from the first member.
-                        let template = &tuples[removed_idxs[0]];
-                        let mut lrps = template.lrps().to_vec();
-                        lrps[col] = Lrp::new(c, g)?;
-                        to_add.push(GenTuple::from_parts(
-                            lrps,
-                            template.constraints().clone(),
-                            template.data().to_vec(),
-                        )?);
-                        to_remove.extend(removed_idxs);
+                    if !(0..classes).all(|j| available.contains_key(&(c + j * g))) {
+                        continue;
+                    }
+                    let family: Vec<usize> = (0..classes)
+                        .map(|j| available.remove(&(c + j * g)).expect("checked"))
+                        .collect();
+                    // Build the coarser tuple from the first member.
+                    let template = &tuples[family[0]];
+                    let mut lrps = template.lrps().to_vec();
+                    lrps[col] = Lrp::new(c, g)?;
+                    added.push(GenTuple::from_parts(
+                        lrps,
+                        template.constraints().clone(),
+                        template.data().to_vec(),
+                    )?);
+                    for idx in family {
+                        removed[idx] = true;
                     }
                 }
             }
         }
     }
-    if to_remove.is_empty() {
-        return Ok(false);
+    if added.is_empty() {
+        return Ok(None);
     }
-    to_remove.sort_unstable();
-    for idx in to_remove.into_iter().rev() {
-        tuples.remove(idx);
-    }
-    tuples.extend(to_add);
-    Ok(true)
+    let mut out: Vec<GenTuple> = tuples
+        .iter()
+        .zip(&removed)
+        .filter(|(_, &gone)| !gone)
+        .map(|(t, _)| t.clone())
+        .collect();
+    out.extend(added);
+    Ok(Some(out))
 }
 
 /// Coalesces complete groups of residue classes into coarser tuples, across
 /// all columns, to a fixpoint. Returns a semantically equal relation with
 /// fewer tuples, or `None` when nothing merges.
 pub(crate) fn coalesce(rel: &GenRelation) -> Result<Option<GenRelation>> {
-    if !has_complete_family(rel.store()) {
-        return Ok(None);
-    }
-    let mut tuples = rel.rows_slice().to_vec();
-    let cols = rel.schema().temporal();
+    let mut tuples = Cow::Borrowed(rel.rows_slice());
     loop {
         let mut changed = false;
-        for col in 0..cols {
-            changed |= coalesce_column(&mut tuples, col)?;
+        for col in 0..rel.schema().temporal() {
+            if let Some(merged) = coalesce_column(&tuples, col)? {
+                tuples = Cow::Owned(merged);
+                changed = true;
+            }
         }
         if !changed {
             break;
         }
     }
-    debug_assert!(tuples.len() < rel.tuple_count(), "a complete family merges");
-    GenRelation::new(rel.schema(), tuples).map(Some)
+    match tuples {
+        Cow::Borrowed(_) => Ok(None),
+        Cow::Owned(tuples) => GenRelation::new(rel.schema(), tuples).map(Some),
+    }
 }
 
 #[cfg(test)]
@@ -443,19 +358,65 @@ mod tests {
         rows
     }
 
+    /// Do the offsets (of lrps of period `k`) include every class
+    /// `c, c+g, …, c+(k/g−1)·g` of some coarser lrp `c + g·n`?
+    fn holds_complete_family(k: i64, offsets: &[i64]) -> bool {
+        if offsets.len() < 2 {
+            return false;
+        }
+        let available: BTreeSet<i64> = offsets.iter().copied().collect();
+        let most = available.len() as i64;
+        (2..=most).filter(|q| k % q == 0).any(|classes| {
+            let g = k / classes;
+            let residues: BTreeSet<i64> = available.iter().map(|o| o.rem_euclid(g)).collect();
+            residues
+                .into_iter()
+                .any(|c| (0..classes).all(|j| available.contains(&(c + j * g))))
+        })
+    }
+
+    /// Brute-force oracle: do the rows that agree with some row on
+    /// everything but one column's offset hold a complete family there?
+    fn has_complete_family(rows: &[GenTuple]) -> bool {
+        let cols = rows.first().map_or(0, |t| t.lrps().len());
+        (0..cols).any(|col| {
+            let others = |t: &GenTuple| {
+                let lrps = t.lrps();
+                (
+                    lrps[col].period(),
+                    lrps[..col].to_vec(),
+                    lrps[col + 1..].to_vec(),
+                    t.constraints().clone(),
+                    t.data().to_vec(),
+                )
+            };
+            rows.iter().filter(|t| !t.lrps()[col].is_point()).any(|t| {
+                let offsets: Vec<i64> = rows
+                    .iter()
+                    .filter(|u| others(u) == others(t))
+                    .map(|u| u.lrps()[col].offset())
+                    .collect();
+                holds_complete_family(t.lrps()[col].period(), &offsets)
+            })
+        })
+    }
+
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(256))]
 
-        /// The columnar family test is exact: it holds iff the first pass
-        /// of `coalesce_column` over the columns merges something.
+        /// Coalescing merges exactly when the oracle finds a complete
+        /// family, and then leaves none and keeps the denotation.
         #[test]
         fn family_test_agrees_with_coalescing(seeds in proptest::collection::vec(seed(), 1..6)) {
-            let rows = seeded_rows(&seeds);
-            let rel = GenRelation::new(Schema::new(2, 1), rows.clone()).unwrap();
-            let mut tuples = rows;
-            let merges = (0..2).any(|col| coalesce_column(&mut tuples, col).unwrap());
-            prop_assert_eq!(has_complete_family(rel.store()), merges);
-            prop_assert_eq!(coalesce(&rel).unwrap().is_some(), merges);
+            let rel = GenRelation::new(Schema::new(2, 1), seeded_rows(&seeds)).unwrap();
+            match coalesce(&rel).unwrap() {
+                None => prop_assert!(!has_complete_family(rel.rows_slice())),
+                Some(c) => {
+                    prop_assert!(has_complete_family(rel.rows_slice()));
+                    prop_assert!(!has_complete_family(c.rows_slice()));
+                    prop_assert_eq!(c.materialize(-12, 12), rel.materialize(-12, 12));
+                }
+            }
         }
     }
 }

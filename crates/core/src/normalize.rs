@@ -10,7 +10,7 @@
 //!
 //! Normalization follows the paper's five steps:
 //! 1. refine every infinite lrp to the common period `k = lcm(kᵢ)`
-//!    (Lemma 3.1, [`itd_lrp::Lrp::refine_to_period`]);
+//!    (Lemma 3.1, the lazy form of [`itd_lrp::Lrp::refine_to_period`]);
 //! 2. take the cross product of the refined classes, copying constraints;
 //! 3. substitute the lrp anchors into the constraints (here: the
 //!    [`ConstraintSystem::to_grid`] transform);
@@ -18,6 +18,16 @@
 //!    system detects them as negative cycles);
 //! 5. round remaining constants onto the grid (`to_grid`'s floor division,
 //!    mapped back by [`ConstraintSystem::from_grid`]).
+//!
+//! Steps 1–2 are one enumeration, [`ResidueWalk`]: it computes each
+//! combination of refined classes when it reaches it and never collects a
+//! column's `k/kᵢ` classes. It serves normalization, exact emptiness
+//! ([`is_nonempty`], which stops at the first grid-satisfiable combination)
+//! and the complement's refinement to the database period. Both
+//! normalization and emptiness are bounded by [`DEFAULT_NORMALIZE_LIMIT`]
+//! combinations: normalization checks `Π k/kᵢ` before it starts, emptiness
+//! gives up after that many combinations without a hit, and either ends in
+//! [`CoreError::TooManyExtensions`] rather than an unbounded walk.
 
 use itd_constraint::{Atom, ConstraintSystem};
 use itd_lrp::Lrp;
@@ -26,8 +36,9 @@ use crate::error::CoreError;
 use crate::tuple::GenTuple;
 use crate::Result;
 
-/// Default ceiling on the number of tuples normalization may produce
-/// (`Π k/kᵢ` can explode when periods are unrelated — Appendix A.1).
+/// Default ceiling on the refined combinations normalization and exact
+/// emptiness may enumerate (`Π k/kᵢ` can explode when periods are
+/// unrelated — Appendix A.1).
 pub const DEFAULT_NORMALIZE_LIMIT: u64 = 1 << 20;
 
 /// If all infinite lrps share one period, returns it (`1` when every
@@ -49,14 +60,14 @@ pub(crate) fn single_period(lrps: &[Lrp]) -> Option<i64> {
 
 /// Anchor of each attribute: the canonical offset for an infinite lrp, the
 /// value itself for a point.
-fn anchors(lrps: &[Lrp]) -> Vec<i64> {
+pub(crate) fn anchors(lrps: &[Lrp]) -> Vec<i64> {
     lrps.iter().map(Lrp::offset).collect()
 }
 
 /// The tuple's constraints augmented with `Xi = c` for each point attribute
 /// (pinning the grid coordinate of constants so that grid reasoning sees
 /// them).
-fn augmented_cons(t: &GenTuple) -> Result<ConstraintSystem> {
+pub(crate) fn augmented_cons(t: &GenTuple) -> Result<ConstraintSystem> {
     let mut cons = t.constraints().clone();
     for (i, l) in t.lrps().iter().enumerate() {
         if l.is_point() {
@@ -64,6 +75,99 @@ fn augmented_cons(t: &GenTuple) -> Result<ConstraintSystem> {
         }
     }
     Ok(cons)
+}
+
+/// Lazy walk over the refined residue classes of a row of lrps at a
+/// common period `k` (Lemma 3.1): an infinite column of period `kᵢ` ranges
+/// over its `k/kᵢ` classes `offset + j·kᵢ (mod k)`, a point stays itself,
+/// and the combinations come in mixed-radix order with the last column
+/// fastest. Each class is computed when the counter reaches it, so the
+/// walk holds one combination, never a column's classes.
+pub(crate) struct ResidueWalk {
+    k: i64,
+    limit: u64,
+    visited: u64,
+    /// Per column: the first class, the step between classes (the lrp's
+    /// period) and the number of classes (`1` for a point).
+    first: Vec<Lrp>,
+    radix: Vec<(i64, i64)>,
+    idx: Vec<i64>,
+    current: Vec<Lrp>,
+}
+
+impl ResidueWalk {
+    /// A walk of `lrps` at period `k`, a multiple of every infinite
+    /// period, that errs instead of visiting more than `limit`
+    /// combinations.
+    pub(crate) fn new(lrps: &[Lrp], k: i64, limit: u64) -> Result<ResidueWalk> {
+        let mut first = Vec::with_capacity(lrps.len());
+        let mut radix = Vec::with_capacity(lrps.len());
+        for l in lrps {
+            if l.is_point() {
+                first.push(*l);
+                radix.push((0, 1));
+            } else {
+                debug_assert_eq!(k % l.period(), 0, "k is a common period");
+                first.push(Lrp::new(l.offset(), k)?);
+                radix.push((l.period(), k / l.period()));
+            }
+        }
+        Ok(ResidueWalk {
+            k,
+            limit,
+            visited: 0,
+            idx: vec![0; lrps.len()],
+            current: first.clone(),
+            first,
+            radix,
+        })
+    }
+
+    /// The number of combinations, `Π k/kᵢ` (saturating).
+    pub(crate) fn combos(&self) -> u64 {
+        self.radix
+            .iter()
+            .fold(1, |n, &(_, count)| n.saturating_mul(count as u64))
+    }
+
+    /// The error for a walk longer than its limit.
+    fn too_many(&self) -> CoreError {
+        CoreError::TooManyExtensions {
+            period: self.k,
+            arity: self.current.len(),
+            limit: self.limit,
+        }
+    }
+
+    /// The next combination, or `None` after the last.
+    ///
+    /// # Errors
+    /// [`CoreError::TooManyExtensions`] in place of combination
+    /// `limit + 1`; arithmetic errors.
+    pub(crate) fn next(&mut self) -> Result<Option<&[Lrp]>> {
+        if self.visited > 0 {
+            let mut pos = self.current.len();
+            loop {
+                if pos == 0 {
+                    return Ok(None);
+                }
+                pos -= 1;
+                let (step, count) = self.radix[pos];
+                self.idx[pos] += 1;
+                if self.idx[pos] < count {
+                    self.current[pos] = Lrp::new(self.current[pos].offset() + step, self.k)?;
+                    break;
+                }
+                self.idx[pos] = 0;
+                self.current[pos] = self.first[pos];
+            }
+        }
+        if self.visited == self.limit {
+            return Err(self.too_many());
+        }
+        self.visited += 1;
+        Ok(Some(&self.current))
+    }
 }
 
 /// Grid view of a single-period tuple: the common period `k`, the anchor of
@@ -83,14 +187,8 @@ pub fn grid_view(t: &GenTuple) -> Result<(i64, Vec<i64>, ConstraintSystem)> {
         return Err(CoreError::NotSinglePeriod);
     };
     let anchors = anchors(t.lrps());
-    let grid = grid_system(t, &anchors, k)?;
+    let grid = augmented_cons(t)?.to_grid(&anchors, k)?;
     Ok((k, anchors, grid))
-}
-
-/// Builds the grid system given precomputed anchors and period.
-pub(crate) fn grid_system(t: &GenTuple, anchors: &[i64], k: i64) -> Result<ConstraintSystem> {
-    let aug = augmented_cons(t)?;
-    Ok(aug.to_grid(anchors, k)?)
 }
 
 /// Is the tuple in normal form? See [`GenTuple::is_normal_form`].
@@ -113,64 +211,32 @@ pub(crate) fn is_normal_form(t: &GenTuple) -> Result<bool> {
 
 /// Theorem 3.2 normalization with the default output-size limit.
 pub(crate) fn normalize(t: &GenTuple) -> Result<Vec<GenTuple>> {
-    normalize_with_limit(t, DEFAULT_NORMALIZE_LIMIT)
+    normalize_with_limit_report(t, DEFAULT_NORMALIZE_LIMIT).map(|(out, _)| out)
 }
 
-/// Exact emptiness with early exit: enumerates refined residue
-/// combinations lazily and stops at the first satisfiable grid system.
+/// Exact emptiness with early exit: walks the refined residue combinations
+/// and stops at the first satisfiable grid system.
 ///
 /// Equivalent to `!normalize(t)?.is_empty()` but without materializing the
 /// cross-product — on nonempty tuples (the common case in difference and
 /// query pipelines) this usually returns after the first combination.
-pub(crate) fn is_nonempty(t: &GenTuple) -> Result<bool> {
+///
+/// # Errors
+/// [`CoreError::TooManyExtensions`] after `limit` combinations without a
+/// satisfiable one; arithmetic errors.
+pub(crate) fn is_nonempty(t: &GenTuple, limit: u64) -> Result<bool> {
     if !t.constraints().is_satisfiable() {
         return Ok(false);
     }
     let k = Lrp::common_period(t.lrps().iter())?;
-    let mut choices: Vec<Vec<Lrp>> = Vec::with_capacity(t.lrps().len());
-    for l in t.lrps() {
-        choices.push(if l.is_point() {
-            vec![*l]
-        } else {
-            l.refine_to_period(k)?
-        });
-    }
-    if choices.is_empty() {
-        // 0-ary tuple: nonempty iff constraints satisfiable (checked).
-        return Ok(true);
-    }
-    let aug = {
-        let mut cons = t.constraints().clone();
-        for (i, l) in t.lrps().iter().enumerate() {
-            if l.is_point() {
-                cons.add(Atom::eq(i, l.offset()))?;
-            }
-        }
-        cons
-    };
-    let mut idx = vec![0usize; choices.len()];
-    loop {
-        let anchors: Vec<i64> = idx
-            .iter()
-            .zip(&choices)
-            .map(|(&i, c)| c[i].offset())
-            .collect();
-        if aug.to_grid(&anchors, k)?.is_satisfiable() {
+    let aug = augmented_cons(t)?;
+    let mut walk = ResidueWalk::new(t.lrps(), k, limit)?;
+    while let Some(lrps) = walk.next()? {
+        if aug.to_grid(&anchors(lrps), k)?.is_satisfiable() {
             return Ok(true);
         }
-        let mut pos = choices.len();
-        loop {
-            if pos == 0 {
-                return Ok(false);
-            }
-            pos -= 1;
-            idx[pos] += 1;
-            if idx[pos] < choices[pos].len() {
-                break;
-            }
-            idx[pos] = 0;
-        }
     }
+    Ok(false)
 }
 
 /// What one tuple's normalization did, for the executor's counters.
@@ -185,16 +251,11 @@ pub(crate) struct NormalizeReport {
 }
 
 /// Theorem 3.2 normalization with an explicit ceiling on the number of
-/// refined combinations.
+/// refined combinations, plus a [`NormalizeReport`] of what it did.
 ///
 /// # Errors
-/// [`CoreError::TooManyExtensions`] when `Π k/kᵢ > limit`;
-/// arithmetic errors from `lcm`/grid transforms.
-pub(crate) fn normalize_with_limit(t: &GenTuple, limit: u64) -> Result<Vec<GenTuple>> {
-    normalize_with_limit_report(t, limit).map(|(out, _)| out)
-}
-
-/// [`normalize_with_limit`] plus a [`NormalizeReport`] of what it did.
+/// [`CoreError::TooManyExtensions`] when `Π k/kᵢ > limit`, checked before
+/// any combination is built; arithmetic errors from `lcm`/grid transforms.
 pub(crate) fn normalize_with_limit_report(
     t: &GenTuple,
     limit: u64,
@@ -209,74 +270,37 @@ pub(crate) fn normalize_with_limit_report(
             },
         ));
     }
-    // Step 0: common period k (lcm of the nonzero periods).
     let k = Lrp::common_period(t.lrps().iter())?;
-
-    // Step 1 (Lemma 3.1): per-attribute refined classes. The combination
-    // ceiling is enforced on the *ratios* k/kᵢ before any refinement vector
-    // is materialized — with coprime periods the lcm (and hence a single
-    // ratio) can approach i64::MAX, so allocating first would abort long
-    // before the guard fired.
-    let mut combos: u64 = 1;
-    for l in t.lrps() {
-        if l.is_point() {
-            continue;
-        }
-        let ratio = (k / l.period()) as u64;
-        combos = combos.saturating_mul(ratio);
-        if combos > limit {
-            return Err(CoreError::TooManyExtensions {
-                period: k,
-                arity: t.lrps().len(),
-                limit,
-            });
-        }
+    let mut walk = ResidueWalk::new(t.lrps(), k, limit)?;
+    let combos = walk.combos();
+    if combos > limit {
+        return Err(walk.too_many());
     }
-    let mut choices: Vec<Vec<Lrp>> = Vec::with_capacity(t.lrps().len());
-    for l in t.lrps() {
-        choices.push(if l.is_point() {
-            vec![*l]
-        } else {
-            l.refine_to_period(k)?
-        });
-    }
-
-    // Steps 2–5: cross product; per combination transform constraints to
-    // the grid, discard unsatisfiable residues, and round back.
+    // Per combination: transform the constraints to the grid, discard
+    // unsatisfiable residues, and round back.
+    let aug = augmented_cons(t)?;
     let mut out = Vec::new();
-    let mut idx = vec![0usize; choices.len()];
-    loop {
-        let lrps: Vec<Lrp> = idx.iter().zip(&choices).map(|(&i, c)| c[i]).collect();
-        let candidate = GenTuple::from_parts(lrps, t.constraints().clone(), t.data().to_vec())?;
-        let anchors_v = anchors(candidate.lrps());
-        let grid = grid_system(&candidate, &anchors_v, k)?;
+    while let Some(lrps) = walk.next()? {
+        let anchors = anchors(lrps);
+        let grid = aug.to_grid(&anchors, k)?;
         if grid.is_satisfiable() {
-            let aligned = grid.from_grid(&anchors_v, k)?;
-            out.push(candidate.with_constraints(aligned));
-        }
-
-        // Advance the mixed-radix counter.
-        let mut pos = choices.len();
-        loop {
-            if pos == 0 {
-                let dropped = combos - out.len() as u64;
-                return Ok((
-                    out,
-                    NormalizeReport {
-                        period: k,
-                        combos,
-                        dropped,
-                    },
-                ));
-            }
-            pos -= 1;
-            idx[pos] += 1;
-            if idx[pos] < choices[pos].len() {
-                break;
-            }
-            idx[pos] = 0;
+            let aligned = grid.from_grid(&anchors, k)?;
+            out.push(GenTuple::from_parts(
+                lrps.to_vec(),
+                aligned,
+                t.data().to_vec(),
+            )?);
         }
     }
+    let dropped = combos - out.len() as u64;
+    Ok((
+        out,
+        NormalizeReport {
+            period: k,
+            combos,
+            dropped,
+        },
+    ))
 }
 
 #[cfg(test)]
@@ -399,7 +423,7 @@ mod tests {
     fn limit_guard_triggers() {
         // Periods 3, 5, 7, 11 → lcm 1155; Π k/kᵢ = 385·231·165·105 ≫ 1000.
         let t = GenTuple::unconstrained(vec![lrp(0, 3), lrp(0, 5), lrp(0, 7), lrp(0, 11)], vec![]);
-        let err = normalize_with_limit(&t, 1000).unwrap_err();
+        let err = normalize_with_limit_report(&t, 1000).unwrap_err();
         assert!(matches!(err, CoreError::TooManyExtensions { .. }));
     }
 
@@ -409,11 +433,50 @@ mod tests {
         // materialize a ~2-billion-element vector, so the guard must fire
         // on the k/kᵢ ratios alone, before any refinement is built.
         let t = GenTuple::unconstrained(vec![lrp(0, 1 << 31), lrp(0, (1 << 31) - 1)], vec![]);
-        let err = normalize_with_limit(&t, DEFAULT_NORMALIZE_LIMIT).unwrap_err();
+        let err = normalize_with_limit_report(&t, DEFAULT_NORMALIZE_LIMIT).unwrap_err();
         assert!(matches!(err, CoreError::TooManyExtensions { .. }));
         // And an overflowing lcm itself is a typed error, not a panic.
         let t = GenTuple::unconstrained(vec![lrp(0, i64::MAX - 1), lrp(0, i64::MAX - 2)], vec![]);
         assert!(t.normalize().is_err());
+    }
+
+    #[test]
+    fn emptiness_on_huge_coprime_periods_walks_lazily() {
+        // lcm(2³¹, 2³¹−1) ≈ 4.6·10¹⁸ combinations; the first is
+        // grid-satisfiable, and the walk never holds a column's classes.
+        let t = GenTuple::unconstrained(vec![lrp(0, 1 << 31), lrp(0, (1 << 31) - 1)], vec![]);
+        assert_eq!(t.is_empty(), Ok(false));
+    }
+
+    #[test]
+    fn emptiness_gives_up_after_its_limit() {
+        // X1 = X2 + 1 with X1 ≡ 0 (mod 4) and X2 ≡ 0 (mod 6): satisfiable
+        // over the reals, empty on every one of the 3·2 refined
+        // combinations.
+        let t = GenTuple::builder()
+            .lrps(vec![lrp(0, 4), lrp(0, 6)])
+            .atoms([Atom::diff_eq(0, 1, 1)])
+            .build()
+            .unwrap();
+        assert!(matches!(
+            is_nonempty(&t, 3),
+            Err(CoreError::TooManyExtensions { limit: 3, .. })
+        ));
+        assert_eq!(is_nonempty(&t, 6), Ok(false));
+        assert_eq!(t.is_empty(), Ok(true));
+    }
+
+    #[test]
+    fn normalize_walks_last_column_fastest() {
+        // k = 6: column 0 refines to 0, 2, 4 (mod 6), column 1 to 0, 3.
+        let t = GenTuple::unconstrained(vec![lrp(0, 2), lrp(0, 3)], vec![]);
+        let order: Vec<(i64, i64)> = t
+            .normalize()
+            .unwrap()
+            .iter()
+            .map(|nt| (nt.lrps()[0].offset(), nt.lrps()[1].offset()))
+            .collect();
+        assert_eq!(order, [(0, 0), (0, 3), (2, 0), (2, 3), (4, 0), (4, 3)]);
     }
 
     #[test]

@@ -6,7 +6,8 @@ use itd_constraint::ConstraintSystem;
 use itd_lrp::Lrp;
 
 use crate::error::CoreError;
-use crate::exec::{ExecContext, OpCounters};
+use crate::exec::{self, ExecContext, OpCounters};
+use crate::normalize::{anchors, augmented_cons, ResidueWalk};
 use crate::tuple::GenTuple;
 use crate::Result;
 
@@ -30,10 +31,11 @@ pub const DEFAULT_COMPLEMENT_LIMIT: u64 = 1 << 22;
 ///    `(N+1)^{m(m+1)}` bound of Theorem A.1.
 ///
 /// The `k^m` enumeration is the intrinsic exponential of general-complexity
-/// negation (Table 2); `limit` guards against accidental blow-ups. It is
-/// split into contiguous index ranges fanned over the context's threads
-/// (outputs concatenated in range order, so the result is identical at any
-/// thread count), and `counters`, the calling complement's record, get
+/// negation (Table 2); `limit` guards against accidental blow-ups. It runs
+/// on the executor's chunked fan-out (contiguous index ranges, outputs
+/// concatenated in range order, so the result is identical at any thread
+/// count, and the cancellation token is polled once per extension), and
+/// `counters`, the calling complement's record, get
 /// the period, the extensions enumerated, the grid-empty disjuncts pruned,
 /// and — via the probe counters — how many extensions hit a stored residue
 /// group versus bypassed the negation machinery entirely.
@@ -87,132 +89,73 @@ pub(crate) fn complement_tuples_in(
     counters.add_pairs(extensions);
 
     // Refine every normal tuple to the global period and group by residues.
+    // A point becomes the period-`k` class of its value, and the augmented
+    // constraints pin `Xi = c`, so the complement excludes only the pinned
+    // members of that class.
     let mut groups: HashMap<Vec<i64>, Vec<ConstraintSystem>> = HashMap::new();
     for t in &normal {
-        for refined in refine_tuple_to(t, k)? {
-            let residues: Vec<i64> = refined.lrps().iter().map(Lrp::offset).collect();
-            groups
-                .entry(residues)
-                .or_default()
-                .push(refined.constraints().clone());
+        let cons = augmented_cons(t)?;
+        let pinned = t
+            .lrps()
+            .iter()
+            .map(|l| {
+                if l.is_point() {
+                    Lrp::new(l.offset(), k)
+                } else {
+                    Ok(*l)
+                }
+            })
+            .collect::<std::result::Result<Vec<Lrp>, _>>()?;
+        let mut walk = ResidueWalk::new(&pinned, k, limit)?;
+        while let Some(lrps) = walk.next()? {
+            groups.entry(anchors(lrps)).or_default().push(cons.clone());
         }
     }
 
     // Step 3: enumerate all k^m residue vectors. A linear index in
-    // [0, k^m) maps to one vector (big-endian base-k digits), which lets a
-    // contiguous index range be handed to each worker.
-    let worker = |range: std::ops::Range<u64>| -> Result<Vec<GenTuple>> {
+    // [0, k^m) maps to one vector (big-endian base-k digits), so the
+    // executor can hand a contiguous index range to each worker.
+    exec::run_chunked_range(ctx, extensions as usize, |i| {
+        let residues = residue_digits(i, k, m);
+        let lrps: Vec<Lrp> = residues
+            .iter()
+            .map(|&r| Lrp::new(r, k).expect("k > 0"))
+            .collect();
         let mut out = Vec::new();
-        for i in range {
-            let residues = residue_digits(i, k, m);
-            let lrps: Vec<Lrp> = residues
-                .iter()
-                .map(|&r| Lrp::new(r, k).expect("k > 0"))
-                .collect();
-            match groups.get(&residues) {
-                // The residue-vector grouping is itself an index: a missed
-                // extension skips the negation machinery entirely.
-                None => {
-                    counters.add_index_pruned(1);
-                    out.push(GenTuple::unconstrained(lrps, vec![]));
-                }
-                Some(systems) => {
-                    counters.add_probes(1);
-                    for d in negate_disjunction(systems, m)? {
-                        let t = GenTuple::from_parts(lrps.clone(), d, vec![])?;
-                        // Prune grid-empty disjuncts (misaligned bounds).
-                        if !t.is_empty()? {
-                            out.push(t);
-                        } else {
-                            counters.add_pruned(1);
-                        }
+        match groups.get(&residues) {
+            // The residue-vector grouping is itself an index: a missed
+            // extension skips the negation machinery entirely.
+            None => {
+                counters.add_index_pruned(1);
+                out.push(GenTuple::unconstrained(lrps, vec![]));
+            }
+            Some(systems) => {
+                counters.add_probes(1);
+                for d in negate_disjunction(systems, m)? {
+                    let t = GenTuple::from_parts(lrps.clone(), d, vec![])?;
+                    // Prune grid-empty disjuncts (misaligned bounds).
+                    if !t.is_empty()? {
+                        out.push(t);
+                    } else {
+                        counters.add_pruned(1);
                     }
                 }
             }
         }
         Ok(out)
-    };
-
-    let workers = (ctx.threads() as u64).min(extensions);
-    if workers <= 1 {
-        return worker(0..extensions);
-    }
-    let chunk = extensions.div_ceil(workers);
-    let per_chunk: Vec<Result<Vec<GenTuple>>> = std::thread::scope(|scope| {
-        let worker = &worker;
-        let handles: Vec<_> = (0..workers)
-            .map(|w| {
-                let range = (w * chunk).min(extensions)..((w + 1) * chunk).min(extensions);
-                scope.spawn(move || worker(range))
-            })
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| h.join().expect("complement worker panicked"))
-            .collect()
-    });
-    let mut out = Vec::new();
-    for r in per_chunk {
-        out.extend(r?);
-    }
-    Ok(out)
+    })
 }
 
 /// The `i`-th residue vector of `[0, k)^m` in mixed-radix order (the last
 /// coordinate varies fastest).
-fn residue_digits(i: u64, k: i64, m: usize) -> Vec<i64> {
+fn residue_digits(i: usize, k: i64, m: usize) -> Vec<i64> {
     let mut residues = vec![0i64; m];
     let mut rem = i;
     for pos in (0..m).rev() {
-        residues[pos] = (rem % k as u64) as i64;
-        rem /= k as u64;
+        residues[pos] = (rem % k as usize) as i64;
+        rem /= k as usize;
     }
     residues
-}
-
-/// Refines a normal tuple so all its lrps have period exactly `k`
-/// (points become period-`k` classes pinned by an equality, which
-/// normalization has already recorded in the constraints).
-fn refine_tuple_to(t: &GenTuple, k: i64) -> Result<Vec<GenTuple>> {
-    let mut choices: Vec<Vec<Lrp>> = Vec::with_capacity(t.lrps().len());
-    for l in t.lrps() {
-        if l.is_point() {
-            // The augmented constraints pin Xi = c; represent the free
-            // extension as the residue class of c.
-            choices.push(vec![Lrp::new(l.offset(), k)?]);
-        } else if l.period() == k {
-            choices.push(vec![*l]);
-        } else {
-            choices.push(l.refine_to_period(k)?);
-        }
-    }
-    // For points we must also make the pin explicit in the constraints so
-    // the complement excludes only the pinned residue members.
-    let mut cons = t.constraints().clone();
-    for (i, l) in t.lrps().iter().enumerate() {
-        if l.is_point() {
-            cons.add(itd_constraint::Atom::eq(i, l.offset()))?;
-        }
-    }
-
-    let mut out = Vec::new();
-    let mut idx = vec![0usize; choices.len()];
-    loop {
-        let lrps: Vec<Lrp> = idx.iter().zip(&choices).map(|(&i, c)| c[i]).collect();
-        out.push(GenTuple::from_parts(lrps, cons.clone(), vec![])?);
-        let mut pos = choices.len();
-        loop {
-            if pos == 0 {
-                return Ok(out);
-            }
-            pos -= 1;
-            idx[pos] += 1;
-            if idx[pos] < choices[pos].len() {
-                break;
-            }
-            idx[pos] = 0;
-        }
-    }
 }
 
 /// `¬(C₁ ∨ … ∨ C_N)` as a reduced list of conjunctive systems.
@@ -380,6 +323,24 @@ mod tests {
         )];
         let err = complement_tuples(&r, 4, 1000).unwrap_err();
         assert!(matches!(err, CoreError::TooManyExtensions { .. }));
+    }
+
+    #[test]
+    fn pre_cancelled_complement_stops_at_any_thread_count() {
+        // k = 48, m = 3: 110,592 extensions, all but one emitted
+        // unconstrained unless the token is polled.
+        let r = crate::GenRelation::new(
+            crate::Schema::new(3, 0),
+            vec![GenTuple::unconstrained(vec![lrp(0, 48); 3], vec![])],
+        )
+        .unwrap();
+        for threads in [1, 2, 8] {
+            let token = crate::CancelToken::new();
+            token.cancel();
+            let ctx = ExecContext::with_threads(threads).cancellable(token);
+            let err = r.complement_temporal_in(&ctx).unwrap_err();
+            assert_eq!(err, CoreError::Cancelled, "{threads} threads");
+        }
     }
 
     #[test]

@@ -168,13 +168,16 @@ impl GenTuple {
         !self.part.cons.is_satisfiable()
     }
 
-    /// Exact emptiness over the grid: normalizes and checks the grid
-    /// systems (Theorem 3.5 route).
+    /// Exact emptiness over the grid: walks the refined residue classes
+    /// and checks their grid systems (Theorem 3.5 route), stopping at the
+    /// first satisfiable one.
     ///
     /// # Errors
-    /// Arithmetic overflow during normalization.
+    /// [`CoreError::TooManyExtensions`] after 2²⁰ combinations without a
+    /// satisfiable one; arithmetic overflow.
     pub fn is_empty(&self) -> Result<bool> {
-        Ok(!crate::normalize::is_nonempty(self)?)
+        let limit = crate::normalize::DEFAULT_NORMALIZE_LIMIT;
+        Ok(!crate::normalize::is_nonempty(self, limit)?)
     }
 
     /// Replaces the constraint system (used by selection).
