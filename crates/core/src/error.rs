@@ -30,12 +30,14 @@ pub enum CoreError {
         /// The repeated index.
         index: usize,
     },
-    /// A complement/normalization would enumerate more than the configured
-    /// number of free extensions (`k^m` blow-up guard, Appendix A.6).
+    /// A residue-class enumeration — normalization, exact emptiness, tuple
+    /// difference or complement — would visit more than the configured
+    /// number of combinations (the exponential blow-ups of Appendix A.1
+    /// and A.6 and of difference in Table 2).
     TooManyExtensions {
-        /// The common period `k`.
+        /// The common period `k` the columns are enumerated at.
         period: i64,
-        /// Temporal arity `m`.
+        /// The number of columns enumerated.
         arity: usize,
         /// The configured ceiling that was exceeded.
         limit: u64,
@@ -73,7 +75,8 @@ impl fmt::Display for CoreError {
                 limit,
             } => write!(
                 f,
-                "complement would enumerate {period}^{arity} free extensions (limit {limit})"
+                "enumerating the residue classes of {arity} column(s) at period {period} \
+                 exceeds the limit of {limit} combinations"
             ),
             CoreError::NotSinglePeriod => {
                 f.write_str("tuple is not single-period; normalize before grid operations")
@@ -130,7 +133,11 @@ mod tests {
             arity: 4,
             limit: 100_000,
         };
-        assert!(e.to_string().contains("30^4"), "{e}");
+        assert_eq!(
+            e.to_string(),
+            "enumerating the residue classes of 4 column(s) at period 30 \
+             exceeds the limit of 100000 combinations"
+        );
     }
 
     #[test]

@@ -149,6 +149,13 @@ mod tests {
         Lrp::new(c, k).unwrap()
     }
 
+    /// The classes of `l` at period `to`, a multiple of its period
+    /// (Lemma 3.1), in offset order.
+    fn refined(l: Lrp, to: i64) -> Vec<Lrp> {
+        let k = l.period();
+        (0..to / k).map(|j| lrp(l.offset() + j * k, to)).collect()
+    }
+
     /// `coalesce`'s result on a relation that holds a complete family.
     fn coalesced(rel: &GenRelation) -> GenRelation {
         coalesce(rel).unwrap().expect("a complete family merges")
@@ -162,9 +169,7 @@ mod tests {
             .build()
             .unwrap();
         // Refine to period 12 (Lemma 3.1) → 4 tuples.
-        let refined: Vec<GenTuple> = lrp(1, 3)
-            .refine_to_period(12)
-            .unwrap()
+        let refined: Vec<GenTuple> = refined(lrp(1, 3), 12)
             .into_iter()
             .map(|l| {
                 GenTuple::builder()
@@ -226,8 +231,8 @@ mod tests {
         // 2-column: refine column 0 of [2n, 3n+1] into period 4, column 1
         // into period 6 — coalescing must undo both, across passes.
         let mut tuples = Vec::new();
-        for l0 in lrp(0, 2).refine_to_period(4).unwrap() {
-            for l1 in lrp(1, 3).refine_to_period(6).unwrap() {
+        for l0 in refined(lrp(0, 2), 4) {
+            for l1 in refined(lrp(1, 3), 6) {
                 tuples.push(GenTuple::unconstrained(vec![l0, l1], vec![]));
             }
         }
@@ -332,7 +337,7 @@ mod tests {
     fn seeded_rows(seeds: &[Seed]) -> Vec<GenTuple> {
         let mut rows = Vec::new();
         for &((c, g), (col, factor, leave_out), (oc, ok, datum), cons) in seeds {
-            let mut classes = lrp(c, g).refine_to_period(g * factor).unwrap();
+            let mut classes = refined(lrp(c, g), g * factor);
             if leave_out == 1 && classes.len() > 1 {
                 classes.pop();
             }

@@ -10,7 +10,8 @@
 //!
 //! Normalization follows the paper's five steps:
 //! 1. refine every infinite lrp to the common period `k = lcm(kᵢ)`
-//!    (Lemma 3.1, the lazy form of [`itd_lrp::Lrp::refine_to_period`]);
+//!    (Lemma 3.1: the `k/kᵢ` classes `offset + j·kᵢ`, walked by
+//!    [`ResidueWalk`]);
 //! 2. take the cross product of the refined classes, copying constraints;
 //! 3. substitute the lrp anchors into the constraints (here: the
 //!    [`ConstraintSystem::to_grid`] transform);
@@ -22,11 +23,13 @@
 //! Steps 1–2 are one enumeration, [`ResidueWalk`]: it computes each
 //! combination of refined classes when it reaches it and never collects a
 //! column's `k/kᵢ` classes. It serves normalization, exact emptiness
-//! ([`is_nonempty`], which stops at the first grid-satisfiable combination)
-//! and the complement's refinement to the database period. Both
-//! normalization and emptiness are bounded by [`DEFAULT_NORMALIZE_LIMIT`]
-//! combinations: normalization checks `Π k/kᵢ` before it starts, emptiness
-//! gives up after that many combinations without a hit, and either ends in
+//! ([`is_nonempty`], which stops at the first grid-satisfiable combination),
+//! the complement's refinement to the database period and tuple
+//! difference's surviving classes (`lcm/k₁ − 1` of them, §3.3.1).
+//! Normalization, emptiness and difference are bounded by
+//! [`DEFAULT_NORMALIZE_LIMIT`] combinations: normalization and difference
+//! check the class count before they start, emptiness gives up after that
+//! many combinations without a hit, and each ends in
 //! [`CoreError::TooManyExtensions`] rather than an unbounded walk.
 
 use itd_constraint::{Atom, ConstraintSystem};
@@ -131,7 +134,7 @@ impl ResidueWalk {
     }
 
     /// The error for a walk longer than its limit.
-    fn too_many(&self) -> CoreError {
+    pub(crate) fn too_many(&self) -> CoreError {
         CoreError::TooManyExtensions {
             period: self.k,
             arity: self.current.len(),
@@ -466,6 +469,31 @@ mod tests {
         assert_eq!(t.is_empty(), Ok(true));
     }
 
+    /// The classes a one-column walk of `l` at period `k` visits.
+    fn walk_classes(l: Lrp, k: i64) -> Vec<Lrp> {
+        let mut walk = ResidueWalk::new(&[l], k, DEFAULT_NORMALIZE_LIMIT).unwrap();
+        let mut classes = Vec::new();
+        while let Some(c) = walk.next().unwrap() {
+            classes.push(c[0]);
+        }
+        classes
+    }
+
+    #[test]
+    fn walk_refines_per_lemma_3_1() {
+        // 3 + 2n (canonically 1 + 2n) at period 8 → 1, 3, 5, 7 (+ 8n).
+        let classes = walk_classes(lrp(3, 2), 8);
+        assert_eq!(classes, vec![lrp(1, 8), lrp(3, 8), lrp(5, 8), lrp(7, 8)]);
+        // Union of the refined classes = original, spot-checked on a window.
+        for x in -30..30 {
+            assert_eq!(
+                lrp(3, 2).contains(x),
+                classes.iter().any(|c| c.contains(x)),
+                "x = {x}"
+            );
+        }
+    }
+
     #[test]
     fn normalize_walks_last_column_fastest() {
         // k = 6: column 0 refines to 0, 2, 4 (mod 6), column 1 to 0, 3.
@@ -526,6 +554,15 @@ mod tests {
     }
 
     proptest! {
+        #[test]
+        fn prop_walk_partitions_a_column(c in -20i64..20, k in 1i64..10, mult in 1i64..6, x in -100i64..100) {
+            let l = lrp(c, k);
+            let classes = walk_classes(l, k * mult);
+            prop_assert_eq!(classes.len() as i64, mult);
+            let covering = classes.iter().filter(|cl| cl.contains(x)).count();
+            prop_assert_eq!(covering, usize::from(l.contains(x)));
+        }
+
         #[test]
         fn prop_normalization_preserves_membership(
             c1 in 0i64..6, k1 in 1i64..5,

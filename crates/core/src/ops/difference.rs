@@ -1,8 +1,9 @@
 //! Tuple difference (§3.3.3, Figure 1).
 
 use itd_constraint::Atom;
-use itd_lrp::{Lrp, LrpDiff};
+use itd_lrp::Lrp;
 
+use crate::normalize::{ResidueWalk, DEFAULT_NORMALIZE_LIMIT};
 use crate::tuple::GenTuple;
 use crate::Result;
 
@@ -17,11 +18,13 @@ use crate::Result;
 /// and `t̄2 = t2* − t2` is the part of the free extension excluded by `t2`'s
 /// constraints.
 ///
-/// * `t1 − t2*` removes whole residue classes: for each column `i`, keep the
-///   pieces of `l1ᵢ − l2ᵢ` (§3.3.1) with the other columns and `t1`'s
-///   constraints unchanged. A removed *single point* inside an infinite
-///   column (the [`LrpDiff::Punctured`] case) is expressed by splitting into
-///   `Xᵢ ≤ p−1` and `Xᵢ ≥ p+1` — the paper's own negated-constraint device.
+/// * `t1 − t2*` removes, for each column `i`, the meet `l1ᵢ ∩ l2ᵢ` from
+///   `l1ᵢ` (§3.3.1), with the other columns and `t1`'s constraints
+///   unchanged. An infinite meet leaves the other `lcm/k₁ − 1` residue
+///   classes of `l1ᵢ` at the meet's period, walked lazily by the one
+///   residue enumerator (Lemma 3.1). A removed *single point* inside an
+///   infinite column is expressed by splitting into `Xᵢ ≤ p−1` and
+///   `Xᵢ ≥ p+1` — the paper's own negated-constraint device.
 /// * `t̄2 ∩ t1` adds, for each negated atom `d` of `t2`'s constraints, the
 ///   tuple with columnwise-intersected lrps and constraints `C1 ∧ d`
 ///   (disjunctions are eliminated by splitting, as prescribed).
@@ -30,7 +33,10 @@ use crate::Result;
 /// relation-level difference prunes them.
 ///
 /// # Errors
-/// Arithmetic overflow in lrp subtraction / constraint negation.
+/// [`CoreError::TooManyExtensions`](crate::CoreError::TooManyExtensions)
+/// when a column's `lcm/k₁` residue classes exceed 2²⁰ (coprime periods —
+/// the exponential difference of Table 2), checked before any class is
+/// built; arithmetic overflow in the meet or in constraint negation.
 ///
 /// # Panics
 /// If the schemas differ.
@@ -54,37 +60,51 @@ pub fn difference_tuples(t1: &GenTuple, t2: &GenTuple) -> Result<Vec<GenTuple>> 
 
     let mut out = Vec::new();
 
-    // Part 1: t1 − t2* — per column, the removed residue classes / points.
+    // Part 1: t1 − t2* — per column, what is left of `l1` once its meet
+    // (a nonempty subset of `l1`) is removed.
     for (i, (l1, meet)) in t1.lrps().iter().zip(&meets).enumerate() {
-        match l1.subtract(meet)? {
-            LrpDiff::Empty => {}
-            LrpDiff::Unchanged => unreachable!("meet is a nonempty subset of l1"),
-            LrpDiff::Classes(classes) => {
-                for c in classes {
-                    let mut lrps = t1.lrps().to_vec();
-                    lrps[i] = c;
+        if meet == l1 {
+            continue; // t2* covers the column: nothing is left.
+        }
+        if meet.is_point() {
+            // `l1` is infinite (a point would equal its meet): split it
+            // around the removed point.
+            let p = meet.offset();
+            for atom in [
+                Atom::lt(i, p).ok_or(itd_numth::NumthError::Overflow)?,
+                Atom::gt(i, p).ok_or(itd_numth::NumthError::Overflow)?,
+            ] {
+                let mut cons = t1.constraints().clone();
+                cons.add(atom)?;
+                if cons.is_satisfiable() {
                     out.push(GenTuple::from_parts(
-                        lrps,
-                        t1.constraints().clone(),
+                        t1.lrps().to_vec(),
+                        cons,
                         t1.data().to_vec(),
                     )?);
                 }
             }
-            LrpDiff::Punctured(p) => {
-                for atom in [
-                    Atom::lt(i, p).ok_or(itd_numth::NumthError::Overflow)?,
-                    Atom::gt(i, p).ok_or(itd_numth::NumthError::Overflow)?,
-                ] {
-                    let mut cons = t1.constraints().clone();
-                    cons.add(atom)?;
-                    if cons.is_satisfiable() {
-                        out.push(GenTuple::from_parts(
-                            t1.lrps().to_vec(),
-                            cons,
-                            t1.data().to_vec(),
-                        )?);
-                    }
-                }
+            continue;
+        }
+        // Both infinite: every class of `l1` at the meet's period but the
+        // meet itself.
+        let mut walk = ResidueWalk::new(
+            std::slice::from_ref(l1),
+            meet.period(),
+            DEFAULT_NORMALIZE_LIMIT,
+        )?;
+        if walk.combos() > DEFAULT_NORMALIZE_LIMIT {
+            return Err(walk.too_many());
+        }
+        while let Some(class) = walk.next()? {
+            if class[0] != *meet {
+                let mut lrps = t1.lrps().to_vec();
+                lrps[i] = class[0];
+                out.push(GenTuple::from_parts(
+                    lrps,
+                    t1.constraints().clone(),
+                    t1.data().to_vec(),
+                )?);
             }
         }
     }
@@ -114,6 +134,7 @@ pub fn difference_tuples(t1: &GenTuple, t2: &GenTuple) -> Result<Vec<GenTuple>> 
 mod tests {
     use super::*;
     use crate::enumerate::materialize_tuples;
+    use crate::error::CoreError;
     use crate::value::Value;
     use proptest::prelude::*;
 
@@ -138,6 +159,65 @@ mod tests {
         let t1 = GenTuple::unconstrained(vec![lrp(0, 2)], vec![]);
         let t2 = GenTuple::unconstrained(vec![lrp(4, 6)], vec![]);
         check_window(&t1, &t2, -20, 20);
+    }
+
+    /// The one-column tuple `{l}`.
+    fn column(l: Lrp) -> GenTuple {
+        GenTuple::unconstrained(vec![l], vec![])
+    }
+
+    #[test]
+    fn column_difference_cases() {
+        // Disjoint → unchanged.
+        assert_eq!(
+            difference_tuples(&column(lrp(0, 2)), &column(lrp(1, 2))).unwrap(),
+            vec![column(lrp(0, 2))]
+        );
+        // Covering subtrahend → nothing left.
+        for (a, b) in [
+            (lrp(1, 4), lrp(1, 2)),
+            (lrp(1, 2), Lrp::all()),
+            (Lrp::point(5), lrp(1, 2)),
+        ] {
+            assert_eq!(difference_tuples(&column(a), &column(b)).unwrap(), vec![]);
+        }
+        // Point minus a progression missing it → unchanged.
+        assert_eq!(
+            difference_tuples(&column(Lrp::point(4)), &column(lrp(1, 2))).unwrap(),
+            vec![column(Lrp::point(4))]
+        );
+        // Infinite minus an interior point → split around it.
+        let split = difference_tuples(&column(lrp(1, 2)), &column(Lrp::point(5))).unwrap();
+        assert_eq!(split.len(), 2);
+        for x in -9..=15 {
+            let expect = x % 2 != 0 && x != 5;
+            assert_eq!(split.iter().any(|t| t.contains(&[x], &[])), expect, "{x}");
+        }
+        // The paper's §3.3.1 class case: (2n) − (6n + 4) = {6n, 6n + 2},
+        // the surviving classes in the walk's order.
+        let lrps: Vec<Vec<Lrp>> = difference_tuples(&column(lrp(0, 2)), &column(lrp(4, 6)))
+            .unwrap()
+            .iter()
+            .map(|t| t.lrps().to_vec())
+            .collect();
+        assert_eq!(lrps, vec![vec![lrp(0, 6)], vec![lrp(2, 6)]]);
+    }
+
+    #[test]
+    fn huge_coprime_difference_fails_fast_without_allocating() {
+        // (2³¹n) − ((2³¹−1)n) keeps 2³¹ − 2 classes at period
+        // 2³¹·(2³¹−1): the limit fires on the class count alone, before
+        // any class is built.
+        let t1 = GenTuple::unconstrained(vec![lrp(0, 1 << 31)], vec![]);
+        let t2 = GenTuple::unconstrained(vec![lrp(0, (1 << 31) - 1)], vec![]);
+        assert_eq!(
+            difference_tuples(&t1, &t2),
+            Err(CoreError::TooManyExtensions {
+                period: (1 << 31) * ((1 << 31) - 1),
+                arity: 1,
+                limit: DEFAULT_NORMALIZE_LIMIT,
+            })
+        );
     }
 
     #[test]
@@ -234,6 +314,18 @@ mod tests {
                 let got = diff.iter().any(|t| t.contains(&[x], &[]));
                 prop_assert_eq!(expect, got, "x = {}", x);
             }
+        }
+
+        #[test]
+        fn prop_column_difference_matches_membership(
+            c1 in -20i64..20, k1 in 0i64..15,
+            c2 in -20i64..20, k2 in 0i64..15,
+            x in -200i64..200,
+        ) {
+            let (a, b) = (Lrp::new(c1, k1).unwrap(), Lrp::new(c2, k2).unwrap());
+            let diff = difference_tuples(&column(a), &column(b)).unwrap();
+            let expect = a.contains(x) && !b.contains(x);
+            prop_assert_eq!(expect, diff.iter().any(|t| t.contains(&[x], &[])));
         }
 
         #[test]

@@ -345,7 +345,10 @@ impl GenRelation {
     /// count.
     ///
     /// # Errors
-    /// [`CoreError::SchemaMismatch`]; arithmetic failures.
+    /// [`CoreError::SchemaMismatch`]; [`CoreError::TooManyExtensions`] when
+    /// a tuple difference would walk more than 2²⁰ residue classes of a
+    /// column (see [`ops::difference_tuples`]) or an intermediate's
+    /// emptiness test gives up after 2²⁰ combinations; arithmetic failures.
     pub fn difference_in(&self, other: &GenRelation, ctx: &ExecContext) -> Result<GenRelation> {
         self.check_schema(other)?;
         let timer = ctx.timed(OpKind::Difference);

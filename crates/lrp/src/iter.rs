@@ -39,36 +39,6 @@ impl Iterator for LrpAscending {
     }
 }
 
-/// Descending iterator over the elements of an lrp that are `<= start`.
-#[derive(Debug, Clone)]
-pub struct LrpDescending {
-    next: Option<i64>,
-    period: i64,
-}
-
-impl LrpDescending {
-    pub(crate) fn new(lrp: Lrp, start: i64) -> Self {
-        Self {
-            next: lrp.last_at_most(start),
-            period: lrp.period(),
-        }
-    }
-}
-
-impl Iterator for LrpDescending {
-    type Item = i64;
-
-    fn next(&mut self) -> Option<i64> {
-        let cur = self.next?;
-        self.next = if self.period == 0 {
-            None
-        } else {
-            cur.checked_sub(self.period)
-        };
-        Some(cur)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -92,21 +62,7 @@ mod tests {
     }
 
     #[test]
-    fn descending_enumerates() {
-        let l = Lrp::new(3, 5).unwrap();
-        let v: Vec<i64> = l.iter_down_from(10).take(4).collect();
-        assert_eq!(v, vec![8, 3, -2, -7]);
-    }
-
-    #[test]
-    fn descending_point() {
-        let p = Lrp::point(7);
-        assert_eq!(p.iter_down_from(10).collect::<Vec<_>>(), vec![7]);
-        assert_eq!(p.iter_down_from(6).count(), 0);
-    }
-
-    #[test]
-    fn ascending_and_descending_mirror() {
+    fn ascending_steps_by_period() {
         use proptest::prelude::*;
         let mut runner = proptest::test_runner::TestRunner::default();
         runner
@@ -117,16 +73,9 @@ mod tests {
                     prop_assert_eq!(w[1] - w[0], k);
                 }
                 prop_assert!(up.iter().all(|&x| l.contains(x) && x >= start));
-                let down: Vec<i64> = l.iter_down_from(start).take(5).collect();
-                for w in down.windows(2) {
-                    prop_assert_eq!(w[0] - w[1], k);
-                }
-                prop_assert!(down.iter().all(|&x| l.contains(x) && x <= start));
-                // The two directions meet exactly at a member when start
-                // is one.
+                // A member start is the first element.
                 if l.contains(start) {
                     prop_assert_eq!(up[0], start);
-                    prop_assert_eq!(down[0], start);
                 }
                 Ok(())
             })

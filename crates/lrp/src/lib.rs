@@ -7,26 +7,25 @@
 //! `n` ranges over all of `Z`, an infinite lrp is exactly a residue class
 //! `c mod |k|`, which is the canonical form used by [`Lrp`].
 //!
-//! The module provides the three lrp-level algorithms the paper's relational
+//! The crate provides the lrp-level primitives the paper's relational
 //! algebra is built on:
 //!
 //! * **intersection** (§3.2.1) via the extended Euclidean algorithm /
 //!   Chinese remaindering ([`Lrp::intersect`]);
-//! * **refinement** to a coarser common period (Lemma 3.1,
-//!   [`Lrp::refine_to_period`]), the engine of normalization;
-//! * **subtraction** (§3.3.1, [`Lrp::subtract`]) producing residue classes,
-//!   with the finite/infinite corner cases the paper leaves implicit made
-//!   explicit by [`LrpDiff`].
+//! * **inclusion** ([`Lrp::includes`]) and the **common period** of a set
+//!   of lrps ([`Lrp::common_period`], the `k` of Theorem 3.2).
+//!
+//! Refinement to a common period (Lemma 3.1) and subtraction (§3.3.1)
+//! enumerate residue classes whose number can be exponential; they live
+//! in `itd-core`, as one lazy, budgeted walk over `offset + j·k`.
 //!
 //! Plus enumeration utilities ([`Lrp::iter_from`], [`Lrp::in_window`], …)
 //! used by the finite-window semantics oracle in tests and examples.
 
-mod diff;
 mod iter;
 mod point;
 
-pub use diff::LrpDiff;
-pub use iter::{LrpAscending, LrpDescending};
+pub use iter::LrpAscending;
 pub use point::Lrp;
 
 /// Result alias re-exported from the number-theory layer.

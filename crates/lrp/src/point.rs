@@ -2,10 +2,9 @@
 
 use std::fmt;
 
-use itd_numth::{checked_abs, crt_pair, lcm, mod_euclid, Congruence, NumthError, Result};
+use itd_numth::{checked_abs, crt_pair, mod_euclid, Congruence, NumthError, Result};
 
-use crate::diff::LrpDiff;
-use crate::iter::{LrpAscending, LrpDescending};
+use crate::iter::LrpAscending;
 
 /// A linear repeating point `{offset + period·n | n ∈ Z}` (Definition 2.1).
 ///
@@ -101,15 +100,6 @@ impl Lrp {
         }
     }
 
-    /// The residue-class view of an infinite lrp, or `None` for a point.
-    pub fn as_congruence(&self) -> Option<Congruence> {
-        if self.period == 0 {
-            None
-        } else {
-            Some(Congruence::new(self.offset, self.period).expect("canonical period > 0"))
-        }
-    }
-
     /// Is `self` a superset of `other`?
     pub fn includes(&self, other: &Lrp) -> bool {
         match (self.period, other.period) {
@@ -134,75 +124,12 @@ impl Lrp {
             (0, _) => Ok(other.contains(self.offset).then_some(*self)),
             (_, 0) => Ok(self.contains(other.offset).then_some(*other)),
             _ => {
-                let c1 = self.as_congruence().expect("infinite");
-                let c2 = other.as_congruence().expect("infinite");
+                let c1 = Congruence::new(self.offset, self.period)?;
+                let c2 = Congruence::new(other.offset, other.period)?;
                 match crt_pair(c1, c2)? {
                     None => Ok(None),
                     Some(c) => Ok(Some(Lrp::new(c.residue(), c.modulus())?)),
                 }
-            }
-        }
-    }
-
-    /// Refines this lrp into the equivalent set of lrps of period
-    /// `new_period` (Lemma 3.1).
-    ///
-    /// `new_period` must be a positive multiple of `self.period()`. A point
-    /// cannot be refined (its period-0 form is already normal per
-    /// Definition 3.2); requesting it returns
-    /// [`NumthError::DivisionByZero`].
-    ///
-    /// The result is the `new_period / period` residue classes
-    /// `offset + j·period (mod new_period)` for `j = 0 .. ratio-1`.
-    pub fn refine_to_period(&self, new_period: i64) -> Result<Vec<Lrp>> {
-        if self.period == 0 || new_period <= 0 || new_period % self.period != 0 {
-            return Err(NumthError::DivisionByZero);
-        }
-        let ratio = new_period / self.period;
-        let mut out = Vec::with_capacity(ratio as usize);
-        for j in 0..ratio {
-            // offset + j*period < new_period <= i64::MAX, no overflow:
-            // offset < period and j*period <= new_period - period.
-            out.push(Lrp {
-                offset: self.offset + j * self.period,
-                period: new_period,
-            });
-        }
-        Ok(out)
-    }
-
-    /// Subtraction `self − other` (§3.3.1), with every corner case explicit.
-    ///
-    /// The paper computes `A − B` assuming `B ⊆ A` after replacing `B` by
-    /// `A ∩ B`; we fold that replacement in. See [`LrpDiff`] for the shape
-    /// of the result, including the [`LrpDiff::Punctured`] case (removing a
-    /// single point from an infinite progression) which is representable
-    /// only with constraints and therefore resolved one level up, at the
-    /// generalized-tuple layer.
-    ///
-    /// # Errors
-    /// [`NumthError::Overflow`] if the common period overflows.
-    pub fn subtract(&self, other: &Lrp) -> Result<LrpDiff> {
-        let Some(common) = self.intersect(other)? else {
-            return Ok(LrpDiff::Unchanged);
-        };
-        match (self.period, common.period) {
-            // self is a point and intersect is nonempty → other covers it.
-            (0, _) => Ok(LrpDiff::Empty),
-            // infinite minus a single interior point.
-            (_, 0) => Ok(LrpDiff::Punctured(common.offset)),
-            (k1, k2) => {
-                debug_assert_eq!(k2 % k1, 0, "intersection period is lcm");
-                if k1 == k2 {
-                    // other ⊇ self (modulo intersection) → everything removed.
-                    return Ok(LrpDiff::Empty);
-                }
-                let classes = self
-                    .refine_to_period(k2)?
-                    .into_iter()
-                    .filter(|c| *c != common)
-                    .collect();
-                Ok(LrpDiff::Classes(classes))
             }
         }
     }
@@ -225,23 +152,9 @@ impl Lrp {
         bound.checked_add((self.period - r) % self.period)
     }
 
-    /// The largest element `<= bound`, or `None` for a point above `bound`.
-    pub fn last_at_most(&self, bound: i64) -> Option<i64> {
-        if self.period == 0 {
-            return (self.offset <= bound).then_some(self.offset);
-        }
-        let r = (bound - self.offset).rem_euclid(self.period);
-        bound.checked_sub(r)
-    }
-
     /// Ascending iterator over elements `>= start`.
     pub fn iter_from(&self, start: i64) -> LrpAscending {
         LrpAscending::new(*self, start)
-    }
-
-    /// Descending iterator over elements `<= start`.
-    pub fn iter_down_from(&self, start: i64) -> LrpDescending {
-        LrpDescending::new(*self, start)
     }
 
     /// All elements in the closed window `[lo, hi]`, ascending.
@@ -249,64 +162,10 @@ impl Lrp {
         self.iter_from(lo).take_while(|&x| x <= hi).collect()
     }
 
-    /// Number of elements in the closed window `[lo, hi]`.
-    pub fn count_in_window(&self, lo: i64, hi: i64) -> u64 {
-        if lo > hi {
-            return 0;
-        }
-        if self.period == 0 {
-            return u64::from(self.offset >= lo && self.offset <= hi);
-        }
-        match (self.first_at_least(lo), self.last_at_most(hi)) {
-            (Some(f), Some(l)) if f <= l => ((l - f) / self.period + 1) as u64,
-            _ => 0,
-        }
-    }
-
     /// Applies an integer shift: `{x + delta | x ∈ self}`.
     pub fn shift(&self, delta: i64) -> Result<Lrp> {
         let offset = self.offset.checked_add(delta).ok_or(NumthError::Overflow)?;
         Lrp::new(offset, self.period)
-    }
-
-    /// Scales by a nonzero factor: `{m·x | x ∈ self}` (used by the
-    /// Presburger translation of Theorem 2.1/2.2).
-    pub fn scale(&self, m: i64) -> Result<Lrp> {
-        if m == 0 {
-            return Ok(Lrp::point(0));
-        }
-        let offset = self.offset.checked_mul(m).ok_or(NumthError::Overflow)?;
-        let period = self.period.checked_mul(m).ok_or(NumthError::Overflow)?;
-        Lrp::new(offset, period)
-    }
-
-    /// Exact division by a nonzero factor when every element is divisible:
-    /// `{x / m | x ∈ self}` if `m | x` for all `x ∈ self`, else `None`.
-    pub fn unscale(&self, m: i64) -> Result<Option<Lrp>> {
-        if m == 0 {
-            return Err(NumthError::DivisionByZero);
-        }
-        if self.period == 0 {
-            return Ok((self.offset % m == 0).then(|| Lrp::point(self.offset / m)));
-        }
-        if self.period % m != 0 || self.offset % m != 0 {
-            // Divisibility of offset alone is not enough in canonical form:
-            // canonical offset is the residue, and every element is
-            // offset + t*period, so all elements divisible ⟺ m | offset and
-            // m | period.
-            return Ok(None);
-        }
-        Ok(Some(Lrp::new(self.offset / m, self.period / m)?))
-    }
-
-    /// Common helper: lcm of this period with another (treating points as
-    /// period "anything").
-    pub fn period_lcm(&self, other: &Lrp) -> Result<i64> {
-        match (self.period, other.period) {
-            (0, 0) => Ok(1),
-            (0, k) | (k, 0) => Ok(k),
-            (k1, k2) => lcm(k1, k2),
-        }
     }
 }
 
@@ -417,88 +276,19 @@ mod tests {
     }
 
     #[test]
-    fn refine_lemma_3_1() {
-        // 3 + 2n at period 8 → {3+8n, 5+8n, 7+8n, 1+8n} (canonicalized)
-        let classes = lrp(3, 2).refine_to_period(8).unwrap();
-        assert_eq!(classes.len(), 4);
-        let mut sorted = classes.clone();
-        sorted.sort();
-        assert_eq!(sorted, vec![lrp(1, 8), lrp(3, 8), lrp(5, 8), lrp(7, 8)]);
-        // Union of the refined classes = original, spot-checked on a window.
-        for x in -30..30 {
-            assert_eq!(
-                lrp(3, 2).contains(x),
-                classes.iter().any(|c| c.contains(x)),
-                "x = {x}"
-            );
-        }
-    }
-
-    #[test]
-    fn refine_rejects_bad_period() {
-        assert!(lrp(3, 2).refine_to_period(7).is_err());
-        assert!(lrp(3, 2).refine_to_period(0).is_err());
-        assert!(Lrp::point(3).refine_to_period(4).is_err());
-    }
-
-    #[test]
-    fn subtract_cases() {
-        // Disjoint → Unchanged
-        assert_eq!(lrp(0, 2).subtract(&lrp(1, 2)).unwrap(), LrpDiff::Unchanged);
-        // Superset subtrahend → Empty
-        assert_eq!(lrp(1, 4).subtract(&lrp(1, 2)).unwrap(), LrpDiff::Empty);
-        assert_eq!(lrp(1, 2).subtract(&Lrp::all()).unwrap(), LrpDiff::Empty);
-        // Point minus covering lrp → Empty
-        assert_eq!(Lrp::point(5).subtract(&lrp(1, 2)).unwrap(), LrpDiff::Empty);
-        // Point minus non-covering → Unchanged
-        assert_eq!(
-            Lrp::point(4).subtract(&lrp(1, 2)).unwrap(),
-            LrpDiff::Unchanged
-        );
-        // Infinite minus interior point → Punctured
-        assert_eq!(
-            lrp(1, 2).subtract(&Lrp::point(5)).unwrap(),
-            LrpDiff::Punctured(5)
-        );
-        // The paper's §3.3.1 class case: (2n) − (6n+4) = {6n, 6n+2}
-        match lrp(0, 2).subtract(&lrp(4, 6)).unwrap() {
-            LrpDiff::Classes(mut cs) => {
-                cs.sort();
-                assert_eq!(cs, vec![lrp(0, 6), lrp(2, 6)]);
-            }
-            other => panic!("unexpected {other:?}"),
-        }
-    }
-
-    #[test]
     fn bounds_and_windows() {
         let l = lrp(3, 5);
         assert_eq!(l.first_at_least(4), Some(8));
         assert_eq!(l.first_at_least(8), Some(8));
         assert_eq!(l.first_at_least(-100), Some(-97));
-        assert_eq!(l.last_at_most(7), Some(3));
-        assert_eq!(l.last_at_most(3), Some(3));
         assert_eq!(l.in_window(0, 20), vec![3, 8, 13, 18]);
-        assert_eq!(l.count_in_window(0, 20), 4);
-        assert_eq!(l.count_in_window(20, 0), 0);
         assert_eq!(Lrp::point(5).in_window(0, 10), vec![5]);
-        assert_eq!(Lrp::point(5).count_in_window(0, 10), 1);
-        assert_eq!(Lrp::point(5).count_in_window(6, 10), 0);
         assert_eq!(Lrp::point(5).first_at_least(6), None);
-        assert_eq!(Lrp::point(5).last_at_most(4), None);
     }
 
     #[test]
     fn shift_scale_unscale() {
         assert_eq!(lrp(3, 5).shift(2).unwrap(), lrp(5, 5));
-        assert_eq!(lrp(3, 5).scale(2).unwrap(), lrp(6, 10));
-        assert_eq!(lrp(6, 10).unscale(2).unwrap(), Some(lrp(3, 5)));
-        assert_eq!(lrp(5, 10).unscale(2).unwrap(), None);
-        assert_eq!(lrp(2, 5).unscale(2).unwrap(), None); // period not divisible
-        assert_eq!(Lrp::point(6).unscale(3).unwrap(), Some(Lrp::point(2)));
-        assert_eq!(Lrp::point(7).unscale(3).unwrap(), None);
-        assert!(lrp(3, 5).unscale(0).is_err());
-        assert_eq!(lrp(3, 5).scale(0).unwrap(), Lrp::point(0));
     }
 
     #[test]
@@ -524,33 +314,6 @@ mod tests {
         }
 
         #[test]
-        fn prop_subtract_matches_membership(
-            c1 in -20i64..20, k1 in 0i64..15,
-            c2 in -20i64..20, k2 in 0i64..15,
-            x in -200i64..200,
-        ) {
-            let a = Lrp::new(c1, k1).unwrap();
-            let b = Lrp::new(c2, k2).unwrap();
-            let expect = a.contains(x) && !b.contains(x);
-            let got = match a.subtract(&b).unwrap() {
-                LrpDiff::Empty => false,
-                LrpDiff::Unchanged => a.contains(x),
-                LrpDiff::Punctured(p) => a.contains(x) && x != p,
-                LrpDiff::Classes(cs) => cs.iter().any(|c| c.contains(x)),
-            };
-            prop_assert_eq!(expect, got);
-        }
-
-        #[test]
-        fn prop_refine_partition(c in -20i64..20, k in 1i64..10, mult in 1i64..6, x in -100i64..100) {
-            let l = Lrp::new(c, k).unwrap();
-            let classes = l.refine_to_period(k * mult).unwrap();
-            prop_assert_eq!(classes.len() as i64, mult);
-            let covering: usize = classes.iter().filter(|cl| cl.contains(x)).count();
-            prop_assert_eq!(covering, usize::from(l.contains(x)));
-        }
-
-        #[test]
         fn prop_first_last_consistent(c in -20i64..20, k in 0i64..10, b in -50i64..50) {
             let l = Lrp::new(c, k).unwrap();
             if let Some(f) = l.first_at_least(b) {
@@ -559,16 +322,7 @@ mod tests {
                     prop_assert!(!l.contains(f - k) || f - k < b);
                 }
             }
-            if let Some(last) = l.last_at_most(b) {
-                prop_assert!(last <= b && l.contains(last));
-            }
         }
 
-        #[test]
-        fn prop_count_matches_enumeration(c in -10i64..10, k in 0i64..8, lo in -40i64..40, span in 0i64..50) {
-            let l = Lrp::new(c, k).unwrap();
-            let hi = lo + span;
-            prop_assert_eq!(l.count_in_window(lo, hi), l.in_window(lo, hi).len() as u64);
-        }
     }
 }

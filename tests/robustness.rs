@@ -70,6 +70,41 @@ fn refinement_limit_is_an_error_not_oom() {
     }
 }
 
+/// `p(t) and not q(t)` over `p = {0 + 2³¹·n}` and `q = {0 + (2³¹−1)·n}`:
+/// the difference keeps 2³¹ − 2 residue classes at period 2³¹·(2³¹−1),
+/// the exponential difference of Table 2. The budget must stop it with a
+/// typed error before any class is built — materializing them is a
+/// 32 GiB allocation, which aborts the process instead of unwinding.
+#[test]
+fn negation_at_huge_coprime_periods_is_an_error_not_an_abort() {
+    let mut db = itd_db::Database::new();
+    for (name, period) in [("p", 1i64 << 31), ("q", (1 << 31) - 1)] {
+        db.create_table(name, &["t"], &[]).unwrap();
+        db.table_mut(name)
+            .unwrap()
+            .insert(itd_db::TupleSpec::new().lrp("t", 0, period))
+            .unwrap();
+    }
+    // Optimizer on, the `antijoin` plan computes `p − q`: one column at
+    // period 2³¹·(2³¹−1). Off, the complement plan computes `Z − q`: one
+    // column at period 2³¹−1. Either difference is over the budget.
+    for (optimize, meet_period) in [(true, (1 << 31) * ((1 << 31) - 1)), (false, (1 << 31) - 1)] {
+        for threads in [1, 2, 8] {
+            let ctx = ExecContext::with_threads(threads);
+            let opts = itd_db::QueryOpts::new().ctx(&ctx).optimize(optimize);
+            match db.run("p(t) and not q(t)", opts) {
+                Err(itd_db::DbError::Query(itd_query::QueryError::Core(
+                    CoreError::TooManyExtensions { period, arity, .. },
+                ))) => assert_eq!((period, arity), (meet_period, 1), "optimize {optimize}"),
+                other => panic!(
+                    "optimize {optimize}, {threads} threads: expected TooManyExtensions, \
+                     got {other:?}"
+                ),
+            }
+        }
+    }
+}
+
 #[test]
 fn complement_limit_is_an_error() {
     let r = GenRelation::new(

@@ -250,6 +250,38 @@ fn engine_errors_travel_as_rendered_chains() {
 }
 
 #[test]
+fn oversized_difference_fails_its_request_and_the_session_serves_on() {
+    // `p − q` at coprime periods 2³¹ and 2³¹−1 keeps 2³¹ − 2 residue
+    // classes: more than the enumeration limit, so the request gets a typed
+    // error instead of the server attempting a 32 GiB allocation.
+    let mut db = sample_db();
+    for (name, period) in [("svc_p", 1i64 << 31), ("svc_q", (1 << 31) - 1)] {
+        db.create_table(name, &["t"], &[]).unwrap();
+        db.table_mut(name)
+            .unwrap()
+            .insert(TupleSpec::new().lrp("t", 0, period))
+            .unwrap();
+    }
+    let server = Server::start(db, ServerConfig::default()).unwrap();
+    let mut client = Client::connect(server.addr()).unwrap();
+    let msg = client
+        .query("svc_p(t) and not svc_q(t)")
+        .unwrap_err()
+        .to_string();
+    assert!(
+        msg.contains("exceeds the limit of 1048576 combinations"),
+        "the budget error names its limit: {msg}"
+    );
+    let src = "svc_even(t) and not svc_fives(t)";
+    let got = client.query(src).unwrap();
+    assert_eq!(
+        (got.temporal_vars, got.data_vars, got.result),
+        direct(&server, src)
+    );
+    server.shutdown();
+}
+
+#[test]
 fn http_listener_serves_metrics_and_health() {
     let server = start(ServerConfig {
         metrics_addr: Some("127.0.0.1:0".into()),
