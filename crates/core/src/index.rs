@@ -118,8 +118,8 @@ pub struct RelationIndex {
 
 impl RelationIndex {
     /// Indexes `store` on the given temporal and data columns, straight
-    /// from its flat `(offset, period)` and [`ValueId`] columns (the row
-    /// cache is never materialized). Each column's modulus is
+    /// from its flat `(offset, period)` and [`ValueId`] columns, without
+    /// reading a row. Each column's modulus is
     /// [`modulus`] of the gcd of its nonzero periods.
     pub(crate) fn build(store: &RelStore, temporal_cols: &[usize], data_cols: &[usize]) -> Self {
         let gcds: Vec<i64> = temporal_cols

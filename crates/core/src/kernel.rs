@@ -3,14 +3,15 @@
 //!
 //! Intersection and join are one candidate loop (`pairwise`), told
 //! apart only by their column pairing (the identity pairing for
-//! intersection), their outcome-cache key, and where a rebuilt row gets
-//! its data. All three kernels draw their candidates from one helper
-//! (`candidates`), and work straight off the store's flat columns:
+//! intersection) and their outcome-cache key, which also fixes the
+//! output's data. All three kernels draw their candidates from one helper
+//! (`candidates`), filter them on the store's flat key columns, and
+//! borrow the stored rows of the pairs that survive:
 //!
 //! 1. **Probe** candidates through the persistent residue index, feeding
 //!    it the probe row's `(offset, period)` pairs and interned
-//!    [`ValueId`]s — no row materialization — or take every right row
-//!    when the index is not consulted.
+//!    [`ValueId`]s, or take every right row when the index is not
+//!    consulted.
 //! 2. **Batch pre-filter** every candidate pair over the contiguous
 //!    `t_offsets`/`t_periods` arrays and `ValueId` columns: a pair dies
 //!    when some relevant data column's ids differ (ids are canonical, so
@@ -20,7 +21,7 @@
 //!    under which [`Lrp::intersect`](itd_lrp::Lrp::intersect) is empty,
 //!    so a rejected pair is precisely a pair whose derivation would be
 //!    empty. The rejection is pure integer arithmetic over slices: no
-//!    locks, no allocation, no `GenTuple`/`RowRef`.
+//!    locks, no allocation.
 //! 3. **Derive survivors** through the process-wide pairwise outcome
 //!    cache (`crate::store`): the two temporal parts are globally
 //!    hash-consed, so `(part, part, op)` outcomes survive across
@@ -76,7 +77,7 @@ use crate::store::{
     RelStore, TemporalPartId, ValueId,
 };
 use crate::tuple::GenTuple;
-use crate::{Result, Value};
+use crate::Result;
 
 /// Is the columnwise meet of `c1 + k1·Z` and `c2 + k2·Z` empty?
 ///
@@ -124,13 +125,6 @@ fn pair_rejected(
         }
     }
     false
-}
-
-/// One row rebuilt from its hash-consed part and resolved data — the
-/// only materialization the kernels do, and only for batch survivors
-/// (never through the store's `OnceLock` row cache).
-fn row_tuple(store: &RelStore, row: usize) -> GenTuple {
-    GenTuple::from_part(Arc::clone(store.part(row)), store.resolve_row_data(row))
 }
 
 /// Grid-emptiness of an interned part through the global verdict cache.
@@ -186,36 +180,27 @@ fn candidates(
 }
 
 /// What tells intersection and join apart in [`pairwise`].
-struct PairOp<'a, R, C> {
+struct PairOp<'a> {
     /// `(left column, right column)` temporal pairs.
     tpairs: &'a [(usize, usize)],
     /// `(left column, right column)` data pairs.
     dpairs: &'a [(usize, usize)],
-    /// The outcome-cache key; it also picks the per-pair derivation.
+    /// The outcome-cache key; it also picks the per-pair derivation and
+    /// the data of an output rebuilt from a cached part.
     key: PairOpKey,
-    /// The data of right row `j` rebuilt for a derivation, given the
-    /// rebuilt left row.
-    right_data: R,
-    /// The data of the output tuple rebuilt from a cached part for right
-    /// row `j`, given the rebuilt left row.
-    cached_data: C,
 }
 
 /// The candidate loop of intersection and join: every left row probes
 /// (or scans) the right rows, the batch pre-filter rejects dead pairs,
 /// and survivors derive through the outcome cache. Counts under the
 /// contract of the module docs.
-fn pairwise<R, C>(
+fn pairwise(
     left: &RelStore,
     right: &RelStore,
-    op: PairOp<'_, R, C>,
+    op: PairOp<'_>,
     ctx: &ExecContext,
     timer: &OpTimer<'_>,
-) -> Result<Vec<GenTuple>>
-where
-    R: Fn(&GenTuple, usize) -> Vec<Value> + Sync,
-    C: Fn(&GenTuple, usize) -> Vec<Value> + Sync,
-{
+) -> Result<Vec<GenTuple>> {
     let (n, m) = (left.len(), right.len());
     timer.add_in(n + m);
     timer.add_pairs(n as u64 * m as u64);
@@ -225,9 +210,7 @@ where
     let use_cache = n * m >= INDEX_MIN_PAIRS;
     exec::run_chunked_range(ctx, n, |i| {
         let mut out = Vec::new();
-        // The left row is rebuilt at most once per outer row, and only
-        // if some candidate survives the batch filter.
-        let mut t1: Option<GenTuple> = None;
+        let t1 = &left.rows()[i];
         let (skipped, cands) = candidates(left, i, index.as_deref(), m, &left_t, &left_d, timer);
         timer.add_pruned(skipped);
         for j in cands {
@@ -236,7 +219,7 @@ where
                 timer.add_pruned(1);
                 continue;
             }
-            let t1 = t1.get_or_insert_with(|| row_tuple(left, i));
+            let t2 = &right.rows()[j];
             let (p1, p2) = (left.part_ids()[i], right.part_ids()[j]);
             let cached = if use_cache {
                 outcome_cached_pair(p1, p2, &op.key)
@@ -244,14 +227,19 @@ where
                 None
             };
             let res = match cached {
-                Some(outcome) => {
-                    outcome.map(|part| GenTuple::from_part(part, (op.cached_data)(t1, j)))
-                }
+                Some(outcome) => outcome.map(|part| {
+                    // Intersection matched every data id, so the left
+                    // row's data is the output's; a join concatenates.
+                    let data = match &op.key {
+                        PairOpKey::Intersect => t1.data().to_vec(),
+                        PairOpKey::Join(_) => [t1.data(), t2.data()].concat(),
+                    };
+                    GenTuple::from_part(part, data)
+                }),
                 None => {
-                    let t2 = GenTuple::from_part(Arc::clone(right.part(j)), (op.right_data)(t1, j));
                     let res = match &op.key {
-                        PairOpKey::Intersect => ops::intersect_tuples(t1, &t2)?,
-                        PairOpKey::Join(_) => ops::join_tuples(t1, &t2, op.tpairs, op.dpairs)?,
+                        PairOpKey::Intersect => ops::intersect_tuples(t1, t2)?,
+                        PairOpKey::Join(_) => ops::join_tuples(t1, t2, op.tpairs, op.dpairs)?,
                     };
                     if use_cache {
                         let part = res.as_ref().map(|t| Arc::clone(t.part_arc()));
@@ -280,15 +268,10 @@ pub(crate) fn intersect(
     let schema = left.schema();
     let tpairs: Vec<(usize, usize)> = (0..schema.temporal()).map(|c| (c, c)).collect();
     let dpairs: Vec<(usize, usize)> = (0..schema.data()).map(|c| (c, c)).collect();
-    // Data ids matched, so the values are equal: the left row's resolved
-    // data serves the right row and every output.
-    let left_data = |t1: &GenTuple, _: usize| t1.data().to_vec();
     let op = PairOp {
         tpairs: &tpairs,
         dpairs: &dpairs,
         key: PairOpKey::Intersect,
-        right_data: left_data,
-        cached_data: left_data,
     };
     pairwise(left, right, op, ctx, timer)
 }
@@ -304,20 +287,13 @@ pub(crate) fn join_on(
     ctx: &ExecContext,
     timer: &OpTimer<'_>,
 ) -> Result<Vec<GenTuple>> {
-    // Right-side data is shared by every outer row: resolve each right
-    // row once up front (ids only; the row cache is never populated).
-    let rdata: Vec<Vec<Value>> = (0..right.len())
-        .map(|j| right.resolve_row_data(j))
-        .collect();
     let op = PairOp {
         tpairs: temporal_pairs,
         dpairs: data_pairs,
         // With the join columns fixed for the whole invocation, the
         // temporal outcome of a pair depends only on the two parts and
-        // the temporal pairing; the output data is the concatenation.
+        // the temporal pairing.
         key: PairOpKey::Join(temporal_pairs.into()),
-        right_data: |_: &GenTuple, j: usize| rdata[j].clone(),
-        cached_data: |t1: &GenTuple, j: usize| [t1.data(), &rdata[j]].concat(),
     };
     pairwise(left, right, op, ctx, timer)
 }
@@ -343,18 +319,21 @@ pub(crate) fn difference(
     // their emptiness is decided directly; the fold-initial parts are
     // interned, so those verdicts use the global cache (`part_is_empty`).
     exec::run_chunked_range(ctx, n, |i| {
-        let t1 = row_tuple(left, i);
+        let t1 = &left.rows()[i];
         // One fold step: subtract `t2` from every member, prune
-        // grid-empty results, deduplicate.
+        // grid-empty results, deduplicate. Both loops poll the cancel
+        // token per member: a single row's fold can grow large.
         let step = |acc: Vec<GenTuple>, t2: &GenTuple| -> Result<Vec<GenTuple>> {
             let mut next = Vec::new();
             for t in &acc {
+                ctx.check_cancelled()?;
                 timer.add_pairs(1);
                 next.extend(ops::difference_tuples(t, t2)?);
             }
             let candidates = next.len();
             let mut pruned: Vec<GenTuple> = Vec::with_capacity(next.len());
             for t in next {
+                ctx.check_cancelled()?;
                 if !t.is_empty()? && !pruned.contains(&t) {
                     pruned.push(t);
                 }
@@ -362,10 +341,6 @@ pub(crate) fn difference(
             timer.add_pruned((candidates - pruned.len()) as u64);
             Ok(pruned)
         };
-        // Rebuild a subtrahend only when a step actually runs; data ids
-        // matched, so `t1`'s resolved data doubles for the right side.
-        let subtrahend =
-            |j: usize| GenTuple::from_part(Arc::clone(right.part(j)), t1.data().to_vec());
         let (_, cands) = candidates(left, i, index.as_deref(), m, &tcols, &dcols, timer);
         // The batch filter may only skip steps whose members are known
         // non-grid-empty. That holds after any executed step (members
@@ -375,29 +350,24 @@ pub(crate) fn difference(
         // upfront (`right` is nonempty whenever the index gate passed);
         // without it that first step runs literally, reproducing its
         // exact pair/prune counts.
-        let mut literal_first = m > 0 && part_is_empty(left.part_ids()[i], &t1)?;
+        let mut literal_first = m > 0 && part_is_empty(left.part_ids()[i], t1)?;
         if literal_first && index.is_some() {
             timer.add_pruned(1);
             return Ok(vec![]);
         }
         let mut acc = vec![t1.clone()];
         for j in cands {
-            if literal_first {
-                // Grid-empty initial member: execute the step verbatim,
-                // with the subtrahend's own data (the filter has not
-                // vouched for equality). It prunes every member, so the
-                // loop ends here.
-                acc = step(acc, &row_tuple(right, j))?;
-                literal_first = false;
-            } else if pair_rejected(left, right, i, j, &tpairs, &dpairs) {
+            if !literal_first && pair_rejected(left, right, i, j, &tpairs, &dpairs) {
                 // No-op step: every member would pass through unchanged
                 // and survive the prune (members are prune-survivors,
                 // hence non-grid-empty).
                 timer.add_pairs(acc.len() as u64);
                 continue;
-            } else {
-                acc = step(acc, &subtrahend(j))?;
             }
+            // A grid-empty initial member runs its first step verbatim;
+            // that step prunes every member, so the loop ends there.
+            literal_first = false;
+            acc = step(acc, &right.rows()[j])?;
             if acc.is_empty() {
                 break;
             }

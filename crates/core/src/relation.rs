@@ -138,10 +138,9 @@ impl GenRelation {
         self.schema
     }
 
-    /// The materialized row view, shared by the row-oriented operator
-    /// loops.
+    /// The stored rows, shared by the row-oriented operator loops.
     pub(crate) fn rows_slice(&self) -> &[GenTuple] {
-        self.store.rows_vec()
+        self.store.rows()
     }
 
     /// The columnar store behind the rows.
@@ -263,8 +262,8 @@ impl GenRelation {
         Ok(removed)
     }
 
-    /// Membership of a concrete tuple (columnar: data columns are compared
-    /// as interned ids before any temporal arithmetic runs).
+    /// Membership of a concrete tuple (each row compares its data before
+    /// any temporal arithmetic runs).
     #[must_use]
     pub fn contains(&self, times: &[i64], data: &[Value]) -> bool {
         self.rows().any(|r| r.contains(times, data))
@@ -305,8 +304,8 @@ impl GenRelation {
     /// by the columnar batch kernel (`crate::kernel`): candidate pairs are
     /// probed through the persistent residue index, then batch-filtered
     /// by gcd-congruence and data-id equality straight off the flat
-    /// columns — only survivors materialize rows and derive, through the
-    /// process-wide pairwise outcome cache. The result and every
+    /// columns — only survivors derive, from the borrowed stored rows,
+    /// through the process-wide pairwise outcome cache. The result and every
     /// [`OpKind::Intersect`] counter are identical at any thread count.
     ///
     /// # Errors
@@ -339,10 +338,10 @@ impl GenRelation {
     /// columnar batch kernel (`crate::kernel`): per fold, the subtrahends
     /// are probed through the persistent residue index and batch-filtered
     /// over the flat columns (a rejected `t2` is columnwise disjoint from
-    /// `t1` or differs in data, so its step is a provable no-op), with
-    /// rows materialized only when a step actually runs. The result and
-    /// every [`OpKind::Difference`] counter are identical at any thread
-    /// count.
+    /// `t1` or differs in data, so its step is a provable no-op), and
+    /// only the steps that run derive, from the borrowed stored rows. The
+    /// fold polls the cancel token once per member. The result and every
+    /// [`OpKind::Difference`] counter are identical at any thread count.
     ///
     /// # Errors
     /// [`CoreError::SchemaMismatch`]; [`CoreError::TooManyExtensions`] when
@@ -504,7 +503,7 @@ impl GenRelation {
     /// residue-indexed on the *right* columns of the join pairs, each
     /// left row probes with its *left* columns, and candidates are
     /// batch-filtered by gcd-congruence / data-id equality on exactly the
-    /// paired columns before any row materializes. The result and every
+    /// paired columns before any pair derives. The result and every
     /// [`OpKind::Join`] counter are identical at any thread count.
     ///
     /// # Errors

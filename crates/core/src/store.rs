@@ -1,12 +1,16 @@
-//! Columnar, interned relation storage.
+//! Interned relation storage with columnar keys.
 //!
-//! A [`GenRelation`](crate::GenRelation) no longer owns a `Vec<GenTuple>`
-//! of independent rows; it holds an [`Arc`] to a [`RelStore`], which keeps
-//! the relation column-major:
+//! A [`GenRelation`](crate::GenRelation) holds an [`Arc`] to a
+//! [`RelStore`], which keeps the relation's rows (Definition 2.3's finite
+//! set of generalized tuples) as one `Vec<GenTuple>` — the only row
+//! representation — each row's temporal part aliasing the canonical
+//! hash-consed [`TemporalPart`] allocation. Next to the rows it keeps
+//! keys derived from them, column-major, for the batch pre-filter, the
+//! residue index and relation equality:
 //!
+//! * per-row hash-consed [`TemporalPart`] ids;
 //! * **temporal columns** as flat `(offset, period)` arrays (one pair of
-//!   `Vec<i64>` per temporal attribute) next to the per-row hash-consed
-//!   [`TemporalPart`] ids;
+//!   `Vec<i64>` per temporal attribute);
 //! * **data columns** as flat [`ValueId`] arrays — `NonZeroU32` ids into a
 //!   process-wide [`Value`] arena, so `Option<ValueId>` is pointer-free
 //!   and equal values compare as integers;
@@ -24,9 +28,8 @@
 //! counts (the REPL's `\storage` command); per arena the determinism
 //! invariant `hits == lookups − distinct` holds at every snapshot.
 //!
-//! Row-oriented access stays available through the [`Rows`] cursor /
-//! [`RowRef`] view API and a lazily materialized row cache (`OnceLock`)
-//! — materialization happens at most once per store, not per call.
+//! Row-oriented access goes through the [`Rows`] cursor / [`RowRef`]
+//! view API, which borrows the stored rows.
 //!
 //! Compaction follows the same one-cache-per-fact rule: a store memoizes
 //! what compacting it produced (see
@@ -320,15 +323,6 @@ pub fn resolve_value(id: ValueId) -> Value {
     inner.arena[id.index()].clone()
 }
 
-/// Non-inserting probe: the id of `v` if it has ever been interned.
-pub(crate) fn lookup_value(v: &Value) -> Option<ValueId> {
-    let inner = values().lock().expect("value arena poisoned");
-    inner
-        .ids
-        .get(v)
-        .map(|&raw| ValueId(NonZeroU32::new(raw).expect("stored ids are nonzero")))
-}
-
 /// Declares the storage counters once: the fields of [`StorageStats`],
 /// [`StorageStats::delta_since`], and the Prometheus families that
 /// [`StorageStats::to_prometheus`] renders. An entry's help text, when it
@@ -469,22 +463,21 @@ type IndexKey = (Vec<usize>, Vec<usize>);
 /// `Arc` to itself would be a cycle that leaks it), plus what it removed.
 pub(crate) type Compacted = (Option<Arc<RelStore>>, CompactReport);
 
-/// The columnar backing store of one relation. Immutable once shared
-/// (relations append through `Arc::get_mut` or copy-on-write).
+/// The backing store of one relation: its rows plus the columnar keys
+/// derived from them. Immutable once shared (relations append through
+/// `Arc::get_mut` or copy-on-write).
 pub(crate) struct RelStore {
     schema: Schema,
+    /// The rows, each aliasing its canonical hash-consed part.
+    rows: Vec<GenTuple>,
     /// Per-row id of the hash-consed temporal part.
     part_ids: Vec<TemporalPartId>,
-    /// Per-row canonical part allocation (parallel to `part_ids`).
-    parts: Vec<Arc<TemporalPart>>,
     /// Per temporal column: each row's lrp offset.
     t_offsets: Vec<Vec<i64>>,
     /// Per temporal column: each row's lrp period (`0` for points).
     t_periods: Vec<Vec<i64>>,
     /// Per data column: each row's interned value id.
     data: Vec<Vec<ValueId>>,
-    /// Lazily materialized row view (what `rows_slice` hands out).
-    rows: OnceLock<Vec<GenTuple>>,
     /// Persistent residue indexes by column set.
     indexes: Mutex<HashMap<IndexKey, Arc<RelationIndex>>>,
     /// The compaction result, memoized on first use.
@@ -496,22 +489,19 @@ impl fmt::Debug for RelStore {
         f.debug_struct("RelStore")
             .field("schema", &self.schema)
             .field("len", &self.part_ids.len())
-            .field("rows_cached", &self.rows.get().is_some())
             .field("compacted", &self.compacted.get().is_some())
             .finish()
     }
 }
 
 impl RelStore {
-    /// An empty store of the given schema (row cache pre-filled: there is
-    /// nothing to materialize).
+    /// An empty store of the given schema.
     pub(crate) fn empty(schema: Schema) -> RelStore {
         RelStore::from_tuples(schema, Vec::new())
     }
 
     /// Builds a store from already-schema-checked tuples. The input rows
-    /// are canonicalized against the global arenas and kept as the row
-    /// cache, so constructing from tuples costs no extra materialization.
+    /// are canonicalized against the global arenas and kept as the rows.
     pub(crate) fn from_tuples(schema: Schema, mut tuples: Vec<GenTuple>) -> RelStore {
         debug_assert!(tuples.iter().all(|t| t.schema() == schema));
         let n = tuples.len();
@@ -525,8 +515,9 @@ impl RelStore {
                 canonical.push(part);
             }
         }
-        for (t, part) in tuples.iter_mut().zip(&canonical) {
-            t.canonicalize_part(Arc::clone(part));
+        // Swapped outside the lock: a replaced part may be freed here.
+        for (t, part) in tuples.iter_mut().zip(canonical) {
+            t.canonicalize_part(part);
         }
         let mut t_offsets = vec![Vec::with_capacity(n); schema.temporal()];
         let mut t_periods = vec![Vec::with_capacity(n); schema.temporal()];
@@ -545,126 +536,73 @@ impl RelStore {
                 }
             }
         }
-        let rows = OnceLock::new();
-        let _ = rows.set(tuples);
         RelStore {
             schema,
+            rows: tuples,
             part_ids,
-            parts: canonical,
             t_offsets,
             t_periods,
             data,
-            rows,
             indexes: Mutex::new(HashMap::new()),
             compacted: OnceLock::new(),
         }
     }
 
-    /// Concatenation of two stores of one schema (union): pure id and
-    /// `Arc` copies, no re-hashing. Indexes start empty; the row cache is
-    /// carried over only when both inputs had already materialized.
+    /// Concatenation of two stores of one schema (union): pure row, id
+    /// and column copies, no re-hashing. Indexes start empty.
     pub(crate) fn concat(a: &RelStore, b: &RelStore) -> RelStore {
         debug_assert_eq!(a.schema, b.schema);
-        let cat = |x: &[TemporalPartId], y: &[TemporalPartId]| {
-            let mut v = Vec::with_capacity(x.len() + y.len());
-            v.extend_from_slice(x);
-            v.extend_from_slice(y);
-            v
-        };
-        let mut parts = Vec::with_capacity(a.parts.len() + b.parts.len());
-        parts.extend(a.parts.iter().cloned());
-        parts.extend(b.parts.iter().cloned());
-        let zip_cols = |x: &[Vec<i64>], y: &[Vec<i64>]| {
+        fn cat_cols<T: Clone>(x: &[Vec<T>], y: &[Vec<T>]) -> Vec<Vec<T>> {
             x.iter()
                 .zip(y)
-                .map(|(xa, xb)| {
-                    let mut col = Vec::with_capacity(xa.len() + xb.len());
-                    col.extend_from_slice(xa);
-                    col.extend_from_slice(xb);
-                    col
-                })
+                .map(|(xa, xb)| [xa.as_slice(), xb.as_slice()].concat())
                 .collect()
-        };
-        let data = a
-            .data
-            .iter()
-            .zip(&b.data)
-            .map(|(xa, xb)| {
-                let mut col = Vec::with_capacity(xa.len() + xb.len());
-                col.extend_from_slice(xa);
-                col.extend_from_slice(xb);
-                col
-            })
-            .collect();
-        let rows = OnceLock::new();
-        if let (Some(ra), Some(rb)) = (a.rows.get(), b.rows.get()) {
-            let mut v = Vec::with_capacity(ra.len() + rb.len());
-            v.extend(ra.iter().cloned());
-            v.extend(rb.iter().cloned());
-            let _ = rows.set(v);
         }
         RelStore {
             schema: a.schema,
-            part_ids: cat(&a.part_ids, &b.part_ids),
-            parts,
-            t_offsets: zip_cols(&a.t_offsets, &b.t_offsets),
-            t_periods: zip_cols(&a.t_periods, &b.t_periods),
-            data,
-            rows,
+            rows: [a.rows.as_slice(), b.rows.as_slice()].concat(),
+            part_ids: [a.part_ids.as_slice(), b.part_ids.as_slice()].concat(),
+            t_offsets: cat_cols(&a.t_offsets, &b.t_offsets),
+            t_periods: cat_cols(&a.t_periods, &b.t_periods),
+            data: cat_cols(&a.data, &b.data),
             indexes: Mutex::new(HashMap::new()),
             compacted: OnceLock::new(),
         }
     }
 
-    /// A positional row subset (data selection): columns are copied entry
-    /// by entry, nothing is re-interned.
+    /// A positional row subset (data selection): rows and columns are
+    /// copied entry by entry, nothing is re-interned.
     pub(crate) fn select(&self, keep: &[usize]) -> RelStore {
-        let pick_ids = keep.iter().map(|&i| self.part_ids[i]).collect();
-        let parts = keep.iter().map(|&i| Arc::clone(&self.parts[i])).collect();
-        let pick_i64 = |cols: &[Vec<i64>]| {
-            cols.iter()
-                .map(|col| keep.iter().map(|&i| col[i]).collect())
-                .collect()
-        };
-        let data = self
-            .data
-            .iter()
-            .map(|col| keep.iter().map(|&i| col[i]).collect())
-            .collect();
-        let rows = OnceLock::new();
-        if let Some(all) = self.rows.get() {
-            let _ = rows.set(keep.iter().map(|&i| all[i].clone()).collect());
+        fn pick<T: Clone>(col: &[T], keep: &[usize]) -> Vec<T> {
+            keep.iter().map(|&i| col[i].clone()).collect()
+        }
+        fn pick_cols<T: Clone>(cols: &[Vec<T>], keep: &[usize]) -> Vec<Vec<T>> {
+            cols.iter().map(|col| pick(col, keep)).collect()
         }
         RelStore {
             schema: self.schema,
-            part_ids: pick_ids,
-            parts,
-            t_offsets: pick_i64(&self.t_offsets),
-            t_periods: pick_i64(&self.t_periods),
-            data,
-            rows,
+            rows: pick(&self.rows, keep),
+            part_ids: pick(&self.part_ids, keep),
+            t_offsets: pick_cols(&self.t_offsets, keep),
+            t_periods: pick_cols(&self.t_periods, keep),
+            data: pick_cols(&self.data, keep),
             indexes: Mutex::new(HashMap::new()),
             compacted: OnceLock::new(),
         }
     }
 
-    /// A deep copy used by copy-on-write append: columns are cloned, the
-    /// cached indexes are carried over as shared `Arc`s (the append will
-    /// clone-on-extend them).
+    /// A deep copy used by copy-on-write append: rows and columns are
+    /// cloned, the cached indexes are carried over as shared `Arc`s (the
+    /// append will clone-on-extend them).
     pub(crate) fn cloned(&self) -> RelStore {
-        let rows = OnceLock::new();
-        if let Some(all) = self.rows.get() {
-            let _ = rows.set(all.clone());
-        }
         let indexes = self.indexes.lock().expect("index cache poisoned").clone();
         RelStore {
             schema: self.schema,
+            rows: self.rows.clone(),
             part_ids: self.part_ids.clone(),
-            parts: self.parts.clone(),
             t_offsets: self.t_offsets.clone(),
             t_periods: self.t_periods.clone(),
             data: self.data.clone(),
-            rows,
             indexes: Mutex::new(indexes),
             compacted: OnceLock::new(),
         }
@@ -672,8 +610,7 @@ impl RelStore {
 
     /// Appends one schema-checked row. Cached indexes are extended in
     /// place when the new row preserves their moduli and dropped (precise
-    /// invalidation) when it does not; the row cache is extended only if
-    /// already materialized; the compaction memo is cleared.
+    /// invalidation) when it does not; the compaction memo is cleared.
     pub(crate) fn push_row(&mut self, mut t: GenTuple) {
         debug_assert_eq!(t.schema(), self.schema);
         self.compacted.take();
@@ -681,9 +618,8 @@ impl RelStore {
             let mut inner = parts().lock().expect("part arena poisoned");
             intern_part(&mut inner, t.part_arc())
         };
-        t.canonicalize_part(Arc::clone(&part));
+        t.canonicalize_part(part);
         self.part_ids.push(id);
-        self.parts.push(part);
         for (c, l) in t.lrps().iter().enumerate() {
             self.t_offsets[c].push(l.offset());
             self.t_periods[c].push(l.period());
@@ -694,15 +630,13 @@ impl RelStore {
                 self.data[c].push(intern_value(&mut inner, v));
             }
         }
+        self.rows.push(t);
         let pos = self.part_ids.len() - 1;
         // Taken out of the lock so `try_insert` can read the extended
         // columns through `self`.
         let mut indexes = std::mem::take(self.indexes.get_mut().expect("index cache poisoned"));
         indexes.retain(|_, idx| Arc::make_mut(idx).try_insert(self, pos));
         *self.indexes.get_mut().expect("index cache poisoned") = indexes;
-        if let Some(rows) = self.rows.get_mut() {
-            rows.push(t);
-        }
     }
 
     pub(crate) fn schema(&self) -> Schema {
@@ -718,7 +652,7 @@ impl RelStore {
     }
 
     pub(crate) fn part(&self, row: usize) -> &Arc<TemporalPart> {
-        &self.parts[row]
+        self.rows[row].part_arc()
     }
 
     pub(crate) fn data_columns(&self) -> &[Vec<ValueId>] {
@@ -733,45 +667,9 @@ impl RelStore {
         &self.t_periods[col]
     }
 
-    /// Resolves one row's data values from the arena **without**
-    /// materializing the row cache (an already-materialized cache is
-    /// reused, never created).
-    pub(crate) fn resolve_row_data(&self, row: usize) -> Vec<Value> {
-        if self.schema.data() == 0 {
-            return Vec::new();
-        }
-        if let Some(rows) = self.rows.get() {
-            return rows[row].data().to_vec();
-        }
-        let inner = values().lock().expect("value arena poisoned");
-        self.data
-            .iter()
-            .map(|col| inner.arena[col[row].index()].clone())
-            .collect()
-    }
-
-    /// The materialized row view; built at most once per store.
-    pub(crate) fn rows_vec(&self) -> &[GenTuple] {
-        self.rows.get_or_init(|| {
-            let resolved: Vec<Vec<Value>> = if self.schema.data() > 0 {
-                let inner = values().lock().expect("value arena poisoned");
-                (0..self.len())
-                    .map(|i| {
-                        self.data
-                            .iter()
-                            .map(|col| inner.arena[col[i].index()].clone())
-                            .collect()
-                    })
-                    .collect()
-            } else {
-                vec![Vec::new(); self.len()]
-            };
-            self.parts
-                .iter()
-                .zip(resolved)
-                .map(|(part, data)| GenTuple::from_part(Arc::clone(part), data))
-                .collect()
-        })
+    /// The rows, in order.
+    pub(crate) fn rows(&self) -> &[GenTuple] {
+        &self.rows
     }
 
     /// The memoized compaction result, computed by `compact` on first use.
@@ -800,9 +698,8 @@ impl RelStore {
             INDEX_REUSES.fetch_add(1, Ordering::Relaxed);
             return Arc::clone(idx);
         }
-        // Build outside the cache lock, straight from the flat columns —
-        // indexing needs only offsets, periods and value ids, so it must
-        // not force-populate the row cache.
+        // Build outside the cache lock, straight from the flat columns:
+        // indexing needs only offsets, periods and value ids.
         let built = Arc::new(RelationIndex::build(self, temporal_cols, data_cols));
         let mut cache = self.indexes.lock().expect("index cache poisoned");
         if let Some(idx) = cache.get(&key) {
@@ -882,9 +779,9 @@ impl<'a> DoubleEndedIterator for Rows<'a> {
 /// A zero-copy view of one row of a relation.
 ///
 /// Temporal access ([`RowRef::lrps`], [`RowRef::constraints`]) borrows the
-/// hash-consed part directly; data access by id ([`RowRef::value_id`]) is
-/// columnar, while [`RowRef::data`] materializes the store's row cache on
-/// first use and borrows from it.
+/// row's hash-consed part and data access ([`RowRef::data`],
+/// [`RowRef::datum`]) reads the stored row; [`RowRef::value_id`] reads the
+/// interned id column.
 #[derive(Clone, Copy)]
 pub struct RowRef<'a> {
     store: &'a RelStore,
@@ -912,14 +809,18 @@ impl<'a> RowRef<'a> {
         self.store.schema()
     }
 
+    fn row(&self) -> &'a GenTuple {
+        &self.store.rows()[self.idx]
+    }
+
     /// Temporal attribute values (borrowed from the hash-consed part).
     pub fn lrps(&self) -> &'a [Lrp] {
-        &self.store.part(self.idx).lrps
+        self.row().lrps()
     }
 
     /// The constraint system (borrowed from the hash-consed part).
     pub fn constraints(&self) -> &'a ConstraintSystem {
-        &self.store.part(self.idx).cons
+        self.row().constraints()
     }
 
     /// The id of the row's temporal part in the global arena.
@@ -935,50 +836,30 @@ impl<'a> RowRef<'a> {
         self.store.data_columns()[col][self.idx]
     }
 
-    /// The value in data column `col`, resolved from the arena.
+    /// The value in data column `col`.
     ///
     /// # Panics
     /// If `col` is out of range.
     pub fn datum(&self, col: usize) -> Value {
-        resolve_value(self.value_id(col))
+        self.data()[col].clone()
     }
 
-    /// All data values of the row (borrowed from the lazily materialized
-    /// row cache).
+    /// All data values of the row.
     pub fn data(&self) -> &'a [Value] {
-        self.store.rows_vec()[self.idx].data()
+        self.row().data()
     }
 
     /// The row as an owned [`GenTuple`] (shares the temporal part).
     pub fn to_tuple(&self) -> GenTuple {
-        self.store.rows_vec()[self.idx].clone()
+        self.row().clone()
     }
 
     /// Does this row denote the concrete tuple `(times, data)`?
     ///
-    /// Columnar: data equality is settled on interned ids (a value never
-    /// interned anywhere cannot match), so only matching rows touch the
-    /// temporal arithmetic.
-    ///
     /// # Panics
     /// If `times.len()` differs from the temporal arity.
     pub fn contains(&self, times: &[i64], data: &[Value]) -> bool {
-        assert_eq!(
-            times.len(),
-            self.store.schema().temporal(),
-            "temporal arity mismatch"
-        );
-        if data.len() != self.store.schema().data() {
-            return false;
-        }
-        for (col, v) in data.iter().enumerate() {
-            match lookup_value(v) {
-                Some(id) if id == self.value_id(col) => {}
-                _ => return false,
-            }
-        }
-        self.lrps().iter().zip(times).all(|(l, &x)| l.contains(x))
-            && self.constraints().satisfied_by(times)
+        self.row().contains(times, data)
     }
 }
 
@@ -1153,14 +1034,6 @@ mod tests {
     }
 
     #[test]
-    fn lookup_value_never_inserts() {
-        let missing = Value::str("store-test-never-interned-sentinel");
-        let before = storage_stats().value_distinct;
-        assert_eq!(lookup_value(&missing), None);
-        assert_eq!(storage_stats().value_distinct, before);
-    }
-
-    #[test]
     fn push_row_keeps_columns_in_sync() {
         let mut s = RelStore::empty(Schema::new(2, 1));
         for i in 0..5 {
@@ -1173,7 +1046,7 @@ mod tests {
         assert_eq!(s.t_offsets(0), &[0, 1, 2, 3, 4]);
         assert_eq!(s.t_periods(0), &[6, 6, 6, 6, 6]);
         assert_eq!(s.t_periods(1), &[0, 0, 0, 0, 0]);
-        let rows = s.rows_vec();
+        let rows = s.rows();
         assert_eq!(rows.len(), 5);
         assert_eq!(rows[3].data(), &[Value::Int(3)]);
     }

@@ -647,17 +647,7 @@ impl Catalog for Database {
     }
 
     fn active_domain(&self) -> BTreeSet<Value> {
-        let mut out = BTreeSet::new();
-        for table in self.tables.values() {
-            let rel = table.relation();
-            let cols = rel.columns();
-            for c in 0..rel.schema().data() {
-                // Dedup at the interned-id level before resolving values.
-                let distinct: BTreeSet<_> = cols.data(c).ids().iter().copied().collect();
-                out.extend(distinct.into_iter().map(itd_core::resolve_value));
-            }
-        }
-        out
+        itd_query::active_domain_of(self.tables.values().map(Table::relation))
     }
 }
 

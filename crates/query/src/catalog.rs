@@ -74,17 +74,25 @@ impl Catalog for MemoryCatalog {
     }
 
     fn active_domain(&self) -> BTreeSet<Value> {
-        let mut out = BTreeSet::new();
-        for rel in self.relations.values() {
-            let cols = rel.columns();
-            for c in 0..rel.schema().data() {
-                // Dedup at the interned-id level before resolving values.
-                let distinct: BTreeSet<_> = cols.data(c).ids().iter().copied().collect();
-                out.extend(distinct.into_iter().map(itd_core::resolve_value));
-            }
-        }
-        out
+        active_domain_of(self.relations.values())
     }
+}
+
+/// Every data value occurring in `relations`: the body of
+/// [`Catalog::active_domain`] for catalogs that hold their relations.
+pub fn active_domain_of<'a>(
+    relations: impl IntoIterator<Item = &'a GenRelation>,
+) -> BTreeSet<Value> {
+    let mut out = BTreeSet::new();
+    for rel in relations {
+        let cols = rel.columns();
+        for c in 0..rel.schema().data() {
+            // Dedup at the interned-id level before resolving values.
+            let distinct: BTreeSet<_> = cols.data(c).ids().iter().copied().collect();
+            out.extend(distinct.into_iter().map(itd_core::resolve_value));
+        }
+    }
+    out
 }
 
 #[cfg(test)]

@@ -67,7 +67,7 @@ mod sortcheck;
 mod views;
 
 pub use ast::{CmpOp, DataTerm, Formula, Sort, TemporalTerm};
-pub use catalog::{Catalog, MemoryCatalog};
+pub use catalog::{active_domain_of, Catalog, MemoryCatalog};
 pub use error::QueryError;
 pub use eval::{estimate_src, run, run_src, QueryOpts, QueryOutput, QueryResult};
 pub use itd_core::{

@@ -4,7 +4,10 @@
 //! counts, and warm persistent indexes, snapshots must alias safely, and
 //! the global interner invariants must hold.
 
-use itd_core::{storage_stats, Atom, ExecContext, GenRelation, GenTuple, Lrp, Schema, Value};
+use itd_core::{
+    storage_stats, Atom, Columns, ExecContext, GenRelation, GenTuple, Lrp, Schema, TemporalPartId,
+    Value, ValueId,
+};
 use itd_workload::{random_relation, RelationSpec};
 use proptest::prelude::*;
 
@@ -47,6 +50,28 @@ fn rebuilt_paths(rel: &GenRelation) -> Vec<GenRelation> {
         cow.push(t.clone()).unwrap();
     }
     vec![bulk, built, pushed, cow]
+}
+
+/// Row `i`'s derived keys: its part id, value ids and temporal
+/// `(offset, period)` pairs.
+fn row_keys(cols: Columns<'_>, i: usize) -> (TemporalPartId, Vec<ValueId>, Vec<(i64, i64)>) {
+    let schema = cols.schema();
+    let ids = (0..schema.data()).map(|c| cols.data(c).id(i)).collect();
+    let lrps = (0..schema.temporal())
+        .map(|c| (cols.temporal(c).offsets()[i], cols.temporal(c).periods()[i]))
+        .collect();
+    (cols.part_ids()[i], ids, lrps)
+}
+
+/// Every row of `rel` carries the keys that interning it alone gives
+/// (`RowRef::part_id` and `RowRef::value_id` read these same columns).
+fn rows_agree_with_keys(rel: &GenRelation, path: &str) -> Result<(), TestCaseError> {
+    for (i, row) in rel.rows().enumerate() {
+        let alone = GenRelation::new(rel.schema(), vec![row.to_tuple()]).unwrap();
+        let (got, want) = (row_keys(rel.columns(), i), row_keys(alone.columns(), 0));
+        prop_assert_eq!(got, want, "{} row {}", path, i);
+    }
+    Ok(())
 }
 
 /// Every counter of every op except wall time (which is never
@@ -100,6 +125,31 @@ proptest! {
                 "construction path {} changed the denotation", i
             );
         }
+    }
+
+    /// Rows and their derived key columns agree on every store path
+    /// past construction: concatenation (`union_in`), row selection
+    /// (`select_data_in`, `retract`), compaction and copy-on-write `push`.
+    #[test]
+    fn rows_and_keys_agree_on_every_store_path(seed in 0u64..500, n in 1usize..10) {
+        let ctx = ExecContext::serial();
+        let a = random_relation(&spec(n, 6, 1), seed);
+        let b = random_relation(&spec(n, 4, 1), seed.wrapping_add(1));
+        let union = a.union_in(&b, &ctx).unwrap();
+        rows_agree_with_keys(&union, "union")?;
+        let first = a.rows().next().unwrap().to_tuple();
+        let selected = union.select_data_in(|d| d == first.data(), &ctx);
+        prop_assert!(!selected.has_no_tuples());
+        rows_agree_with_keys(&selected, "select")?;
+        let mut retracted = union.clone();
+        prop_assert!(retracted.retract(&first).unwrap() >= 1);
+        rows_agree_with_keys(&retracted, "retract")?;
+        rows_agree_with_keys(&union.compact_in(&ctx).unwrap(), "compact")?;
+        // `union` still shares the store, so this push copies on write.
+        let mut cow = union.clone();
+        cow.push(b.rows().next().unwrap().to_tuple()).unwrap();
+        rows_agree_with_keys(&cow, "copy-on-write push")?;
+        rows_agree_with_keys(&union, "snapshot after push")?;
     }
 
     /// Interned ids are canonical and deterministic: building the same

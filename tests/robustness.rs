@@ -1,7 +1,9 @@
 //! Robustness: no panics on adversarial input; arithmetic overflow
 //! surfaces as typed errors, never as wraparound or aborts.
 
-use itd_core::{Atom, CoreError, ExecContext, GenRelation, GenTuple, Lrp, Schema};
+use std::time::{Duration, Instant};
+
+use itd_core::{Atom, CancelToken, CoreError, ExecContext, GenRelation, GenTuple, Lrp, Schema};
 use proptest::prelude::*;
 
 proptest! {
@@ -103,6 +105,42 @@ fn negation_at_huge_coprime_periods_is_an_error_not_an_abort() {
             }
         }
     }
+}
+
+/// A single left row's difference fold can grow without bound: `Z`
+/// minus `{0 + p·n}` for the first seven primes keeps 92,160 members
+/// and runs for tens of seconds. The fold polls the cancel token per
+/// member, so a 200 ms deadline ends it with `Cancelled`, not `Ok`.
+#[test]
+fn difference_fold_honours_cancellation() {
+    let all = GenRelation::new(
+        Schema::new(1, 0),
+        vec![GenTuple::unconstrained(
+            vec![Lrp::new(0, 1).unwrap()],
+            vec![],
+        )],
+    )
+    .unwrap();
+    let primes = [2, 3, 5, 7, 11, 13, 17];
+    let multiples = GenRelation::new(
+        Schema::new(1, 0),
+        primes
+            .iter()
+            .map(|&p| GenTuple::unconstrained(vec![Lrp::new(0, p).unwrap()], vec![]))
+            .collect(),
+    )
+    .unwrap();
+    let ctx = ExecContext::serial().cancellable(CancelToken::after(Duration::from_millis(200)));
+    let start = Instant::now();
+    let got = all.difference_in(&multiples, &ctx);
+    let elapsed = start.elapsed();
+    assert!(
+        matches!(got, Err(CoreError::Cancelled)),
+        "expected Cancelled, got {:?}",
+        got.map(|r| r.tuple_count())
+    );
+    // Generous against a loaded machine; the unpolled fold takes ~45 s.
+    assert!(elapsed < Duration::from_secs(10), "took {elapsed:?}");
 }
 
 #[test]
