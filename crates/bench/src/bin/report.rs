@@ -2067,10 +2067,11 @@ fn concurrent_service() {
     ];
 
     // Throughput-oriented deployment: a 400µs group-commit-style gather
-    // window lets shared-snapshot batches actually form under load (the
-    // default of zero is the latency-oriented setting the service tests
-    // exercise). Single-client latency pays the window; concurrent
-    // throughput amortizes it across the whole batch.
+    // window lets each worker's shared-snapshot batch grow under load
+    // before it takes its share of the queue (the default of zero is the
+    // latency-oriented setting the service tests exercise). Single-client
+    // latency pays the window; concurrent throughput amortizes it across
+    // the whole batch.
     let server = Server::start(
         db,
         ServerConfig {

@@ -1,8 +1,8 @@
 //! Query-service daemon: loads (or creates) a database and serves it.
 //!
 //! ```text
-//! itd-serve [--addr HOST:PORT] [--metrics HOST:PORT] [--workers N]
-//!           [--queue N] [--budget PAIRS] [--deadline-ms MS]
+//! itd-serve [--addr HOST:PORT] [--metrics HOST:PORT | --no-metrics]
+//!           [--workers N] [--queue N] [--budget PAIRS] [--deadline-ms MS]
 //!           [--gather-us US] [FILE.json]
 //! ```
 //!
@@ -18,8 +18,9 @@ use itd_server::{Server, ServerConfig};
 
 fn usage() -> ExitCode {
     eprintln!(
-        "usage: itd-serve [--addr HOST:PORT] [--metrics HOST:PORT] [--workers N] \
-         [--queue N] [--budget PAIRS] [--deadline-ms MS] [--gather-us US] [FILE.json]"
+        "usage: itd-serve [--addr HOST:PORT] [--metrics HOST:PORT | --no-metrics] \
+         [--workers N] [--queue N] [--budget PAIRS] [--deadline-ms MS] [--gather-us US] \
+         [FILE.json]"
     );
     ExitCode::FAILURE
 }

@@ -8,11 +8,12 @@
 //! conventions (see [`wire`]) — with three engine-level performance
 //! mechanisms behind it:
 //!
-//! * **shared-snapshot batching** — concurrently arriving queries are
-//!   drained into a batch whose catalog/plan-token/`Arc` relation
-//!   snapshot is resolved once ([`Database`] clones are O(1)-ish `Arc`
-//!   snapshots); every query of the batch reads the same immutable state
-//!   while [`Server::apply`] transactions interleave *between* batches;
+//! * **shared-snapshot batching** — each free worker takes its share of
+//!   the queued queries as one batch, with one `Arc` snapshot of the
+//!   [`Database`]; every query of the batch reads the same immutable
+//!   state and is answered as soon as it finishes, while
+//!   [`Server::apply`] writes copy-on-write behind the snapshots, so a
+//!   transaction is seen by the next batch, never by part of one;
 //! * **cost-based admission control** — the optimizer's closed-form
 //!   total-pairs estimate (the paper's Table 2 operation counts, computed
 //!   by the PR 4 cost model *before* execution) is checked against a

@@ -7,23 +7,18 @@
 //! clients ──TCP──▶ session threads ──▶ bounded admission queue
 //!                                          │ (reject-on-full)
 //!                                          ▼
-//!                                   dispatcher thread
-//!                         drains the queue into ONE batch,
-//!                         clones the shared Database ONCE
-//!                         (O(1) Arc snapshot, shared registry)
-//!                                          │
-//!                          contiguous sub-batches, round-robin
-//!                                          ▼
 //!                                 bounded worker pool
-//!                     estimate → admission check → run each →
-//!                     per-response write-back to the session socket
+//!                 each free worker takes ⌈queued / workers⌉ jobs
+//!                 (its batch) plus one Arc snapshot of the database;
+//!                 per job: estimate → admission check → run →
+//!                 response written to the session socket at once
 //! ```
 //!
 //! Every query of a batch executes against the *same* immutable snapshot,
 //! so heavy read traffic never contends with ingest: [`Server::apply`]
-//! takes the write lock between batch snapshots, and a transaction
-//! committed mid-batch is observed by the *next* batch, never half of the
-//! current one. Admission control checks the optimizer's pre-execution
+//! writes copy-on-write behind the snapshots, and a transaction committed
+//! mid-batch is observed by the *next* batch, never half of the current
+//! one. Admission control checks the optimizer's pre-execution
 //! total-pairs estimate against [`ServerConfig::budget_pairs`]; deadlines
 //! become a [`CancelToken`] in the per-query [`ExecContext`], checked at
 //! chunk boundaries so a timed-out query stops burning its worker.
@@ -32,7 +27,6 @@ use std::collections::VecDeque;
 use std::io::{BufRead, BufReader, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering::Relaxed};
-use std::sync::mpsc;
 use std::sync::{Arc, Condvar, Mutex, RwLock};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
@@ -41,7 +35,7 @@ use itd_core::{
     storage_stats, CancelToken, CoreError, ExecContext, MetricsRegistry, RegistryCounter,
     RegistryGauge,
 };
-use itd_db::{Database, DbError, QueryOpts, QueryOutput, Txn, TxnSummary};
+use itd_db::{Database, DbError, QueryOpts, Txn, TxnSummary};
 use itd_query::QueryError;
 
 use crate::error::ServerError;
@@ -61,14 +55,14 @@ pub struct ServerConfig {
     /// Admission bound on *outstanding* requests — queued plus executing.
     /// Submissions beyond it are rejected with [`ServerError::QueueFull`]
     /// (backpressure): counting in-flight work keeps the bound meaningful
-    /// even though the dispatcher drains the queue eagerly.
+    /// even though workers drain the queue eagerly.
     pub queue_capacity: usize,
     /// Admission budget on the cost model's pre-execution total-pairs
     /// estimate; `f64::INFINITY` disables the check.
     pub budget_pairs: f64,
-    /// Group-commit-style gather window: once work arrives, how long the
-    /// dispatcher lets further requests accumulate before draining the
-    /// batch. `Duration::ZERO` (the default) drains immediately —
+    /// Group-commit-style gather window: once work arrives, how long a
+    /// worker lets further requests accumulate before taking its batch
+    /// off the queue. `Duration::ZERO` (the default) takes it at once —
     /// lowest latency; a few hundred microseconds trades single-client
     /// latency for much larger shared-snapshot batches under load.
     pub batch_gather: Duration,
@@ -104,15 +98,9 @@ struct Job {
     out: Arc<Mutex<TcpStream>>,
 }
 
-/// A worker assignment: a contiguous sub-batch of jobs plus the shared
-/// snapshot their batch resolved once.
-struct SubBatch {
-    snapshot: Arc<Database>,
-    jobs: Vec<Job>,
-}
-
 struct Shared {
-    db: RwLock<Database>,
+    /// The current state; a batch's snapshot is a clone of the `Arc`.
+    db: RwLock<Arc<Database>>,
     registry: Arc<MetricsRegistry>,
     queue: Mutex<VecDeque<Job>>,
     queue_cv: Condvar,
@@ -147,9 +135,8 @@ pub struct Server {
 }
 
 impl Server {
-    /// Binds the listeners, spawns the dispatcher, the worker pool, and
-    /// (when configured) the metrics endpoint, and starts accepting
-    /// connections.
+    /// Binds the listeners, spawns the worker pool and (when configured)
+    /// the metrics endpoint, and starts accepting connections.
     ///
     /// # Errors
     /// [`ServerError::Io`] when a bind fails.
@@ -173,7 +160,7 @@ impl Server {
         let registry = db.metrics_handle();
         let workers = cfg.workers.max(1);
         let shared = Arc::new(Shared {
-            db: RwLock::new(db),
+            db: RwLock::new(Arc::new(db)),
             registry,
             queue: Mutex::new(VecDeque::new()),
             queue_cv: Condvar::new(),
@@ -183,19 +170,9 @@ impl Server {
         });
 
         let mut threads = Vec::new();
-        // Rendezvous hand-off: a sub-batch transfers only when a worker is
-        // ready for it, so when the pool saturates the dispatcher blocks,
-        // the queue fills, and reject-on-full backpressure engages.
-        let (tx, rx) = mpsc::sync_channel::<SubBatch>(0);
-        let rx = Arc::new(Mutex::new(rx));
         for _ in 0..workers {
-            let rx = Arc::clone(&rx);
             let shared2 = Arc::clone(&shared);
-            threads.push(std::thread::spawn(move || worker_loop(&shared2, &rx)));
-        }
-        {
-            let shared2 = Arc::clone(&shared);
-            threads.push(std::thread::spawn(move || dispatcher_loop(&shared2, tx)));
+            threads.push(std::thread::spawn(move || worker_loop(&shared2)));
         }
         {
             let shared2 = Arc::clone(&shared);
@@ -229,10 +206,11 @@ impl Server {
     }
 
     /// Applies a transaction to the shared database, under the same
-    /// thread budget as a query ([`ServerConfig::query_threads`]). Takes
-    /// the write lock, so it interleaves *between* batch snapshots: every
-    /// in-flight batch keeps reading its own immutable snapshot, and the
-    /// next batch observes the new state.
+    /// thread budget as a query ([`ServerConfig::query_threads`]). Writes
+    /// copy-on-write: when an in-flight batch still holds the current
+    /// snapshot, the database is cloned (O(1)-ish `Arc`s per table) and
+    /// the copy changed, so that batch keeps reading its own immutable
+    /// state and the next batch observes the new one.
     ///
     /// # Errors
     /// [`ServerError::Query`] on validation failure (the batch then
@@ -240,17 +218,13 @@ impl Server {
     pub fn apply(&self, txn: Txn) -> Result<TxnSummary, ServerError> {
         let mut db = self.shared.db.write().expect("database lock poisoned");
         let ctx = ExecContext::with_threads(self.shared.cfg.query_threads);
-        Ok(db.apply_with(txn, &ctx)?)
+        Ok(Arc::make_mut(&mut db).apply_with(txn, &ctx)?)
     }
 
-    /// An O(1)-ish snapshot of the current shared database state — the
-    /// same clone a batch resolves, for out-of-band comparison.
+    /// An O(1)-ish clone of the current shared database state — the
+    /// state the next batch reads, for out-of-band comparison.
     pub fn snapshot(&self) -> Database {
-        self.shared
-            .db
-            .read()
-            .expect("database lock poisoned")
-            .clone()
+        Database::clone(&self.shared.db.read().expect("database lock poisoned"))
     }
 
     /// Stops accepting work, drains the threads, and returns once every
@@ -261,7 +235,7 @@ impl Server {
         for t in self.threads {
             let _ = t.join();
         }
-        // Reject anything that was still queued when the dispatcher left.
+        // Reject anything that was still queued when the workers left.
         let mut queue = self.shared.queue.lock().expect("queue poisoned");
         let registry = &self.shared.registry;
         for job in queue.drain(..) {
@@ -275,10 +249,13 @@ impl Server {
 
 /// Accepts query connections until shutdown; each gets a session thread.
 fn accept_loop(shared: &Arc<Shared>, listener: &TcpListener) {
-    let mut sessions = Vec::new();
+    let mut sessions: Vec<JoinHandle<()>> = Vec::new();
     while !shared.shutdown.load(Relaxed) {
         match listener.accept() {
             Ok((stream, _)) => {
+                // An exited thread keeps its stack mapped until it is
+                // joined or its handle dropped.
+                sessions.retain(|s| !s.is_finished());
                 let shared2 = Arc::clone(shared);
                 sessions.push(std::thread::spawn(move || session_loop(&shared2, stream)));
             }
@@ -371,8 +348,8 @@ fn handle_line(shared: &Arc<Shared>, out: &Arc<Mutex<TcpStream>>, line: &str) {
 }
 
 /// Admission: counts the submission, applies queue backpressure, wakes
-/// the dispatcher. The budget check happens in the worker, where the
-/// batch snapshot (and therefore the estimate) lives.
+/// a worker. The budget check happens in the worker, where the batch
+/// snapshot (and therefore the estimate) lives.
 fn submit(
     shared: &Arc<Shared>,
     req: &Request,
@@ -411,163 +388,111 @@ fn submit(
     Ok(())
 }
 
-/// Shared-snapshot batching: drain every queued request into one batch,
-/// resolve the catalog/plan-token/`Arc` relation snapshot ONCE (one
-/// `Database::clone` under the read lock), and hand contiguous
-/// sub-batches to the worker pool.
-fn dispatcher_loop(shared: &Arc<Shared>, tx: mpsc::SyncSender<SubBatch>) {
-    let registry = &shared.registry;
-    loop {
-        let batch: Vec<Job> = {
-            let mut queue = shared.queue.lock().expect("queue poisoned");
-            while queue.is_empty() && !shared.shutdown.load(Relaxed) {
-                let (q, _) = shared
-                    .queue_cv
-                    .wait_timeout(queue, Duration::from_millis(100))
-                    .expect("queue poisoned");
-                queue = q;
+/// Worker: takes a batch off the queue, then admission-checks and runs
+/// each of its jobs against the batch snapshot, writing every response
+/// back on its session socket as soon as that job finishes.
+fn worker_loop(shared: &Arc<Shared>) {
+    while let Some((snapshot, batch)) = next_batch(shared) {
+        for job in batch {
+            match answer(shared, &snapshot, &job) {
+                Ok(res) => respond_ok(&job.out, job.id, res),
+                Err(e) => respond_err(&job.out, job.id, &e),
             }
-            if queue.is_empty() && shared.shutdown.load(Relaxed) {
-                return; // dropping `tx` stops the workers
-            }
-            // Gather window: release the lock and let more requests
-            // accumulate (a plain sleep, deliberately deaf to the
-            // condvar) so the snapshot and wakeups amortize over a
-            // larger batch under load.
-            if !shared.cfg.batch_gather.is_zero() && !shared.shutdown.load(Relaxed) {
-                drop(queue);
-                std::thread::sleep(shared.cfg.batch_gather);
-                queue = shared.queue.lock().expect("queue poisoned");
-            }
-            let drained: Vec<Job> = queue.drain(..).collect();
-            registry.gauge(RegistryGauge::ServerQueueDepth, -(drained.len() as i64));
-            drained
-        };
-        registry.count(RegistryCounter::ServerBatches, 1);
-        registry.count(RegistryCounter::ServerBatchQueries, batch.len() as u64);
-        let snapshot = Arc::new(shared.db.read().expect("database lock poisoned").clone());
-        let per_worker = batch.len().div_ceil(shared.cfg.workers.max(1));
-        let mut jobs = batch.into_iter();
-        loop {
-            let sub: Vec<Job> = jobs.by_ref().take(per_worker).collect();
-            if sub.is_empty() {
-                break;
-            }
-            if tx
-                .send(SubBatch {
-                    snapshot: Arc::clone(&snapshot),
-                    jobs: sub,
-                })
-                .is_err()
-            {
-                return;
-            }
+            shared.outstanding.fetch_sub(1, Relaxed);
         }
     }
 }
 
-/// Worker: admission-check each job of the sub-batch against the shared
-/// snapshot, execute the admitted ones through the batched entry point,
-/// and write every response back on its session socket.
-fn worker_loop(shared: &Arc<Shared>, rx: &Mutex<mpsc::Receiver<SubBatch>>) {
+/// Shared-snapshot batching: waits for work and takes this worker's share
+/// of the queue, `⌈queued / workers⌉` jobs, with the one snapshot they all
+/// read. `None` once shutdown has begun and the queue is empty.
+fn next_batch(shared: &Shared) -> Option<(Arc<Database>, Vec<Job>)> {
+    let registry = &shared.registry;
+    let gather = shared.cfg.batch_gather;
+    let mut queue = shared.queue.lock().expect("queue poisoned");
     loop {
-        let sub = {
-            let rx = rx.lock().expect("worker channel poisoned");
-            match rx.recv() {
-                Ok(sub) => sub,
-                Err(_) => return, // dispatcher gone: shutdown
+        while queue.is_empty() {
+            if shared.shutdown.load(Relaxed) {
+                return None;
             }
-        };
-        run_sub_batch(shared, &sub.snapshot, sub.jobs);
+            let (q, _) = shared
+                .queue_cv
+                .wait_timeout(queue, Duration::from_millis(100))
+                .expect("queue poisoned");
+            queue = q;
+        }
+        if gather.is_zero() || shared.shutdown.load(Relaxed) {
+            break;
+        }
+        // Gather window: release the lock and let more requests
+        // accumulate (a plain sleep, deliberately deaf to the condvar) so
+        // the snapshot and wakeups amortize over a larger batch under
+        // load. Other workers may empty the queue meanwhile.
+        drop(queue);
+        std::thread::sleep(gather);
+        queue = shared.queue.lock().expect("queue poisoned");
+        if !queue.is_empty() {
+            break;
+        }
     }
+    let take = queue.len().div_ceil(shared.cfg.workers.max(1));
+    let batch: Vec<Job> = queue.drain(..take).collect();
+    registry.gauge(RegistryGauge::ServerQueueDepth, -(take as i64));
+    if !queue.is_empty() {
+        // Hand the rest to a waiting worker.
+        shared.queue_cv.notify_one();
+    }
+    drop(queue);
+    registry.count(RegistryCounter::ServerBatches, 1);
+    registry.count(RegistryCounter::ServerBatchQueries, take as u64);
+    let snapshot = Arc::clone(&shared.db.read().expect("database lock poisoned"));
+    Some((snapshot, batch))
 }
 
-fn run_sub_batch(shared: &Arc<Shared>, snapshot: &Database, jobs: Vec<Job>) {
+/// One job: pre-execution admission — the cost model's total-pairs
+/// estimate against the budget — then a run on its own deadline-aware
+/// context. Estimation shares the prepared-plan cache with execution,
+/// so an admitted query's preparation is never repeated.
+fn answer(shared: &Shared, snapshot: &Database, job: &Job) -> Result<WireResult, ServerError> {
     let registry = &shared.registry;
     let budget = shared.cfg.budget_pairs;
-    // Pre-execution admission: the cost model's total-pairs estimate
-    // against the budget. Estimation shares the prepared-plan cache with
-    // execution, so an admitted query's preparation is never repeated.
-    let mut admitted: Vec<Job> = Vec::with_capacity(jobs.len());
-    for job in jobs {
-        match snapshot.estimate(&job.src, QueryOpts::new()) {
-            Err(e) => {
-                // Not a budget/queue rejection: it was admitted and failed.
-                registry.count(RegistryCounter::ServerAdmitted, 1);
-                respond_err(&job.out, job.id, &ServerError::Query(e));
-                shared.outstanding.fetch_sub(1, Relaxed);
-            }
-            Ok(est) if est > budget => {
-                registry.count(RegistryCounter::ServerRejectedOverBudget, 1);
-                respond_err(
-                    &job.out,
-                    job.id,
-                    &ServerError::OverBudget {
-                        est_pairs: est,
-                        budget,
-                    },
-                );
-                shared.outstanding.fetch_sub(1, Relaxed);
-            }
-            Ok(_) => {
-                registry.count(RegistryCounter::ServerAdmitted, 1);
-                admitted.push(job);
-            }
+    match snapshot.estimate(&job.src, QueryOpts::new()) {
+        Ok(est_pairs) if est_pairs > budget => {
+            registry.count(RegistryCounter::ServerRejectedOverBudget, 1);
+            return Err(ServerError::OverBudget { est_pairs, budget });
+        }
+        est => {
+            // A failed estimate is not a budget/queue rejection: the
+            // request was admitted and failed.
+            registry.count(RegistryCounter::ServerAdmitted, 1);
+            est.map_err(ServerError::Query)?;
         }
     }
-    if admitted.is_empty() {
-        return;
+    let mut ctx = ExecContext::with_threads(shared.cfg.query_threads);
+    if let Some(deadline) = job.deadline {
+        ctx = ctx.cancellable(CancelToken::with_deadline(deadline));
     }
-    // Run the whole sub-batch in order, each query on its own
-    // deadline-aware context, then answer.
-    let runs: Vec<(ExecContext, itd_db::Result<QueryOutput>)> = admitted
-        .iter()
-        .map(|job| {
-            let mut ctx = ExecContext::with_threads(shared.cfg.query_threads);
-            if let Some(deadline) = job.deadline {
-                ctx = ctx.cancellable(CancelToken::with_deadline(deadline));
-            }
-            let result = snapshot.run(&job.src, QueryOpts::new().ctx(&ctx));
-            (ctx, result)
-        })
-        .collect();
-    for (job, (ctx, result)) in admitted.iter().zip(runs) {
-        match result {
-            Ok(output) => {
-                let truth = if job.truth {
-                    match output.truth_in(&ctx) {
-                        Ok(t) => Some(t),
-                        Err(e) => {
-                            respond_err(&job.out, job.id, &query_err(shared, DbError::Query(e)));
-                            shared.outstanding.fetch_sub(1, Relaxed);
-                            continue;
-                        }
-                    }
-                } else {
-                    None
-                };
-                let res = WireResult {
-                    cached: output.plan_cached,
-                    est_pairs: output.est_total_pairs,
-                    temporal_vars: output.result.temporal_vars.clone(),
-                    data_vars: output.result.data_vars.clone(),
-                    result: output.result.relation.to_string(),
-                    truth,
-                };
-                respond_ok(&job.out, job.id, res);
-                shared.outstanding.fetch_sub(1, Relaxed);
-            }
-            Err(e) => {
-                respond_err(&job.out, job.id, &query_err(shared, e));
-                shared.outstanding.fetch_sub(1, Relaxed);
-            }
-        }
-    }
+    let output = snapshot
+        .run(&job.src, QueryOpts::new().ctx(&ctx))
+        .map_err(|e| query_err(shared, e))?;
+    let truth = job
+        .truth
+        .then(|| output.truth_in(&ctx))
+        .transpose()
+        .map_err(|e| query_err(shared, DbError::Query(e)))?;
+    Ok(WireResult {
+        cached: output.plan_cached,
+        est_pairs: output.est_total_pairs,
+        temporal_vars: output.result.temporal_vars,
+        data_vars: output.result.data_vars,
+        result: output.result.relation.to_string(),
+        truth,
+    })
 }
 
 /// Maps an engine failure to the service error, counting deadline
 /// cancellations as typed timeouts.
-fn query_err(shared: &Arc<Shared>, e: DbError) -> ServerError {
+fn query_err(shared: &Shared, e: DbError) -> ServerError {
     if matches!(e, DbError::Query(QueryError::Core(CoreError::Cancelled))) {
         shared.registry.count(RegistryCounter::ServerTimeouts, 1);
         ServerError::DeadlineExceeded

@@ -1,11 +1,13 @@
 //! The query service end to end: wire round-trips are bit-identical to
 //! direct `Database::run`, pipelined and concurrent sessions multiplex
-//! onto the shared-snapshot batches, `apply` transactions interleave
-//! between batches, protocol errors are typed frames, and the HTTP
-//! listener serves Prometheus text and a health check.
+//! onto the shared-snapshot batches, each answer leaves as soon as its
+//! query finishes, `apply` transactions copy on write behind in-flight
+//! batches, protocol errors are typed frames, and the HTTP listener
+//! serves Prometheus text and a health check.
 
 use std::io::{BufRead, BufReader, Read, Write};
 use std::net::TcpStream;
+use std::time::{Duration, Instant};
 
 use itd_db::{Database, QueryOpts, TupleSpec, Txn};
 use itd_server::{Client, Server, ServerConfig};
@@ -144,6 +146,138 @@ fn apply_interleaves_between_batches() {
     server.shutdown();
 }
 
+/// `sample_db` plus two tables of `n` short intervals each. Every early
+/// interval misses every late one, so their join tests `n * n` pairs and
+/// answers with an empty relation: the time goes to execution, not to
+/// rendering the answer.
+fn join_db(n: i64) -> Database {
+    let mut db = sample_db();
+    db.create_table("svc_early", &["t"], &["x"]).unwrap();
+    db.create_table("svc_late", &["t"], &["y"]).unwrap();
+    for i in 0..n {
+        let early = TupleSpec::new().lrp("t", 0, 1).ge("t", 100 * i);
+        let late = TupleSpec::new().lrp("t", 0, 1).ge("t", 100 * i + 50);
+        db.table_mut("svc_early")
+            .unwrap()
+            .insert(early.le("t", 100 * i + 10).datum("x", i))
+            .unwrap();
+        db.table_mut("svc_late")
+            .unwrap()
+            .insert(late.le("t", 100 * i + 60).datum("y", i))
+            .unwrap();
+    }
+    db
+}
+
+const HEAVY: &str = "svc_early(t; x) and svc_late(t; y)";
+
+/// Join sizes to escalate through until the heavy query takes long
+/// enough for a timing assertion to mean something on this build.
+const HEAVY_SIZES: [i64; 4] = [240, 480, 960, 1920];
+
+/// Time the heavy query must take before a run counts.
+const HEAVY_MIN: Duration = Duration::from_millis(200);
+
+fn frame(id: u64, query: &str) -> String {
+    let mut frame = itd_server::wire::render_request(&itd_server::wire::Request {
+        id,
+        query: query.into(),
+        deadline_ms: None,
+        truth: false,
+    });
+    frame.push('\n');
+    frame
+}
+
+#[test]
+fn answers_leave_as_soon_as_their_query_finishes() {
+    for n in HEAVY_SIZES {
+        // One worker and a gather window wide enough that both pipelined
+        // frames land in the same pickup, in order: cheap, then heavy.
+        let server = Server::start(
+            join_db(n),
+            ServerConfig {
+                workers: 1,
+                batch_gather: Duration::from_millis(50),
+                ..ServerConfig::default()
+            },
+        )
+        .unwrap();
+        let mut stream = TcpStream::connect(server.addr()).unwrap();
+        let sent = Instant::now();
+        let frames = frame(1, "svc_even(t)") + &frame(2, HEAVY);
+        stream.write_all(frames.as_bytes()).unwrap();
+        let mut reader = BufReader::new(stream);
+        let mut lines = Vec::new();
+        for _ in 0..2 {
+            let mut line = String::new();
+            reader.read_line(&mut line).unwrap();
+            lines.push((line, Instant::now()));
+        }
+        let snap = server.registry().snapshot();
+        server.shutdown();
+        for (i, (line, _)) in lines.iter().enumerate() {
+            let resp = itd_server::wire::parse_response(line.trim()).unwrap();
+            assert_eq!(resp.id, i as u64 + 1, "the cheap answer comes first");
+            assert!(resp.payload.is_ok(), "request {} failed", resp.id);
+        }
+        assert_eq!(snap.server_batches, 1, "both frames rode one batch");
+        let (cheap, heavy) = (lines[0].1, lines[1].1);
+        if heavy - sent < HEAVY_MIN {
+            continue; // too fast to tell on this build: go heavier
+        }
+        assert!(
+            heavy - cheap >= Duration::from_millis(50),
+            "the cheap answer waited for the heavy query: {:?} apart",
+            heavy - cheap
+        );
+        return;
+    }
+    panic!("even the largest join finished within {HEAVY_MIN:?}");
+}
+
+#[test]
+fn apply_copies_on_write_behind_an_in_flight_batch() {
+    for n in HEAVY_SIZES {
+        let server = Server::start(join_db(n), ServerConfig::default()).unwrap();
+        let pre = server.snapshot();
+        let addr = server.addr();
+        let sent = Instant::now();
+        let in_flight = std::thread::spawn(move || {
+            let res = Client::connect(addr).unwrap().query(HEAVY).unwrap();
+            (res.result, Instant::now())
+        });
+        // Admission is counted after the batch took its snapshot, just
+        // before the query runs.
+        while server.registry().snapshot().server_admitted == 0 {
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        // A late interval that meets the first early one.
+        let late = TupleSpec::new().lrp("t", 0, 1).ge("t", 0).le("t", 10);
+        server
+            .apply(Txn::new().insert("svc_late", late.datum("y", n)))
+            .unwrap();
+        let applied = Instant::now();
+        let (during, answered) = in_flight.join().unwrap();
+        let before = pre.run(HEAVY, QueryOpts::new()).unwrap();
+        assert_eq!(
+            during,
+            before.result.relation.to_string(),
+            "the txn leaked into the running batch"
+        );
+        let after = Client::connect(addr).unwrap().query(HEAVY).unwrap();
+        assert_ne!(after.result, during, "the next batch sees the txn");
+        assert_eq!(after.result, direct(&server, HEAVY).2);
+        server.shutdown();
+        if answered - sent < HEAVY_MIN {
+            continue; // too fast to tell on this build: go heavier
+        }
+        assert!(applied < answered, "apply waited for the in-flight query");
+        return;
+    }
+    panic!("even the largest join finished within {HEAVY_MIN:?}");
+}
+
 #[test]
 fn malformed_frames_get_typed_protocol_errors() {
     let server = start(ServerConfig::default());
@@ -162,15 +296,9 @@ fn malformed_frames_get_typed_protocol_errors() {
     assert_eq!(snap.server_requests, 0);
 
     // ...and the session survives it: a well-formed request still works.
-    let req = itd_server::wire::Request {
-        id: 9,
-        query: "svc_even(t)".into(),
-        deadline_ms: None,
-        truth: false,
-    };
-    let mut frame = itd_server::wire::render_request(&req);
-    frame.push('\n');
-    stream.write_all(frame.as_bytes()).unwrap();
+    stream
+        .write_all(frame(9, "svc_even(t)").as_bytes())
+        .unwrap();
     line.clear();
     reader.read_line(&mut line).unwrap();
     let resp = itd_server::wire::parse_response(line.trim()).unwrap();
