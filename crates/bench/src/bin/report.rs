@@ -874,6 +874,83 @@ fn ablations() {
             &rf,
             &rp,
         );
+
+        // Per-tuple cost of the component search on join outputs
+        // `p(t1, t2; x) ⋈ q(t1; x)` with `X0 ≤ 101`, `X1 ≥ 39` and
+        // `X0 − X1 ≤ gap`. At gap 30 the coupling is shorter than the path
+        // through the origin (101 − 39 = 62), so the closed matrix settles
+        // the twin's component; at gap 62 it ties, the difference atom is
+        // implied through the origin, and the search falls back to
+        // `reduced_atoms`. Timed interleaved, batches of `project_tuple`
+        // calls; `identical` compares with `project_tuple_full`.
+        let join_output = |gap: i64| {
+            let p = GenTuple::builder()
+                .lrps(vec![
+                    Lrp::new(1, 4).expect("valid"),
+                    Lrp::new(3, 4).expect("valid"),
+                ])
+                .atoms([
+                    CAtom::le(0, 101),
+                    CAtom::ge(1, 39),
+                    CAtom::diff_le(0, 1, gap),
+                ])
+                .data(vec![Value::str("x")])
+                .build()
+                .expect("valid");
+            let q = GenTuple::builder()
+                .lrps(vec![Lrp::new(1, 4).expect("valid")])
+                .atoms([CAtom::ge(0, 5)])
+                .data(vec![Value::str("x")])
+                .build()
+                .expect("valid");
+            ops::join_tuples(&p, &q, &[(0, 0)], &[(0, 0)])
+                .expect("join")
+                .expect("the join is nonempty")
+        };
+        let cases = [
+            (
+                "join_settled",
+                "settled by the closed matrix",
+                join_output(30),
+            ),
+            ("join_tie", "origin tie, reduced_atoms", join_output(62)),
+        ];
+        const CALLS: u32 = 1000;
+        let reps = if smoke() { 5 } else { 15 };
+        let mut ns: Vec<Vec<u64>> = vec![Vec::new(); cases.len()];
+        for _ in 0..reps {
+            for ((_, _, t), times) in cases.iter().zip(&mut ns) {
+                let (d, _) = time_once(|| {
+                    for _ in 0..CALLS {
+                        std::hint::black_box(ops::project_tuple(t, &[0, 1], &[0]).expect("ok"));
+                    }
+                });
+                times.push(d.as_nanos() as u64 / u64::from(CALLS));
+            }
+        }
+        println!("\n| join output | component search | ns per `project_tuple` (median [min, max]) | tuples | identical to full |");
+        println!("|---|---|---|---|---|");
+        for ((name, label, t), mut times) in cases.into_iter().zip(ns) {
+            times.sort_unstable();
+            let rp = ops::project_tuple(&t, &[0, 1], &[0]).expect("ok");
+            let rf = ops::project_tuple_full(&t, &[0, 1], &[0]).expect("ok");
+            let (median, min, max) = (times[times.len() / 2], times[0], times[times.len() - 1]);
+            println!(
+                "| {name} | {label} | {median} [{min}, {max}] | {} | {} |",
+                rp.len(),
+                rf == rp
+            );
+            jsonout::counters(
+                name,
+                &[
+                    ("median_ns", median),
+                    ("min_ns", min),
+                    ("max_ns", max),
+                    ("tuples", rp.len() as u64),
+                    ("identical", u64::from(rf == rp)),
+                ],
+            );
+        }
     }
 
     // Compaction (inverse of Lemma 3.1) on complement outputs.

@@ -22,7 +22,9 @@
 //!
 //! Steps 1–2 are one enumeration, [`ResidueWalk`]: it computes each
 //! combination of refined classes when it reaches it and never collects a
-//! column's `k/kᵢ` classes. It serves normalization, exact emptiness
+//! column's `k/kᵢ` classes. Steps 3–4 on top of it are [`GridWalk`]:
+//! normalization, projection and the column extremum all take their grid
+//! systems from it. The residue walk also serves exact emptiness
 //! ([`is_nonempty`], which stops at the first grid-satisfiable combination),
 //! the complement's refinement to the database period and tuple
 //! difference's surviving classes (`lcm/k₁ − 1` of them, §3.3.1).
@@ -253,6 +255,93 @@ pub(crate) struct NormalizeReport {
     pub dropped: u64,
 }
 
+/// One tuple's normal form, walked one residue combination at a time
+/// (Theorem 3.2, steps 1–4): each grid-satisfiable combination comes out
+/// as its refined lrps and its closed grid system over the coordinates
+/// `nᵢ` (`Xᵢ = offsetᵢ + k·nᵢ`, points pinned to `nᵢ = 0`).
+///
+/// Normalization maps each survivor back with
+/// [`ConstraintSystem::from_grid`] (step 5). Projection and the extremum
+/// read the grid system as it is: it is exactly what [`grid_view`] of the
+/// normalized tuple would rebuild, because on a closed, satisfiable grid
+/// system `to_grid(from_grid(G)) = G` (`⌊(cᵢ − cⱼ + k·b − cᵢ + cⱼ)/k⌋ = b`,
+/// and the point equalities `grid_view` re-adds are already pinned in
+/// `G`).
+pub(crate) struct GridWalk {
+    /// The residue walk and the tuple's augmented constraints; `None` for
+    /// an unsatisfiable tuple, whose normal form is empty.
+    inner: Option<(ResidueWalk, ConstraintSystem)>,
+    report: NormalizeReport,
+}
+
+impl GridWalk {
+    /// The walk of `t`'s normal form, refusing more than `limit`
+    /// combinations.
+    ///
+    /// # Errors
+    /// [`CoreError::TooManyExtensions`] when `Π k/kᵢ > limit`, checked
+    /// before any combination is built; arithmetic errors from `lcm`.
+    pub(crate) fn new(t: &GenTuple, limit: u64) -> Result<GridWalk> {
+        if !t.constraints().is_satisfiable() {
+            return Ok(GridWalk {
+                inner: None,
+                report: NormalizeReport {
+                    period: 1,
+                    combos: 0,
+                    dropped: 0,
+                },
+            });
+        }
+        let k = Lrp::common_period(t.lrps().iter())?;
+        let walk = ResidueWalk::new(t.lrps(), k, limit)?;
+        let combos = walk.combos();
+        if combos > limit {
+            return Err(walk.too_many());
+        }
+        Ok(GridWalk {
+            inner: Some((walk, augmented_cons(t)?)),
+            report: NormalizeReport {
+                period: k,
+                combos,
+                dropped: 0,
+            },
+        })
+    }
+
+    /// The common period `k` every combination is refined to.
+    pub(crate) fn period(&self) -> i64 {
+        self.report.period
+    }
+
+    /// The next grid-satisfiable combination — its refined lrps and grid
+    /// system — or `None` after the last. Unsatisfiable combinations are
+    /// dropped (step 4) and counted.
+    ///
+    /// # Errors
+    /// Arithmetic errors from the grid transform.
+    pub(crate) fn next(&mut self) -> Result<Option<(&[Lrp], ConstraintSystem)>> {
+        let Some((walk, aug)) = &mut self.inner else {
+            return Ok(None);
+        };
+        let k = self.report.period;
+        loop {
+            let grid = match walk.next()? {
+                Some(lrps) => aug.to_grid(&anchors(lrps), k)?,
+                None => return Ok(None),
+            };
+            if grid.is_satisfiable() {
+                return Ok(Some((&walk.current, grid)));
+            }
+            self.report.dropped += 1;
+        }
+    }
+
+    /// What the walk did; complete once [`GridWalk::next`] returned `None`.
+    pub(crate) fn report(&self) -> NormalizeReport {
+        self.report
+    }
+}
+
 /// Theorem 3.2 normalization with an explicit ceiling on the number of
 /// refined combinations, plus a [`NormalizeReport`] of what it did.
 ///
@@ -263,47 +352,18 @@ pub(crate) fn normalize_with_limit_report(
     t: &GenTuple,
     limit: u64,
 ) -> Result<(Vec<GenTuple>, NormalizeReport)> {
-    if !t.constraints().is_satisfiable() {
-        return Ok((
-            vec![],
-            NormalizeReport {
-                period: 1,
-                combos: 0,
-                dropped: 0,
-            },
-        ));
-    }
-    let k = Lrp::common_period(t.lrps().iter())?;
-    let mut walk = ResidueWalk::new(t.lrps(), k, limit)?;
-    let combos = walk.combos();
-    if combos > limit {
-        return Err(walk.too_many());
-    }
-    // Per combination: transform the constraints to the grid, discard
-    // unsatisfiable residues, and round back.
-    let aug = augmented_cons(t)?;
+    let mut walk = GridWalk::new(t, limit)?;
+    let k = walk.period();
     let mut out = Vec::new();
-    while let Some(lrps) = walk.next()? {
-        let anchors = anchors(lrps);
-        let grid = aug.to_grid(&anchors, k)?;
-        if grid.is_satisfiable() {
-            let aligned = grid.from_grid(&anchors, k)?;
-            out.push(GenTuple::from_parts(
-                lrps.to_vec(),
-                aligned,
-                t.data().to_vec(),
-            )?);
-        }
+    while let Some((lrps, grid)) = walk.next()? {
+        let aligned = grid.from_grid(&anchors(lrps), k)?;
+        out.push(GenTuple::from_parts(
+            lrps.to_vec(),
+            aligned,
+            t.data().to_vec(),
+        )?);
     }
-    let dropped = combos - out.len() as u64;
-    Ok((
-        out,
-        NormalizeReport {
-            period: k,
-            combos,
-            dropped,
-        },
-    ))
+    Ok((out, walk.report()))
 }
 
 #[cfg(test)]

@@ -2,6 +2,7 @@
 
 use itd_constraint::{Atom, Bound, ConstraintSystem};
 
+use crate::normalize::{GridWalk, DEFAULT_NORMALIZE_LIMIT};
 use crate::tuple::GenTuple;
 use crate::Result;
 
@@ -31,33 +32,91 @@ impl Components {
             self.parent[ra] = rb;
         }
     }
+
+    /// The columns in the component of some seed, ascending.
+    fn touching(&mut self, seeds: &[usize]) -> Vec<usize> {
+        let roots: Vec<usize> = seeds.iter().map(|&s| self.find(s)).collect();
+        let mut out = Vec::new();
+        for c in 0..self.parent.len() {
+            if roots.contains(&self.find(c)) {
+                out.push(c);
+            }
+        }
+        out
+    }
 }
 
-/// The columns that must be normalized to eliminate the dropped columns
-/// exactly: the union of the constraint-graph components (over a minimal
-/// generating atom set — the closed matrix would over-couple) that touch a
-/// seed column.
-///
-/// This is the paper's §3.4 remark — "only column i and columns sharing a
-/// constraint with column i have to be normalized" — extended transitively.
-fn columns_needing_normalization(t: &GenTuple, seeds: &[usize]) -> Result<Vec<usize>> {
-    let m = t.lrps().len();
-    let mut uf = Components::new(m);
-    for atom in t.constraints().reduced_atoms()? {
+/// The constraint-graph components of a minimal generating atom set
+/// ([`ConstraintSystem::reduced_atoms`]): columns linked by a kept
+/// difference atom.
+fn reduced_atom_components(cons: &ConstraintSystem) -> Result<Components> {
+    let mut uf = Components::new(cons.arity());
+    for atom in cons.reduced_atoms()? {
         if let Atom::DiffLe { i, j, .. } | Atom::DiffEq { i, j, .. } = atom {
             uf.union(i, j);
         }
     }
-    let mut needed = vec![false; m];
-    for &d in seeds {
-        let root = uf.find(d);
-        for (c, flag) in needed.iter_mut().enumerate() {
-            if uf.find(c) == root {
-                *flag = true;
+    Ok(uf)
+}
+
+/// The columns that must be normalized to eliminate the seed columns
+/// exactly: the union of the constraint-graph components that touch a
+/// seed, over the minimal generating atom set of
+/// [`ConstraintSystem::reduced_atoms`].
+///
+/// This is the paper's §3.4 remark — "only column i and columns sharing a
+/// constraint with column i have to be normalized" — extended transitively.
+///
+/// The components are read off the closed matrix `d` when two bounds
+/// agree, because `reduced_atoms` re-closes the system once per atom:
+/// * *Lower bound*: `i` and `j` are linked when `d(i,j)` is finite and
+///   strictly shorter than the path through the origin,
+///   `upper(i) − lower(j)` (or that path is infinite). Every generating atom set, the greedy
+///   `reduced_atoms` included, then derives `d(i,j)` along a path of
+///   difference atoms, which links `i` and `j` through columns.
+/// * *Upper bound*: `i` and `j` are linked by any finite `d(i,j)`, since
+///   every atom of `reduced_atoms` is a finite entry of the closed matrix.
+///   (These components alone over-couple: every two bounded columns have
+///   a finite entry.)
+///
+/// When both give the seeds the same columns, so does `reduced_atoms`.
+/// Otherwise — a tie with the path through the origin, where the greedy
+/// reduction decides which atom survives, or an unsatisfiable system — the
+/// components come from `reduced_atoms` itself.
+fn columns_needing_normalization(t: &GenTuple, seeds: &[usize]) -> Result<Vec<usize>> {
+    let cons = t.constraints();
+    match components_from_closure(cons, seeds) {
+        Some(needed) => Ok(needed),
+        None => Ok(reduced_atom_components(cons)?.touching(seeds)),
+    }
+}
+
+/// The seeds' columns under the two closed-matrix bounds of
+/// [`columns_needing_normalization`], or `None` when the bounds disagree
+/// or the system is unsatisfiable.
+fn components_from_closure(cons: &ConstraintSystem, seeds: &[usize]) -> Option<Vec<usize>> {
+    if !cons.is_satisfiable() {
+        return None;
+    }
+    let m = cons.arity();
+    let (mut lower, mut upper) = (Components::new(m), Components::new(m));
+    for i in 0..m {
+        let up = cons.upper(i).finite();
+        for j in (0..m).filter(|&j| j != i) {
+            let Bound::Finite(d) = cons.diff_bound(i, j) else {
+                continue;
+            };
+            upper.union(i, j);
+            let via_origin = up
+                .zip(cons.lower(j))
+                .map(|(u, l)| i128::from(u) - i128::from(l));
+            if via_origin.is_none_or(|o| i128::from(d) < o) {
+                lower.union(i, j);
             }
         }
     }
-    Ok((0..m).filter(|&c| needed[c]).collect())
+    let needed = lower.touching(seeds);
+    (needed == upper.touching(seeds)).then_some(needed)
 }
 
 /// Projects a tuple onto the given temporal and data columns (in the listed
@@ -245,8 +304,16 @@ fn project_components(
 /// algorithm. Semantically identical to [`project_tuple`]; kept public for
 /// the partial-normalization ablation.
 ///
+/// Each tuple's normal form is built once: the grid system of every
+/// grid-satisfiable residue combination is restricted to the kept columns
+/// — exact on the grid (Theorem 3.1) — and only those columns are mapped
+/// back to X-space. The result is the same as normalizing the whole tuple
+/// and re-deriving each output's grid system with [`crate::grid_view`]:
+/// on a closed, satisfiable grid system that round trip is the identity.
+///
 /// # Errors
-/// Arithmetic overflow during normalization.
+/// [`crate::CoreError::TooManyExtensions`] past the normalization limit;
+/// arithmetic overflow during normalization.
 ///
 /// # Panics
 /// If an index is out of range or repeated.
@@ -256,14 +323,16 @@ pub fn project_tuple_full(
     data_keep: &[usize],
 ) -> Result<Vec<GenTuple>> {
     let data: Vec<_> = data_keep.iter().map(|&i| t.data()[i].clone()).collect();
+    let mut walk = GridWalk::new(t, DEFAULT_NORMALIZE_LIMIT)?;
+    let k = walk.period();
     let mut out = Vec::new();
-    for nt in t.normalize()? {
-        let (k, anchors, grid) = crate::normalize::grid_view(&nt)?;
-        let projected_grid = grid.project_onto(temporal_keep);
-        let kept_anchors: Vec<i64> = temporal_keep.iter().map(|&i| anchors[i]).collect();
-        let cons = projected_grid.from_grid(&kept_anchors, k)?;
-        let lrps: Vec<_> = temporal_keep.iter().map(|&i| nt.lrps()[i]).collect();
-        out.push(GenTuple::from_parts(lrps, cons, data.clone())?);
+    while let Some((lrps, grid)) = walk.next()? {
+        let kept_anchors: Vec<i64> = temporal_keep.iter().map(|&i| lrps[i].offset()).collect();
+        let cons = grid
+            .project_onto(temporal_keep)
+            .from_grid(&kept_anchors, k)?;
+        let kept_lrps = temporal_keep.iter().map(|&i| lrps[i]).collect();
+        out.push(GenTuple::from_parts(kept_lrps, cons, data.clone())?);
     }
     Ok(out)
 }
@@ -691,5 +760,206 @@ mod tests {
                 prop_assert_eq!(symbolic, brute, "x1 = {}", x1);
             }
         }
+    }
+
+    /// Oracle: the component search over `reduced_atoms` alone, as it was
+    /// before the closed-matrix bounds.
+    fn columns_by_reduced_atoms(t: &GenTuple, seeds: &[usize]) -> Vec<usize> {
+        let m = t.lrps().len();
+        let mut uf = Components::new(m);
+        for atom in t.constraints().reduced_atoms().unwrap() {
+            if let Atom::DiffLe { i, j, .. } | Atom::DiffEq { i, j, .. } = atom {
+                uf.union(i, j);
+            }
+        }
+        let mut needed = vec![false; m];
+        for &d in seeds {
+            let root = uf.find(d);
+            for (c, flag) in needed.iter_mut().enumerate() {
+                if uf.find(c) == root {
+                    *flag = true;
+                }
+            }
+        }
+        (0..m).filter(|&c| needed[c]).collect()
+    }
+
+    /// Oracle: whole-tuple projection as normalize-then-[`crate::grid_view`]
+    /// of every normalized tuple, as it was before the fused walk.
+    fn project_full_via_grid_view(
+        t: &GenTuple,
+        temporal_keep: &[usize],
+        data_keep: &[usize],
+    ) -> Vec<GenTuple> {
+        let data: Vec<_> = data_keep.iter().map(|&i| t.data()[i].clone()).collect();
+        let mut out = Vec::new();
+        for nt in t.normalize().unwrap() {
+            let (k, anchors, grid) = crate::normalize::grid_view(&nt).unwrap();
+            let projected_grid = grid.project_onto(temporal_keep);
+            let kept_anchors: Vec<i64> = temporal_keep.iter().map(|&i| anchors[i]).collect();
+            let cons = projected_grid.from_grid(&kept_anchors, k).unwrap();
+            let lrps: Vec<_> = temporal_keep.iter().map(|&i| nt.lrps()[i]).collect();
+            out.push(GenTuple::from_parts(lrps, cons, data.clone()).unwrap());
+        }
+        out
+    }
+
+    #[test]
+    fn tie_with_the_origin_falls_back_to_reduced_atoms() {
+        // X0 ≤ 101, X1 ≥ 39 and X0 − X1 ≤ 62 = 101 − 39: the difference
+        // atom is implied through the origin, so `reduced_atoms` drops it
+        // and column 1 is not in column 0's component — but the closed
+        // matrix alone cannot tell, so the bounds disagree.
+        let tie = GenTuple::builder()
+            .lrps(vec![lrp(1, 4), lrp(3, 4)])
+            .atoms([Atom::le(0, 101), Atom::ge(1, 39), Atom::diff_le(0, 1, 62)])
+            .build()
+            .unwrap();
+        assert_eq!(components_from_closure(tie.constraints(), &[0]), None);
+        assert_eq!(columns_needing_normalization(&tie, &[0]).unwrap(), [0]);
+        // One less, and only a path through the columns derives it.
+        let strict = GenTuple::builder()
+            .lrps(vec![lrp(1, 4), lrp(3, 4)])
+            .atoms([Atom::le(0, 101), Atom::ge(1, 39), Atom::diff_le(0, 1, 61)])
+            .build()
+            .unwrap();
+        assert_eq!(
+            components_from_closure(strict.constraints(), &[0]),
+            Some(vec![0, 1])
+        );
+        assert_eq!(columns_by_reduced_atoms(&strict, &[0]), [0, 1]);
+    }
+
+    /// Raw material for one tuple of the oracle tests: a base period, the
+    /// arity, four column recipes, up to six atom recipes, a column mask
+    /// (the seeds, or the kept columns) and a data/order selector.
+    type OracleSpec = (
+        i64,
+        usize,
+        Vec<(i64, i64, u8)>,
+        Vec<(u8, usize, usize, i64, i64)>,
+        u8,
+        u8,
+    );
+
+    fn arb_oracle_spec() -> impl Strategy<Value = OracleSpec> {
+        (
+            1i64..=12,
+            1usize..=4,
+            proptest::collection::vec((-6i64..6, 1i64..=12, 0u8..6), 4),
+            proptest::collection::vec((0u8..12, 0usize..4, 0usize..4, -8i64..8, -8i64..8), 0..=6),
+            0u8..16,
+            0u8..4,
+        )
+    }
+
+    /// A tuple from `spec` with one datum. Column periods divide the base
+    /// period (mixed periods, small normalizations) and one column in six
+    /// is a point. The atom recipes include pinned columns (`Xi = a`),
+    /// origin ties (`Xi ≤ a`, `Xj ≥ b` and `Xi − Xj ≤ a − b`, so the
+    /// difference is implied through the origin) and contradictions.
+    fn oracle_tuple(spec: &OracleSpec) -> GenTuple {
+        let (base, m, cols, atoms, _, _) = spec;
+        let lrps = cols[..*m].iter().map(|&(c, div, kind)| {
+            if kind == 0 {
+                Lrp::point(c)
+            } else {
+                let k = (1..=div).rev().find(|k| base % k == 0).unwrap();
+                lrp(c, k)
+            }
+        });
+        let atoms = atoms.iter().flat_map(|&(kind, i, j, a, b)| {
+            let (i, j) = (i % m, j % m);
+            match kind {
+                0 => vec![Atom::ge(i, a - 8)],
+                1 => vec![Atom::le(i, a + 8)],
+                2 | 3 if i == j => vec![Atom::le(i, a + 8)],
+                2 => vec![Atom::diff_le(i, j, a)],
+                3 => vec![Atom::diff_eq(i, j, a)],
+                4 => vec![Atom::eq(i, a)],
+                5 => vec![Atom::le(i, a), Atom::ge(i, a - b.abs() % 2)],
+                11 if b >= 4 => vec![Atom::le(i, a), Atom::ge(i, a + 1)],
+                _ if i == j => vec![Atom::ge(i, b)],
+                _ => vec![Atom::le(i, a), Atom::ge(j, b), Atom::diff_le(i, j, a - b)],
+            }
+        });
+        GenTuple::builder()
+            .lrps(lrps)
+            .atoms(atoms)
+            .data(vec![Value::Int(spec.5.into())])
+            .build()
+            .unwrap()
+    }
+
+    /// The columns set in the low `m` bits of `mask`.
+    fn mask_columns(mask: u8, m: usize) -> Vec<usize> {
+        (0..m).filter(|&c| mask & (1 << c) != 0).collect()
+    }
+
+    /// The closed-matrix component search returns exactly the columns of
+    /// the `reduced_atoms` search it replaces, on 512 tuples built to hit
+    /// origin ties, pinned columns, points, mixed periods and
+    /// unsatisfiable systems — each of which the run must meet.
+    #[test]
+    fn prop_component_search_equals_reduced_atoms_oracle() {
+        let mut runner = proptest::test_runner::TestRunner::new(ProptestConfig::with_cases(512));
+        let (mut fallbacks, mut unsat, mut pinned_cols, mut points, mut mixed) = (0, 0, 0, 0, 0);
+        runner
+            .run(&arb_oracle_spec(), |spec| {
+                let t = oracle_tuple(&spec);
+                let m = t.lrps().len();
+                let seeds = mask_columns(spec.4, m);
+                prop_assert_eq!(
+                    columns_needing_normalization(&t, &seeds).unwrap(),
+                    columns_by_reduced_atoms(&t, &seeds)
+                );
+                let cons = t.constraints();
+                if !cons.is_satisfiable() {
+                    unsat += 1;
+                } else if components_from_closure(cons, &seeds).is_none() {
+                    fallbacks += 1;
+                }
+                if cons.is_satisfiable() && (0..m).any(|c| pinned(cons, c)) {
+                    pinned_cols += 1;
+                }
+                points += usize::from(t.lrps().iter().any(|l| l.is_point()));
+                mixed += usize::from(crate::normalize::single_period(t.lrps()).is_none());
+                Ok(())
+            })
+            .unwrap();
+        for (what, n) in [
+            ("origin-tie fallbacks", fallbacks),
+            ("unsatisfiable systems", unsat),
+            ("pinned columns", pinned_cols),
+            ("points", points),
+            ("mixed periods", mixed),
+        ] {
+            assert!(n >= 16, "only {n} cases with {what}");
+        }
+    }
+
+    /// The fused walk projects exactly as normalize-then-`grid_view` did:
+    /// the same tuples in the same order, on the same 512 tuples, with
+    /// random (sometimes reversed) kept columns and the datum kept or
+    /// dropped.
+    #[test]
+    fn prop_fused_projection_equals_grid_view_oracle() {
+        let mut runner = proptest::test_runner::TestRunner::new(ProptestConfig::with_cases(512));
+        let mut nonempty = 0;
+        runner
+            .run(&arb_oracle_spec(), |spec| {
+                let t = oracle_tuple(&spec);
+                let mut keep = mask_columns(spec.4, t.lrps().len());
+                if spec.5 & 1 == 1 {
+                    keep.reverse();
+                }
+                let dkeep: &[usize] = if spec.5 & 2 == 0 { &[0] } else { &[] };
+                let fused = project_tuple_full(&t, &keep, dkeep).unwrap();
+                prop_assert_eq!(&fused, &project_full_via_grid_view(&t, &keep, dkeep));
+                nonempty += usize::from(!fused.is_empty());
+                Ok(())
+            })
+            .unwrap();
+        assert!(nonempty >= 128, "only {nonempty} nonempty projections");
     }
 }

@@ -10,6 +10,7 @@ use crate::enumerate::{materialize_tuples, ConcreteTuple};
 use crate::error::CoreError;
 use crate::exec::{self, ExecContext, OpKind};
 use crate::index::RelationIndex;
+use crate::normalize::{GridWalk, DEFAULT_NORMALIZE_LIMIT};
 use crate::ops;
 use crate::schema::Schema;
 use crate::store::{Columns, RelStore, RowRef, Rows};
@@ -726,19 +727,14 @@ impl GenRelation {
             });
         }
         let overflow = || CoreError::Numth(itd_numth::NumthError::Overflow);
-        // Project onto the column first (exact), then read per-tuple grid
-        // bounds.
+        // Project onto the column first (exact), then read the grid bounds
+        // of each tuple's normal form.
         let projected = self.project_in(&[col], &[], &ExecContext::serial())?;
         let mut best: Option<i64> = None;
         for t in projected.rows_slice() {
-            if t.is_empty()? {
-                continue;
-            }
-            for nt in t.normalize()? {
-                let (k, anchors, grid) = crate::normalize::grid_view(&nt)?;
-                if !grid.is_satisfiable() {
-                    continue;
-                }
+            let mut walk = GridWalk::new(t, DEFAULT_NORMALIZE_LIMIT)?;
+            let k = walk.period();
+            while let Some((lrps, grid)) = walk.next()? {
                 let n = if minimum {
                     match grid.lower(0) {
                         Some(n) => n,
@@ -750,7 +746,8 @@ impl GenRelation {
                         None => return Ok(None), // unbounded above
                     }
                 };
-                let value = anchors[0]
+                let value = lrps[0]
+                    .offset()
                     .checked_add(k.checked_mul(n).ok_or_else(overflow)?)
                     .ok_or_else(overflow)?;
                 best = Some(match best {
@@ -1243,6 +1240,28 @@ mod tests {
         assert_eq!(r.max_temporal(0).unwrap(), Some(17)); // 17 ≡ 1 (mod 4), ≤ 20
                                                           // Out of range.
         assert!(r.min_temporal(1).is_err());
+        // 4n with 21 ≤ X ≤ 25 raises the maximum to its one grid point,
+        // 24; 4n with −11 ≤ X ≤ −9 has no grid point, so its bounds do
+        // not lower the minimum.
+        let mut r = r;
+        r.push(
+            GenTuple::builder()
+                .lrps(vec![lrp(0, 4)])
+                .atoms([Atom::le(0, 25), Atom::ge(0, 21)])
+                .build()
+                .unwrap(),
+        )
+        .unwrap();
+        r.push(
+            GenTuple::builder()
+                .lrps(vec![lrp(0, 4)])
+                .atoms([Atom::le(0, -9), Atom::ge(0, -11)])
+                .build()
+                .unwrap(),
+        )
+        .unwrap();
+        assert_eq!(r.min_temporal(0).unwrap(), Some(-7));
+        assert_eq!(r.max_temporal(0).unwrap(), Some(24));
     }
 
     #[test]

@@ -141,11 +141,12 @@ pub const OUTCOME_CACHE_CAP: usize = 1 << 16;
 /// `Intersect` meets columns positionally; `Join` carries the exact
 /// temporal column pairing, because the same two parts joined on
 /// different column pairs produce different (and differently shaped)
-/// results.
+/// results. The pairing is shared: a lookup's key and every entry one
+/// join call caches hold the same allocation.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub(crate) enum PairOpKey {
     Intersect,
-    Join(Box<[(usize, usize)]>),
+    Join(Arc<[(usize, usize)]>),
 }
 
 /// The global pairwise-outcome cache: because temporal parts are
@@ -1082,7 +1083,7 @@ mod tests {
         assert_eq!(got.as_deref(), Some(&**s.part(0)));
         assert!(storage_stats().outcome_hits > hits0);
         // A different op key is a distinct outcome.
-        let join_key = PairOpKey::Join(vec![(0, 0)].into_boxed_slice());
+        let join_key = PairOpKey::Join(Arc::from([(0, 0)]));
         assert_eq!(outcome_cached_pair(a, b, &join_key), None);
     }
 
