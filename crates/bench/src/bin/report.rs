@@ -222,6 +222,12 @@ where
         .collect()
 }
 
+/// The median, min and max of interleaved repeats.
+fn spread(mut times: Vec<u64>) -> (u64, u64, u64) {
+    times.sort_unstable();
+    (times[times.len() / 2], times[0], times[times.len() - 1])
+}
+
 fn print_row(name: &str, claim: &str, points: &[(f64, f64)], exponent: f64) {
     print_row_fit(name, claim, points, exponent, None);
 }
@@ -534,6 +540,86 @@ fn table2_general() {
     let a = random_relation(&spec(4, *ms_neg.last().expect("nonempty"), 3), 5);
     a.complement_temporal_in(&ctx).expect("complement");
     snap_counters("negation", OpKind::Complement, &ctx);
+}
+
+/// ns per `ConstraintSystem::reduced_atoms` call (the App. A.6 generating
+/// set behind negation, difference, complement and the projection
+/// component search) at m = 2, 4, 6, 8 on 200 seeded satisfiable systems
+/// each: a bound pair on every column plus m difference atoms. Every arity
+/// runs in smoke too; batches are timed interleaved, and the spread is
+/// reported, not gated.
+fn primitives() {
+    use itd_core::{Atom, ConstraintSystem};
+    println!("\n## Primitives\n");
+    jsonout::begin_section("primitives");
+    const SYSTEMS: usize = 200;
+    let mut state = 0x2545_F491_4F6C_DD1Du64;
+    let mut next = |n: usize| {
+        state ^= state << 13;
+        state ^= state >> 7;
+        state ^= state << 17;
+        (state % n as u64) as i64
+    };
+    let batches: Vec<(usize, Vec<ConstraintSystem>)> = [2usize, 4, 6, 8]
+        .into_iter()
+        .map(|m| {
+            let mut systems = Vec::with_capacity(SYSTEMS);
+            while systems.len() < SYSTEMS {
+                let mut atoms = Vec::new();
+                for i in 0..m {
+                    let lo = next(40) - 20;
+                    atoms.extend([Atom::ge(i, lo), Atom::le(i, lo + next(40))]);
+                }
+                for _ in 0..m {
+                    let (i, j) = (next(m) as usize, next(m) as usize);
+                    if i != j {
+                        atoms.push(Atom::diff_le(i, j, next(40) - 20));
+                    }
+                }
+                let s = ConstraintSystem::from_atoms(m, &atoms).expect("small constants");
+                if s.is_satisfiable() {
+                    systems.push(s);
+                }
+            }
+            (m, systems)
+        })
+        .collect();
+    let reps = if smoke() { 5 } else { 15 };
+    let mut ns: Vec<Vec<u64>> = vec![Vec::new(); batches.len()];
+    for _ in 0..reps {
+        for ((_, systems), times) in batches.iter().zip(&mut ns) {
+            let (d, _) = time_once(|| {
+                for s in systems {
+                    std::hint::black_box(s.reduced_atoms());
+                }
+            });
+            times.push(d.as_nanos() as u64 / SYSTEMS as u64);
+        }
+    }
+    println!("| primitive | m | ns per call (median [min, max]) | atoms kept of closed |");
+    println!("|---|---|---|---|");
+    for ((m, systems), times) in batches.into_iter().zip(ns) {
+        let (median, min, max) = spread(times);
+        let closed: usize = systems.iter().map(|s| s.atoms().len()).sum();
+        let kept: usize = systems.iter().map(|s| s.reduced_atoms().len()).sum();
+        println!(
+            "| reduced_atoms | {m} | {median} [{min}, {max}] | {:.1} of {:.1} |",
+            kept as f64 / SYSTEMS as f64,
+            closed as f64 / SYSTEMS as f64
+        );
+        jsonout::counters(
+            &format!("reduced_atoms_m{m}"),
+            &[
+                ("m", m as u64),
+                ("median_ns", median),
+                ("min_ns", min),
+                ("max_ns", max),
+                ("systems", SYSTEMS as u64),
+                ("closed_atoms", closed as u64),
+                ("kept_atoms", kept as u64),
+            ],
+        );
+    }
 }
 
 fn table3_np() {
@@ -878,11 +964,11 @@ fn ablations() {
         // Per-tuple cost of the component search on join outputs
         // `p(t1, t2; x) ⋈ q(t1; x)` with `X0 ≤ 101`, `X1 ≥ 39` and
         // `X0 − X1 ≤ gap`. At gap 30 the coupling is shorter than the path
-        // through the origin (101 − 39 = 62), so the closed matrix settles
-        // the twin's component; at gap 62 it ties, the difference atom is
-        // implied through the origin, and the search falls back to
-        // `reduced_atoms`. Timed interleaved, batches of `project_tuple`
-        // calls; `identical` compares with `project_tuple_full`.
+        // through the origin (101 − 39 = 62), so the difference atom is in
+        // the minimal set and links the twin's component to column 1; at
+        // gap 62 it ties, is implied through the origin and links nothing.
+        // Timed interleaved, batches of `project_tuple` calls; `identical`
+        // compares with `project_tuple_full`.
         let join_output = |gap: i64| {
             let p = GenTuple::builder()
                 .lrps(vec![
@@ -908,12 +994,8 @@ fn ablations() {
                 .expect("the join is nonempty")
         };
         let cases = [
-            (
-                "join_settled",
-                "settled by the closed matrix",
-                join_output(30),
-            ),
-            ("join_tie", "origin tie, reduced_atoms", join_output(62)),
+            ("join_settled", "coupled below the origin", join_output(30)),
+            ("join_tie", "origin tie, uncoupled", join_output(62)),
         ];
         const CALLS: u32 = 1000;
         let reps = if smoke() { 5 } else { 15 };
@@ -930,11 +1012,10 @@ fn ablations() {
         }
         println!("\n| join output | component search | ns per `project_tuple` (median [min, max]) | tuples | identical to full |");
         println!("|---|---|---|---|---|");
-        for ((name, label, t), mut times) in cases.into_iter().zip(ns) {
-            times.sort_unstable();
+        for ((name, label, t), times) in cases.into_iter().zip(ns) {
             let rp = ops::project_tuple(&t, &[0, 1], &[0]).expect("ok");
             let rf = ops::project_tuple_full(&t, &[0, 1], &[0]).expect("ok");
-            let (median, min, max) = (times[times.len() / 2], times[0], times[times.len() - 1]);
+            let (median, min, max) = spread(times);
             println!(
                 "| {name} | {label} | {median} [{min}, {max}] | {} | {} |",
                 rp.len(),
@@ -2328,6 +2409,7 @@ fn main() {
     );
     table2_fixed_schema();
     table2_general();
+    primitives();
     table3_np();
     theorem_4_1();
     figures();

@@ -465,15 +465,22 @@ impl ConstraintSystem {
     /// implied atoms; see [`ConstraintSystem::reduced_atoms`] for a minimal
     /// set).
     pub fn atoms(&self) -> Vec<Atom> {
-        let mut out = Vec::new();
         if self.unsat {
             // Represent the empty set by a blatant contradiction.
-            if self.arity > 0 {
-                out.push(Atom::le(0, 0));
-                out.push(Atom::ge(0, 1));
-            }
-            return out;
+            return if self.arity > 0 {
+                vec![Atom::le(0, 0), Atom::ge(0, 1)]
+            } else {
+                Vec::new()
+            };
         }
+        self.atoms_where(|_, _, _| true)
+    }
+
+    /// The atoms of [`ConstraintSystem::atoms`] at the finite entries
+    /// `(i, j)` of value `a` that `keep(i, j, a)` selects, in the same
+    /// row-major order. An equality is read at its entry with `i < j`.
+    fn atoms_where(&self, keep: impl Fn(usize, usize, i64) -> bool) -> Vec<Atom> {
+        let mut out = Vec::new();
         let o = self.origin();
         for i in 0..self.dim() {
             for j in 0..self.dim() {
@@ -486,7 +493,7 @@ impl ConstraintSystem {
                 let opposite = self.at(j, i).finite();
                 let is_eq = opposite == Some(-a);
                 // Emit equalities once (from the lexicographically first side).
-                if is_eq && j < i {
+                if (is_eq && j < i) || !keep(i, j, a) {
                     continue;
                 }
                 let atom = match (i == o, j == o) {
@@ -519,41 +526,77 @@ impl ConstraintSystem {
         out
     }
 
+    /// The weight of the path `i → k → j` (`None` if an edge is infinite),
+    /// summed in `i128` so that it cannot overflow.
+    fn via(&self, i: usize, k: usize, j: usize) -> Option<i128> {
+        Some(i128::from(self.at(i, k).finite()?) + i128::from(self.at(k, j).finite()?))
+    }
+
     /// A minimal generating set of atoms: no atom is implied by the others.
     ///
     /// Minimality matters for negation (Appendix A.6): the number of
     /// disjuncts in `¬system` is the number of generating atoms, and each
     /// disjunct becomes a whole tuple downstream.
     ///
-    /// # Errors
-    /// [`NumthError::Overflow`] if re-closure overflows during testing.
-    pub fn reduced_atoms(&self) -> Result<Vec<Atom>> {
-        let mut atoms = self.atoms();
+    /// The set is read off the closed matrix `d` in O(m³) by the DBM
+    /// minimal-constraint algorithm of Larsen, Larsson, Pettersson and Yi
+    /// (*Efficient Verification of Real-Time Systems: Compact Data
+    /// Structure and State-Space Reduction*, RTSS 1997). Zero-weight cycles
+    /// (`d(i,j) + d(j,i) = 0`) join the attributes and the origin into
+    /// classes, each represented by its highest index, so the origin
+    /// represents every pinned attribute. Every other member `i` keeps its
+    /// equality at `(i, rep)`; between two classes only `(rep A, rep B)` is
+    /// kept, and only if no third class `K` has `d(A,K) + d(K,B) ≤ d(A,B)`.
+    /// The atoms come in [`ConstraintSystem::atoms`]' order and kinds; an
+    /// unsatisfiable system returns its [`ConstraintSystem::atoms`].
+    ///
+    /// This equals, in order, the greedy search it replaced, which scanned
+    /// [`ConstraintSystem::atoms`] and dropped each atom that the atoms
+    /// still held implied. An exact path for an equality closes a zero
+    /// cycle, so it stays in the class: the scan drops each equality
+    /// between two members while both still hold theirs to the
+    /// representative, the last of the class a row reaches. It drops a
+    /// lower-index member's entry while the representative's is still
+    /// held. Between representatives, every path inside the two classes
+    /// needs an entry it has already dropped, so an entry falls exactly
+    /// when a third class matches it. Nothing is re-closed, so nothing can
+    /// overflow.
+    pub fn reduced_atoms(&self) -> Vec<Atom> {
         if self.unsat {
-            return Ok(atoms);
+            return self.atoms();
         }
-        // Greedy elimination: drop an atom iff the rest still entail it.
-        let mut i = 0;
-        while i < atoms.len() {
-            let mut rest: Vec<Atom> = Vec::with_capacity(atoms.len() - 1);
-            rest.extend_from_slice(&atoms[..i]);
-            rest.extend_from_slice(&atoms[i + 1..]);
-            let sys = ConstraintSystem::from_atoms(self.arity, &rest)?;
-            let mut just_this = ConstraintSystem::unconstrained(self.arity);
-            just_this.add(atoms[i])?;
-            if sys.entails(&just_this) {
-                atoms.remove(i);
+        let d = self.dim();
+        let rep: Vec<usize> = (0..d)
+            .map(|v| {
+                (0..d)
+                    .rev()
+                    .find(|&w| self.via(v, w, v) == Some(0))
+                    .expect("a closed diagonal is zero")
+            })
+            .collect();
+        let matched = |i: usize, j: usize, direct: i64| {
+            (0..d).any(|k| {
+                rep[k] == k
+                    && k != i
+                    && k != j
+                    && self.via(i, k, j).is_some_and(|w| w <= i128::from(direct))
+            })
+        };
+        self.atoms_where(|i, j, a| {
+            if rep[i] == rep[j] {
+                j == rep[j]
             } else {
-                i += 1;
+                i == rep[i] && j == rep[j] && !matched(i, j, a)
             }
-        }
-        Ok(atoms)
+        })
     }
 
     /// The disjunction of atoms equivalent to `¬self` over `Z^arity`.
     ///
     /// Each returned atom is one disjunct; the negation of the system is the
-    /// union of their solution sets. An unconstrained system yields the
+    /// union of their solution sets. Following Appendix A.6 they negate the
+    /// atoms of [`ConstraintSystem::reduced_atoms`] one by one: one disjunct
+    /// per bound, two per equality. An unconstrained system yields the
     /// empty disjunction (its negation is empty); an unsatisfiable system's
     /// negation is the full space, signalled by `None`.
     ///
@@ -564,7 +607,7 @@ impl ConstraintSystem {
             return Ok(None);
         }
         let mut disjuncts = Vec::new();
-        for atom in self.reduced_atoms()? {
+        for atom in self.reduced_atoms() {
             let negs = atom.negate().ok_or(NumthError::Overflow)?;
             disjuncts.extend(negs);
         }
@@ -884,7 +927,7 @@ mod tests {
     fn reduced_atoms_minimal_but_equivalent() {
         // A chain where the transitive bound is implied.
         let s = sys(3, &[Atom::diff_le(0, 1, 0), Atom::diff_le(1, 2, 0)]);
-        let reduced = s.reduced_atoms().unwrap();
+        let reduced = s.reduced_atoms();
         let rebuilt = sys(3, &reduced);
         assert_eq!(s, rebuilt);
         assert!(
@@ -893,7 +936,7 @@ mod tests {
         );
         // Equalities (zero cycles) must survive reduction correctly.
         let s = sys(2, &[Atom::diff_eq(0, 1, 0), Atom::le(0, 5)]);
-        let rebuilt = sys(2, &s.reduced_atoms().unwrap());
+        let rebuilt = sys(2, &s.reduced_atoms());
         assert_eq!(s, rebuilt);
     }
 
@@ -986,6 +1029,126 @@ mod tests {
         assert!(text.contains(">= 10"), "{text}");
     }
 
+    /// Oracle: the greedy search `reduced_atoms` ran before it read the
+    /// closed matrix — scan `atoms()` in order and drop each atom that the
+    /// atoms still held imply. It re-closes the system once per atom.
+    fn greedy_reduced_atoms(s: &ConstraintSystem) -> Vec<Atom> {
+        let mut atoms = s.atoms();
+        if !s.is_satisfiable() {
+            return atoms;
+        }
+        let mut i = 0;
+        while i < atoms.len() {
+            let mut rest = atoms.clone();
+            let atom = rest.remove(i);
+            if sys(s.arity(), &rest).entails(&sys(s.arity(), &[atom])) {
+                atoms.remove(i);
+            } else {
+                i += 1;
+            }
+        }
+        atoms
+    }
+
+    /// Raw material for one system of the oracle test: the arity, up to
+    /// six atom recipes `(kind, i, j, a, b)` and a point selector.
+    type SystemSpec = (usize, Vec<(u8, usize, usize, i64, i64)>, u8);
+
+    fn arb_system_spec() -> impl Strategy<Value = SystemSpec> {
+        (
+            1usize..=6,
+            proptest::collection::vec((0u8..9, 0usize..6, 0usize..6, -6i64..6, -6i64..6), 0..=6),
+            0u8..8,
+        )
+    }
+
+    /// The closed system of `spec`. Its constants are small, so entries
+    /// often tie, and the recipes add pins (`Xi = a`, or a window of width
+    /// 0 or 1), difference equalities, origin ties (`Xi ≤ a`, `Xj ≥ b` and
+    /// `Xi − Xj ≤ a − b`, implied through the origin) and contradictions.
+    /// One satisfiable system in eight is cut down to one of its points.
+    fn spec_system((m, recipes, point): &SystemSpec) -> ConstraintSystem {
+        let m = *m;
+        let atoms: Vec<Atom> = recipes
+            .iter()
+            .flat_map(|&(kind, i, j, a, b)| {
+                let (i, j) = (i % m, j % m);
+                match kind {
+                    0 => vec![Atom::ge(i, a)],
+                    1 => vec![Atom::le(i, a)],
+                    2 | 3 if i == j => vec![Atom::le(i, b)],
+                    2 => vec![Atom::diff_le(i, j, a)],
+                    3 => vec![Atom::diff_eq(i, j, a)],
+                    4 => vec![Atom::eq(i, a)],
+                    5 => vec![Atom::le(i, a), Atom::ge(i, a - b.abs() % 2)],
+                    6 if b >= 4 => vec![Atom::le(i, a), Atom::ge(i, a + 1)],
+                    _ if i == j => vec![Atom::ge(i, b)],
+                    _ => vec![Atom::le(i, a), Atom::ge(j, b), Atom::diff_le(i, j, a - b)],
+                }
+            })
+            .collect();
+        let s = sys(m, &atoms);
+        match s.solution().unwrap() {
+            Some(xs) if *point == 0 => {
+                let pins: Vec<Atom> = xs
+                    .iter()
+                    .enumerate()
+                    .map(|(v, &x)| Atom::eq(v, x))
+                    .collect();
+                s.conjoin(&sys(m, &pins)).unwrap()
+            }
+            _ => s,
+        }
+    }
+
+    /// `reduced_atoms` returns exactly the greedy oracle's `Vec`, order
+    /// included, on 512 systems; the run must meet each kind of system the
+    /// generator aims at at least 16 times. The vendored runner's seed is
+    /// fixed, so a failure replays; its message names the case number and
+    /// the raw spec.
+    #[test]
+    fn prop_reduced_atoms_equals_greedy_oracle() {
+        let mut runner = proptest::test_runner::TestRunner::new(ProptestConfig::with_cases(512));
+        let mut case = 0;
+        let (mut ties, mut pins, mut diff_eqs, mut points, mut unsat) = (0, 0, 0, 0, 0);
+        runner
+            .run(&arb_system_spec(), |spec| {
+                case += 1;
+                let s = spec_system(&spec);
+                prop_assert_eq!(
+                    s.reduced_atoms(),
+                    greedy_reduced_atoms(&s),
+                    "case {} of the fixed seed",
+                    case
+                );
+                if !s.is_satisfiable() {
+                    unsat += 1;
+                    return Ok(());
+                }
+                let (m, o) = (s.arity(), s.origin());
+                let pinned = |v: usize| s.via(v, o, v) == Some(0);
+                let free: Vec<usize> = (0..m).filter(|&v| !pinned(v)).collect();
+                let pairs = || free.iter().flat_map(|&i| free.iter().map(move |&j| (i, j)));
+                ties += usize::from(pairs().any(|(i, j)| {
+                    i != j && s.via(i, o, j).is_some() && s.via(i, o, j) == s.via(i, j, j)
+                }));
+                pins += usize::from(free.len() < m);
+                diff_eqs += usize::from(pairs().any(|(i, j)| i != j && s.via(i, j, i) == Some(0)));
+                points += usize::from(m >= 2 && free.is_empty());
+                Ok(())
+            })
+            .unwrap();
+        for (what, n) in [
+            ("origin ties", ties),
+            ("pinned attributes", pins),
+            ("difference equalities", diff_eqs),
+            ("points", points),
+            ("contradictions", unsat),
+        ] {
+            assert!(n >= 16, "only {n} systems with {what}");
+        }
+    }
+
     /// Strategy for a random small atom over `arity` attributes.
     fn atom_strategy(arity: usize) -> impl Strategy<Value = Atom> {
         let v = 0..arity;
@@ -1069,7 +1232,7 @@ mod tests {
         ) {
             let s = sys(3, &atoms);
             if s.is_satisfiable() {
-                let rebuilt = sys(3, &s.reduced_atoms().unwrap());
+                let rebuilt = sys(3, &s.reduced_atoms());
                 prop_assert_eq!(s, rebuilt);
             }
         }

@@ -46,77 +46,24 @@ impl Components {
     }
 }
 
-/// The constraint-graph components of a minimal generating atom set
-/// ([`ConstraintSystem::reduced_atoms`]): columns linked by a kept
-/// difference atom.
-fn reduced_atom_components(cons: &ConstraintSystem) -> Result<Components> {
-    let mut uf = Components::new(cons.arity());
-    for atom in cons.reduced_atoms()? {
+/// The columns that must be normalized to eliminate the seed columns
+/// exactly: the union of the constraint-graph components that touch a
+/// seed, over the minimal generating atom set of
+/// [`ConstraintSystem::reduced_atoms`] (columns linked by a kept
+/// difference atom).
+///
+/// This is the paper's §3.4 remark — "only column i and columns sharing a
+/// constraint with column i have to be normalized" — extended transitively.
+/// A difference implied through the origin (`Xi ≤ a`, `Xj ≥ b` and
+/// `Xi − Xj ≤ a − b`) is not in the minimal set, so it links nothing.
+fn columns_needing_normalization(t: &GenTuple, seeds: &[usize]) -> Vec<usize> {
+    let mut uf = Components::new(t.lrps().len());
+    for atom in t.constraints().reduced_atoms() {
         if let Atom::DiffLe { i, j, .. } | Atom::DiffEq { i, j, .. } = atom {
             uf.union(i, j);
         }
     }
-    Ok(uf)
-}
-
-/// The columns that must be normalized to eliminate the seed columns
-/// exactly: the union of the constraint-graph components that touch a
-/// seed, over the minimal generating atom set of
-/// [`ConstraintSystem::reduced_atoms`].
-///
-/// This is the paper's §3.4 remark — "only column i and columns sharing a
-/// constraint with column i have to be normalized" — extended transitively.
-///
-/// The components are read off the closed matrix `d` when two bounds
-/// agree, because `reduced_atoms` re-closes the system once per atom:
-/// * *Lower bound*: `i` and `j` are linked when `d(i,j)` is finite and
-///   strictly shorter than the path through the origin,
-///   `upper(i) − lower(j)` (or that path is infinite). Every generating atom set, the greedy
-///   `reduced_atoms` included, then derives `d(i,j)` along a path of
-///   difference atoms, which links `i` and `j` through columns.
-/// * *Upper bound*: `i` and `j` are linked by any finite `d(i,j)`, since
-///   every atom of `reduced_atoms` is a finite entry of the closed matrix.
-///   (These components alone over-couple: every two bounded columns have
-///   a finite entry.)
-///
-/// When both give the seeds the same columns, so does `reduced_atoms`.
-/// Otherwise — a tie with the path through the origin, where the greedy
-/// reduction decides which atom survives, or an unsatisfiable system — the
-/// components come from `reduced_atoms` itself.
-fn columns_needing_normalization(t: &GenTuple, seeds: &[usize]) -> Result<Vec<usize>> {
-    let cons = t.constraints();
-    match components_from_closure(cons, seeds) {
-        Some(needed) => Ok(needed),
-        None => Ok(reduced_atom_components(cons)?.touching(seeds)),
-    }
-}
-
-/// The seeds' columns under the two closed-matrix bounds of
-/// [`columns_needing_normalization`], or `None` when the bounds disagree
-/// or the system is unsatisfiable.
-fn components_from_closure(cons: &ConstraintSystem, seeds: &[usize]) -> Option<Vec<usize>> {
-    if !cons.is_satisfiable() {
-        return None;
-    }
-    let m = cons.arity();
-    let (mut lower, mut upper) = (Components::new(m), Components::new(m));
-    for i in 0..m {
-        let up = cons.upper(i).finite();
-        for j in (0..m).filter(|&j| j != i) {
-            let Bound::Finite(d) = cons.diff_bound(i, j) else {
-                continue;
-            };
-            upper.union(i, j);
-            let via_origin = up
-                .zip(cons.lower(j))
-                .map(|(u, l)| i128::from(u) - i128::from(l));
-            if via_origin.is_none_or(|o| i128::from(d) < o) {
-                lower.union(i, j);
-            }
-        }
-    }
-    let needed = lower.touching(seeds);
-    (needed == upper.touching(seeds)).then_some(needed)
+    uf.touching(seeds)
 }
 
 /// Projects a tuple onto the given temporal and data columns (in the listed
@@ -237,7 +184,7 @@ fn project_components(
     let hot = if seeds.is_empty() {
         Vec::new()
     } else {
-        columns_needing_normalization(t, seeds)?
+        columns_needing_normalization(t, seeds)
     };
     if hot.len() == t.lrps().len() {
         return project_tuple_full(t, temporal_keep, data_keep);
@@ -762,12 +709,14 @@ mod tests {
         }
     }
 
-    /// Oracle: the component search over `reduced_atoms` alone, as it was
-    /// before the closed-matrix bounds.
+    /// Oracle: the components of the difference atoms of `reduced_atoms`,
+    /// with the seeds' columns gathered without `Components::touching`.
+    /// (`itd-constraint` checks `reduced_atoms` itself against the greedy
+    /// search it replaced.)
     fn columns_by_reduced_atoms(t: &GenTuple, seeds: &[usize]) -> Vec<usize> {
         let m = t.lrps().len();
         let mut uf = Components::new(m);
-        for atom in t.constraints().reduced_atoms().unwrap() {
+        for atom in t.constraints().reduced_atoms() {
             if let Atom::DiffLe { i, j, .. } | Atom::DiffEq { i, j, .. } = atom {
                 uf.union(i, j);
             }
@@ -804,29 +753,46 @@ mod tests {
         out
     }
 
+    /// Does some difference entry between two unpinned columns equal its
+    /// path through the origin, `upper(i) − lower(j)`?
+    fn origin_tie(cons: &ConstraintSystem) -> bool {
+        let free: Vec<usize> = (0..cons.arity()).filter(|&c| !pinned(cons, c)).collect();
+        free.iter().any(|&i| {
+            free.iter().any(|&j| {
+                let via_origin = cons.upper(i).finite().zip(cons.lower(j));
+                i != j
+                    && via_origin.is_some_and(|(u, l)| {
+                        cons.diff_bound(i, j).finite().map(i128::from)
+                            == Some(i128::from(u) - i128::from(l))
+                    })
+            })
+        })
+    }
+
     #[test]
-    fn tie_with_the_origin_falls_back_to_reduced_atoms() {
+    fn tie_with_the_origin_drops_the_difference_atom() {
         // X0 ≤ 101, X1 ≥ 39 and X0 − X1 ≤ 62 = 101 − 39: the difference
         // atom is implied through the origin, so `reduced_atoms` drops it
-        // and column 1 is not in column 0's component — but the closed
-        // matrix alone cannot tell, so the bounds disagree.
+        // and column 1 is not in column 0's component.
         let tie = GenTuple::builder()
             .lrps(vec![lrp(1, 4), lrp(3, 4)])
             .atoms([Atom::le(0, 101), Atom::ge(1, 39), Atom::diff_le(0, 1, 62)])
             .build()
             .unwrap();
-        assert_eq!(components_from_closure(tie.constraints(), &[0]), None);
-        assert_eq!(columns_needing_normalization(&tie, &[0]).unwrap(), [0]);
+        assert!(origin_tie(tie.constraints()));
+        assert_eq!(
+            tie.constraints().reduced_atoms(),
+            [Atom::le(0, 101), Atom::ge(1, 39)]
+        );
+        assert_eq!(columns_needing_normalization(&tie, &[0]), [0]);
         // One less, and only a path through the columns derives it.
         let strict = GenTuple::builder()
             .lrps(vec![lrp(1, 4), lrp(3, 4)])
             .atoms([Atom::le(0, 101), Atom::ge(1, 39), Atom::diff_le(0, 1, 61)])
             .build()
             .unwrap();
-        assert_eq!(
-            components_from_closure(strict.constraints(), &[0]),
-            Some(vec![0, 1])
-        );
+        assert!(!origin_tie(strict.constraints()));
+        assert_eq!(columns_needing_normalization(&strict, &[0]), [0, 1]);
         assert_eq!(columns_by_reduced_atoms(&strict, &[0]), [0, 1]);
     }
 
@@ -896,28 +862,28 @@ mod tests {
         (0..m).filter(|&c| mask & (1 << c) != 0).collect()
     }
 
-    /// The closed-matrix component search returns exactly the columns of
-    /// the `reduced_atoms` search it replaces, on 512 tuples built to hit
+    /// The component search returns exactly the columns of the
+    /// `reduced_atoms` oracle, on 512 tuples built to hit
     /// origin ties, pinned columns, points, mixed periods and
     /// unsatisfiable systems — each of which the run must meet.
     #[test]
     fn prop_component_search_equals_reduced_atoms_oracle() {
         let mut runner = proptest::test_runner::TestRunner::new(ProptestConfig::with_cases(512));
-        let (mut fallbacks, mut unsat, mut pinned_cols, mut points, mut mixed) = (0, 0, 0, 0, 0);
+        let (mut ties, mut unsat, mut pinned_cols, mut points, mut mixed) = (0, 0, 0, 0, 0);
         runner
             .run(&arb_oracle_spec(), |spec| {
                 let t = oracle_tuple(&spec);
                 let m = t.lrps().len();
                 let seeds = mask_columns(spec.4, m);
                 prop_assert_eq!(
-                    columns_needing_normalization(&t, &seeds).unwrap(),
+                    columns_needing_normalization(&t, &seeds),
                     columns_by_reduced_atoms(&t, &seeds)
                 );
                 let cons = t.constraints();
                 if !cons.is_satisfiable() {
                     unsat += 1;
-                } else if components_from_closure(cons, &seeds).is_none() {
-                    fallbacks += 1;
+                } else if origin_tie(cons) {
+                    ties += 1;
                 }
                 if cons.is_satisfiable() && (0..m).any(|c| pinned(cons, c)) {
                     pinned_cols += 1;
@@ -928,7 +894,7 @@ mod tests {
             })
             .unwrap();
         for (what, n) in [
-            ("origin-tie fallbacks", fallbacks),
+            ("origin ties", ties),
             ("unsatisfiable systems", unsat),
             ("pinned columns", pinned_cols),
             ("points", points),

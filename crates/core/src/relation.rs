@@ -917,7 +917,7 @@ mod relation_serde {
             let mut rows = Vec::with_capacity(self.store.len());
             for (row, &pid) in self.store.part_ids().iter().enumerate() {
                 let local = *part_local.entry(pid).or_insert_with(|| {
-                    let part = self.store.part(row);
+                    let part = self.store.rows()[row].part_arc();
                     parts.push(PartRepr {
                         lrps: part.lrps.clone(),
                         cons: part.cons.clone(),

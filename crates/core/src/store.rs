@@ -652,10 +652,6 @@ impl RelStore {
         &self.part_ids
     }
 
-    pub(crate) fn part(&self, row: usize) -> &Arc<TemporalPart> {
-        self.rows[row].part_arc()
-    }
-
     pub(crate) fn data_columns(&self) -> &[Vec<ValueId>] {
         &self.data
     }
@@ -1015,7 +1011,10 @@ mod tests {
         assert_eq!(s1.part_ids(), s2.part_ids());
         assert_eq!(s1.data_columns(), s2.data_columns());
         // Canonicalization: both stores alias one part allocation.
-        assert!(Arc::ptr_eq(s1.part(0), s2.part(0)));
+        assert!(Arc::ptr_eq(
+            s1.rows()[0].part_arc(),
+            s2.rows()[0].part_arc()
+        ));
         assert_eq!(
             resolve_value(s1.data_columns()[0][0]),
             Value::str("store-test-a")
@@ -1077,10 +1076,15 @@ mod tests {
         let s = RelStore::from_tuples(Schema::new(1, 0), vec![t1.clone(), t2]);
         let (a, b) = (s.part_ids()[0], s.part_ids()[1]);
         let hits0 = storage_stats().outcome_hits;
-        outcome_cache_pair(a, b, PairOpKey::Intersect, Some(Arc::clone(s.part(0))));
+        outcome_cache_pair(
+            a,
+            b,
+            PairOpKey::Intersect,
+            Some(Arc::clone(s.rows()[0].part_arc())),
+        );
         let got = outcome_cached_pair(a, b, &PairOpKey::Intersect)
             .expect("just-inserted outcome must hit");
-        assert_eq!(got.as_deref(), Some(&**s.part(0)));
+        assert_eq!(got.as_deref(), Some(&**s.rows()[0].part_arc()));
         assert!(storage_stats().outcome_hits > hits0);
         // A different op key is a distinct outcome.
         let join_key = PairOpKey::Join(Arc::from([(0, 0)]));
